@@ -1,14 +1,15 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-par test-par-smoke test-resume test-race bench ci lint static-analysis analyze-sarif fmt fmt-check coverage clean
+.PHONY: all build test test-par test-par-smoke test-resume test-race bench bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage clean
 
 all: build
 
 # The full tier-1 gate, in the order CI runs it: format check (a no-op
 # without ocamlformat), strict-warning build, test suite (which itself
 # depends on the repo-analyzes-clean gate via the @runtest alias), the
-# parallel-scheduler smoke pass, and the standalone analyzer pass.
-ci: fmt-check build test test-par-smoke test-race static-analysis
+# parallel-scheduler smoke pass, the standalone analyzer pass, and the
+# layered benchmark's own checks.
+ci: fmt-check build test test-par-smoke test-race static-analysis bench-smoke
 
 build:
 	dune build @all
@@ -46,6 +47,13 @@ test-race: build
 
 bench:
 	dune exec bench/main.exe
+
+# The layered benchmark's own checks (perfbench/README.md): the
+# statistics and verdict selftest, then one instance per workload with
+# one untraced and one traced pass (a few seconds).
+bench-smoke:
+	bash perfbench/run.sh selftest
+	bash perfbench/run.sh run --smoke
 
 # Static checks: the strict-warning build (see the root `dune` env
 # stanza), the repo's own input lint over every built-in SOC, the

@@ -22,96 +22,183 @@ let makespan ~times ~assignment =
   Array.iteri (fun i j -> loads.(j) <- loads.(j) + times.(i).(j)) assignment;
   Soctam_util.Intutil.max_element loads
 
+(* Branch & bound state. Nothing is allocated once the search starts:
+   the path, the loads and the candidate lists live in arrays made up
+   front. Row [k] of [cand_tam]/[cand_load] (positions [k * tams] to
+   [k * tams + tams - 1]) holds the candidate TAMs of the core at depth
+   [k] and the load each would reach, sorted by (load, TAM index). *)
+type search = {
+  times : int array array;
+  widths : int array;
+  order : int array;  (** depth -> core, hardest first *)
+  suffix_min : int array;
+      (** [suffix_min.(k)]: summed best-TAM times of depths [k ..] *)
+  cores : int;
+  tams : int;
+  node_limit : int;
+  loads : int array;
+  current : int array;  (** core -> TAM along the current path *)
+  cand_tam : int array;
+  cand_load : int array;
+  incumbent : int array;
+  mutable incumbent_time : int;
+  mutable nodes : int;
+  mutable budget_hit : bool;
+}
+
+(* Every TAM from [j] on would take the core with times [row] to at
+   least the incumbent. *)
+let rec lands_at_or_above s row j =
+  j = s.tams
+  || s.loads.(j) + row.(j) >= s.incumbent_time
+     && lands_at_or_above s row (j + 1)
+[@@soctam.hot]
+
+(* Each remaining core must land somewhere; its cheapest landing spot
+   bounds the final makespan. True as soon as one core's bound reaches
+   the incumbent. *)
+let rec placement_reaches s k =
+  k < s.cores
+  && (lands_at_or_above s s.times.(s.order.(k)) 0
+     || placement_reaches s (k + 1))
+[@@soctam.hot]
+
+(* The node's lower bound is the max of the path's makespan, the
+   average-load bound and the placement bound; it prunes when it reaches
+   the incumbent. The terms are tried cheapest first and the first one
+   that reaches the incumbent decides. *)
+let pruned s k total_load current_max =
+  current_max >= s.incumbent_time
+  || Soctam_util.Intutil.ceil_div (total_load + s.suffix_min.(k)) s.tams
+     >= s.incumbent_time
+  || placement_reaches s k
+[@@soctam.hot]
+
+(* Insertion sort step: place TAM [j] with resulting load [v] into the
+   sorted row [base .. pos - 1]. Only strictly heavier entries move up,
+   so equal loads keep increasing TAM order. *)
+let rec insert s base pos v j =
+  if pos > base && s.cand_load.(pos - 1) > v then begin
+    s.cand_load.(pos) <- s.cand_load.(pos - 1);
+    s.cand_tam.(pos) <- s.cand_tam.(pos - 1);
+    insert s base (pos - 1) v j
+  end
+  else begin
+    s.cand_load.(pos) <- v;
+    s.cand_tam.(pos) <- j
+  end
+[@@soctam.hot]
+
+let rec fill_row s row base j =
+  if j < s.tams then begin
+    insert s base (base + j) (s.loads.(j) + row.(j)) j;
+    fill_row s row base (j + 1)
+  end
+[@@soctam.hot]
+
+(* Symmetry breaking: TAMs with the same (width, load, time) lead to
+   mirror-image subtrees, so only the first in candidate order is
+   explored. This is only sound between TAMs of equal width, since equal
+   width implies equal times for every core. A mirror of TAM [j] has the
+   same resulting load [v], so [p] walks down from the candidate's left
+   neighbour only through the run of loads equal to [v]; there, equal
+   time means equal load. *)
+let rec symmetric s row base j v p =
+  p >= base
+  && s.cand_load.(p) = v
+  && (let j' = s.cand_tam.(p) in
+      (s.widths.(j') = s.widths.(j) && row.(j') = row.(j))
+      || symmetric s row base j v (p - 1))
+[@@soctam.hot]
+
+let rec explore s k total_load current_max =
+  if k = s.cores then begin
+    if current_max < s.incumbent_time then begin
+      s.incumbent_time <- current_max;
+      Array.blit s.current 0 s.incumbent 0 s.cores
+    end
+  end
+  else begin
+    s.nodes <- s.nodes + 1;
+    if s.nodes > s.node_limit then s.budget_hit <- true
+    else if not (pruned s k total_load current_max) then begin
+      let i = s.order.(k) in
+      let row = s.times.(i) in
+      let base = k * s.tams in
+      fill_row s row base 0;
+      branch s k i row base base total_load current_max
+    end
+  end
+[@@soctam.hot]
+
+(* The children of the node at depth [k] in candidate order, from row
+   position [pos]. Loads only grow along the row and the incumbent only
+   falls, so the first candidate that reaches the incumbent ends the
+   loop; a spent budget ends it too. Every earlier row entry was thus
+   explored or skipped as a mirror of an explored one, which is what
+   lets [symmetric] scan the row instead of a set of explored keys. *)
+and branch s k i row base pos total_load current_max =
+  if pos < base + s.tams && not s.budget_hit then begin
+    let v = s.cand_load.(pos) in
+    if v < s.incumbent_time then begin
+      let j = s.cand_tam.(pos) in
+      if not (symmetric s row base j v (pos - 1)) then begin
+        s.loads.(j) <- v;
+        s.current.(i) <- j;
+        explore s (k + 1) (total_load + row.(j)) (Int.max current_max v);
+        s.loads.(j) <- v - row.(j)
+      end;
+      branch s k i row base (pos + 1) total_load current_max
+    end
+  end
+[@@soctam.hot]
+
 let solve_bb ?(node_limit = 2_000_000) ?initial ?widths ~times () =
   let cores, tams = check_instance times in
-  (* Symmetry breaking is only sound between TAMs of equal width (equal
-     width implies equal times for every core); without width information
-     each TAM gets a distinct sentinel so nothing is merged. *)
+  (* Without width information each TAM gets a distinct sentinel, so
+     symmetry breaking merges nothing. *)
   let widths =
     match widths with Some w -> w | None -> Array.init tams (fun j -> -j - 1)
   in
   (* Explore the hardest cores first: decreasing best-machine time. *)
+  let min_time = Array.map Soctam_util.Intutil.min_element times in
   let order = Array.init cores (fun i -> i) in
-  let min_time i = Soctam_util.Intutil.min_element times.(i) in
   Array.sort
     (fun a b ->
-      match compare (min_time b) (min_time a) with
-      | 0 -> compare a b
+      match Int.compare min_time.(b) min_time.(a) with
+      | 0 -> Int.compare a b
       | c -> c)
     order;
-  (* Suffix sums of best-machine times for the average-load bound. *)
   let suffix_min = Array.make (cores + 1) 0 in
   for k = cores - 1 downto 0 do
-    suffix_min.(k) <- suffix_min.(k + 1) + min_time order.(k)
+    suffix_min.(k) <- suffix_min.(k + 1) + min_time.(order.(k))
   done;
-  let incumbent_time = ref max_int in
-  let incumbent = Array.make cores 0 in
+  let s =
+    {
+      times;
+      widths;
+      order;
+      suffix_min;
+      cores;
+      tams;
+      node_limit;
+      loads = Array.make tams 0;
+      current = Array.make cores 0;
+      cand_tam = Array.make (cores * tams) 0;
+      cand_load = Array.make (cores * tams) 0;
+      incumbent = Array.make cores 0;
+      incumbent_time = max_int;
+      nodes = 0;
+      budget_hit = false;
+    }
+  in
   (match initial with
   | Some (assignment, time) ->
-      incumbent_time := time;
-      Array.blit assignment 0 incumbent 0 cores
+      s.incumbent_time <- time;
+      Array.blit assignment 0 s.incumbent 0 cores
   | None -> ());
-  let loads = Array.make tams 0 in
-  let current = Array.make cores 0 in
-  let nodes = ref 0 in
-  let budget_hit = ref false in
-  let rec explore k current_max =
-    if !budget_hit then ()
-    else if k = cores then begin
-      if current_max < !incumbent_time then begin
-        incumbent_time := current_max;
-        Array.blit current 0 incumbent 0 cores
-      end
-    end
-    else begin
-      incr nodes;
-      if !nodes > node_limit then budget_hit := true
-      else begin
-        let total_load = Soctam_util.Intutil.sum loads in
-        let avg_bound =
-          Soctam_util.Intutil.ceil_div (total_load + suffix_min.(k)) tams
-        in
-        (* Each remaining core must land somewhere; its cheapest landing
-           spot bounds the final makespan. *)
-        let placement_bound = ref 0 in
-        for k' = k to cores - 1 do
-          let i = order.(k') in
-          let best = ref max_int in
-          for j = 0 to tams - 1 do
-            let v = loads.(j) + times.(i).(j) in
-            if v < !best then best := v
-          done;
-          if !best > !placement_bound then placement_bound := !best
-        done;
-        let bound = max current_max (max avg_bound !placement_bound) in
-        if bound < !incumbent_time then begin
-          let i = order.(k) in
-          (* Candidate TAMs sorted by resulting load; identical
-             (width, load) TAMs are symmetric - keep the first. *)
-          let cands =
-            Array.init tams (fun j -> (loads.(j) + times.(i).(j), j))
-          in
-          Array.sort compare cands;
-          let seen = Hashtbl.create 8 in
-          Array.iter
-            (fun (new_load, j) ->
-              if (not !budget_hit) && new_load < !incumbent_time then begin
-                let key = (widths.(j), loads.(j), times.(i).(j)) in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  loads.(j) <- new_load;
-                  current.(i) <- j;
-                  explore (k + 1) (max current_max new_load);
-                  loads.(j) <- loads.(j) - times.(i).(j)
-                end
-              end)
-            cands
-        end
-      end
-    end
-  in
-  explore 0 0;
-  if !incumbent_time = max_int then begin
+  explore s 0 0 0;
+  if s.incumbent_time = max_int then begin
     (* No incumbent under an exhausted budget: fall back to greedy. *)
     let assignment =
       Array.init cores (fun i ->
@@ -121,15 +208,15 @@ let solve_bb ?(node_limit = 2_000_000) ?initial ?widths ~times () =
       time = makespan ~times ~assignment;
       assignment;
       optimal = false;
-      nodes = !nodes;
+      nodes = s.nodes;
     }
   end
   else
     {
-      time = !incumbent_time;
-      assignment = Array.copy incumbent;
-      optimal = not !budget_hit;
-      nodes = !nodes;
+      time = s.incumbent_time;
+      assignment = Array.copy s.incumbent;
+      optimal = not s.budget_hit;
+      nodes = s.nodes;
     }
 
 let solve_milp ?(node_limit = 50_000) ~times () =

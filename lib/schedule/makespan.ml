@@ -9,8 +9,8 @@ let lpt ~durations ~machines =
   let order = Array.init jobs (fun i -> i) in
   Array.sort
     (fun a b ->
-      match compare durations.(b) durations.(a) with
-      | 0 -> compare a b
+      match Int.compare durations.(b) durations.(a) with
+      | 0 -> Int.compare a b
       | c -> c)
     order;
   let assignment = Array.make jobs 0 in

@@ -7,11 +7,11 @@ let sum_list l = List.fold_left ( + ) 0 l
 
 let max_element a =
   if Array.length a = 0 then invalid_arg "Intutil.max_element: empty array";
-  Array.fold_left max a.(0) a
+  Array.fold_left Int.max a.(0) a
 
 let min_element a =
   if Array.length a = 0 then invalid_arg "Intutil.min_element: empty array";
-  Array.fold_left min a.(0) a
+  Array.fold_left Int.min a.(0) a
 
 let range lo hi =
   let rec loop i acc = if i < lo then acc else loop (i - 1) (i :: acc) in

@@ -137,6 +137,118 @@ let milp_node_budget_fallback () =
   Alcotest.(check int) "consistent" r.Exact.time
     (Exact.makespan ~times ~assignment:r.Exact.assignment)
 
+(* Random instances built to reach every branch of the node loop: TAMs
+   of equal width (identical time columns, so symmetry breaking merges
+   them), times drawn from a narrow range so loads tie, warm starts, and
+   node limits small enough to cut the search mid-tree. *)
+type visit_case = {
+  v_times : int array array;
+  v_widths : int array option;
+  v_initial : (int array * int) option;
+  v_node_limit : int option;
+}
+
+let visit_case seed =
+  let rng = Soctam_util.Prng.create (Int64.of_int seed) in
+  let int_in lo hi = Soctam_util.Prng.int_in rng lo hi in
+  let cores = int_in 1 12 in
+  let tams = int_in 1 4 in
+  let widths = Array.init tams (fun _ -> int_in 1 3) in
+  let hi = if Soctam_util.Prng.bool rng then 6 else 60 in
+  let column = Array.init 3 (fun _ -> Array.init cores (fun _ -> int_in 1 hi)) in
+  let times =
+    Array.init cores (fun i ->
+        Array.init tams (fun j -> column.(widths.(j) - 1).(i)))
+  in
+  let v_widths = if Soctam_util.Prng.bool rng then Some widths else None in
+  let v_initial =
+    match int_in 0 2 with
+    | 0 -> None
+    | 1 ->
+        let assignment = Array.init cores (fun _ -> int_in 0 (tams - 1)) in
+        Some (assignment, Exact.makespan ~times ~assignment)
+    | _ ->
+        let assignment =
+          Array.map (Soctam_util.Select.min_index_by (fun t -> t)) times
+        in
+        Some (assignment, Exact.makespan ~times ~assignment)
+  in
+  let v_node_limit =
+    if Soctam_util.Prng.bool rng then Some (int_in 1 200) else None
+  in
+  { v_times = times; v_widths; v_initial; v_node_limit }
+
+let solve_case c =
+  Exact.solve_bb ?node_limit:c.v_node_limit ?initial:c.v_initial
+    ?widths:c.v_widths ~times:c.v_times ()
+
+let bb_visit_order_property =
+  QCheck.Test.make
+    ~name:"bb: consistent and optimal under ties, symmetry, warm starts, limits"
+    ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let c = visit_case seed in
+      let r = solve_case c in
+      r.Exact.time = Exact.makespan ~times:c.v_times ~assignment:r.Exact.assignment
+      && ((not r.Exact.optimal)
+         || Array.length c.v_times > 7
+         || r.Exact.time = brute_force c.v_times))
+
+(* The node count is the search tree's fingerprint: any change to the
+   candidate order, the symmetry merge, the bound or the budget cut-off
+   moves it. Which of several equal-time assignments is reported is
+   pinned by a digest beside it. Both constants were recorded before the
+   node loop was made allocation-free. *)
+let bb_visit_order_pinned () =
+  let nodes = ref 0 and digest = ref 0 in
+  for seed = 0 to 1999 do
+    let r = solve_case (visit_case seed) in
+    nodes := !nodes + r.Exact.nodes;
+    digest :=
+      Array.fold_left
+        (fun d j -> ((d * 5) + j) mod 1_000_000_007)
+        (!digest + r.Exact.time + Bool.to_int r.Exact.optimal)
+        r.Exact.assignment
+  done;
+  Alcotest.(check (pair int int))
+    "nodes and digest over seeds 0..1999" (41484, 570918939)
+    (!nodes, !digest)
+
+(* The heaviest paper-npaw finishes, rebuilt the way Co_optimize.finish
+   builds them: the partition search's winner, its time matrix, and its
+   heuristic assignment as the warm start. Two stop at the node limit,
+   so the pins also cover the budget cut-off. *)
+let heavy_finishes () =
+  let module Tt = Soctam_core.Time_table in
+  let module Pe = Soctam_core.Partition_evaluate in
+  let module Rc = Soctam_core.Run_config in
+  let cfg = Rc.with_max_tams 10 Rc.default in
+  let finish soc ~total_width =
+    let table = Tt.build soc ~max_width:total_width in
+    let pe = Pe.run_with cfg ~table ~total_width in
+    let widths = pe.Pe.widths in
+    let r =
+      Exact.solve_bb ~node_limit:cfg.Rc.node_limit
+        ~initial:(pe.Pe.assignment, pe.Pe.time)
+        ~widths
+        ~times:(Tt.matrix table ~widths)
+        ()
+    in
+    (r.Exact.time, r.Exact.optimal, r.Exact.nodes)
+  in
+  let p21241 = Soctam_soc_data.Philips.soc_p21241 () in
+  let p93791 = Soctam_soc_data.Philips.soc_p93791 () in
+  let pin = Alcotest.(triple int bool int) in
+  Alcotest.check pin "p21241 W=16" (1079751, false, 2000001)
+    (finish p21241 ~total_width:16);
+  Alcotest.check pin "p21241 W=32" (540574, false, 2000001)
+    (finish p21241 ~total_width:32);
+  Alcotest.check pin "p21241 W=56" (330595, true, 1452181)
+    (finish p21241 ~total_width:56);
+  Alcotest.check pin "p93791 W=32" (2965762, true, 682569)
+    (finish p93791 ~total_width:32)
+
 let suite =
   [
     test "makespan: evaluates assignments" makespan_evaluates;
@@ -150,4 +262,8 @@ let suite =
     qtest symmetry_breaking_safe;
     test "bb: rejects bad instances" rejects_bad_instances;
     test "milp: node budget fallback" milp_node_budget_fallback;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |])
+      bb_visit_order_property;
+    test "bb: visit order pinned by node totals" bb_visit_order_pinned;
+    test "bb: heavy paper finishes pinned" heavy_finishes;
   ]
