@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-par test-par-smoke test-resume test-race bench bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage clean
+.PHONY: all build test test-par test-par-smoke test-resume test-race bench bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
 
 all: build
 
@@ -72,7 +72,7 @@ lint: build static-analysis
 	fi
 
 # Source-level determinism & domain-safety analysis: the syntactic
-# families (DET-POLY, DET-ENTROPY, DOM-SHARED, API-DEPRECATED, IFACE)
+# families (DET-POLY, DET-ENTROPY, DOM-SHARED, IFACE)
 # plus the Typedtree families (DOM-ESCAPE, LOCK-RAISE, ALLOC-HOT and
 # the effect-inference families EFFECT-WORKER, OUTCOME-DROP,
 # ENGINE-CAPS, TAU-DISCIPLINE) over lib/, bin/, bench/ and examples/,
@@ -116,6 +116,13 @@ coverage:
 	  bisect-ppx-report summary --coverage-path _build/default && \
 	  echo "report: _coverage/index.html"; \
 	fi
+
+# The two size figures every change reports: lines of the tracked
+# lib/ + bin/ sources (.ml and .mli), and of the lib/ interface
+# surface (.mli only).
+loc:
+	@printf 'lib+bin .ml+.mli lines: '; git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli' | xargs cat | wc -l
+	@printf 'lib .mli lines:         '; git ls-files 'lib/*.mli' | xargs cat | wc -l
 
 clean:
 	dune clean

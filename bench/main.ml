@@ -24,8 +24,8 @@ module Pe = Soctam_core.Partition_evaluate
 module Rc = Soctam_core.Run_config
 
 (* Run_config-based shims: the bench always runs the default policy
-   plus an explicit table / TAM plan, so fold those into a config at
-   the call site instead of going through the deprecated wrappers. *)
+   plus an explicit table / TAM plan, folded into a config at the call
+   site. *)
 let co_run ?table ~max_tams soc ~total_width =
   let cfg = Rc.default |> Rc.with_max_tams max_tams in
   let cfg = match table with Some t -> Rc.with_table t cfg | None -> cfg in

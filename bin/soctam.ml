@@ -1299,8 +1299,7 @@ let () =
            (DET-POLY, DET-ENTROPY), domain safety (DOM-SHARED, DOM-ESCAPE, \
            EFFECT-WORKER), lock and allocation discipline (LOCK-RAISE, \
            ALLOC-HOT), engine contracts (OUTCOME-DROP, ENGINE-CAPS, \
-           TAU-DISCIPLINE), API hygiene (API-DEPRECATED) and interface \
-           coverage (IFACE).";
+           TAU-DISCIPLINE) and interface coverage (IFACE).";
       ]
   in
   exit (Cmd.eval' main)

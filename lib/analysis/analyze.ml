@@ -91,22 +91,6 @@ let entropy_ident lid =
   | [ "Unix"; "time" ] -> Some "Unix.time"
   | _ -> None
 
-(* API-DEPRECATED: the [\[@@alert deprecated\]] pre-[run_with] entry
-   points, matched on the last two path components so both
-   [Soctam_core.Sweep.run] and (via the alias table) [Sweep.run] hit. *)
-let deprecated_entry_points =
-  [
-    (("Co_optimize", "run"), "Co_optimize.run_with with a Run_config.t");
-    ( ("Co_optimize", "run_fixed_tams"),
-      "Co_optimize.run_with with Run_config.with_tams" );
-    (("Sweep", "run"), "Sweep.run_with with a Run_config.t");
-    (("Exhaustive", "run"), "Exhaustive.run_with with a Run_config.t");
-    ( ("Partition_evaluate", "run"),
-      "Partition_evaluate.run_with with a Run_config.t" );
-    ( ("Partition_evaluate", "run_fixed"),
-      "Partition_evaluate.run_with with Run_config.with_tams" );
-  ]
-
 (* DOM-SHARED: does this top-level binding allocate unsynchronized
    mutable state? *)
 let mutable_allocation e =
@@ -155,7 +139,6 @@ let check_source ctx contents =
         let spans = ref [] in
         let problems = ref [] in
         let has_mutex = ref false in
-        let aliases : (string, string) Hashtbl.t = Hashtbl.create 8 in
         let found rule line fmt =
           Format.kasprintf
             (fun message ->
@@ -187,28 +170,14 @@ let check_source ctx contents =
                     comparison"
                    what
              | None -> ());
-          (if not ctx.entropy_exempt then
-             match entropy_ident lid with
-             | Some what ->
-                 found Rule.Det_entropy line
-                   "%s is an entropy/wall-clock source; use Soctam_util.Prng \
-                    or Soctam_util.Timer"
-                   what
-             | None -> ());
-          match List.rev (path_of lid) with
-          | fn :: modname :: _ -> (
-              let modname =
-                match Hashtbl.find_opt aliases modname with
-                | Some target -> target
-                | None -> modname
-              in
-              match List.assoc_opt (modname, fn) deprecated_entry_points with
-              | Some replacement ->
-                  found Rule.Api_deprecated line
-                    "%s.%s is deprecated in-repo; use %s" modname fn
-                    replacement
-              | None -> ())
-          | _ -> ()
+          if not ctx.entropy_exempt then
+            match entropy_ident lid with
+            | Some what ->
+                found Rule.Det_entropy line
+                  "%s is an entropy/wall-clock source; use Soctam_util.Prng \
+                   or Soctam_util.Timer"
+                  what
+            | None -> ()
         in
         let default = Ast_iterator.default_iterator in
         let iterator =
@@ -256,15 +225,6 @@ let check_source ctx contents =
                           (fun rule -> spans := (rule, 1, max_int) :: !spans)
                           rules
                     | Error _ -> ())
-                | Pstr_module
-                    {
-                      pmb_name = { txt = Some name; _ };
-                      pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
-                      _;
-                    } -> (
-                    match List.rev (Longident.flatten txt) with
-                    | target :: _ -> Hashtbl.replace aliases name target
-                    | [] -> ())
                 | Pstr_value (_, vbs) ->
                     List.iter
                       (fun vb ->

@@ -2,7 +2,6 @@ type id =
   | Det_poly
   | Det_entropy
   | Dom_shared
-  | Api_deprecated
   | Iface
   | Dom_escape
   | Lock_raise
@@ -17,7 +16,6 @@ let all =
     Det_poly;
     Det_entropy;
     Dom_shared;
-    Api_deprecated;
     Iface;
     Dom_escape;
     Lock_raise;
@@ -32,7 +30,6 @@ let name = function
   | Det_poly -> "DET-POLY"
   | Det_entropy -> "DET-ENTROPY"
   | Dom_shared -> "DOM-SHARED"
-  | Api_deprecated -> "API-DEPRECATED"
   | Iface -> "IFACE"
   | Dom_escape -> "DOM-ESCAPE"
   | Lock_raise -> "LOCK-RAISE"
@@ -46,7 +43,6 @@ let of_name = function
   | "DET-POLY" -> Some Det_poly
   | "DET-ENTROPY" -> Some Det_entropy
   | "DOM-SHARED" -> Some Dom_shared
-  | "API-DEPRECATED" -> Some Api_deprecated
   | "IFACE" -> Some Iface
   | "DOM-ESCAPE" -> Some Dom_escape
   | "LOCK-RAISE" -> Some Lock_raise
@@ -61,7 +57,6 @@ let kind = function
   | Det_poly -> Soctam_check.Violation.Polymorphic_comparison
   | Det_entropy -> Soctam_check.Violation.Entropy_source
   | Dom_shared -> Soctam_check.Violation.Unguarded_shared_state
-  | Api_deprecated -> Soctam_check.Violation.Deprecated_api
   | Iface -> Soctam_check.Violation.Missing_interface
   | Dom_escape -> Soctam_check.Violation.Domain_escape
   | Lock_raise -> Soctam_check.Violation.Lock_discipline
@@ -81,8 +76,6 @@ let synopsis = function
   | Dom_shared ->
       "unsynchronized top-level mutable state in a module reachable from \
        Util.Pool domains"
-  | Api_deprecated ->
-      "in-repo call to a deprecated pre-run_with entry point"
   | Iface -> "lib/ module without an .mli"
   | Dom_escape ->
       "mutable value created outside a worker closure but mutated inside \

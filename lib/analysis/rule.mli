@@ -25,10 +25,6 @@ type id =
           [Stack.t] / [Buffer.t] bindings in modules whose code runs on
           [Soctam_util.Pool] domains must be [Atomic], mutex-guarded
           (the [Count] memo exemplar) or explicitly allowed. *)
-  | Api_deprecated
-      (** API-DEPRECATED: no in-repo calls to the
-          [\[@@alert deprecated\]] pre-[run_with] entry points; the
-          wrappers exist for external users only. *)
   | Iface
       (** IFACE: every module under [lib/] has an [.mli]. *)
   | Dom_escape
@@ -84,9 +80,9 @@ val all : id list
 
 val name : id -> string
 (** Stable uppercase identifier: ["DET-POLY"], ["DET-ENTROPY"],
-    ["DOM-SHARED"], ["API-DEPRECATED"], ["IFACE"], ["DOM-ESCAPE"],
-    ["LOCK-RAISE"], ["ALLOC-HOT"], ["EFFECT-WORKER"], ["OUTCOME-DROP"],
-    ["ENGINE-CAPS"], ["TAU-DISCIPLINE"]. *)
+    ["DOM-SHARED"], ["IFACE"], ["DOM-ESCAPE"], ["LOCK-RAISE"],
+    ["ALLOC-HOT"], ["EFFECT-WORKER"], ["OUTCOME-DROP"], ["ENGINE-CAPS"],
+    ["TAU-DISCIPLINE"]. *)
 
 val of_name : string -> id option
 (** Inverse of {!name}; [None] for anything else. *)

@@ -4,6 +4,7 @@ module Rc = Soctam_core.Run_config
 module Outcome = Soctam_core.Outcome
 module Checkpoint = Soctam_core.Checkpoint
 module Obs = Soctam_obs.Obs
+module Json = Soctam_util.Json
 
 type params = {
   iterations : int;
@@ -123,45 +124,87 @@ let move_merge rng st =
     true
   end
 
+(* -- resume token ---------------------------------------------------------- *)
+
+let tag = "anneal"
+
+(* Int64 words (the rng state) and floats (the temperature schedule)
+   travel as 16-digit hex of their raw bits: decimal float printing is
+   lossy, and a resumed walk must continue the exact trajectory of the
+   interrupted one. *)
+let json_hex64 v = Json.String (Printf.sprintf "%016Lx" v)
+let json_float_bits f = json_hex64 (Int64.bits_of_float f)
+
+let hex64_field name json =
+  match Checkpoint.field name json with
+  | Json.String s when String.length s = 16 ->
+      String.fold_left
+        (fun v c ->
+          let d =
+            match c with
+            | '0' .. '9' -> Char.code c - Char.code '0'
+            | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+            | _ ->
+                Checkpoint.fail "field %S must be 16 lowercase hex digits" name
+          in
+          Int64.logor (Int64.shift_left v 4) (Int64.of_int d))
+        0L s
+  | _ -> Checkpoint.fail "field %S must be 16 lowercase hex digits" name
+
+let float_bits_field name json = Int64.float_of_bits (hex64_field name json)
+
+(* The mid-walk state. *)
+type token = {
+  k_total_width : int;
+  k_max_tams : int;
+  k_iterations : int;  (* configured iteration count *)
+  k_next_iteration : int;  (* first iteration not yet run *)
+  k_seed : int64;  (* configured seed; a resume must configure the same *)
+  k_rng : int64;  (* mid-stream splitmix64 state ([Prng.state]) *)
+  k_temperature : float;
+  k_initial_temperature : float;
+  k_cooling : float;
+  k_tams : int;  (* live TAM count of the walker *)
+  k_widths : int array;  (* walker widths, [k_max_tams] slots *)
+  k_assignment : int array;
+  k_best : Checkpoint.best_arch option;
+  k_accepted : int;
+  k_proposed : int;
+}
+
+let decode json =
+  let k =
+    {
+      k_total_width = Checkpoint.count_field "total_width" json;
+      k_max_tams = Checkpoint.count_field "max_tams" json;
+      k_iterations = Checkpoint.count_field "iterations" json;
+      k_next_iteration = Checkpoint.count_field "next_iteration" json;
+      k_seed = hex64_field "seed" json;
+      k_rng = hex64_field "rng" json;
+      k_temperature = float_bits_field "temperature" json;
+      k_initial_temperature =
+        float_bits_field "initial_temperature" json;
+      k_cooling = float_bits_field "cooling" json;
+      k_tams = Checkpoint.count_field "tams" json;
+      k_widths = Checkpoint.ints_field "widths" json;
+      k_assignment = Checkpoint.ints_field "assignment" json;
+      k_best = Checkpoint.best_of_json (Checkpoint.field "best" json);
+      k_accepted = Checkpoint.count_field "accepted" json;
+      k_proposed = Checkpoint.count_field "proposed" json;
+    }
+  in
+  Checkpoint.require
+    (k.k_next_iteration <= k.k_iterations)
+    "anneal cursor is past the end of the schedule";
+  if k.k_tams < 1 || k.k_tams > Array.length k.k_widths then
+    Checkpoint.fail "anneal TAM count %d out of range" k.k_tams;
+  Checkpoint.require (k.k_accepted <= k.k_proposed)
+    "anneal accepted exceeds proposed";
+  k
+
 (* -- checkpointed run ------------------------------------------------------ *)
 
 let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let restore_an ~cfg ~(params : params) ~total_width ~max_tams ~cores
-    (cp : Checkpoint.t) =
-  let check cond msg = if not cond then invalid_arg msg in
-  match cp.Checkpoint.state with
-  | Checkpoint.Anneal s ->
-      check
-        (s.Checkpoint.an_total_width = total_width)
-        "Annealer: resume checkpoint is for a different total width";
-      check
-        (s.Checkpoint.an_max_tams = max_tams
-        && Array.length s.Checkpoint.an_widths = max_tams)
-        "Annealer: resume checkpoint was taken under a different max_tams";
-      check
-        (Array.length s.Checkpoint.an_assignment = cores)
-        "Annealer: resume checkpoint is for a different core count";
-      check
-        (s.Checkpoint.an_iterations = params.iterations
-        && Int64.equal s.Checkpoint.an_seed params.seed
-        && float_bits_equal s.Checkpoint.an_cooling params.cooling
-        && float_bits_equal s.Checkpoint.an_initial_temperature
-             params.initial_temperature)
-        "Annealer: resume checkpoint was taken under a different annealing \
-         schedule";
-      check
-        (s.Checkpoint.an_tams <= max_tams)
-        "Annealer: resume checkpoint walker exceeds max_tams";
-      (match (cp.Checkpoint.soc, cfg.Rc.soc_name) with
-      | Some a, Some b ->
-          check (String.equal a b)
-            "Annealer: resume checkpoint is for a different SOC"
-      | _ -> ());
-      s
-  | Checkpoint.Partition_evaluate _ | Checkpoint.Exhaustive _
-  | Checkpoint.Sweep _ | Checkpoint.Pack _ | Checkpoint.Race _ ->
-      invalid_arg "Annealer: resume checkpoint is for a different solver"
 
 exception Stopped of Outcome.t
 
@@ -180,26 +223,34 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
     invalid_arg "Annealer: iterations must be >= 0";
   let stats = cfg.Rc.stats in
   let cores = Tt.core_count table in
-  let restored =
-    Option.map
-      (restore_an ~cfg ~params ~total_width ~max_tams ~cores)
-      cfg.Rc.resume
-  in
-  (* Replay the interrupted run's solver-owned counters so the resumed
-     collector converges to an uninterrupted run's totals. *)
-  (match cfg.Rc.resume with
-  | Some cp when Obs.enabled stats && cfg.Rc.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  let restored = Rc.resumed cfg ~engine:tag decode in
+  Option.iter
+    (fun k ->
+      Checkpoint.require
+        (k.k_total_width = total_width)
+        "Annealer: resume checkpoint is for a different total width";
+      Checkpoint.require
+        (k.k_max_tams = max_tams && Array.length k.k_widths = max_tams)
+        "Annealer: resume checkpoint was taken under a different max_tams";
+      Checkpoint.require
+        (Array.length k.k_assignment = cores)
+        "Annealer: resume checkpoint is for a different core count";
+      Checkpoint.require
+        (k.k_iterations = params.iterations
+        && Int64.equal k.k_seed params.seed
+        && float_bits_equal k.k_cooling params.cooling
+        && float_bits_equal k.k_initial_temperature params.initial_temperature
+        )
+        "Annealer: resume checkpoint was taken under a different annealing \
+         schedule")
+    restored;
   let st =
     match restored with
-    | Some s ->
+    | Some k ->
         {
-          tams = s.Checkpoint.an_tams;
-          widths = Array.copy s.Checkpoint.an_widths;
-          assignment = Array.copy s.Checkpoint.an_assignment;
+          tams = k.k_tams;
+          widths = Array.copy k.k_widths;
+          assignment = Array.copy k.k_assignment;
         }
     | None ->
         {
@@ -211,7 +262,7 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
   in
   let rng =
     match restored with
-    | Some s -> Prng.of_state s.Checkpoint.an_rng
+    | Some k -> Prng.of_state k.k_rng
     | None -> Prng.create params.seed
   in
   (* The walker's energy is a pure function of its state, so it is
@@ -219,7 +270,7 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
   let current = ref (energy table st) in
   let best_state, best =
     match restored with
-    | Some { Checkpoint.an_best = Some b; _ } ->
+    | Some { k_best = Some b; _ } ->
         let widths = Array.make max_tams 0 in
         Array.blit b.Checkpoint.ba_widths 0 widths 0
           (Array.length b.Checkpoint.ba_widths);
@@ -229,27 +280,27 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
             assignment = Array.copy b.Checkpoint.ba_assignment;
           },
           ref b.Checkpoint.ba_time )
-    | Some { Checkpoint.an_best = None; _ } | None ->
+    | Some { k_best = None; _ } | None ->
         (copy_state ~max_tams st, ref !current)
   in
   let temperature =
     ref
       (match restored with
-      | Some s -> s.Checkpoint.an_temperature
+      | Some k -> k.k_temperature
       | None ->
           if params.initial_temperature > 0. then params.initial_temperature
           else 0.1 *. float_of_int !current)
   in
   let accepted =
-    ref (match restored with Some s -> s.Checkpoint.an_accepted | None -> 0)
+    ref (match restored with Some k -> k.k_accepted | None -> 0)
   in
   let proposed =
-    ref (match restored with Some s -> s.Checkpoint.an_proposed | None -> 0)
+    ref (match restored with Some k -> k.k_proposed | None -> 0)
   in
   let next =
     ref
       (match restored with
-      | Some s -> s.Checkpoint.an_next_iteration
+      | Some k -> k.k_next_iteration
       | None -> 0)
   in
   let flushed_accepted = ref !accepted in
@@ -263,74 +314,46 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
     flushed_accepted := !accepted
   in
   let checkpoint_now () =
+    let body =
+      Json.Obj
+        [
+          ("total_width", Json.Int total_width);
+          ("max_tams", Json.Int max_tams);
+          ("iterations", Json.Int params.iterations);
+          ("next_iteration", Json.Int !next);
+          ("seed", json_hex64 params.seed);
+          ("rng", json_hex64 (Prng.state rng));
+          ("temperature", json_float_bits !temperature);
+          ( "initial_temperature",
+            json_float_bits params.initial_temperature );
+          ("cooling", json_float_bits params.cooling);
+          ("tams", Json.Int st.tams);
+          ("widths", Checkpoint.json_ints st.widths);
+          ("assignment", Checkpoint.json_ints st.assignment);
+          ( "best",
+            Checkpoint.best_to_json
+              (Some
+                 {
+                   Checkpoint.ba_widths =
+                     Array.sub best_state.widths 0 best_state.tams;
+                   ba_time = !best;
+                   ba_assignment = best_state.assignment;
+                 }) );
+          ("accepted", Json.Int !accepted);
+          ("proposed", Json.Int !proposed);
+        ]
+    in
     {
       Checkpoint.soc = cfg.Rc.soc_name;
       counters =
         List.filter
           (fun (_, n) -> n > 0)
           [ ("anneal/proposed", !proposed); ("anneal/accepted", !accepted) ];
-      state =
-        Checkpoint.Anneal
-          {
-            Checkpoint.an_total_width = total_width;
-            an_max_tams = max_tams;
-            an_iterations = params.iterations;
-            an_next_iteration = !next;
-            an_seed = params.seed;
-            an_rng = Prng.state rng;
-            an_temperature = !temperature;
-            an_initial_temperature = params.initial_temperature;
-            an_cooling = params.cooling;
-            an_tams = st.tams;
-            an_widths = Array.copy st.widths;
-            an_assignment = Array.copy st.assignment;
-            an_best =
-              Some
-                {
-                  Checkpoint.ba_widths =
-                    Array.sub best_state.widths 0 best_state.tams;
-                  ba_time = !best;
-                  ba_assignment = Array.copy best_state.assignment;
-                };
-            an_accepted = !accepted;
-            an_proposed = !proposed;
-          };
+      state = Checkpoint.Token { engine = tag; body };
     }
   in
-  let write_checkpoint cp =
-    match cfg.Rc.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Rc.time_budget
-  in
+  let deadline = Rc.deadline cfg in
   let slices_done = ref 0 in
-  let boundary () =
-    (match cfg.Rc.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Rc.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ())
-  in
   let backup = copy_state ~max_tams st in
   let step () =
     copy_into ~src:st ~dst:backup;
@@ -366,7 +389,11 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
   let outcome =
     try
       while !next < params.iterations do
-        boundary ();
+        (match
+           Rc.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
+         with
+        | Some o -> raise (Stopped o)
+        | None -> ());
         let hi = min (!next + slice_len) params.iterations in
         for _ = !next + 1 to hi do
           step ()
@@ -375,10 +402,7 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
         incr slices_done;
         flush ()
       done;
-      (match cfg.Rc.checkpoint_path with
-      | Some path when Sys.file_exists path -> (
-          try Sys.remove path with Sys_error _ -> ())
-      | Some _ | None -> ());
+      Rc.retire cfg;
       Outcome.Complete
     with Stopped o ->
       flush ();
@@ -392,10 +416,6 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
     proposed = !proposed;
     outcome;
   }
-
-let optimize ?(params = default_params) ~table ~total_width ~max_tams () =
-  let cfg = Rc.with_max_tams max_tams Rc.default in
-  run_with ~params cfg ~table ~total_width
 
 (* -- engine adapter -------------------------------------------------------- *)
 
@@ -415,7 +435,7 @@ end) : Soctam_core.Engine.S = struct
 
   let cert = { Soctam_core.Engine.cert_exact = true; cert_packing = false }
 
-  let owns_token = function Checkpoint.Anneal _ -> true | _ -> false
+  let check_body json = ignore (decode json)
 
   let run (cfg : Rc.t) (inst : Soctam_core.Engine.instance) =
     let r =

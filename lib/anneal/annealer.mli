@@ -71,14 +71,3 @@ val engine : ?params:params -> unit -> Soctam_core.Engine.t
 (** This solver as a first-class engine (registry name ["anneal"]):
     sequential, no tau import, free TAM counts only, proves nothing;
     the exact certificate applies to its architectures. *)
-
-val optimize :
-  ?params:params ->
-  table:Soctam_core.Time_table.t ->
-  total_width:int ->
-  max_tams:int ->
-  unit ->
-  result
-[@@alert deprecated "Use Annealer.run_with with a Run_config.t instead."]
-(** [optimize ~table ~total_width ~max_tams ()] is {!run_with} with
-    [max_tams] folded into a default {!Soctam_core.Run_config.t}. *)

@@ -46,7 +46,6 @@ type kind =
   | Domain_escape
   | Lock_discipline
   | Hot_allocation
-  | Deprecated_api
   | Missing_interface
   | Worker_effect
   | Outcome_dropped
@@ -114,7 +113,6 @@ let kind_name = function
   | Domain_escape -> "domain-escape"
   | Lock_discipline -> "lock-discipline"
   | Hot_allocation -> "hot-allocation"
-  | Deprecated_api -> "deprecated-api"
   | Missing_interface -> "missing-interface"
   | Worker_effect -> "worker-effect"
   | Outcome_dropped -> "outcome-dropped"

@@ -80,7 +80,6 @@ type kind =
   | Hot_allocation
       (** ALLOC-HOT: allocation form inside a function or loop marked
           [\[@soctam.hot\]] *)
-  | Deprecated_api  (** API-DEPRECATED: in-repo call to a deprecated entry *)
   | Missing_interface  (** IFACE: a [lib/] module without an [.mli] *)
   | Worker_effect
       (** EFFECT-WORKER: a write effect on non-worker-local mutable state

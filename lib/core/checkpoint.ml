@@ -1,15 +1,6 @@
 module Json = Soctam_util.Json
 
-let version = 1
-
-type b_cursor = {
-  bc_tams : int;
-  bc_next_rank : int;
-  bc_enumerated : int;
-  bc_completed : int;
-  bc_pruned : int;
-  bc_best_time : int option;
-}
+let version = 2
 
 type best_arch = {
   ba_widths : int array;
@@ -17,84 +8,8 @@ type best_arch = {
   ba_assignment : int array;
 }
 
-type pe_state = {
-  pe_total_width : int;
-  pe_carry_tau : bool;
-  pe_initial : int option;
-  pe_tau : int;
-  pe_best : best_arch option;
-  pe_done : b_cursor list;
-  pe_cursor : b_cursor option;
-  pe_pending : int list;
-}
-
-type ex_best = {
-  eb_time : int;
-  eb_rank : int;
-  eb_widths : int array;
-  eb_assignment : int array;
-}
-
-type ex_state = {
-  ex_total_width : int;
-  ex_tams : int;
-  ex_method : string;
-  ex_next_rank : int;
-  ex_best : ex_best option;
-  ex_solved : int;
-  ex_nodes : int;
-}
-
-type sweep_point = {
-  sp_width : int;
-  sp_tams : int;
-  sp_widths : int array;
-  sp_time : int;
-  sp_lower_bound : int;
-  sp_gap_pct : float;
-  sp_saturated : bool;
-}
-
-type pack_state = {
-  pk_total_width : int;
-  pk_tams : int option;
-  pk_max_tams : int;
-  pk_initial : int option;
-  pk_tau : int;
-  pk_best : best_arch option;
-  pk_next_rank : int;
-  pk_ranks : int;
-  pk_packings : int;
-  pk_candidates : int;
-  pk_completed : int;
-  pk_pruned : int;
-  pk_best_makespan : int option;
-}
-
-type an_state = {
-  an_total_width : int;
-  an_max_tams : int;
-  an_iterations : int;
-  an_next_iteration : int;
-  an_seed : int64;
-  an_rng : int64;
-  an_temperature : float;
-  an_initial_temperature : float;
-  an_cooling : float;
-  an_tams : int;
-  an_widths : int array;
-  an_assignment : int array;
-  an_best : best_arch option;
-  an_accepted : int;
-  an_proposed : int;
-}
-
 type state =
-  | Partition_evaluate of pe_state
-  | Exhaustive of ex_state
-  | Sweep of sweep_state
-  | Pack of pack_state
-  | Anneal of an_state
+  | Token of { engine : string; body : Json.t }
   | Race of race_state
 
 and race_slot = {
@@ -121,47 +36,93 @@ and race_state = {
   ra_slots : race_slot list;
 }
 
-and sweep_state = {
-  sw_max_tams : int;
-  sw_points : sweep_point list;
-  sw_pending : int list;
-  sw_inner : t option;
-}
-
 and t = { soc : string option; counters : (string * int) list; state : state }
 
-(* -- rendering ------------------------------------------------------------- *)
+(* -- body codecs ----------------------------------------------------------- *)
 
-let json_int_array a = Json.List (Array.to_list a |> List.map (fun i -> Json.Int i))
+(* Every reader failure is an [Invalid_argument]: the engine decoders
+   let it escape (a bad body is a bad resume request), the envelope
+   parser below turns it into an [Error]. *)
+let fail fmt = Printf.ksprintf invalid_arg fmt
+let require cond msg = if not cond then invalid_arg msg
+
+let field name json =
+  match Json.member name json with
+  | Some v -> v
+  | None -> fail "missing field %S" name
+
+let as_int name = function
+  | Json.Int i -> i
+  | _ -> fail "field %S must be an integer" name
+
+let as_string name = function
+  | Json.String s -> s
+  | _ -> fail "field %S must be a string" name
+
+let as_list name = function
+  | Json.List l -> l
+  | _ -> fail "field %S must be an array" name
+
+let int_field name json = as_int name (field name json)
+
+let count_field name json =
+  let v = int_field name json in
+  if v < 0 then fail "field %S must be non-negative" name;
+  v
+
+let bool_field name json =
+  match field name json with
+  | Json.Bool b -> b
+  | _ -> fail "field %S must be a boolean" name
+
+let float_field name json =
+  match field name json with
+  | Json.Float f -> f
+  | Json.Int i -> float_of_int i
+  | _ -> fail "field %S must be a number" name
+
+let list_field name json = as_list name (field name json)
+
+let int_opt_field name json =
+  match field name json with Json.Null -> None | v -> Some (as_int name v)
+
+let ints_field name json =
+  list_field name json |> List.map (as_int name) |> Array.of_list
+
+let json_ints a = Json.List (Array.to_list a |> List.map (fun i -> Json.Int i))
 let json_int_opt = function None -> Json.Null | Some i -> Json.Int i
 
-let json_b_cursor c =
-  Json.Obj
-    [
-      ("tams", Json.Int c.bc_tams);
-      ("next_rank", Json.Int c.bc_next_rank);
-      ("enumerated", Json.Int c.bc_enumerated);
-      ("completed", Json.Int c.bc_completed);
-      ("pruned", Json.Int c.bc_pruned);
-      ("best_time", json_int_opt c.bc_best_time);
-    ]
-
-(* Int64 words (the rng state) and floats (the annealing temperature
-   schedule) are rendered as 16-digit hex of their raw bits: decimal
-   float printing is lossy, and a resumed annealer must continue the
-   exact trajectory of the interrupted one. *)
-let json_hex64 v = Json.String (Printf.sprintf "%016Lx" v)
-let json_float_bits f = json_hex64 (Int64.bits_of_float f)
-
-let json_best_arch = function
+let best_to_json = function
   | None -> Json.Null
   | Some b ->
       Json.Obj
         [
-          ("widths", json_int_array b.ba_widths);
+          ("widths", json_ints b.ba_widths);
           ("time", Json.Int b.ba_time);
-          ("assignment", json_int_array b.ba_assignment);
+          ("assignment", json_ints b.ba_assignment);
         ]
+
+let best_of_json = function
+  | Json.Null -> None
+  | json ->
+      Some
+        {
+          ba_widths = ints_field "widths" json;
+          ba_time = int_field "time" json;
+          ba_assignment = ints_field "assignment" json;
+        }
+
+let decode ~engine f t =
+  match t.state with
+  | Token tk when String.equal tk.engine engine -> (
+      try f tk.body
+      with Invalid_argument msg -> fail "%s: bad resume token: %s" engine msg)
+  | Token { engine = other; _ } ->
+      fail "%s: resume checkpoint is for a different solver (%s)" engine other
+  | Race _ ->
+      fail "%s: resume checkpoint is for a different solver (race)" engine
+
+(* -- rendering ------------------------------------------------------------- *)
 
 (* FNV-1a 64-bit over the canonical rendering of the body: cheap, stable
    across runs, and plenty to catch the failure modes a checkpoint file
@@ -177,110 +138,7 @@ let checksum_of s =
   Printf.sprintf "%016Lx" !h
 
 let rec json_state = function
-  | Partition_evaluate s ->
-      ( "partition_evaluate",
-        Json.Obj
-          [
-            ("total_width", Json.Int s.pe_total_width);
-            ("carry_tau", Json.Bool s.pe_carry_tau);
-            ("initial", json_int_opt s.pe_initial);
-            ("tau", Json.Int s.pe_tau);
-            ("best", json_best_arch s.pe_best);
-            ("done", Json.List (List.map json_b_cursor s.pe_done));
-            ( "cursor",
-              match s.pe_cursor with
-              | None -> Json.Null
-              | Some c -> json_b_cursor c );
-            ("pending", Json.List (List.map (fun b -> Json.Int b) s.pe_pending));
-          ] )
-  | Exhaustive s ->
-      ( "exhaustive",
-        Json.Obj
-          [
-            ("total_width", Json.Int s.ex_total_width);
-            ("tams", Json.Int s.ex_tams);
-            ("method", Json.String s.ex_method);
-            ("next_rank", Json.Int s.ex_next_rank);
-            ( "best",
-              match s.ex_best with
-              | None -> Json.Null
-              | Some b ->
-                  Json.Obj
-                    [
-                      ("time", Json.Int b.eb_time);
-                      ("rank", Json.Int b.eb_rank);
-                      ("widths", json_int_array b.eb_widths);
-                      ("assignment", json_int_array b.eb_assignment);
-                    ] );
-            ("solved", Json.Int s.ex_solved);
-            ("nodes", Json.Int s.ex_nodes);
-          ] )
-  | Sweep s ->
-      ( "sweep",
-        Json.Obj
-          [
-            ("max_tams", Json.Int s.sw_max_tams);
-            ( "points",
-              Json.List
-                (List.map
-                   (fun p ->
-                     Json.Obj
-                       [
-                         ("width", Json.Int p.sp_width);
-                         ("tams", Json.Int p.sp_tams);
-                         ("widths", json_int_array p.sp_widths);
-                         ("time", Json.Int p.sp_time);
-                         ("lower_bound", Json.Int p.sp_lower_bound);
-                         ("gap_pct", Json.Float p.sp_gap_pct);
-                         ("saturated", Json.Bool p.sp_saturated);
-                       ])
-                   s.sw_points) );
-            ("pending", Json.List (List.map (fun w -> Json.Int w) s.sw_pending));
-            (* The interrupted width's own resume token, embedded as a
-               complete document (like race slot tokens) so the sweep
-               can hand it back to the per-width solver on resume. *)
-            ( "inner",
-              match s.sw_inner with None -> Json.Null | Some tok -> to_json tok
-            );
-          ] )
-  | Pack s ->
-      ( "pack",
-        Json.Obj
-          [
-            ("total_width", Json.Int s.pk_total_width);
-            ("tams", json_int_opt s.pk_tams);
-            ("max_tams", Json.Int s.pk_max_tams);
-            ("initial", json_int_opt s.pk_initial);
-            ("tau", Json.Int s.pk_tau);
-            ("best", json_best_arch s.pk_best);
-            ("next_rank", Json.Int s.pk_next_rank);
-            ("ranks", Json.Int s.pk_ranks);
-            ("packings", Json.Int s.pk_packings);
-            ("candidates", Json.Int s.pk_candidates);
-            ("completed", Json.Int s.pk_completed);
-            ("pruned", Json.Int s.pk_pruned);
-            ("best_makespan", json_int_opt s.pk_best_makespan);
-          ] )
-  | Anneal s ->
-      ( "anneal",
-        Json.Obj
-          [
-            ("total_width", Json.Int s.an_total_width);
-            ("max_tams", Json.Int s.an_max_tams);
-            ("iterations", Json.Int s.an_iterations);
-            ("next_iteration", Json.Int s.an_next_iteration);
-            ("seed", json_hex64 s.an_seed);
-            ("rng", json_hex64 s.an_rng);
-            ("temperature", json_float_bits s.an_temperature);
-            ("initial_temperature", json_float_bits s.an_initial_temperature);
-            ("cooling", json_float_bits s.an_cooling);
-            ("tams", Json.Int s.an_tams);
-            ("widths", json_int_array s.an_widths);
-            ("assignment", json_int_array s.an_assignment);
-            ("best", json_best_arch s.an_best);
-            ("accepted", Json.Int s.an_accepted);
-            ("proposed", Json.Int s.an_proposed);
-          ] )
+  | Token { engine; body } -> (engine, body)
   | Race s ->
       ( "race",
         Json.Obj
@@ -290,7 +148,7 @@ let rec json_state = function
             ("max_tams", Json.Int s.ra_max_tams);
             ("initial", json_int_opt s.ra_initial);
             ("tau", Json.Int s.ra_tau);
-            ("best", json_best_arch s.ra_best);
+            ("best", best_to_json s.ra_best);
             ( "winner",
               match s.ra_winner with
               | None -> Json.Null
@@ -317,19 +175,18 @@ and json_race_slot sl =
       ("token", match sl.rs_token with None -> Json.Null | Some t -> to_json t);
     ]
 
-and body_json t =
-  let solver, state = json_state t.state in
-  Json.Obj
-    [
-      ("solver", Json.String solver);
-      ("soc", match t.soc with None -> Json.Null | Some s -> Json.String s);
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.counters) );
-      ("state", state);
-    ]
-
 and to_json t =
-  let body = body_json t in
+  let solver, state = json_state t.state in
+  let body =
+    Json.Obj
+      [
+        ("solver", Json.String solver);
+        ("soc", match t.soc with None -> Json.Null | Some s -> Json.String s);
+        ( "counters",
+          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.counters) );
+        ("state", state);
+      ]
+  in
   Json.Obj
     [
       ("version", Json.Int version);
@@ -341,197 +198,9 @@ let to_string t = Json.to_string (to_json t)
 
 (* -- parsing --------------------------------------------------------------- *)
 
-(* Strict reader: every failure is a typed [Error], never an exception,
-   so a corrupted checkpoint degrades into a clean CLI error message. *)
-
-exception Bad of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-let field name json =
-  match Json.member name json with
-  | Some v -> v
-  | None -> fail "missing field %S" name
-
-let as_int name = function
-  | Json.Int i -> i
-  | _ -> fail "field %S must be an integer" name
-
-let as_bool name = function
-  | Json.Bool b -> b
-  | _ -> fail "field %S must be a boolean" name
-
-let as_float name = function
-  | Json.Float f -> f
-  | Json.Int i -> float_of_int i
-  | _ -> fail "field %S must be a number" name
-
-let as_string name = function
-  | Json.String s -> s
-  | _ -> fail "field %S must be a string" name
-
-let as_list name = function
-  | Json.List l -> l
-  | _ -> fail "field %S must be an array" name
-
-let int_field name json = as_int name (field name json)
-let counting_field name json =
-  let v = int_field name json in
-  if v < 0 then fail "field %S must be non-negative" name;
-  v
-
-let int_opt_field name json =
-  match field name json with Json.Null -> None | v -> Some (as_int name v)
-
-let int_array_field name json =
-  as_list name (field name json)
-  |> List.map (as_int name)
-  |> Array.of_list
-
-let hex64_field name json =
-  match field name json with
-  | Json.String s when String.length s = 16 ->
-      let v = ref 0L in
-      String.iter
-        (fun c ->
-          let d =
-            match c with
-            | '0' .. '9' -> Char.code c - Char.code '0'
-            | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-            | _ -> fail "field %S must be 16 lowercase hex digits" name
-          in
-          v := Int64.logor (Int64.shift_left !v 4) (Int64.of_int d))
-        s;
-      !v
-  | _ -> fail "field %S must be 16 lowercase hex digits" name
-
-let float_bits_field name json = Int64.float_of_bits (hex64_field name json)
-
-let parse_b_cursor json =
-  {
-    bc_tams = counting_field "tams" json;
-    bc_next_rank = counting_field "next_rank" json;
-    bc_enumerated = counting_field "enumerated" json;
-    bc_completed = counting_field "completed" json;
-    bc_pruned = counting_field "pruned" json;
-    bc_best_time = int_opt_field "best_time" json;
-  }
-
-let parse_best_arch = function
-  | Json.Null -> None
-  | json ->
-      Some
-        {
-          ba_widths = int_array_field "widths" json;
-          ba_time = int_field "time" json;
-          ba_assignment = int_array_field "assignment" json;
-        }
-
-let parse_pe json =
-  let s =
-    {
-      pe_total_width = counting_field "total_width" json;
-      pe_carry_tau = as_bool "carry_tau" (field "carry_tau" json);
-      pe_initial = int_opt_field "initial" json;
-      pe_tau = int_field "tau" json;
-      pe_best = parse_best_arch (field "best" json);
-      pe_done = as_list "done" (field "done" json) |> List.map parse_b_cursor;
-      pe_cursor =
-        (match field "cursor" json with
-        | Json.Null -> None
-        | c -> Some (parse_b_cursor c));
-      pe_pending =
-        as_list "pending" (field "pending" json) |> List.map (as_int "pending");
-    }
-  in
-  List.iter
-    (fun c ->
-      if c.bc_completed + c.bc_pruned <> c.bc_enumerated then
-        fail "TAM count %d breaks enumerated = pruned + evaluated" c.bc_tams)
-    (s.pe_done @ Option.to_list s.pe_cursor);
-  Partition_evaluate s
-
-let parse_ex json =
-  Exhaustive
-    {
-      ex_total_width = counting_field "total_width" json;
-      ex_tams = counting_field "tams" json;
-      ex_method =
-        (* Absent in documents written before the solver became
-           parameterized over the exact method; those were all B&B. *)
-        (match Json.member "method" json with
-        | None -> "bb"
-        | Some m -> (
-            match as_string "method" m with
-            | ("bb" | "milp") as m -> m
-            | other -> fail "unknown exhaustive method %S" other));
-      ex_next_rank = counting_field "next_rank" json;
-      ex_best =
-        (match field "best" json with
-        | Json.Null -> None
-        | b ->
-            Some
-              {
-                eb_time = int_field "time" b;
-                eb_rank = counting_field "rank" b;
-                eb_widths = int_array_field "widths" b;
-                eb_assignment = int_array_field "assignment" b;
-              });
-      ex_solved = counting_field "solved" json;
-      ex_nodes = counting_field "nodes" json;
-    }
-
-let parse_pack json =
-  let s =
-    {
-      pk_total_width = counting_field "total_width" json;
-      pk_tams = int_opt_field "tams" json;
-      pk_max_tams = counting_field "max_tams" json;
-      pk_initial = int_opt_field "initial" json;
-      pk_tau = int_field "tau" json;
-      pk_best = parse_best_arch (field "best" json);
-      pk_next_rank = counting_field "next_rank" json;
-      pk_ranks = counting_field "ranks" json;
-      pk_packings = counting_field "packings" json;
-      pk_candidates = counting_field "candidates" json;
-      pk_completed = counting_field "completed" json;
-      pk_pruned = counting_field "pruned" json;
-      pk_best_makespan = int_opt_field "best_makespan" json;
-    }
-  in
-  if s.pk_completed + s.pk_pruned <> s.pk_candidates then
-    fail "pack state breaks candidates = pruned + evaluated";
-  if s.pk_next_rank > s.pk_ranks then
-    fail "pack cursor is past the end of the rank space";
-  Pack s
-
-let parse_an json =
-  let s =
-    {
-      an_total_width = counting_field "total_width" json;
-      an_max_tams = counting_field "max_tams" json;
-      an_iterations = counting_field "iterations" json;
-      an_next_iteration = counting_field "next_iteration" json;
-      an_seed = hex64_field "seed" json;
-      an_rng = hex64_field "rng" json;
-      an_temperature = float_bits_field "temperature" json;
-      an_initial_temperature = float_bits_field "initial_temperature" json;
-      an_cooling = float_bits_field "cooling" json;
-      an_tams = counting_field "tams" json;
-      an_widths = int_array_field "widths" json;
-      an_assignment = int_array_field "assignment" json;
-      an_best = parse_best_arch (field "best" json);
-      an_accepted = counting_field "accepted" json;
-      an_proposed = counting_field "proposed" json;
-    }
-  in
-  if s.an_next_iteration > s.an_iterations then
-    fail "anneal cursor is past the end of the schedule";
-  if s.an_tams < 1 || s.an_tams > Array.length s.an_widths then
-    fail "anneal TAM count %d out of range" s.an_tams;
-  if s.an_accepted > s.an_proposed then fail "anneal accepted exceeds proposed";
-  Anneal s
-
+(* The envelope reader: version, checksum, SOC, counters, the engine
+   tag, and the race state (the one state that nests other engines'
+   tokens). A leaf body is kept as JSON for its engine to decode. *)
 let rec parse_doc json =
   let v = int_field "version" json in
   if v <> version then
@@ -543,16 +212,10 @@ let rec parse_doc json =
   if not (String.equal declared actual) then
     fail "checksum mismatch (%s declared, %s computed): corrupted checkpoint"
       declared actual;
-  let state_json = field "state" body in
   let state =
     match as_string "solver" (field "solver" body) with
-    | "partition_evaluate" -> parse_pe state_json
-    | "exhaustive" -> parse_ex state_json
-    | "sweep" -> parse_sweep state_json
-    | "pack" -> parse_pack state_json
-    | "anneal" -> parse_an state_json
-    | "race" -> parse_race state_json
-    | other -> fail "unknown solver %S" other
+    | "race" -> parse_race (field "state" body)
+    | engine -> Token { engine; body = field "state" body }
   in
   {
     soc =
@@ -575,22 +238,21 @@ let rec parse_doc json =
 and parse_race json =
   let s =
     {
-      ra_total_width = counting_field "total_width" json;
+      ra_total_width = count_field "total_width" json;
       ra_tams = int_opt_field "tams" json;
-      ra_max_tams = counting_field "max_tams" json;
+      ra_max_tams = count_field "max_tams" json;
       ra_initial = int_opt_field "initial" json;
       ra_tau = int_field "tau" json;
-      ra_best = parse_best_arch (field "best" json);
+      ra_best = best_of_json (field "best" json);
       ra_winner =
         (match field "winner" json with
         | Json.Null -> None
         | w -> Some (as_string "winner" w));
-      ra_rounds = counting_field "rounds" json;
-      ra_slices = counting_field "slices" json;
-      ra_imports = counting_field "imports" json;
-      ra_exports = counting_field "exports" json;
-      ra_slots =
-        as_list "slots" (field "slots" json) |> List.map parse_race_slot;
+      ra_rounds = count_field "rounds" json;
+      ra_slices = count_field "slices" json;
+      ra_imports = count_field "imports" json;
+      ra_exports = count_field "exports" json;
+      ra_slots = list_field "slots" json |> List.map parse_race_slot;
     }
   in
   if s.ra_slots = [] then fail "race checkpoint has no engine slots";
@@ -603,55 +265,20 @@ and parse_race json =
 and parse_race_slot json =
   {
     rs_engine = as_string "engine" (field "engine" json);
-    rs_done = as_bool "done" (field "done" json);
-    rs_proved = as_bool "proved" (field "proved" json);
-    rs_improvements = counting_field "improvements" json;
-    rs_slices = counting_field "slices" json;
+    rs_done = bool_field "done" json;
+    rs_proved = bool_field "proved" json;
+    rs_improvements = count_field "improvements" json;
+    rs_slices = count_field "slices" json;
     rs_token =
       (match field "token" json with
       | Json.Null -> None
       | tj -> Some (parse_doc tj));
   }
 
-and parse_sweep json =
-  let s =
-    {
-      sw_max_tams = counting_field "max_tams" json;
-      sw_points =
-        as_list "points" (field "points" json)
-        |> List.map (fun p ->
-               {
-                 sp_width = counting_field "width" p;
-                 sp_tams = counting_field "tams" p;
-                 sp_widths = int_array_field "widths" p;
-                 sp_time = int_field "time" p;
-                 sp_lower_bound = int_field "lower_bound" p;
-                 sp_gap_pct = as_float "gap_pct" (field "gap_pct" p);
-                 sp_saturated = as_bool "saturated" (field "saturated" p);
-               });
-      sw_pending =
-        as_list "pending" (field "pending" json) |> List.map (as_int "pending");
-      sw_inner =
-        (* Absent in documents written before the sweep learned to
-           carry the interrupted width's token; those resume at width
-           granularity. *)
-        (match Json.member "inner" json with
-        | None | Some Json.Null -> None
-        | Some tj -> Some (parse_doc tj));
-    }
-  in
-  if s.sw_inner <> None && s.sw_pending = [] then
-    fail "sweep inner token without a pending width";
-  (match s.sw_inner with
-  | Some { state = Sweep _; _ } ->
-      fail "sweep inner token must not itself be a sweep"
-  | Some _ | None -> ());
-  Sweep s
-
 let of_json json =
   match parse_doc json with
   | t -> Ok t
-  | exception Bad msg -> Error msg
+  | exception Invalid_argument msg -> Error msg
 
 let of_string s =
   match Json.parse s with
@@ -694,31 +321,7 @@ let load path =
 let describe t =
   let soc = match t.soc with None -> "?" | Some s -> s in
   match t.state with
-  | Partition_evaluate s ->
-      let where =
-        match s.pe_cursor with
-        | Some c -> Printf.sprintf "B=%d rank %d" c.bc_tams c.bc_next_rank
-        | None -> (
-            match s.pe_pending with
-            | b :: _ -> Printf.sprintf "B=%d rank 0" b
-            | [] -> "complete")
-      in
-      Printf.sprintf "partition_evaluate %s W=%d at %s, %d TAM counts done"
-        soc s.pe_total_width where (List.length s.pe_done)
-  | Exhaustive s ->
-      Printf.sprintf "exhaustive %s W=%d B=%d at rank %d, %d solved" soc
-        s.ex_total_width s.ex_tams s.ex_next_rank s.ex_solved
-  | Sweep s ->
-      Printf.sprintf "sweep %s, %d points done, %d widths pending%s" soc
-        (List.length s.sw_points)
-        (List.length s.sw_pending)
-        (if s.sw_inner = None then "" else " (mid-width token)")
-  | Pack s ->
-      Printf.sprintf "pack %s W=%d at rank %d/%d, %d candidates evaluated" soc
-        s.pk_total_width s.pk_next_rank s.pk_ranks s.pk_completed
-  | Anneal s ->
-      Printf.sprintf "anneal %s W=%d at iteration %d/%d, %d accepted" soc
-        s.an_total_width s.an_next_iteration s.an_iterations s.an_accepted
+  | Token { engine; _ } -> Printf.sprintf "%s %s" engine soc
   | Race s ->
       Printf.sprintf "race %s W=%d [%s] after %d rounds, tau %s" soc
         s.ra_total_width

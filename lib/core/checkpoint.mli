@@ -1,143 +1,43 @@
-(** Versioned, checksummed checkpoint documents for the search core.
+(** Versioned, checksummed checkpoint envelopes for the search engines.
 
     The exhaustive P_PAW enumeration runs for hours-to-days on the large
     benchmarks, and even the heuristic [Partition_evaluate] grows with
-    p(W, B). A checkpoint captures everything a solver needs to continue
-    a run in a later process: the odometer rank of the next unexplored
-    partition (restored with {!Soctam_partition.Enumerate.Odometer.create_at}),
-    the best-known bound and incumbent architecture, the cumulative
-    per-TAM-count statistics, and the solver-owned observability
-    counters. The resume invariant is {e byte-identical results}: a run
-    interrupted at a checkpoint boundary and resumed from the document
-    produces the same architecture and the same
-    [enumerated = pruned + evaluated] counter totals as an uninterrupted
-    run, at any job count (see DESIGN.md §12 for the argument).
+    p(W, B). A checkpoint captures everything an engine needs to
+    continue a run in a later process. The resume invariant is
+    {e byte-identical results}: a run interrupted at a checkpoint
+    boundary and resumed from the document produces the same
+    architecture and the same counter totals as an uninterrupted run, at
+    any job count (see DESIGN.md §12 for the argument).
+
+    This module owns only the envelope: the schema {!version}, an FNV-1a
+    checksum over the canonical body rendering, the SOC name, the
+    solver-owned observability counters, and the engine tag. Each leaf
+    engine ([pe], [exhaustive]/[ilp], [sweep], [pack], [anneal]) encodes
+    its own state as an opaque JSON body and decodes and validates it at
+    the start of a resume, with the readers below. The race state stays
+    here, because it nests the other engines' tokens.
 
     Documents are serialized with the strict {!Soctam_util.Json}
-    parser/printer, carry a schema {!version} and an FNV-1a checksum
-    over the canonical body rendering, and are written atomically
-    (temporary file + rename). Loading validates version, checksum,
-    field types and the counter invariants, and reports every failure
-    as a clean [Error] — a truncated, corrupted or stale-version file
+    parser/printer and written atomically (temporary file + rename).
+    Loading validates the envelope and reports every failure as a clean
+    [Error]; a body the owning engine rejects raises [Invalid_argument]
+    before any search work. A truncated, corrupted or stale-version file
     can never resume into a silently wrong run. *)
 
 val version : int
 (** Schema version written by this build; documents with any other
     version are rejected on load. *)
 
-(** {1 Solver states} *)
-
-type b_cursor = {
-  bc_tams : int;  (** the TAM count B this cursor describes *)
-  bc_next_rank : int;  (** first unexplored lexicographic rank *)
-  bc_enumerated : int;  (** partitions enumerated so far (exact) *)
-  bc_completed : int;  (** evaluated to completion *)
-  bc_pruned : int;  (** abandoned through the tau early exit *)
-  bc_best_time : int option;  (** best SOC time using exactly B TAMs *)
-}
-(** Progress through one TAM count's partition sequence. Invariant
-    (checked on load): [bc_completed + bc_pruned = bc_enumerated]. *)
-
 type best_arch = {
   ba_widths : int array;
   ba_time : int;
   ba_assignment : int array;
 }
-
-type pe_state = {
-  pe_total_width : int;
-  pe_carry_tau : bool;
-  pe_initial : int option;  (** the run's [initial_best] seed *)
-  pe_tau : int;  (** current pruning bound ([max_int] = none) *)
-  pe_best : best_arch option;  (** incumbent across all TAM counts *)
-  pe_done : b_cursor list;  (** fully explored TAM counts, in order *)
-  pe_cursor : b_cursor option;  (** partially explored TAM count *)
-  pe_pending : int list;  (** TAM counts not yet started *)
-}
-
-type ex_best = {
-  eb_time : int;
-  eb_rank : int;  (** rank of [eb_widths]: the deterministic tiebreak *)
-  eb_widths : int array;
-  eb_assignment : int array;
-}
-
-type ex_state = {
-  ex_total_width : int;
-  ex_tams : int;
-  ex_method : string;
-      (** exact method per partition: ["bb"] (branch & bound) or
-          ["milp"]. Documents written before the solver was
-          parameterized carry no method field and parse as ["bb"]. *)
-  ex_next_rank : int;
-  ex_best : ex_best option;
-  ex_solved : int;
-  ex_nodes : int;
-}
-
-type sweep_point = {
-  sp_width : int;
-  sp_tams : int;
-  sp_widths : int array;
-  sp_time : int;
-  sp_lower_bound : int;
-  sp_gap_pct : float;
-  sp_saturated : bool;
-}
-
-type pack_state = {
-  pk_total_width : int;
-  pk_tams : int option;  (** fixed TAM count (P_PAW); [None] = P_NPAW *)
-  pk_max_tams : int;  (** TAM count ceiling the run was configured with *)
-  pk_initial : int option;  (** the run's [initial_best] seed *)
-  pk_tau : int;  (** current pruning bound ([max_int] = none) *)
-  pk_best : best_arch option;  (** incumbent architecture *)
-  pk_next_rank : int;  (** first unexplored rank of the heuristic space *)
-  pk_ranks : int;  (** rank-space size; a resume recomputes and compares *)
-  pk_packings : int;  (** level packings constructed so far *)
-  pk_candidates : int;  (** lane partitions distilled from packings *)
-  pk_completed : int;  (** candidates evaluated to completion *)
-  pk_pruned : int;  (** candidates abandoned through the tau early exit *)
-  pk_best_makespan : int option;
-      (** best raw level-packing height seen (diagnostic, not a SOC
-          time — see DESIGN.md §14) *)
-}
-(** Progress of the rectangle-packing engine ([Soctam_pack.Pack_engine])
-    through its deterministic rank space of (width cap, heuristic)
-    pairs. Invariant (checked on load):
-    [pk_completed + pk_pruned = pk_candidates] and
-    [pk_next_rank <= pk_ranks]. *)
-
-type an_state = {
-  an_total_width : int;
-  an_max_tams : int;
-  an_iterations : int;  (** configured iteration count *)
-  an_next_iteration : int;  (** first iteration not yet run *)
-  an_seed : int64;  (** configured seed; a resume must configure the same *)
-  an_rng : int64;  (** mid-stream splitmix64 state ({!Soctam_util.Prng.state}) *)
-  an_temperature : float;
-  an_initial_temperature : float;
-  an_cooling : float;
-  an_tams : int;  (** live TAM count of the walker state *)
-  an_widths : int array;  (** walker widths, [an_max_tams] slots *)
-  an_assignment : int array;
-  an_best : best_arch option;
-  an_accepted : int;
-  an_proposed : int;
-}
-(** Mid-walk state of the simulated annealer. The rng word and the
-    temperature schedule are serialized as raw bits (16-digit hex), so
-    a resumed walk continues the interrupted trajectory exactly —
-    decimal float rendering would diverge it. Invariants (checked on
-    load): [an_next_iteration <= an_iterations], [1 <= an_tams <=
-    length an_widths], [an_accepted <= an_proposed]. *)
+(** An incumbent architecture, as the engines and the race carry it. *)
 
 type state =
-  | Partition_evaluate of pe_state
-  | Exhaustive of ex_state
-  | Sweep of sweep_state
-  | Pack of pack_state
-  | Anneal of an_state
+  | Token of { engine : string; body : Soctam_util.Json.t }
+      (** a leaf engine's state: its registry name and its own body *)
   | Race of race_state
 
 and race_slot = {
@@ -171,22 +71,10 @@ and race_state = {
     own resume token. Restoring a race is therefore restoring every
     engine at once. *)
 
-and sweep_state = {
-  sw_max_tams : int;
-  sw_points : sweep_point list;  (** completed widths, in sweep order *)
-  sw_pending : int list;  (** widths not yet run *)
-  sw_inner : t option;
-      (** resume token of the head pending width's interrupted search,
-          embedded as a complete versioned + checksummed document (like
-          race slot tokens); [None] when the sweep stopped at a width
-          boundary. Invariants (checked on load): only present with a
-          pending width, and never itself a sweep. *)
-}
-
 and t = {
   soc : string option;
-      (** SOC name the run was started on; the solvers reject a resume
-          whose configured SOC name differs *)
+      (** SOC name the run was started on; a resume whose configured
+          SOC name differs is rejected *)
   counters : (string * int) list;
       (** solver-owned observability counters accumulated before the
           checkpoint ([core_assign/*], [pool/tau_publications], ...);
@@ -198,13 +86,14 @@ and t = {
 (** {1 Serialization} *)
 
 val to_json : t -> Soctam_util.Json.t
-(** The full document: [{"version", "checksum", "body"}]. *)
+(** The full document: [{"version", "checksum", "body"}], the body
+    holding the tag as ["solver"] and the engine state as ["state"]. *)
 
 val to_string : t -> string
 
 val of_json : Soctam_util.Json.t -> (t, string) result
-(** Strict validation: version, checksum, field presence and types, and
-    the per-cursor counter invariant. Never raises. *)
+(** Strict envelope validation: version, checksum, SOC, counters, and
+    the race state with its slice total. Never raises. *)
 
 val of_string : string -> (t, string) result
 
@@ -216,4 +105,39 @@ val save : string -> t -> (unit, string) result
 val load : string -> (t, string) result
 
 val describe : t -> string
-(** One human-readable line (solver, SOC, position) for CLI messages. *)
+(** One human-readable line (engine and SOC; position for a race) for
+    CLI messages. *)
+
+val decode : engine:string -> (Soctam_util.Json.t -> 'a) -> t -> 'a
+(** [decode ~engine f t] applies [f], the engine's body decoder, to the
+    body of a token tagged [engine].
+    @raise Invalid_argument on any other tag, or on a body [f] rejects
+    (the message then names [engine]). *)
+
+(** {1 Body codecs}
+
+    Readers and writers for the engine-owned bodies. Every reader
+    raises [Invalid_argument] naming the missing or mistyped field. *)
+
+val fail : ('a, unit, string, 'b) format4 -> 'a
+(** [Invalid_argument] with a formatted message. *)
+
+val require : bool -> string -> unit
+(** [require cond msg] raises [Invalid_argument msg] unless [cond]. *)
+
+val field : string -> Soctam_util.Json.t -> Soctam_util.Json.t
+val int_field : string -> Soctam_util.Json.t -> int
+
+val count_field : string -> Soctam_util.Json.t -> int
+(** A non-negative integer. *)
+
+val bool_field : string -> Soctam_util.Json.t -> bool
+val float_field : string -> Soctam_util.Json.t -> float
+val list_field : string -> Soctam_util.Json.t -> Soctam_util.Json.t list
+val int_opt_field : string -> Soctam_util.Json.t -> int option
+val ints_field : string -> Soctam_util.Json.t -> int array
+
+val json_ints : int array -> Soctam_util.Json.t
+val json_int_opt : int option -> Soctam_util.Json.t
+val best_to_json : best_arch option -> Soctam_util.Json.t
+val best_of_json : Soctam_util.Json.t -> best_arch option

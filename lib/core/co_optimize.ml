@@ -57,20 +57,3 @@ let run_with (cfg : Run_config.t) soc ~total_width =
         Partition_evaluate.run_with cfg ~table ~total_width)
   in
   finish ~stats ~table ~node_limit:cfg.Run_config.node_limit pe
-
-let config ?stats ?(node_limit = 2_000_000) ?(jobs = 1) ?table () =
-  let cfg = Run_config.default in
-  let cfg = Run_config.with_jobs jobs cfg in
-  let cfg = Run_config.with_node_limit node_limit cfg in
-  let cfg =
-    match stats with None -> cfg | Some s -> Run_config.with_stats s cfg
-  in
-  match table with None -> cfg | Some t -> Run_config.with_table t cfg
-
-let run ?stats ?(max_tams = 10) ?node_limit ?jobs ?table soc ~total_width =
-  let cfg = config ?stats ?node_limit ?jobs ?table () in
-  run_with (Run_config.with_max_tams max_tams cfg) soc ~total_width
-
-let run_fixed_tams ?stats ?node_limit ?jobs ?table soc ~total_width ~tams =
-  let cfg = config ?stats ?node_limit ?jobs ?table () in
-  run_with (Run_config.with_tams tams cfg) soc ~total_width

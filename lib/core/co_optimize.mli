@@ -48,35 +48,3 @@ val run_with : Run_config.t -> Soctam_model.Soc.t -> total_width:int -> t
 
     @raise Invalid_argument when the supplied table is narrower than
     [total_width], or for the {!Partition_evaluate.run_with} cases. *)
-
-(** {1 Deprecated labelled-argument entry points}
-
-    Thin wrappers over {!run_with}; behavior unchanged. *)
-
-val run :
-  ?stats:Soctam_obs.Obs.t ->
-  ?max_tams:int ->
-  ?node_limit:int ->
-  ?jobs:int ->
-  ?table:Time_table.t ->
-  Soctam_model.Soc.t ->
-  total_width:int ->
-  t
-[@@alert deprecated "Use Co_optimize.run_with with a Run_config.t instead."]
-(** [run soc ~total_width] solves P_NPAW with [max_tams] (default 10,
-    the paper's practical ceiling); [node_limit] defaults to 2_000_000.
-    The resulting architecture is identical for every [jobs] value. *)
-
-val run_fixed_tams :
-  ?stats:Soctam_obs.Obs.t ->
-  ?node_limit:int ->
-  ?jobs:int ->
-  ?table:Time_table.t ->
-  Soctam_model.Soc.t ->
-  total_width:int ->
-  tams:int ->
-  t
-[@@alert
-  deprecated
-    "Use Co_optimize.run_with with Run_config.with_tams instead."]
-(** P_PAW variant: the TAM count is fixed. *)

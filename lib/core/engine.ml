@@ -28,7 +28,7 @@ module type S = sig
   val name : string
   val caps : caps
   val cert : cert
-  val owns_token : Checkpoint.state -> bool
+  val check_body : Soctam_util.Json.t -> unit
   val run : Run_config.t -> instance -> report
 end
 
@@ -37,7 +37,8 @@ type t = (module S)
 let name (module E : S) = E.name
 let caps (module E : S) = E.caps
 let cert (module E : S) = E.cert
-let owns_token (module E : S) = E.owns_token
+let check_token (module E : S) token =
+  Checkpoint.decode ~engine:E.name E.check_body token
 let run (module E : S) = E.run
 
 let fixed_tams ~name (cfg : Run_config.t) =
@@ -62,9 +63,7 @@ module Pe : S = struct
 
   let cert = { cert_exact = true; cert_packing = false }
 
-  let owns_token = function
-    | Checkpoint.Partition_evaluate _ -> true
-    | _ -> false
+  let check_body = Partition_evaluate.check_body
 
   let run (cfg : Run_config.t) inst =
     let pe =
@@ -136,9 +135,7 @@ module Ex : S = struct
 
   let cert = { cert_exact = true; cert_packing = false }
 
-  let owns_token = function
-    | Checkpoint.Exhaustive s -> String.equal s.Checkpoint.ex_method "bb"
-    | _ -> false
+  let check_body = Exhaustive.check_body
 
   let run (cfg : Run_config.t) inst =
     let tams = fixed_tams ~name cfg in
@@ -163,9 +160,7 @@ module Ilp : S = struct
 
   let cert = { cert_exact = true; cert_packing = false }
 
-  let owns_token = function
-    | Checkpoint.Exhaustive s -> String.equal s.Checkpoint.ex_method "milp"
-    | _ -> false
+  let check_body = Exhaustive.check_body
 
   let run (cfg : Run_config.t) inst =
     let tams = fixed_tams ~name cfg in

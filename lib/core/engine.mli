@@ -8,8 +8,8 @@
     plumbing. An {!S} packages one solver behind a uniform surface:
     a registry name, a {!caps} record the callers use to validate
     flag/engine combinations, a slice-aware [run] on the shared
-    {!Run_config.t} policy, the {!Checkpoint.state} variant it resumes
-    from, and a {!cert} spec naming the [lib/check] certificates that
+    {!Run_config.t} policy, the decoder of the resume-token body it
+    owns, and a {!cert} spec naming the [lib/check] certificates that
     apply to its reports. The racing portfolio ([Soctam_race.Race]) and
     the CLI subcommands both drive engines only through this interface.
 
@@ -71,10 +71,10 @@ module type S = sig
   val caps : caps
   val cert : cert
 
-  val owns_token : Checkpoint.state -> bool
-  (** Does this checkpoint state belong to this engine? The racer
-      validates every embedded slot token against its engine before
-      resuming. *)
+  val check_body : Soctam_util.Json.t -> unit
+  (** Decode and validate a resume-token body this engine wrote,
+      raising [Invalid_argument] on one [run] would reject. The token
+      itself is tagged with {!name} (see {!check_token}). *)
 
   val run : Run_config.t -> instance -> report
   (** One (possibly sliced) run under the shared policy: respects
@@ -89,7 +89,13 @@ type t = (module S)
 val name : t -> string
 val caps : t -> caps
 val cert : t -> cert
-val owns_token : t -> Checkpoint.state -> bool
+
+val check_token : t -> Checkpoint.t -> unit
+(** The token check the racer runs on every embedded slot token before
+    its first grant: the tag must be the engine's {!S.name}, and the
+    body must pass the engine's {!S.check_body}.
+    @raise Invalid_argument otherwise. *)
+
 val run : t -> Run_config.t -> instance -> report
 
 (** {1 Adapters for the solvers in this library} *)

@@ -1,13 +1,14 @@
 module Obs = Soctam_obs.Obs
+module Json = Soctam_util.Json
 
 (* The exact method used per partition. [Bb] is the scalable dedicated
    branch & bound; [Milp] cross-checks through the paper's §3.2 ILP
    model. Both enumerate the same partition rank space, so the engine
-   machinery (slices, checkpoints, reduction) is shared; the checkpoint
-   records the method and refuses to resume under the other one. *)
+   machinery (slices, checkpoints, reduction) is shared; the token's tag
+   is the method's registry name, so neither resumes the other's run. *)
 type solver = Bb | Milp
 
-let method_tag = function Bb -> "bb" | Milp -> "milp"
+let tag = function Bb -> "exhaustive" | Milp -> "ilp"
 
 type result = {
   widths : int array;
@@ -103,27 +104,46 @@ let solve_chunk ?(stats = Obs.null) ~solver ~cap ~node_limit_per_partition
   end;
   c
 
-let restore_ex ~cfg ~solver ~total_width ~tams (cp : Checkpoint.t) =
-  let check cond msg = if not cond then invalid_arg msg in
-  match cp.Checkpoint.state with
-  | Checkpoint.Exhaustive s ->
-      check
-        (s.Checkpoint.ex_total_width = total_width
-        && s.Checkpoint.ex_tams = tams)
-        "Exhaustive: resume checkpoint is for a different instance";
-      check
-        (String.equal s.Checkpoint.ex_method (method_tag solver))
-        "Exhaustive: resume checkpoint was taken under a different exact \
-         method";
-      (match (cp.Checkpoint.soc, cfg.Run_config.soc_name) with
-      | Some a, Some b ->
-          check (String.equal a b)
-            "Exhaustive: resume checkpoint is for a different SOC"
-      | _ -> ());
-      s
-  | Checkpoint.Partition_evaluate _ | Checkpoint.Sweep _ | Checkpoint.Pack _
-  | Checkpoint.Anneal _ | Checkpoint.Race _ ->
-      invalid_arg "Exhaustive: resume checkpoint is for a different solver"
+(* -- resume token ---------------------------------------------------------- *)
+
+(* The incumbent with the rank that breaks (time) ties deterministically. *)
+type best = {
+  eb_time : int;
+  eb_rank : int;
+  eb_widths : int array;
+  eb_assignment : int array;
+}
+
+type token = {
+  t_total_width : int;
+  t_tams : int;
+  t_next_rank : int;
+  t_best : best option;
+  t_solved : int;
+  t_nodes : int;
+}
+
+let decode json =
+  {
+    t_total_width = Checkpoint.count_field "total_width" json;
+    t_tams = Checkpoint.count_field "tams" json;
+    t_next_rank = Checkpoint.count_field "next_rank" json;
+    t_best =
+      (match Checkpoint.field "best" json with
+      | Json.Null -> None
+      | b ->
+          Some
+            {
+              eb_time = Checkpoint.int_field "time" b;
+              eb_rank = Checkpoint.count_field "rank" b;
+              eb_widths = Checkpoint.ints_field "widths" b;
+              eb_assignment = Checkpoint.ints_field "assignment" b;
+            });
+    t_solved = Checkpoint.count_field "solved" json;
+    t_nodes = Checkpoint.count_field "nodes" json;
+  }
+
+let check_body json = ignore (decode json)
 
 let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   if total_width < tams then
@@ -135,46 +155,50 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   let cap =
     match cfg.Run_config.tau_import with Some b -> b | None -> max_int
   in
-  let restored =
-    Option.map
-      (restore_ex ~cfg ~solver ~total_width ~tams)
-      cfg.Run_config.resume
-  in
   (* A fresh run records the instance size once; a resumed run replays
      the interrupted run's counters instead (they already include it),
      so the resumed collector converges to an uninterrupted run's
      totals — unless the caller (the racer) disables the replay because
      its collector observed the interrupted run live. *)
-  (match cfg.Run_config.resume with
+  let restored = Run_config.resumed cfg ~engine:(tag solver) decode in
+  (match restored with
   | None -> Obs.add stats ~n:total "exhaustive/partitions_total"
-  | Some cp ->
-      if Obs.enabled stats && cfg.Run_config.resume_replay then
-        List.iter
-          (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-          cp.Checkpoint.counters);
-  let next =
-    ref (match restored with Some s -> s.Checkpoint.ex_next_rank | None -> 0)
-  in
-  let solved =
-    ref (match restored with Some s -> s.Checkpoint.ex_solved | None -> 0)
-  in
-  let nodes =
-    ref (match restored with Some s -> s.Checkpoint.ex_nodes | None -> 0)
-  in
-  let best =
-    ref (match restored with Some s -> s.Checkpoint.ex_best | None -> None)
-  in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Run_config.time_budget
-  in
+  | Some k ->
+      Checkpoint.require
+        (k.t_total_width = total_width && k.t_tams = tams)
+        "Exhaustive: resume checkpoint is for a different instance");
+  let next = ref (match restored with Some k -> k.t_next_rank | None -> 0) in
+  let solved = ref (match restored with Some k -> k.t_solved | None -> 0) in
+  let nodes = ref (match restored with Some k -> k.t_nodes | None -> 0) in
+  let best = ref (match restored with Some k -> k.t_best | None -> None) in
+  let deadline = Run_config.deadline cfg in
   let out_of_time () =
     match deadline with
     | None -> false
     | Some d -> Soctam_util.Timer.now_s () > d
   in
   let checkpoint_now () =
+    let body =
+      Json.Obj
+        [
+          ("total_width", Json.Int total_width);
+          ("tams", Json.Int tams);
+          ("next_rank", Json.Int !next);
+          ( "best",
+            match !best with
+            | None -> Json.Null
+            | Some b ->
+                Json.Obj
+                  [
+                    ("time", Json.Int b.eb_time);
+                    ("rank", Json.Int b.eb_rank);
+                    ("widths", Checkpoint.json_ints b.eb_widths);
+                    ("assignment", Checkpoint.json_ints b.eb_assignment);
+                  ] );
+          ("solved", Json.Int !solved);
+          ("nodes", Json.Int !nodes);
+        ]
+    in
     {
       Checkpoint.soc = cfg.Run_config.soc_name;
       counters =
@@ -185,26 +209,8 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
             ("exhaustive/partitions_solved", !solved);
             ("exhaustive/nodes", !nodes);
           ];
-      state =
-        Checkpoint.Exhaustive
-          {
-            Checkpoint.ex_total_width = total_width;
-            ex_tams = tams;
-            ex_method = method_tag solver;
-            ex_next_rank = !next;
-            ex_best = !best;
-            ex_solved = !solved;
-            ex_nodes = !nodes;
-          };
+      state = Checkpoint.Token { engine = tag solver; body };
     }
-  in
-  let write_checkpoint cp =
-    match cfg.Run_config.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
   in
   let slice_len = Run_config.slice_size cfg ~length:total in
   let stop = ref None in
@@ -235,15 +241,14 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
         if Array.length c.k_widths <> 0 then
           match !best with
           | Some b
-            when b.Checkpoint.eb_time < c.k_time
-                 || (b.Checkpoint.eb_time = c.k_time
-                    && b.Checkpoint.eb_rank < c.k_rank) ->
+            when b.eb_time < c.k_time
+                 || (b.eb_time = c.k_time && b.eb_rank < c.k_rank) ->
               ()
           | Some _ | None ->
               best :=
                 Some
                   {
-                    Checkpoint.eb_time = c.k_time;
+                    eb_time = c.k_time;
                     eb_rank = c.k_rank;
                     eb_widths = c.k_widths;
                     eb_assignment = c.k_assignment;
@@ -261,39 +266,18 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
       (* A deadline or per-partition node budget stopped the slice
          mid-way: the incumbent keeps the partial work, the resume
          token rewinds to the slice start. *)
-      write_checkpoint cp_pre;
+      Run_config.publish cfg cp_pre;
       stop := Some (Outcome.Budget_exhausted cp_pre)
     end
     else if !next < total then
-      if
-        match cfg.Run_config.slice_limit with
-        | Some limit -> !slices_done >= limit
-        | None -> false
-      then begin
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        stop := Some (Outcome.Budget_exhausted cp)
-      end
-      else if cfg.Run_config.cancel () then begin
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        stop := Some (Outcome.Interrupted cp)
-      end
-      else if out_of_time () then begin
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        stop := Some (Outcome.Budget_exhausted cp)
-      end
-      else write_checkpoint (checkpoint_now ())
+      stop :=
+        Run_config.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
   done;
   let outcome =
     match !stop with
     | Some o -> o
     | None ->
-        (match cfg.Run_config.checkpoint_path with
-        | Some path when Sys.file_exists path -> (
-            try Sys.remove path with Sys_error _ -> ())
-        | Some _ | None -> ());
+        Run_config.retire cfg;
         Outcome.Complete
   in
   match !best with
@@ -317,26 +301,11 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
       invalid_arg "Exhaustive.run: no partition evaluated (budget too small)"
   | Some b ->
       {
-        widths = b.Checkpoint.eb_widths;
-        time = b.Checkpoint.eb_time;
-        assignment = b.Checkpoint.eb_assignment;
+        widths = b.eb_widths;
+        time = b.eb_time;
+        assignment = b.eb_assignment;
         partitions_total = total;
         partitions_solved = !solved;
         nodes = !nodes;
         outcome;
       }
-
-let run ?stats ?(node_limit_per_partition = 2_000_000) ?time_budget
-    ?(jobs = 1) ~table ~total_width ~tams () =
-  let cfg = Run_config.default in
-  let cfg = Run_config.with_jobs jobs cfg in
-  let cfg = Run_config.with_node_limit node_limit_per_partition cfg in
-  let cfg =
-    match stats with None -> cfg | Some s -> Run_config.with_stats s cfg
-  in
-  let cfg =
-    match time_budget with
-    | None -> cfg
-    | Some b -> Run_config.with_time_budget b cfg
-  in
-  run_with cfg ~table ~total_width ~tams

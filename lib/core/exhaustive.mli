@@ -17,8 +17,9 @@ type solver = Bb | Milp
 (** Exact method used on every partition: the dedicated branch & bound
     ({!Soctam_ilp.Exact.solve_bb}, the default and the scalable one) or
     the paper's §3.2 ILP model ({!Soctam_ilp.Exact.solve_milp}) for
-    cross-checking. Checkpoints record the method; resuming under the
-    other one is rejected. *)
+    cross-checking. A resume token is tagged with the method's registry
+    name ([exhaustive] or [ilp]); resuming under the other one is
+    rejected. *)
 
 type result = {
   widths : int array;
@@ -77,17 +78,7 @@ val run_with :
     checkpoint does not match this run.
     @raise Failure when a checkpoint write to [checkpoint_path] fails. *)
 
-val run :
-  ?stats:Soctam_obs.Obs.t ->
-  ?node_limit_per_partition:int ->
-  ?time_budget:float ->
-  ?jobs:int ->
-  table:Time_table.t ->
-  total_width:int ->
-  tams:int ->
-  unit ->
-  result
-[@@alert deprecated "Use Exhaustive.run_with with a Run_config.t instead."]
-(** [run ~table ~total_width ~tams ()] is {!run_with} with the labelled
-    arguments folded into a {!Run_config.t}
-    ([node_limit_per_partition] defaults to 2_000_000). *)
+val check_body : Soctam_util.Json.t -> unit
+(** Decode and validate a resume-token body tagged ["exhaustive"] or
+    ["ilp"], discarding it.
+    @raise Invalid_argument on a body {!run_with} would reject. *)

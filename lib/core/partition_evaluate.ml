@@ -1,4 +1,5 @@
 module Obs = Soctam_obs.Obs
+module Json = Soctam_util.Json
 module Odometer = Soctam_partition.Enumerate.Odometer
 module Pool = Soctam_util.Pool
 module Shared_min = Soctam_util.Pool.Shared_min
@@ -302,7 +303,6 @@ let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
 (* Mutable progress through one TAM count. *)
 type eng_b = {
   g_tams : int;
-  g_unique : int;
   mutable g_next : int;
   mutable g_enumerated : int;
   mutable g_completed : int;
@@ -310,10 +310,9 @@ type eng_b = {
   mutable g_best_time : int option;
 }
 
-let fresh_b ~total_width tams =
+let fresh_b tams =
   {
     g_tams = tams;
-    g_unique = Soctam_partition.Count.exact ~total:total_width ~parts:tams;
     g_next = 0;
     g_enumerated = 0;
     g_completed = 0;
@@ -321,33 +320,13 @@ let fresh_b ~total_width tams =
     g_best_time = None;
   }
 
-let cursor_of_eng g =
-  {
-    Checkpoint.bc_tams = g.g_tams;
-    bc_next_rank = g.g_next;
-    bc_enumerated = g.g_enumerated;
-    bc_completed = g.g_completed;
-    bc_pruned = g.g_pruned;
-    bc_best_time = g.g_best_time;
-  }
+let unique ~total_width g =
+  Soctam_partition.Count.exact ~total:total_width ~parts:g.g_tams
 
-let eng_of_cursor ~total_width (c : Checkpoint.b_cursor) =
-  {
-    g_tams = c.Checkpoint.bc_tams;
-    g_unique =
-      Soctam_partition.Count.exact ~total:total_width
-        ~parts:c.Checkpoint.bc_tams;
-    g_next = c.Checkpoint.bc_next_rank;
-    g_enumerated = c.Checkpoint.bc_enumerated;
-    g_completed = c.Checkpoint.bc_completed;
-    g_pruned = c.Checkpoint.bc_pruned;
-    g_best_time = c.Checkpoint.bc_best_time;
-  }
-
-let b_stats_of_eng g =
+let b_stats_of_eng ~total_width g =
   {
     tams = g.g_tams;
-    unique_partitions = g.g_unique;
+    unique_partitions = unique ~total_width g;
     enumerated = g.g_enumerated;
     completed = g.g_completed;
     tau_terminated = g.g_pruned;
@@ -364,40 +343,67 @@ type extras = {
   mutable x_publications : int;
 }
 
-let restore_check cond msg = if not cond then invalid_arg msg
+(* -- resume token ---------------------------------------------------------- *)
 
-let restore_pe ~cfg ~total_width ~b_values (cp : Checkpoint.t) =
-  match cp.Checkpoint.state with
-  | Checkpoint.Partition_evaluate s ->
-      restore_check
-        (s.Checkpoint.pe_total_width = total_width)
-        "Partition_evaluate: resume checkpoint is for a different total \
-         width";
-      restore_check
-        (s.Checkpoint.pe_carry_tau = cfg.Run_config.carry_tau
-        && s.Checkpoint.pe_initial = cfg.Run_config.initial_best)
-        "Partition_evaluate: resume checkpoint was taken under a different \
-         pruning configuration";
-      (match (cp.Checkpoint.soc, cfg.Run_config.soc_name) with
-      | Some a, Some b ->
-          restore_check (String.equal a b)
-            "Partition_evaluate: resume checkpoint is for a different SOC"
-      | _ -> ());
-      let plan =
-        List.map (fun c -> c.Checkpoint.bc_tams) s.Checkpoint.pe_done
-        @ (match s.Checkpoint.pe_cursor with
-          | Some c -> [ c.Checkpoint.bc_tams ]
-          | None -> [])
-        @ s.Checkpoint.pe_pending
-      in
-      restore_check (plan = b_values)
-        "Partition_evaluate: resume checkpoint does not match this run's TAM \
-         plan";
-      s
-  | Checkpoint.Exhaustive _ | Checkpoint.Sweep _ | Checkpoint.Pack _
-  | Checkpoint.Anneal _ | Checkpoint.Race _ ->
-      invalid_arg "Partition_evaluate: resume checkpoint is for a different \
-                   solver"
+let tag = "pe"
+
+(* The decoded body: the run's identity (width, pruning configuration)
+   and its progress — finished cursors, the partial one, and the TAM
+   counts not yet started. *)
+type token = {
+  k_total_width : int;
+  k_carry_tau : bool;
+  k_initial : int option;
+  k_tau : int;
+  k_best : Checkpoint.best_arch option;
+  k_done : eng_b list;
+  k_cursor : eng_b option;
+  k_pending : int list;
+}
+
+let cursor_json g =
+  Json.Obj
+    [
+      ("tams", Json.Int g.g_tams);
+      ("next_rank", Json.Int g.g_next);
+      ("enumerated", Json.Int g.g_enumerated);
+      ("completed", Json.Int g.g_completed);
+      ("pruned", Json.Int g.g_pruned);
+      ("best_time", Checkpoint.json_int_opt g.g_best_time);
+    ]
+
+let cursor_of_json json =
+  let g =
+    {
+      g_tams = Checkpoint.count_field "tams" json;
+      g_next = Checkpoint.count_field "next_rank" json;
+      g_enumerated = Checkpoint.count_field "enumerated" json;
+      g_completed = Checkpoint.count_field "completed" json;
+      g_pruned = Checkpoint.count_field "pruned" json;
+      g_best_time = Checkpoint.int_opt_field "best_time" json;
+    }
+  in
+  if g.g_completed + g.g_pruned <> g.g_enumerated then
+    Checkpoint.fail "TAM count %d breaks enumerated = pruned + evaluated"
+      g.g_tams;
+  g
+
+let decode json =
+  {
+    k_total_width = Checkpoint.count_field "total_width" json;
+    k_carry_tau = Checkpoint.bool_field "carry_tau" json;
+    k_initial = Checkpoint.int_opt_field "initial" json;
+    k_tau = Checkpoint.int_field "tau" json;
+    k_best = Checkpoint.best_of_json (Checkpoint.field "best" json);
+    k_done = List.map cursor_of_json (Checkpoint.list_field "done" json);
+    k_cursor =
+      (match Checkpoint.field "cursor" json with
+      | Json.Null -> None
+      | c -> Some (cursor_of_json c));
+    k_pending = Array.to_list (Checkpoint.ints_field "pending" json);
+  }
+
+let check_body json = ignore (decode json)
 
 let check_args ~table ~total_width ~max_tams =
   if total_width < 1 then
@@ -432,28 +438,26 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
   let cap =
     match cfg.Run_config.tau_import with Some b -> b | None -> max_int
   in
-  let restored =
-    Option.map (restore_pe ~cfg ~total_width ~b_values) cfg.Run_config.resume
-  in
-  (* Replay the interrupted run's solver-owned counters so the resumed
-     collector converges to an uninterrupted run's totals. The racer
-     disables this after the first resume: its collector already saw
-     these counters live. *)
-  (match cfg.Run_config.resume with
-  | Some cp when Obs.enabled stats && cfg.Run_config.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  let restored = Run_config.resumed cfg ~engine:tag decode in
+  Option.iter
+    (fun k ->
+      Checkpoint.require
+        (k.k_total_width = total_width)
+        "Partition_evaluate: resume checkpoint is for a different total width";
+      Checkpoint.require
+        (k.k_carry_tau = cfg.Run_config.carry_tau
+        && k.k_initial = cfg.Run_config.initial_best)
+        "Partition_evaluate: resume checkpoint was taken under a different \
+         pruning configuration";
+      Checkpoint.require
+        (List.map (fun g -> g.g_tams) (k.k_done @ Option.to_list k.k_cursor)
+         @ k.k_pending
+        = b_values)
+        "Partition_evaluate: resume checkpoint does not match this run's TAM \
+         plan")
+    restored;
   let extras =
-    let get name =
-      match cfg.Run_config.resume with
-      | None -> 0
-      | Some cp -> (
-          match List.assoc_opt name cp.Checkpoint.counters with
-          | Some n -> n
-          | None -> 0)
-    in
+    let get = Run_config.resumed_count cfg in
     {
       x_tried = get "core_assign/assignments_tried";
       x_early = get "core_assign/early_terminations";
@@ -463,44 +467,27 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
   in
   let best =
     match restored with
-    | Some { Checkpoint.pe_best = Some b; _ } ->
+    | Some { k_best = Some b; _ } ->
         {
           b_widths = b.Checkpoint.ba_widths;
           b_time = b.Checkpoint.ba_time;
           b_assignment = b.Checkpoint.ba_assignment;
         }
-    | Some { Checkpoint.pe_best = None; _ } | None ->
+    | Some { k_best = None; _ } | None ->
         { b_widths = [||]; b_time = initial; b_assignment = [||] }
   in
-  let tau =
-    ref
-      (match restored with
-      | Some s -> s.Checkpoint.pe_tau
-      | None -> initial)
-  in
+  let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
   let done_rev =
-    ref
-      (match restored with
-      | Some s ->
-          List.rev_map (eng_of_cursor ~total_width) s.Checkpoint.pe_done
-      | None -> [])
+    ref (match restored with Some k -> List.rev k.k_done | None -> [])
   in
   (* The plan still to run: the restored cursor (mid-B) first, then the
      pending TAM counts; on a fresh run, every B with a fresh cursor. *)
   let todo =
     match restored with
-    | None -> List.map (fresh_b ~total_width) b_values
-    | Some s ->
-        (match s.Checkpoint.pe_cursor with
-        | Some c -> [ eng_of_cursor ~total_width c ]
-        | None -> [])
-        @ List.map (fresh_b ~total_width) s.Checkpoint.pe_pending
+    | None -> List.map fresh_b b_values
+    | Some k -> Option.to_list k.k_cursor @ List.map fresh_b k.k_pending
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Run_config.time_budget
-  in
+  let deadline = Run_config.deadline cfg in
   let counters_now ~cursor =
     let live = List.rev_append !done_rev (Option.to_list cursor) in
     let sum f = List.fold_left (fun acc g -> acc + f g) 0 live in
@@ -516,18 +503,16 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
         ("pool/tau_publications", extras.x_publications);
       ]
   in
-  let checkpoint_now ~cursor ~pending =
-    {
-      Checkpoint.soc = cfg.Run_config.soc_name;
-      counters = counters_now ~cursor;
-      state =
-        Checkpoint.Partition_evaluate
-          {
-            Checkpoint.pe_total_width = total_width;
-            pe_carry_tau = cfg.Run_config.carry_tau;
-            pe_initial = cfg.Run_config.initial_best;
-            pe_tau = !tau;
-            pe_best =
+  let checkpoint_now ~cursor ~pending () =
+    let body =
+      Json.Obj
+        [
+          ("total_width", Json.Int total_width);
+          ("carry_tau", Json.Bool cfg.Run_config.carry_tau);
+          ("initial", Checkpoint.json_int_opt cfg.Run_config.initial_best);
+          ("tau", Json.Int !tau);
+          ( "best",
+            Checkpoint.best_to_json
               (if Array.length best.b_widths = 0 then None
                else
                  Some
@@ -535,41 +520,28 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
                      Checkpoint.ba_widths = best.b_widths;
                      ba_time = best.b_time;
                      ba_assignment = best.b_assignment;
-                   });
-            pe_done = List.rev_map cursor_of_eng !done_rev;
-            pe_cursor = Option.map cursor_of_eng cursor;
-            pe_pending = List.map (fun g -> g.g_tams) pending;
-          };
+                   }) );
+          ("done", Json.List (List.rev_map cursor_json !done_rev));
+          ( "cursor",
+            match cursor with None -> Json.Null | Some g -> cursor_json g );
+          ( "pending",
+            Json.List (List.map (fun g -> Json.Int g.g_tams) pending) );
+        ]
+    in
+    {
+      Checkpoint.soc = cfg.Run_config.soc_name;
+      counters = counters_now ~cursor;
+      state = Checkpoint.Token { engine = tag; body };
     }
-  in
-  let write_checkpoint cp =
-    match cfg.Run_config.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
   in
   let slices_done = ref 0 in
   let boundary ~cursor ~pending =
-    (match cfg.Run_config.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now ~cursor ~pending in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Run_config.cancel () then begin
-      let cp = checkpoint_now ~cursor ~pending in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now ~cursor ~pending in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ~cursor ~pending)
+    match
+      Run_config.boundary cfg ~deadline ~slices:!slices_done
+        (checkpoint_now ~cursor ~pending)
+    with
+    | Some o -> raise (Stopped o)
+    | None -> ()
   in
   let accumulate g (s : slice) hi =
     g.g_next <- hi;
@@ -598,13 +570,12 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
                    checkpointed bound either way. *)
                 if (not cfg.Run_config.carry_tau) && g.g_next = 0 then
                   tau := initial;
-                let slice_len =
-                  Run_config.slice_size cfg ~length:g.g_unique
-                in
-                while g.g_next < g.g_unique do
+                let unique = unique ~total_width g in
+                let slice_len = Run_config.slice_size cfg ~length:unique in
+                while g.g_next < unique do
                   boundary ~cursor:(Some g) ~pending;
                   let lo = g.g_next in
-                  let hi = min (lo + slice_len) g.g_unique in
+                  let hi = min (lo + slice_len) unique in
                   let s =
                     evaluate_slice ~stats ~team ~cap ~table ~total_width
                       ~tams:g.g_tams ~tau ~lo ~hi best
@@ -616,15 +587,13 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
                 over_plan pending
           in
           let outcome = over_plan todo in
-          (* A finished run leaves no stale resume bait behind. *)
-          (match cfg.Run_config.checkpoint_path with
-          | Some path when Sys.file_exists path -> (
-              try Sys.remove path with Sys_error _ -> ())
-          | Some _ | None -> ());
+          Run_config.retire cfg;
           outcome
         with Stopped o -> o)
   in
-  let per_b = List.rev_map b_stats_of_eng !done_rev |> Array.of_list in
+  let per_b =
+    List.rev_map (b_stats_of_eng ~total_width) !done_rev |> Array.of_list
+  in
   if Array.length best.b_widths = 0 then begin
     (* Nothing beat the seed: fall back to an even split over the first
        permitted TAM count (1 for P_NPAW, the fixed B for P_PAW). *)
@@ -648,27 +617,3 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
       per_b;
       outcome;
     }
-
-(* -- deprecated labelled-argument wrappers --------------------------------- *)
-
-let config ?stats ?initial_best ?(carry_tau = true) ?(jobs = 1) () =
-  let cfg = Run_config.default in
-  let cfg = Run_config.with_jobs jobs cfg in
-  let cfg = Run_config.with_carry_tau carry_tau cfg in
-  let cfg =
-    match stats with None -> cfg | Some s -> Run_config.with_stats s cfg
-  in
-  match initial_best with
-  | None -> cfg
-  | Some b -> Run_config.with_initial_best b cfg
-
-let run ?stats ?initial_best ?carry_tau ?(jobs = 1) ~table ~total_width
-    ~max_tams () =
-  let cfg = config ?stats ?initial_best ?carry_tau ~jobs () in
-  run_with
-    (Run_config.with_max_tams max_tams cfg)
-    ~table ~total_width
-
-let run_fixed ?stats ?initial_best ?(jobs = 1) ~table ~total_width ~tams () =
-  let cfg = config ?stats ?initial_best ~jobs () in
-  run_with (Run_config.with_tams tams cfg) ~table ~total_width

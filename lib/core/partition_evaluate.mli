@@ -76,37 +76,7 @@ val run_with : Run_config.t -> table:Time_table.t -> total_width:int -> result
     match this run.
     @raise Failure when a checkpoint write to [checkpoint_path] fails. *)
 
-(** {1 Deprecated labelled-argument entry points}
-
-    Thin wrappers over {!run_with}; behavior unchanged. *)
-
-val run :
-  ?stats:Soctam_obs.Obs.t ->
-  ?initial_best:int ->
-  ?carry_tau:bool ->
-  ?jobs:int ->
-  table:Time_table.t ->
-  total_width:int ->
-  max_tams:int ->
-  unit ->
-  result
-[@@alert
-  deprecated "Use Partition_evaluate.run_with with a Run_config.t instead."]
-(** [run ~table ~total_width ~max_tams ()] is {!run_with} with the same
-    labelled arguments folded into a {!Run_config.t}. *)
-
-val run_fixed :
-  ?stats:Soctam_obs.Obs.t ->
-  ?initial_best:int ->
-  ?jobs:int ->
-  table:Time_table.t ->
-  total_width:int ->
-  tams:int ->
-  unit ->
-  result
-[@@alert
-  deprecated
-    "Use Partition_evaluate.run_with with Run_config.with_tams instead."]
-(** P_PAW: the TAM count is fixed to [tams]. [jobs] and [stats] as in
-    {!run}. @raise Invalid_argument additionally when
-    [tams > total_width]. *)
+val check_body : Soctam_util.Json.t -> unit
+(** Decode and validate a resume-token body tagged ["pe"] (per-cursor
+    [enumerated = pruned + evaluated], field types), discarding it.
+    @raise Invalid_argument on a body {!run_with} would reject. *)

@@ -111,3 +111,77 @@ let slice_size t ~length =
   if length < 1 then 1
   else if checkpointing t then min t.checkpoint_every length
   else length
+
+(* -- checkpoint lifecycle -------------------------------------------------- *)
+
+(* Check the token's SOC against the run's, then replay its counters so
+   the resumed collector converges to an uninterrupted run's totals. The
+   racer disables the replay after the first resume: its collector
+   already saw those counters live. *)
+let restore t ~engine get =
+  Option.map
+    (fun (cp : Checkpoint.t) ->
+      let s = get cp in
+      (match (cp.Checkpoint.soc, t.soc_name) with
+      | Some a, Some b when not (String.equal a b) ->
+          invalid_arg (engine ^ ": resume checkpoint is for a different SOC")
+      | _ -> ());
+      if Soctam_obs.Obs.enabled t.stats && t.resume_replay then
+        List.iter
+          (fun (name, n) -> if n > 0 then Soctam_obs.Obs.add t.stats ~n name)
+          cp.Checkpoint.counters;
+      s)
+    t.resume
+
+let resumed t ~engine decode =
+  restore t ~engine (Checkpoint.decode ~engine decode)
+
+let resumed_race t =
+  restore t ~engine:"race" (fun cp ->
+      match cp.Checkpoint.state with
+      | Checkpoint.Race s -> s
+      | Checkpoint.Token { engine; _ } ->
+          Checkpoint.fail
+            "race: resume checkpoint is for a different solver (%s)" engine)
+
+let resumed_count t name =
+  match t.resume with
+  | None -> 0
+  | Some cp ->
+      Option.value ~default:0 (List.assoc_opt name cp.Checkpoint.counters)
+
+let deadline t =
+  Option.map (fun budget -> Soctam_util.Timer.now_s () +. budget) t.time_budget
+
+let publish t cp =
+  match t.checkpoint_path with
+  | None -> ()
+  | Some path -> (
+      match Checkpoint.save path cp with
+      | Ok () -> ()
+      | Error msg -> failwith ("checkpoint write failed: " ^ msg))
+
+let boundary t ~deadline ~slices now =
+  let stop outcome =
+    let cp = now () in
+    publish t cp;
+    Some (outcome cp)
+  in
+  match t.slice_limit with
+  | Some limit when slices >= limit ->
+      stop (fun cp -> Outcome.Budget_exhausted cp)
+  | Some _ | None -> (
+      if t.cancel () then stop (fun cp -> Outcome.Interrupted cp)
+      else
+        match deadline with
+        | Some d when Soctam_util.Timer.now_s () > d ->
+            stop (fun cp -> Outcome.Budget_exhausted cp)
+        | Some _ | None ->
+            if t.checkpoint_path <> None then publish t (now ());
+            None)
+
+let retire t =
+  match t.checkpoint_path with
+  | Some path when Sys.file_exists path -> (
+      try Sys.remove path with Sys_error _ -> ())
+  | Some _ | None -> ()

@@ -8,8 +8,9 @@
     [Co_optimize.run_with], [Partition_evaluate.run_with],
     [Exhaustive.run_with] or [Sweep.run_with], and every run policy —
     parallelism, observability, budgets, checkpointing, resume,
-    cancellation — travels together. The old labelled-arg entry points
-    remain as thin deprecated wrappers over this type.
+    cancellation — travels together. The checkpoint lifecycle every
+    engine shares (resume, publish at boundaries, retire on completion)
+    lives here too, next to the fields it reads.
 
     Instance data (which SOC, which time table width, which fixed TAM
     count for the exhaustive baseline) stays an explicit argument of
@@ -128,3 +129,44 @@ val slice_size : t -> length:int -> int
 (** Ranks per engine slice for a range of [length]: [checkpoint_every]
     when {!checkpointing}, else the whole range (single slice — the
     non-checkpointed run takes the same code path with one boundary). *)
+
+(** {1 Checkpoint lifecycle}
+
+    The resume, publish and retire steps every engine shares. Engines
+    own their token bodies; these helpers own everything around them. *)
+
+val resumed : t -> engine:string -> (Soctam_util.Json.t -> 'a) -> 'a option
+(** [resumed cfg ~engine decode] is [None] without a resume token.
+    Otherwise the token must carry the tag [engine] and, when both are
+    known, the configured SOC name; its body is decoded by [decode] (see
+    {!Checkpoint.decode}) and its counters are replayed into [stats]
+    unless [resume_replay] is off.
+    @raise Invalid_argument on a foreign tag, a different SOC, or a body
+    [decode] rejects. *)
+
+val resumed_race : t -> Checkpoint.race_state option
+(** {!resumed} for the race state, which the envelope itself decodes. *)
+
+val resumed_count : t -> string -> int
+(** A counter carried by the resume token; [0] without one. *)
+
+val deadline : t -> float option
+(** [time_budget] seconds from now, on the monotonic clock. *)
+
+val publish : t -> Checkpoint.t -> unit
+(** Write the checkpoint to [checkpoint_path], when one is set.
+    @raise Failure when the write fails. *)
+
+val boundary :
+  t -> deadline:float option -> slices:int -> (unit -> Checkpoint.t) ->
+  Outcome.t option
+(** The slice-boundary policy: after [slices] completed slices, stop
+    with [Budget_exhausted] at the slice limit, with [Interrupted] when
+    [cancel] fires, or with [Budget_exhausted] past [deadline] — in that
+    order — carrying (and publishing) the checkpoint [now ()]. [None]
+    means continue, after publishing the checkpoint when a path is set.
+    @raise Failure when the write fails. *)
+
+val retire : t -> unit
+(** Remove the checkpoint file: a finished run leaves no stale resume
+    bait behind. *)

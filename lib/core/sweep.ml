@@ -1,3 +1,5 @@
+module Json = Soctam_util.Json
+
 type point = {
   width : int;
   tams : int;
@@ -10,49 +12,65 @@ type point = {
 
 type result = { points : point list; outcome : Outcome.t }
 
-let point_of_sp (p : Checkpoint.sweep_point) =
+(* -- resume token ---------------------------------------------------------- *)
+
+let tag = "sweep"
+
+type token = {
+  k_max_tams : int;
+  k_points : point list;  (* completed widths, in sweep order *)
+  k_pending : int list;
+  k_inner : Checkpoint.t option;
+      (* the head pending width's own [pe] token, embedded as a complete
+         document like race slot tokens; [None] at a width boundary *)
+}
+
+let point_json p =
+  Json.Obj
+    [
+      ("width", Json.Int p.width);
+      ("tams", Json.Int p.tams);
+      ("widths", Checkpoint.json_ints p.widths);
+      ("time", Json.Int p.time);
+      ("lower_bound", Json.Int p.lower_bound);
+      ("gap_pct", Json.Float p.gap_pct);
+      ("saturated", Json.Bool p.saturated);
+    ]
+
+let point_of_json p =
   {
-    width = p.Checkpoint.sp_width;
-    tams = p.Checkpoint.sp_tams;
-    widths = p.Checkpoint.sp_widths;
-    time = p.Checkpoint.sp_time;
-    lower_bound = p.Checkpoint.sp_lower_bound;
-    gap_pct = p.Checkpoint.sp_gap_pct;
-    saturated = p.Checkpoint.sp_saturated;
+    width = Checkpoint.count_field "width" p;
+    tams = Checkpoint.count_field "tams" p;
+    widths = Checkpoint.ints_field "widths" p;
+    time = Checkpoint.int_field "time" p;
+    lower_bound = Checkpoint.int_field "lower_bound" p;
+    gap_pct = Checkpoint.float_field "gap_pct" p;
+    saturated = Checkpoint.bool_field "saturated" p;
   }
 
-let sp_of_point p =
-  {
-    Checkpoint.sp_width = p.width;
-    sp_tams = p.tams;
-    sp_widths = p.widths;
-    sp_time = p.time;
-    sp_lower_bound = p.lower_bound;
-    sp_gap_pct = p.gap_pct;
-    sp_saturated = p.saturated;
-  }
-
-let restore_sw ~cfg ~widths (cp : Checkpoint.t) =
-  let check cond msg = if not cond then invalid_arg msg in
-  match cp.Checkpoint.state with
-  | Checkpoint.Sweep s ->
-      check
-        (s.Checkpoint.sw_max_tams = cfg.Run_config.max_tams)
-        "Sweep: resume checkpoint was taken with a different max_tams";
-      check
-        (List.map (fun p -> p.Checkpoint.sp_width) s.Checkpoint.sw_points
-         @ s.Checkpoint.sw_pending
-        = widths)
-        "Sweep: resume checkpoint does not match this width list";
-      (match (cp.Checkpoint.soc, cfg.Run_config.soc_name) with
-      | Some a, Some b ->
-          check (String.equal a b)
-            "Sweep: resume checkpoint is for a different SOC"
-      | _ -> ());
-      s
-  | Checkpoint.Partition_evaluate _ | Checkpoint.Exhaustive _
-  | Checkpoint.Pack _ | Checkpoint.Anneal _ | Checkpoint.Race _ ->
-      invalid_arg "Sweep: resume checkpoint is for a different solver"
+let decode json =
+  let k =
+    {
+      k_max_tams = Checkpoint.count_field "max_tams" json;
+      k_points = List.map point_of_json (Checkpoint.list_field "points" json);
+      k_pending = Array.to_list (Checkpoint.ints_field "pending" json);
+      k_inner =
+        (match Checkpoint.field "inner" json with
+        | Json.Null -> None
+        | tj -> (
+            match Checkpoint.of_json tj with
+            | Ok inner -> Some inner
+            | Error msg -> Checkpoint.fail "sweep inner token: %s" msg));
+    }
+  in
+  Option.iter
+    (fun inner ->
+      Checkpoint.require (k.k_pending <> [])
+        "sweep inner token without a pending width";
+      (* The per-width search is always the [pe] pipeline. *)
+      Checkpoint.decode ~engine:"pe" Partition_evaluate.check_body inner)
+    k.k_inner;
+  k
 
 let run_with (cfg : Run_config.t) soc ~widths =
   if widths = [] then invalid_arg "Sweep.run: empty width list";
@@ -69,23 +87,35 @@ let run_with (cfg : Run_config.t) soc ~widths =
         t
     | None -> Time_table.build ~stats soc ~max_width:(List.fold_left max 1 widths)
   in
-  let restored = Option.map (restore_sw ~cfg ~widths) cfg.Run_config.resume in
+  let restored = Run_config.resumed cfg ~engine:tag decode in
+  Option.iter
+    (fun k ->
+      Checkpoint.require
+        (k.k_max_tams = cfg.Run_config.max_tams)
+        "Sweep: resume checkpoint was taken with a different max_tams";
+      Checkpoint.require
+        (List.map (fun p -> p.width) k.k_points @ k.k_pending = widths)
+        "Sweep: resume checkpoint does not match this width list")
+    restored;
   let done_rev =
-    ref
-      (match restored with
-      | Some s -> List.rev_map point_of_sp s.Checkpoint.sw_points
-      | None -> [])
+    ref (match restored with Some k -> List.rev k.k_points | None -> [])
   in
   let pending =
-    ref
-      (match restored with Some s -> s.Checkpoint.sw_pending | None -> widths)
+    ref (match restored with Some k -> k.k_pending | None -> widths)
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Run_config.time_budget
-  in
+  let deadline = Run_config.deadline cfg in
   let checkpoint_now ?inner () =
+    let body =
+      Json.Obj
+        [
+          ("max_tams", Json.Int cfg.Run_config.max_tams);
+          ("points", Json.List (List.rev_map point_json !done_rev));
+          ("pending", Json.List (List.map (fun w -> Json.Int w) !pending));
+          ( "inner",
+            match inner with None -> Json.Null | Some t -> Checkpoint.to_json t
+          );
+        ]
+    in
     {
       Checkpoint.soc = cfg.Run_config.soc_name;
       (* A sweep checkpoint carries no counters of its own: the
@@ -93,28 +123,13 @@ let run_with (cfg : Run_config.t) soc ~widths =
          process, and the interrupted width's partial counters travel
          inside its embedded token. *)
       counters = [];
-      state =
-        Checkpoint.Sweep
-          {
-            Checkpoint.sw_max_tams = cfg.Run_config.max_tams;
-            sw_points = List.rev_map sp_of_point !done_rev;
-            sw_pending = !pending;
-            sw_inner = inner;
-          };
+      state = Checkpoint.Token { engine = tag; body };
     }
-  in
-  let write_checkpoint cp =
-    match cfg.Run_config.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
   in
   (* The per-width run inherits the sweep's policy but never writes its
      own checkpoints: the sweep is the checkpointed unit. A width
      truncated mid-search leaves its resume token embedded in the sweep
-     checkpoint ([sw_inner]), so the head pending width resumes where
+     checkpoint ([k_inner]), so the head pending width resumes where
      it stopped instead of re-running whole. The sweep's remaining
      budget is handed down so an expiry inside a width stops that
      width's search promptly. *)
@@ -131,9 +146,14 @@ let run_with (cfg : Run_config.t) soc ~widths =
     c
   in
   let inner_resume =
-    ref (match restored with Some s -> s.Checkpoint.sw_inner | None -> None)
+    ref (match restored with Some k -> k.k_inner | None -> None)
   in
   let stop = ref None in
+  let halt ?inner outcome =
+    let cp = checkpoint_now ?inner () in
+    Run_config.publish cfg cp;
+    stop := Some (outcome cp)
+  in
   while !pending <> [] && !stop = None do
     let width = List.hd !pending in
     let remaining =
@@ -141,16 +161,9 @@ let run_with (cfg : Run_config.t) soc ~widths =
         (fun d -> Float.max 0. (d -. Soctam_util.Timer.now_s ()))
         deadline
     in
-    if cfg.Run_config.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      stop := Some (Outcome.Interrupted cp)
-    end
-    else if (match remaining with Some r -> r <= 0. | None -> false) then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      stop := Some (Outcome.Budget_exhausted cp)
-    end
+    if cfg.Run_config.cancel () then halt (fun cp -> Outcome.Interrupted cp)
+    else if match remaining with Some r -> r <= 0. | None -> false then
+      halt (fun cp -> Outcome.Budget_exhausted cp)
     else begin
       let resume = !inner_resume in
       inner_resume := None;
@@ -166,13 +179,9 @@ let run_with (cfg : Run_config.t) soc ~widths =
          resume picks the width up mid-search. *)
       match result.Co_optimize.outcome with
       | Outcome.Interrupted inner ->
-          let cp = checkpoint_now ~inner () in
-          write_checkpoint cp;
-          stop := Some (Outcome.Interrupted cp)
+          halt ~inner (fun cp -> Outcome.Interrupted cp)
       | Outcome.Budget_exhausted inner ->
-          let cp = checkpoint_now ~inner () in
-          write_checkpoint cp;
-          stop := Some (Outcome.Budget_exhausted cp)
+          halt ~inner (fun cp -> Outcome.Budget_exhausted cp)
       | Outcome.Complete ->
           let bounds = Bounds.compute table ~total_width:width in
           let partition =
@@ -191,31 +200,17 @@ let run_with (cfg : Run_config.t) soc ~widths =
             }
             :: !done_rev;
           pending := List.tl !pending;
-          if !pending <> [] then write_checkpoint (checkpoint_now ())
+          if !pending <> [] then Run_config.publish cfg (checkpoint_now ())
     end
   done;
   let outcome =
     match !stop with
     | Some o -> o
     | None ->
-        (match cfg.Run_config.checkpoint_path with
-        | Some path when Sys.file_exists path -> (
-            try Sys.remove path with Sys_error _ -> ())
-        | Some _ | None -> ());
+        Run_config.retire cfg;
         Outcome.Complete
   in
   { points = List.rev !done_rev; outcome }
-
-let run ?stats ?(max_tams = 10) ?(node_limit = 2_000_000) ?(jobs = 1) soc
-    ~widths =
-  let cfg = Run_config.default in
-  let cfg = Run_config.with_jobs jobs cfg in
-  let cfg = Run_config.with_node_limit node_limit cfg in
-  let cfg = Run_config.with_max_tams max_tams cfg in
-  let cfg =
-    match stats with None -> cfg | Some s -> Run_config.with_stats s cfg
-  in
-  (run_with cfg soc ~widths).points
 
 let knee ?(tolerance_pct = 5.) points =
   match points with

@@ -19,8 +19,8 @@ type result = {
   outcome : Outcome.t;
       (** [Complete] when every width ran; a truncated sweep's
           checkpoint resumes at the first width not completed —
-          mid-search when the truncation left that width's own token
-          embedded ({!Checkpoint.sweep_state.sw_inner}) *)
+          mid-search when the truncation left that width's own [pe]
+          token embedded in the sweep token *)
 }
 
 val run_with : Run_config.t -> Soctam_model.Soc.t -> widths:int list -> result
@@ -43,18 +43,6 @@ val run_with : Run_config.t -> Soctam_model.Soc.t -> widths:int list -> result
     too-narrow supplied table, or a resume checkpoint that does not
     match this sweep's [max_tams], width list or SOC name.
     @raise Failure when a checkpoint write fails. *)
-
-val run :
-  ?stats:Soctam_obs.Obs.t ->
-  ?max_tams:int ->
-  ?node_limit:int ->
-  ?jobs:int ->
-  Soctam_model.Soc.t ->
-  widths:int list ->
-  point list
-[@@alert deprecated "Use Sweep.run_with with a Run_config.t instead."]
-(** [run soc ~widths] is {!run_with} with the labelled arguments folded
-    into a {!Run_config.t}, returning just the points. *)
 
 val knee : ?tolerance_pct:float -> point list -> point option
 (** The narrowest width whose time is within [tolerance_pct] (default 5%)

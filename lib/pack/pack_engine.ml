@@ -1,4 +1,5 @@
 module Obs = Soctam_obs.Obs
+module Json = Soctam_util.Json
 module Pool = Soctam_util.Pool
 module Shared_min = Soctam_util.Pool.Shared_min
 module Rc = Soctam_core.Run_config
@@ -398,35 +399,50 @@ type extras = {
   mutable x_publications : int;
 }
 
-let restore_check cond msg = if not cond then invalid_arg msg
+(* -- resume token ---------------------------------------------------------- *)
 
-let restore_pack ~cfg ~total_width ~ranks (cp : Checkpoint.t) =
-  match cp.Checkpoint.state with
-  | Checkpoint.Pack s ->
-      restore_check
-        (s.Checkpoint.pk_total_width = total_width)
-        "Pack_engine: resume checkpoint is for a different total width";
-      restore_check
-        (s.Checkpoint.pk_tams = cfg.Rc.tams
-        && s.Checkpoint.pk_max_tams = cfg.Rc.max_tams)
-        "Pack_engine: resume checkpoint was taken under a different TAM \
-         configuration";
-      restore_check
-        (s.Checkpoint.pk_initial = cfg.Rc.initial_best)
-        "Pack_engine: resume checkpoint was taken under a different pruning \
-         configuration";
-      restore_check
-        (s.Checkpoint.pk_ranks = ranks)
-        "Pack_engine: resume checkpoint does not match this rank space";
-      (match (cp.Checkpoint.soc, cfg.Rc.soc_name) with
-      | Some a, Some b ->
-          restore_check (String.equal a b)
-            "Pack_engine: resume checkpoint is for a different SOC"
-      | _ -> ());
-      s
-  | Checkpoint.Partition_evaluate _ | Checkpoint.Exhaustive _
-  | Checkpoint.Sweep _ | Checkpoint.Anneal _ | Checkpoint.Race _ ->
-      invalid_arg "Pack_engine: resume checkpoint is for a different solver"
+let tag = "pack"
+
+type token = {
+  k_total_width : int;
+  k_tams : int option;  (* fixed TAM count (P_PAW); [None] = P_NPAW *)
+  k_max_tams : int;
+  k_initial : int option;
+  k_tau : int;
+  k_best : Checkpoint.best_arch option;
+  k_next_rank : int;
+  k_ranks : int;  (* rank-space size; a resume recomputes and compares *)
+  k_packings : int;
+  k_candidates : int;
+  k_completed : int;
+  k_pruned : int;
+  k_best_makespan : int option;
+}
+
+let decode json =
+  let k =
+    {
+      k_total_width = Checkpoint.count_field "total_width" json;
+      k_tams = Checkpoint.int_opt_field "tams" json;
+      k_max_tams = Checkpoint.count_field "max_tams" json;
+      k_initial = Checkpoint.int_opt_field "initial" json;
+      k_tau = Checkpoint.int_field "tau" json;
+      k_best = Checkpoint.best_of_json (Checkpoint.field "best" json);
+      k_next_rank = Checkpoint.count_field "next_rank" json;
+      k_ranks = Checkpoint.count_field "ranks" json;
+      k_packings = Checkpoint.count_field "packings" json;
+      k_candidates = Checkpoint.count_field "candidates" json;
+      k_completed = Checkpoint.count_field "completed" json;
+      k_pruned = Checkpoint.count_field "pruned" json;
+      k_best_makespan = Checkpoint.int_opt_field "best_makespan" json;
+    }
+  in
+  Checkpoint.require
+    (k.k_completed + k.k_pruned = k.k_candidates)
+    "pack state breaks candidates = pruned + evaluated";
+  Checkpoint.require (k.k_next_rank <= k.k_ranks)
+    "pack cursor is past the end of the rank space";
+  k
 
 exception Stopped of Outcome.t
 
@@ -452,26 +468,25 @@ let run_with (cfg : Rc.t) ~table ~total_width =
     match cfg.Rc.initial_best with Some t -> t | None -> max_int
   in
   let cap = match cfg.Rc.tau_import with Some b -> b | None -> max_int in
-  let restored =
-    Option.map (restore_pack ~cfg ~total_width ~ranks) cfg.Rc.resume
-  in
-  (* Replay the interrupted run's solver-owned counters so the resumed
-     collector converges to an uninterrupted run's totals. *)
-  (match cfg.Rc.resume with
-  | Some cp when Obs.enabled stats && cfg.Rc.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  let restored = Rc.resumed cfg ~engine:tag decode in
+  Option.iter
+    (fun k ->
+      Checkpoint.require
+        (k.k_total_width = total_width)
+        "Pack_engine: resume checkpoint is for a different total width";
+      Checkpoint.require
+        (k.k_tams = cfg.Rc.tams && k.k_max_tams = cfg.Rc.max_tams)
+        "Pack_engine: resume checkpoint was taken under a different TAM \
+         configuration";
+      Checkpoint.require
+        (k.k_initial = cfg.Rc.initial_best)
+        "Pack_engine: resume checkpoint was taken under a different pruning \
+         configuration";
+      Checkpoint.require (k.k_ranks = ranks)
+        "Pack_engine: resume checkpoint does not match this rank space")
+    restored;
   let extras =
-    let get name =
-      match cfg.Rc.resume with
-      | None -> 0
-      | Some cp -> (
-          match List.assoc_opt name cp.Checkpoint.counters with
-          | Some n -> n
-          | None -> 0)
-    in
+    let get = Rc.resumed_count cfg in
     {
       x_tried = get "core_assign/assignments_tried";
       x_early = get "core_assign/early_terminations";
@@ -481,45 +496,27 @@ let run_with (cfg : Rc.t) ~table ~total_width =
   in
   let best =
     match restored with
-    | Some { Checkpoint.pk_best = Some b; _ } ->
+    | Some { k_best = Some b; _ } ->
         {
           b_widths = b.Checkpoint.ba_widths;
           b_time = b.Checkpoint.ba_time;
           b_assignment = b.Checkpoint.ba_assignment;
         }
-    | Some { Checkpoint.pk_best = None; _ } | None ->
+    | Some { k_best = None; _ } | None ->
         { b_widths = [||]; b_time = initial; b_assignment = [||] }
   in
-  let tau =
-    ref (match restored with Some s -> s.Checkpoint.pk_tau | None -> initial)
-  in
-  let next =
-    ref
-      (match restored with Some s -> s.Checkpoint.pk_next_rank | None -> 0)
-  in
-  let packings =
-    ref (match restored with Some s -> s.Checkpoint.pk_packings | None -> 0)
-  in
-  let cands =
-    ref (match restored with Some s -> s.Checkpoint.pk_candidates | None -> 0)
-  in
+  let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
+  let next = ref (match restored with Some k -> k.k_next_rank | None -> 0) in
+  let packings = ref (match restored with Some k -> k.k_packings | None -> 0) in
+  let cands = ref (match restored with Some k -> k.k_candidates | None -> 0) in
   let completed =
-    ref (match restored with Some s -> s.Checkpoint.pk_completed | None -> 0)
+    ref (match restored with Some k -> k.k_completed | None -> 0)
   in
-  let pruned =
-    ref (match restored with Some s -> s.Checkpoint.pk_pruned | None -> 0)
-  in
+  let pruned = ref (match restored with Some k -> k.k_pruned | None -> 0) in
   let makespan =
-    ref
-      (match restored with
-      | Some s -> s.Checkpoint.pk_best_makespan
-      | None -> None)
+    ref (match restored with Some k -> k.k_best_makespan | None -> None)
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Rc.time_budget
-  in
+  let deadline = Rc.deadline cfg in
   let counters_now () =
     List.filter
       (fun (_, n) -> n > 0)
@@ -535,18 +532,16 @@ let run_with (cfg : Rc.t) ~table ~total_width =
       ]
   in
   let checkpoint_now () =
-    {
-      Checkpoint.soc = cfg.Rc.soc_name;
-      counters = counters_now ();
-      state =
-        Checkpoint.Pack
-          {
-            Checkpoint.pk_total_width = total_width;
-            pk_tams = tams;
-            pk_max_tams = max_tams;
-            pk_initial = cfg.Rc.initial_best;
-            pk_tau = !tau;
-            pk_best =
+    let body =
+      Json.Obj
+        [
+          ("total_width", Json.Int total_width);
+          ("tams", Checkpoint.json_int_opt tams);
+          ("max_tams", Json.Int max_tams);
+          ("initial", Checkpoint.json_int_opt cfg.Rc.initial_best);
+          ("tau", Json.Int !tau);
+          ( "best",
+            Checkpoint.best_to_json
               (if Array.length best.b_widths = 0 then None
                else
                  Some
@@ -554,53 +549,34 @@ let run_with (cfg : Rc.t) ~table ~total_width =
                      Checkpoint.ba_widths = best.b_widths;
                      ba_time = best.b_time;
                      ba_assignment = best.b_assignment;
-                   });
-            pk_next_rank = !next;
-            pk_ranks = ranks;
-            pk_packings = !packings;
-            pk_candidates = !cands;
-            pk_completed = !completed;
-            pk_pruned = !pruned;
-            pk_best_makespan = !makespan;
-          };
+                   }) );
+          ("next_rank", Json.Int !next);
+          ("ranks", Json.Int ranks);
+          ("packings", Json.Int !packings);
+          ("candidates", Json.Int !cands);
+          ("completed", Json.Int !completed);
+          ("pruned", Json.Int !pruned);
+          ("best_makespan", Checkpoint.json_int_opt !makespan);
+        ]
+    in
+    {
+      Checkpoint.soc = cfg.Rc.soc_name;
+      counters = counters_now ();
+      state = Checkpoint.Token { engine = tag; body };
     }
   in
-  let write_checkpoint cp =
-    match cfg.Rc.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
   let slices_done = ref 0 in
-  let boundary () =
-    (match cfg.Rc.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Rc.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ())
-  in
   let slice_len = Rc.slice_size cfg ~length:ranks in
   let outcome =
     Pool.Team.with_team ~oversubscribe:cfg.Rc.oversubscribe
       ~jobs:(max 1 cfg.Rc.jobs) (fun team ->
         try
           while !next < ranks do
-            boundary ();
+            (match
+               Rc.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
+             with
+            | Some o -> raise (Stopped o)
+            | None -> ());
             let lo = !next in
             let hi = min (lo + slice_len) ranks in
             let s =
@@ -619,10 +595,7 @@ let run_with (cfg : Rc.t) ~table ~total_width =
             extras.x_levels <- extras.x_levels + s.sl_levels;
             extras.x_publications <- extras.x_publications + s.sl_publications
           done;
-          (match cfg.Rc.checkpoint_path with
-          | Some path when Sys.file_exists path -> (
-              try Sys.remove path with Sys_error _ -> ())
-          | Some _ | None -> ());
+          Rc.retire cfg;
           Outcome.Complete
         with Stopped o -> o)
   in
@@ -684,7 +657,7 @@ module E : Soctam_core.Engine.S = struct
   let cert =
     { Soctam_core.Engine.cert_exact = true; cert_packing = true }
 
-  let owns_token = function Checkpoint.Pack _ -> true | _ -> false
+  let check_body json = ignore (decode json)
 
   let run (cfg : Rc.t) (inst : Soctam_core.Engine.instance) =
     let r =

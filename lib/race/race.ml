@@ -53,48 +53,6 @@ type best = {
 
 let never () = false
 
-let restore_check cond msg = if not cond then invalid_arg msg
-
-let restore_race ~cfg ~total_width ~engines (cp : Checkpoint.t) =
-  match cp.Checkpoint.state with
-  | Checkpoint.Race s ->
-      restore_check
-        (s.Checkpoint.ra_total_width = total_width)
-        "Race: resume checkpoint is for a different total width";
-      restore_check
-        (s.Checkpoint.ra_tams = cfg.Rc.tams
-        && s.Checkpoint.ra_max_tams = cfg.Rc.max_tams)
-        "Race: resume checkpoint was taken under a different TAM \
-         configuration";
-      restore_check
-        (s.Checkpoint.ra_initial = cfg.Rc.initial_best)
-        "Race: resume checkpoint was taken under a different pruning \
-         configuration";
-      restore_check
-        (List.length s.Checkpoint.ra_slots = List.length engines)
-        "Race: resume checkpoint is for a different portfolio";
-      List.iter2
-        (fun e (rs : Checkpoint.race_slot) ->
-          restore_check
-            (String.equal (Engine.name e) rs.Checkpoint.rs_engine)
-            "Race: resume checkpoint is for a different portfolio";
-          match rs.Checkpoint.rs_token with
-          | None -> ()
-          | Some t ->
-              restore_check
-                (Engine.owns_token e t.Checkpoint.state)
-                "Race: embedded resume token does not belong to its engine")
-        engines s.Checkpoint.ra_slots;
-      (match (cp.Checkpoint.soc, cfg.Rc.soc_name) with
-      | Some a, Some b ->
-          restore_check (String.equal a b)
-            "Race: resume checkpoint is for a different SOC"
-      | _ -> ());
-      s
-  | Checkpoint.Partition_evaluate _ | Checkpoint.Exhaustive _
-  | Checkpoint.Sweep _ | Checkpoint.Pack _ | Checkpoint.Anneal _ ->
-      invalid_arg "Race: resume checkpoint is for a different solver"
-
 exception Stopped of Outcome.t
 
 let run (cfg : Rc.t) ~engines ~table ~total_width =
@@ -129,17 +87,37 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
     invalid_arg "Race: table narrower than total width";
   let stats = cfg.Rc.stats in
   let inst = { Engine.table; total_width } in
-  let restored =
-    Option.map (restore_race ~cfg ~total_width ~engines) cfg.Rc.resume
-  in
-  (* Replay the interrupted race's own counters; each slot token's
-     engine counters replay on that engine's first resumed slice. *)
-  (match cfg.Rc.resume with
-  | Some cp when Obs.enabled stats && cfg.Rc.resume_replay ->
-      List.iter
-        (fun (name, n) -> if n > 0 then Obs.add stats ~n name)
-        cp.Checkpoint.counters
-  | Some _ | None -> ());
+  (* Restoring replays the race's own counters (each slot token's
+     counters replay on that engine's first resumed slice) and checks
+     every embedded slot token against its engine here, before the
+     first grant: the race rewrites its checkpoint at every grant
+     boundary, so a bad slot must never get that far. *)
+  let restored = Rc.resumed_race cfg in
+  Option.iter
+    (fun (s : Checkpoint.race_state) ->
+      Checkpoint.require
+        (s.Checkpoint.ra_total_width = total_width)
+        "Race: resume checkpoint is for a different total width";
+      Checkpoint.require
+        (s.Checkpoint.ra_tams = cfg.Rc.tams
+        && s.Checkpoint.ra_max_tams = cfg.Rc.max_tams)
+        "Race: resume checkpoint was taken under a different TAM \
+         configuration";
+      Checkpoint.require
+        (s.Checkpoint.ra_initial = cfg.Rc.initial_best)
+        "Race: resume checkpoint was taken under a different pruning \
+         configuration";
+      Checkpoint.require
+        (List.length s.Checkpoint.ra_slots = List.length engines)
+        "Race: resume checkpoint is for a different portfolio";
+      List.iter2
+        (fun e (rs : Checkpoint.race_slot) ->
+          Checkpoint.require
+            (String.equal (Engine.name e) rs.Checkpoint.rs_engine)
+            "Race: resume checkpoint is for a different portfolio";
+          Option.iter (Engine.check_token e) rs.Checkpoint.rs_token)
+        engines s.Checkpoint.ra_slots)
+    restored;
   let slots =
     match restored with
     | Some s ->
@@ -207,11 +185,7 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
       | Some s -> Some s.s_name
       | None -> None)
   in
-  let deadline =
-    Option.map
-      (fun budget -> Soctam_util.Timer.now_s () +. budget)
-      cfg.Rc.time_budget
-  in
+  let deadline = Rc.deadline cfg in
   let counters_now () =
     List.filter
       (fun (_, n) -> n > 0)
@@ -265,35 +239,7 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
           };
     }
   in
-  let write_checkpoint cp =
-    match cfg.Rc.checkpoint_path with
-    | None -> ()
-    | Some path -> (
-        match Checkpoint.save path cp with
-        | Ok () -> ()
-        | Error msg -> failwith ("checkpoint write failed: " ^ msg))
-  in
   let slices_done = ref 0 in
-  let boundary () =
-    (match cfg.Rc.slice_limit with
-    | Some limit when !slices_done >= limit ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    if cfg.Rc.cancel () then begin
-      let cp = checkpoint_now () in
-      write_checkpoint cp;
-      raise (Stopped (Outcome.Interrupted cp))
-    end;
-    (match deadline with
-    | Some d when Soctam_util.Timer.now_s () > d ->
-        let cp = checkpoint_now () in
-        write_checkpoint cp;
-        raise (Stopped (Outcome.Budget_exhausted cp))
-    | Some _ | None -> ());
-    write_checkpoint (checkpoint_now ())
-  in
   (* The next grant in the fixed round-robin schedule, derived from the
      slot slice counts alone: within a round every live slot earlier in
      portfolio order has one more slice than the ones still waiting, so
@@ -382,17 +328,18 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
           match next_slot () with
           | None -> ()
           | Some (s, fresh_round) ->
-              boundary ();
+              (match
+                 Rc.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
+               with
+              | Some o -> raise (Stopped o)
+              | None -> ());
               if fresh_round then incr rounds;
               run_slice s;
               incr slices_done;
               loop ()
       in
       loop ();
-      (match cfg.Rc.checkpoint_path with
-      | Some path when Sys.file_exists path -> (
-          try Sys.remove path with Sys_error _ -> ())
-      | Some _ | None -> ());
+      Rc.retire cfg;
       Outcome.Complete
     with Stopped o -> o
   in

@@ -1,3 +1,4 @@
+module Json = Soctam_util.Json
 module Obs = Soctam_obs.Obs
 
 let counters_obj counters =

@@ -21,9 +21,10 @@
     With one worker the [counters] object is exactly reproducible run
     to run; [elapsed_ns], histogram/span timings and event timestamps
     are wall-clock readings and are not. The document always parses
-    with {!Json.parse} and round-trips through {!Json.to_string}. *)
+    with {!Soctam_util.Json.parse} and round-trips through
+    {!Soctam_util.Json.to_string}. *)
 
-val render : Soctam_obs.Obs.snapshot -> Json.t
+val render : Soctam_obs.Obs.snapshot -> Soctam_util.Json.t
 val render_string : Soctam_obs.Obs.snapshot -> string
 
 val summary : Soctam_obs.Obs.snapshot -> string

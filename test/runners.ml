@@ -1,8 +1,6 @@
 (* Run_config-based entry points with the labelled signatures the test
    suites grew up with. Every solver invocation in the tests goes
-   through run_with and a single config value built here; the deprecated
-   labelled wrappers in lib/core are exercised nowhere outside their own
-   compatibility tests. *)
+   through run_with and a single config value built here. *)
 
 module Rc = Soctam_core.Run_config
 module Co = Soctam_core.Co_optimize

@@ -127,28 +127,6 @@ let dom_shared_negative () =
   clean "atomics are the sanctioned primitive"
     (Analyze.check_source solver "let best = Atomic.make max_int\n")
 
-(* -- API-DEPRECATED ------------------------------------------------------- *)
-
-let api_deprecated_positive () =
-  let r =
-    Analyze.check_source plain
-      "module Pe = Soctam_core.Partition_evaluate\n\
-       let a soc = Soctam_core.Co_optimize.run soc ~total_width:8\n\
-       let b ~table = Pe.run ~table ~total_width:8 ~max_tams:2 ()\n"
-  in
-  check_rules "direct and aliased deprecated entry points"
-    [ Rule.Api_deprecated; Rule.Api_deprecated ]
-    r
-
-let api_deprecated_negative () =
-  clean "run_with is the supported surface"
-    (Analyze.check_source plain
-       "let a soc =\n\
-       \  Soctam_core.Co_optimize.run_with Soctam_core.Run_config.default\n\
-       \    soc ~total_width:8\n");
-  clean "unrelated run functions"
-    (Analyze.check_source plain "let r c d = Core_sim.run c d\n")
-
 (* -- suppression ---------------------------------------------------------- *)
 
 let suppression_scopes () =
@@ -1097,8 +1075,6 @@ let suite =
     test "DET-ENTROPY honors exemptions" det_entropy_negative;
     test "DOM-SHARED flags top-level mutable state" dom_shared_positive;
     test "DOM-SHARED honors guards and scope" dom_shared_negative;
-    test "API-DEPRECATED flags pre-run_with calls" api_deprecated_positive;
-    test "API-DEPRECATED ignores run_with" api_deprecated_negative;
     test "allow attribute works at all scopes" suppression_scopes;
     test "allow attribute is rule-scoped" suppression_is_scoped;
     test "allow attribute requires a rule id" suppression_requires_rule_id;

@@ -522,26 +522,26 @@ let json_rendering () =
     ];
   (* Structural check through the shared JSON parser: the renderer's
      output must be a valid document, not just contain substrings. *)
-  (match Soctam_report.Json.parse json with
+  (match Soctam_util.Json.parse json with
   | Error msg -> Alcotest.failf "check json does not parse: %s" msg
   | Ok doc ->
       Alcotest.(check (option bool))
         "ok field is false" (Some false)
-        (match Soctam_report.Json.member "ok" doc with
-        | Some (Soctam_report.Json.Bool b) -> Some b
+        (match Soctam_util.Json.member "ok" doc with
+        | Some (Soctam_util.Json.Bool b) -> Some b
         | _ -> None);
       Alcotest.(check bool) "violations is a non-empty array" true
         (match
            Option.bind
-             (Soctam_report.Json.member "violations" doc)
-             Soctam_report.Json.to_list
+             (Soctam_util.Json.member "violations" doc)
+             Soctam_util.Json.to_list
          with
         | Some (_ :: _) -> true
         | _ -> false));
   let clean = Certify.soc d695 in
   let clean_json = Soctam_report.Check_json.render clean in
   Alcotest.(check bool) "clean json ok" true (String.length clean_json > 0);
-  match Soctam_report.Json.parse clean_json with
+  match Soctam_util.Json.parse clean_json with
   | Error msg -> Alcotest.failf "clean check json does not parse: %s" msg
   | Ok _ -> ()
 

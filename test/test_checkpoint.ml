@@ -1,8 +1,10 @@
-(* Tests for the run lifecycle: checkpoint documents (round-trip, strict
-   rejection of damaged files), the Run_config surface, and the
-   kill-and-resume determinism invariant — a run interrupted at any
-   slice boundary and resumed from its checkpoint must reproduce the
-   uninterrupted run's architecture and counter totals. *)
+(* Tests for the run lifecycle: checkpoint envelopes (round-trip,
+   strict rejection of damaged files), the engine-owned token bodies
+   (rejected by their engine at the start of a resume), the Run_config
+   surface, and the kill-and-resume determinism invariant — a run
+   interrupted at any slice boundary and resumed from its checkpoint
+   must reproduce the uninterrupted run's architecture and counter
+   totals. *)
 
 module Cp = Soctam_core.Checkpoint
 module Rc = Soctam_core.Run_config
@@ -11,6 +13,8 @@ module Pe = Soctam_core.Partition_evaluate
 module Ex = Soctam_core.Exhaustive
 module Sw = Soctam_core.Sweep
 module Tt = Soctam_core.Time_table
+module An = Soctam_anneal.Annealer
+module Json = Soctam_util.Json
 module Obs = Soctam_obs.Obs
 
 let test case f = Alcotest.test_case case `Quick f
@@ -28,186 +32,111 @@ let small_soc seed ~cores =
       max_chain_length = 50;
     }
 
-(* A representative document exercising every optional field. *)
+let has_sub s sub =
+  let n = String.length sub in
+  let ok = ref false in
+  for i = 0 to String.length s - n do
+    if String.sub s i n = sub then ok := true
+  done;
+  !ok
+
+(* -- fixtures from real engine runs ---------------------------------------- *)
+
+(* The engines own their token bodies, so every fixture is a token an
+   engine wrote: a run stopped by [cancel] after [k] boundary polls (a
+   never-reached budget turns slicing on), or by a slice limit. *)
+let cancel_after k =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    !calls > k
+
+let token_of = function
+  | Oc.Complete -> Alcotest.fail "the run completed before its interrupt"
+  | Oc.Budget_exhausted t | Oc.Interrupted t -> t
+
+let table = lazy (Tt.build (small_soc 7L ~cores:5) ~max_width:12)
+
+let sliced ?(k = 4) cfg =
+  cfg |> Rc.with_soc_name "small" |> Rc.with_checkpoint_every 3
+  |> Rc.with_time_budget 3600.
+  |> Rc.with_stats (Obs.create ())
+  |> Rc.with_cancel (cancel_after k)
+
+(* Mid-plan: finished TAM counts, a partial cursor, pending ones. *)
 let pe_doc =
-  {
-    Cp.soc = Some "d695";
-    counters =
-      [ ("core_assign/assignments_tried", 120); ("partition/enumerated", 42) ];
-    state =
-      Cp.Partition_evaluate
-        {
-          Cp.pe_total_width = 12;
-          pe_carry_tau = true;
-          pe_initial = Some 99_000;
-          pe_tau = 42_645;
-          pe_best =
-            Some
-              {
-                Cp.ba_widths = [| 3; 4; 5 |];
-                ba_time = 42_645;
-                ba_assignment = [| 0; 1; 2; 0; 1 |];
-              };
-          pe_done =
-            [
-              {
-                Cp.bc_tams = 1;
-                bc_next_rank = 1;
-                bc_enumerated = 1;
-                bc_completed = 1;
-                bc_pruned = 0;
-                bc_best_time = Some 50_000;
-              };
-            ];
-          pe_cursor =
-            Some
-              {
-                Cp.bc_tams = 2;
-                bc_next_rank = 4;
-                bc_enumerated = 4;
-                bc_completed = 3;
-                bc_pruned = 1;
-                bc_best_time = None;
-              };
-          pe_pending = [ 3; 4 ];
-        };
-  }
+  lazy
+    (token_of
+       (Pe.run_with
+          (sliced (Rc.default |> Rc.with_max_tams 4))
+          ~table:(Lazy.force table) ~total_width:12)
+         .Pe.outcome)
 
 let ex_doc =
-  {
-    Cp.soc = None;
-    counters = [ ("exhaustive/nodes", 11) ];
-    state =
-      Cp.Exhaustive
-        {
-          Cp.ex_total_width = 20;
-          ex_tams = 4;
-          ex_method = "bb";
-          ex_next_rank = 33;
-          ex_best =
-            Some
-              {
-                Cp.eb_time = 34_544;
-                eb_rank = 7;
-                eb_widths = [| 1; 1; 2; 16 |];
-                eb_assignment = [| 3; 3; 0; 1; 2 |];
-              };
-          ex_solved = 33;
-          ex_nodes = 812;
-        };
-  }
+  lazy
+    (token_of
+       (Ex.run_with (sliced ~k:2 Rc.default) ~table:(Lazy.force table)
+          ~total_width:12 ~tams:3)
+         .Ex.outcome)
 
+(* Truncated inside its first width: carries that width's [pe] token. *)
 let sw_doc =
-  {
-    Cp.soc = Some "p93791";
-    counters = [];
-    state =
-      Cp.Sweep
-        {
-          Cp.sw_max_tams = 10;
-          sw_points =
-            [
-              {
-                Cp.sp_width = 16;
-                sp_tams = 2;
-                sp_widths = [| 6; 10 |];
-                sp_time = 5_906_405;
-                sp_lower_bound = 5_639_918;
-                sp_gap_pct = 4.73;
-                sp_saturated = false;
-              };
-            ];
-          sw_pending = [ 24; 32 ];
-          (* The interrupted width's own token rides inside the sweep
-             document, like race slot tokens. *)
-          sw_inner = Some pe_doc;
-        };
-  }
+  lazy
+    (token_of
+       (Sw.run_with
+          (Rc.default |> Rc.with_max_tams 3 |> Rc.with_slice_limit 1)
+          (small_soc 5L ~cores:4) ~widths:[ 6; 8; 10 ])
+         .Sw.outcome)
+
+let anneal_params =
+  { An.default_params with An.iterations = 2_000; cooling = 0.995 }
 
 let an_doc =
-  {
-    Cp.soc = Some "d695";
-    counters = [ ("anneal/proposed", 900); ("anneal/accepted", 412) ];
-    state =
-      Cp.Anneal
-        {
-          Cp.an_total_width = 12;
-          an_max_tams = 4;
-          an_iterations = 5_000;
-          an_next_iteration = 900;
-          an_seed = 7L;
-          an_rng = 0x9E3779B97F4A7C15L;
-          (* Deliberately awkward floats: raw-bits serialization must
-             carry them exactly (decimal rendering would not). *)
-          an_temperature = 0.1 +. 0.2;
-          an_initial_temperature = 1000.;
-          an_cooling = 0.995;
-          an_tams = 3;
-          an_widths = [| 3; 4; 5; 0 |];
-          an_assignment = [| 0; 1; 2; 0; 1 |];
-          an_best =
-            Some
-              {
-                Cp.ba_widths = [| 3; 4; 5 |];
-                ba_time = 44_000;
-                ba_assignment = [| 0; 1; 2; 0; 1 |];
-              };
-          an_accepted = 412;
-          an_proposed = 900;
-        };
-  }
+  lazy
+    (token_of
+       (An.run_with ~params:anneal_params
+          (sliced (Rc.default |> Rc.with_max_tams 4))
+          ~table:(Lazy.force table) ~total_width:12)
+         .An.outcome)
 
 (* A race document embedding full engine tokens: restoring the race is
    restoring every engine at once. *)
 let race_doc =
-  {
-    Cp.soc = Some "d695";
-    counters = [ ("race/slices", 5) ];
-    state =
-      Cp.Race
-        {
-          Cp.ra_total_width = 12;
-          ra_tams = None;
-          ra_max_tams = 10;
-          ra_initial = None;
-          ra_tau = 42_645;
-          ra_best =
-            Some
-              {
-                Cp.ba_widths = [| 3; 4; 5 |];
-                ba_time = 42_645;
-                ba_assignment = [| 0; 1; 2; 0; 1 |];
-              };
-          ra_winner = Some "pe";
-          ra_rounds = 2;
-          ra_slices = 5;
-          ra_imports = 3;
-          ra_exports = 2;
-          ra_slots =
-            [
-              {
-                Cp.rs_engine = "pe";
-                rs_done = false;
-                rs_proved = false;
-                rs_improvements = 2;
-                rs_slices = 3;
-                rs_token = Some pe_doc;
-              };
-              {
-                Cp.rs_engine = "anneal";
-                rs_done = false;
-                rs_proved = false;
-                rs_improvements = 0;
-                rs_slices = 2;
-                rs_token = Some an_doc;
-              };
-            ];
-        };
-  }
+  lazy
+    (token_of
+       (Runners.race_run ~max_tams:4 ~checkpoint_every:3 ~slice_limit:3
+          ~engines:(Runners.engines [ "pe"; "anneal" ])
+          ~table:(Lazy.force table) ~total_width:12 ())
+         .Soctam_race.Race.outcome)
+
+(* A copy of [doc] whose engine body went through [f]. The copy is a
+   valid envelope (the checksum is computed on rendering); only the
+   owning engine can tell a broken body. *)
+let with_body doc f =
+  match doc.Cp.state with
+  | Cp.Token { engine; body } ->
+      { doc with Cp.state = Cp.Token { engine; body = f body } }
+  | Cp.Race _ -> Alcotest.fail "not a leaf token"
+
+let set_field name value = function
+  | Json.Obj members ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = name then (k, value) else (k, v))
+           members)
+  | _ -> Alcotest.fail "not a JSON object"
+
+let rejected_with ~msg ~mentions f =
+  match f () with
+  | exception Invalid_argument m ->
+      if not (has_sub m mentions) then
+        Alcotest.failf "%s: rejected for the wrong reason: %s" msg m
+  | _ -> Alcotest.failf "%s: accepted" msg
 
 (* -- document round-trip --------------------------------------------------- *)
 
 let round_trip doc () =
+  let doc = Lazy.force doc in
   match Cp.of_string (Cp.to_string doc) with
   | Error msg -> Alcotest.failf "round-trip rejected: %s" msg
   | Ok doc' ->
@@ -217,169 +146,215 @@ let round_trip doc () =
         "canonical rendering survives" (Cp.to_string doc) (Cp.to_string doc')
 
 let describe_mentions_solver () =
+  let describe doc = Cp.describe (Lazy.force doc) in
   Alcotest.(check bool)
-    "partition_evaluate" true
-    (String.length (Cp.describe pe_doc) > 0);
-  let has_sub s sub =
-    let n = String.length sub in
-    let ok = ref false in
-    for i = 0 to String.length s - n do
-      if String.sub s i n = sub then ok := true
-    done;
-    !ok
-  in
+    "pe describe names the engine and the SOC" true
+    (has_sub (describe pe_doc) "pe" && has_sub (describe pe_doc) "small");
   Alcotest.(check bool)
     "exhaustive describe names the solver" true
-    (has_sub (Cp.describe ex_doc) "exhaustive");
+    (has_sub (describe ex_doc) "exhaustive");
   Alcotest.(check bool)
     "sweep describe names the solver" true
-    (has_sub (Cp.describe sw_doc) "sweep");
+    (has_sub (describe sw_doc) "sweep");
   Alcotest.(check bool)
     "anneal describe names the solver" true
-    (has_sub (Cp.describe an_doc) "anneal");
+    (has_sub (describe an_doc) "anneal");
   Alcotest.(check bool)
     "race describe names the portfolio" true
-    (has_sub (Cp.describe race_doc) "race"
-    && has_sub (Cp.describe race_doc) "pe")
+    (has_sub (describe race_doc) "race" && has_sub (describe race_doc) "pe")
 
+(* A behaviour pin for the annealer's raw-bits codec: the rng word and
+   the temperature schedule must survive serialization exactly, or the
+   resumed walk leaves the interrupted trajectory and ends elsewhere. *)
 let anneal_bits_exact () =
-  (* The rng word and the temperature schedule must survive as raw
-     bits, not as decimal renderings. *)
-  match Cp.of_string (Cp.to_string an_doc) with
-  | Error msg -> Alcotest.failf "anneal round-trip rejected: %s" msg
-  | Ok { Cp.state = Cp.Anneal s; _ } ->
-      Alcotest.(check int64) "rng word" 0x9E3779B97F4A7C15L s.Cp.an_rng;
-      Alcotest.(check bool)
-        "temperature bit-exact" true
-        (Int64.equal
-           (Int64.bits_of_float (0.1 +. 0.2))
-           (Int64.bits_of_float s.Cp.an_temperature))
-  | Ok _ -> Alcotest.fail "anneal state did not survive"
+  let table = Lazy.force table in
+  let base = Rc.default |> Rc.with_max_tams 4 |> Rc.with_checkpoint_every 7 in
+  let straight =
+    An.run_with ~params:anneal_params base ~table ~total_width:12
+  in
+  List.iter
+    (fun k ->
+      let interrupted =
+        An.run_with ~params:anneal_params
+          (base |> Rc.with_time_budget 3600. |> Rc.with_cancel (cancel_after k))
+          ~table ~total_width:12
+      in
+      let token =
+        match Cp.of_string (Cp.to_string (token_of interrupted.An.outcome)) with
+        | Ok t -> t
+        | Error msg -> Alcotest.failf "anneal token did not round-trip: %s" msg
+      in
+      let resumed =
+        An.run_with ~params:anneal_params (Rc.with_resume token base) ~table
+          ~total_width:12
+      in
+      let msg = Printf.sprintf "resume at boundary %d" k in
+      Alcotest.(check (array int))
+        (msg ^ ": widths") straight.An.widths resumed.An.widths;
+      Alcotest.(check (array int))
+        (msg ^ ": assignment") straight.An.assignment resumed.An.assignment;
+      Alcotest.(check int) (msg ^ ": time") straight.An.time resumed.An.time;
+      Alcotest.(check int)
+        (msg ^ ": accepted") straight.An.accepted resumed.An.accepted;
+      Alcotest.(check int)
+        (msg ^ ": proposed") straight.An.proposed resumed.An.proposed)
+    [ 1; 17; 140 ]
 
 let race_tokens_embedded () =
   (* The embedded engine tokens are complete documents: restoring the
      race restores every engine. *)
-  match Cp.of_string (Cp.to_string race_doc) with
+  let doc = Lazy.force race_doc in
+  let slot_tokens = function
+    | { Cp.state = Cp.Race s; _ } ->
+        List.map
+          (fun sl -> Option.map Cp.to_string sl.Cp.rs_token)
+          s.Cp.ra_slots
+    | _ -> Alcotest.fail "not a race token"
+  in
+  match Cp.of_string (Cp.to_string doc) with
   | Error msg -> Alcotest.failf "race round-trip rejected: %s" msg
-  | Ok { Cp.state = Cp.Race s; _ } -> (
-      match List.map (fun sl -> sl.Cp.rs_token) s.Cp.ra_slots with
-      | [ Some pe_token; Some an_token ] ->
-          Alcotest.(check string)
-            "pe token survives" (Cp.to_string pe_doc) (Cp.to_string pe_token);
-          Alcotest.(check string)
-            "anneal token survives" (Cp.to_string an_doc)
-            (Cp.to_string an_token)
+  | Ok doc' -> (
+      match slot_tokens doc' with
+      | [ Some _; Some _ ] as tokens ->
+          Alcotest.(check (list (option string)))
+            "pe and anneal tokens survive" (slot_tokens doc) tokens
       | _ -> Alcotest.fail "race slots lost their tokens")
-  | Ok _ -> Alcotest.fail "race state did not survive"
 
 let race_slice_total_rejected () =
   (* ra_slices must equal the slot sum; construction is unchecked, the
      strict reader must catch it. *)
+  let doc = Lazy.force race_doc in
   let bad =
-    match race_doc.Cp.state with
-    | Cp.Race s -> { race_doc with Cp.state = Cp.Race { s with Cp.ra_slices = 99 } }
+    match doc.Cp.state with
+    | Cp.Race s -> { doc with Cp.state = Cp.Race { s with Cp.ra_slices = 99 } }
     | _ -> assert false
   in
   match Cp.of_string (Cp.to_string bad) with
   | Ok _ -> Alcotest.fail "broken race slice total accepted"
   | Error _ -> ()
 
-let sweep_token_embedded () =
-  (* The interrupted width's token is a complete document, like race
-     slot tokens: restoring the sweep restores the width mid-search. *)
-  match Cp.of_string (Cp.to_string sw_doc) with
-  | Error msg -> Alcotest.failf "sweep round-trip rejected: %s" msg
-  | Ok { Cp.state = Cp.Sweep { Cp.sw_inner = Some token; _ }; _ } ->
-      Alcotest.(check string)
-        "inner token survives" (Cp.to_string pe_doc) (Cp.to_string token)
-  | Ok _ -> Alcotest.fail "sweep lost its inner token"
+let inner_token doc =
+  match (Lazy.force doc).Cp.state with
+  | Cp.Token { body; _ } -> Json.member "inner" body
+  | Cp.Race _ -> None
 
+let sweep_token_embedded () =
+  (* The interrupted width's token is a complete [pe] document, like
+     race slot tokens: restoring the sweep restores the width
+     mid-search. *)
+  match Cp.of_string (Cp.to_string (Lazy.force sw_doc)) with
+  | Error msg -> Alcotest.failf "sweep round-trip rejected: %s" msg
+  | Ok doc -> (
+      match Option.map Cp.of_json (inner_token (lazy doc)) with
+      | Some (Ok ({ Cp.state = Cp.Token { engine = "pe"; _ }; _ } as inner)) ->
+          Alcotest.(check (option string))
+            "inner token survives"
+            (Option.map Json.to_string (inner_token sw_doc))
+            (Some (Json.to_string (Cp.to_json inner)))
+      | Some (Ok _) -> Alcotest.fail "sweep inner token is not a pe token"
+      | Some (Error msg) -> Alcotest.failf "sweep inner token: %s" msg
+      | None -> Alcotest.fail "sweep lost its inner token")
+
+(* Rejected by the sweep's own decoder when the sweep resumes — the
+   envelope alone is valid. *)
 let sweep_token_invariants_rejected () =
-  let with_sweep f =
-    match sw_doc.Cp.state with
-    | Cp.Sweep s -> { sw_doc with Cp.state = Cp.Sweep (f s) }
-    | _ -> assert false
+  let doc = Lazy.force sw_doc in
+  let resume bad () =
+    (match Cp.of_string (Cp.to_string bad) with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "envelope rejected: %s" msg);
+    Sw.run_with
+      (Rc.default |> Rc.with_max_tams 3 |> Rc.with_resume bad)
+      (small_soc 5L ~cores:4) ~widths:[ 6; 8; 10 ]
   in
   (* An inner token makes no sense once every width completed. *)
-  let orphan = with_sweep (fun s -> { s with Cp.sw_pending = [] }) in
-  (match Cp.of_string (Cp.to_string orphan) with
-  | Ok _ -> Alcotest.fail "inner token without a pending width accepted"
-  | Error _ -> ());
-  (* Sweeps must not nest: the inner token belongs to a per-width
-     solver. *)
-  let nested = with_sweep (fun s -> { s with Cp.sw_inner = Some sw_doc }) in
-  match Cp.of_string (Cp.to_string nested) with
-  | Ok _ -> Alcotest.fail "nested sweep token accepted"
-  | Error _ -> ()
+  rejected_with ~msg:"inner token without a pending width"
+    ~mentions:"without a pending width"
+    (resume (with_body doc (set_field "pending" (Json.List []))));
+  (* Sweeps must not nest: the inner token belongs to the per-width
+     [pe] search. *)
+  rejected_with ~msg:"nested sweep token" ~mentions:"different solver (sweep)"
+    (resume (with_body doc (set_field "inner" (Cp.to_json doc))))
 
 (* -- strict rejection ------------------------------------------------------ *)
 
-let patch_top json ~field ~value =
-  match json with
-  | Soctam_util.Json.Obj members ->
-      Soctam_util.Json.Obj
-        (List.map
-           (fun (k, v) -> if k = field then (k, value) else (k, v))
-           members)
-  | _ -> assert false
-
 let stale_version_rejected () =
   let json =
-    patch_top
-      (Cp.to_json pe_doc)
-      ~field:"version"
-      ~value:(Soctam_util.Json.Int (Cp.version + 1))
+    set_field "version"
+      (Json.Int (Cp.version + 1))
+      (Cp.to_json (Lazy.force pe_doc))
   in
   match Cp.of_json json with
   | Ok _ -> Alcotest.fail "stale version accepted"
   | Error _ -> ()
 
+(* A document written by the previous schema (version 1, with the
+   closed per-engine state variant) is refused by its version alone. *)
+let v1_document_rejected () =
+  let doc =
+    In_channel.with_open_bin
+      (Filename.concat "data" "checkpoint_v1.json")
+      In_channel.input_all
+  in
+  match Cp.of_string doc with
+  | Ok _ -> Alcotest.fail "version 1 document accepted"
+  | Error msg ->
+      Alcotest.(check bool)
+        ("version error: " ^ msg) true
+        (has_sub msg "version 1 is not supported")
+
 let checksum_mismatch_rejected () =
   let json =
-    patch_top
-      (Cp.to_json pe_doc)
-      ~field:"checksum"
-      ~value:(Soctam_util.Json.String "0000000000000000")
+    set_field "checksum"
+      (Json.String "0000000000000000")
+      (Cp.to_json (Lazy.force pe_doc))
   in
   match Cp.of_json json with
   | Ok _ -> Alcotest.fail "bad checksum accepted"
   | Error _ -> ()
 
 let cursor_invariant_rejected () =
-  (* completed + pruned <> enumerated: construction is unchecked, the
-     strict reader must catch it. *)
-  let bad =
-    {
-      pe_doc with
-      Cp.state =
-        Cp.Partition_evaluate
-          {
-            Cp.pe_total_width = 12;
-            pe_carry_tau = true;
-            pe_initial = None;
-            pe_tau = max_int;
-            pe_best = None;
-            pe_done = [];
-            pe_cursor =
-              Some
-                {
-                  Cp.bc_tams = 2;
-                  bc_next_rank = 4;
-                  bc_enumerated = 4;
-                  bc_completed = 3;
-                  bc_pruned = 2;
-                  bc_best_time = None;
-                };
-            pe_pending = [];
-          };
-    }
+  (* completed + pruned <> enumerated: the envelope carries the body
+     unread, the pe decoder must catch it when the run resumes. *)
+  let cursor =
+    Json.Obj
+      [
+        ("tams", Json.Int 2);
+        ("next_rank", Json.Int 4);
+        ("enumerated", Json.Int 4);
+        ("completed", Json.Int 3);
+        ("pruned", Json.Int 2);
+        ("best_time", Json.Null);
+      ]
   in
-  match Cp.of_string (Cp.to_string bad) with
-  | Ok _ -> Alcotest.fail "broken cursor invariant accepted"
-  | Error _ -> ()
+  let bad =
+    with_body (Lazy.force pe_doc) (fun _ ->
+        Json.Obj
+          [
+            ("total_width", Json.Int 12);
+            ("carry_tau", Json.Bool true);
+            ("initial", Json.Null);
+            ("tau", Json.Int max_int);
+            ("best", Json.Null);
+            ("done", Json.List []);
+            ("cursor", cursor);
+            ("pending", Json.List []);
+          ])
+  in
+  (match Cp.of_string (Cp.to_string bad) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "envelope rejected: %s" msg);
+  let mentions = "breaks enumerated = pruned + evaluated" in
+  rejected_with ~msg:"broken cursor invariant" ~mentions (fun () ->
+      Pe.run_with
+        (Rc.default |> Rc.with_soc_name "small" |> Rc.with_tams 2
+       |> Rc.with_resume bad)
+        ~table:(Lazy.force table) ~total_width:12);
+  rejected_with ~msg:"broken cursor invariant in a slot token" ~mentions
+    (fun () -> Soctam_core.Engine.check_token Soctam_core.Engine.pe bad)
 
 let truncation_rejected () =
-  let doc = Cp.to_string ex_doc in
+  let doc = Cp.to_string (Lazy.force ex_doc) in
   for len = 0 to String.length doc - 1 do
     match Cp.of_string (String.sub doc 0 len) with
     | Ok _ -> Alcotest.failf "truncated document of %d bytes accepted" len
@@ -387,18 +362,20 @@ let truncation_rejected () =
   done
 
 let corruption_fuzz =
-  let doc = Cp.to_string pe_doc in
+  let doc = lazy (Cp.to_string (Lazy.force pe_doc)) in
   QCheck.Test.make ~name:"checkpoint: corrupted bytes never crash the reader"
     ~count:500
-    QCheck.(pair (int_range 0 (String.length doc - 1)) (int_range 0 255))
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 255))
     (fun (pos, byte) ->
+      let doc = Lazy.force doc in
       let corrupted = Bytes.of_string doc in
-      Bytes.set corrupted pos (Char.chr byte);
+      Bytes.set corrupted (pos mod String.length doc) (Char.chr byte);
       match Cp.of_string (Bytes.to_string corrupted) with
       | Ok doc' ->
           (* Only acceptable when the corruption was lexically
              insignificant (e.g. whitespace-for-whitespace): the parsed
-             document must still be the original. *)
+             document must still be the original. The checksum covers
+             the whole body, engine state included. *)
           Cp.to_string doc' = doc
       | Error _ -> true)
 
@@ -408,6 +385,7 @@ let load_missing_file () =
   | Error _ -> ()
 
 let save_load_round_trip () =
+  let sw_doc = Lazy.force sw_doc in
   let path = Filename.temp_file "soctam_ckpt" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -431,10 +409,11 @@ let outcome_basics () =
   Alcotest.(check bool) "complete" true (Oc.is_complete Oc.Complete);
   Alcotest.(check bool)
     "interrupted" false
-    (Oc.is_complete (Oc.Interrupted pe_doc));
+    (Oc.is_complete (Oc.Interrupted (Lazy.force pe_doc)));
   (match Oc.resume_token Oc.Complete with
   | None -> ()
   | Some _ -> Alcotest.fail "complete carries a token");
+  let ex_doc = Lazy.force ex_doc in
   match Oc.resume_token (Oc.Budget_exhausted ex_doc) with
   | Some t ->
       Alcotest.(check string)
@@ -647,27 +626,22 @@ let mismatched_resume_rejected () =
     | Some t -> t
     | None -> Alcotest.fail "no token"
   in
-  let invalid f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | (_ : Pe.result) -> Alcotest.fail "mismatched resume accepted"
-  in
-  (* Different width, different TAM plan, different solver. *)
-  invalid (fun () ->
+  (* Different width and TAM plan: the pe engine's own checks. A
+     different solver: the tag check shared by every engine. *)
+  rejected_with ~msg:"different width" ~mentions:"different total width"
+    (fun () ->
       Pe.run_with
         (Rc.default |> Rc.with_max_tams 3 |> Rc.with_resume token)
         ~table ~total_width:9);
-  invalid (fun () ->
+  rejected_with ~msg:"different TAM plan" ~mentions:"TAM plan" (fun () ->
       Pe.run_with
         (Rc.default |> Rc.with_max_tams 4 |> Rc.with_resume token)
         ~table ~total_width:10);
-  match
-    Ex.run_with
-      (Rc.default |> Rc.with_resume token)
-      ~table ~total_width:10 ~tams:3
-  with
-  | exception Invalid_argument _ -> ()
-  | (_ : Ex.result) -> Alcotest.fail "wrong-solver resume accepted"
+  rejected_with ~msg:"wrong-solver resume" ~mentions:"different solver (pe)"
+    (fun () ->
+      Ex.run_with
+        (Rc.default |> Rc.with_resume token)
+        ~table ~total_width:10 ~tams:3)
 
 let checkpoint_file_lifecycle () =
   let soc = small_soc 13L ~cores:4 in
@@ -836,10 +810,18 @@ let sweep_midwidth_resume_agrees () =
         "truncated inside the first width" 0
         (List.length interrupted.Sw.points);
       (match token.Cp.state with
-      | Cp.Sweep { Cp.sw_inner = Some _; sw_pending; _ } ->
-          Alcotest.(check (list int)) "every width still pending" widths
-            sw_pending
-      | Cp.Sweep _ -> Alcotest.fail "sweep token lost the mid-width token"
+      | Cp.Token { engine = "sweep"; body } -> (
+          (match Json.member "inner" body with
+          | None | Some Json.Null ->
+              Alcotest.fail "sweep token lost the mid-width token"
+          | Some _ -> ());
+          match Option.bind (Json.member "pending" body) Json.to_list with
+          | Some pending ->
+              Alcotest.(check (list (option int)))
+                "every width still pending"
+                (List.map Option.some widths)
+                (List.map Json.to_int pending)
+          | None -> Alcotest.fail "sweep token has no pending widths")
       | _ -> Alcotest.fail "not a sweep token");
       (* The token must survive serialization, as it would on disk. *)
       let token =
@@ -886,6 +868,7 @@ let suite =
     test "checkpoint: sweep token invariants rejected"
       sweep_token_invariants_rejected;
     test "checkpoint: stale version rejected" stale_version_rejected;
+    test "checkpoint: version 1 document rejected" v1_document_rejected;
     test "checkpoint: checksum mismatch rejected" checksum_mismatch_rejected;
     test "checkpoint: cursor invariant rejected" cursor_invariant_rejected;
     test "checkpoint: every truncation rejected" truncation_rejected;

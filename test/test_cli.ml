@@ -231,8 +231,8 @@ let read_file path =
   s
 
 let stats_counter json name =
-  Option.bind (Soctam_report.Json.member "counters" json) (fun c ->
-      Option.bind (Soctam_report.Json.member name c) Soctam_report.Json.to_int)
+  Option.bind (Soctam_util.Json.member "counters" json) (fun c ->
+      Option.bind (Soctam_util.Json.member name c) Soctam_util.Json.to_int)
 
 let optimize_stats_flag () =
   (* --stats=FILE at -j 4: the file must hold valid stats JSON whose
@@ -242,12 +242,12 @@ let optimize_stats_flag () =
   check_output
     [ "optimize"; "d695"; "-w"; "16"; "-j"; "4"; "--stats=" ^ path ]
     [ "final time"; "stats:" ];
-  (match Soctam_report.Json.parse (read_file path) with
+  (match Soctam_util.Json.parse (read_file path) with
   | Error msg -> Alcotest.failf "stats json does not parse: %s" msg
   | Ok json ->
       Alcotest.(check (option int)) "version" (Some 1)
-        (Option.bind (Soctam_report.Json.member "version" json)
-           Soctam_report.Json.to_int);
+        (Option.bind (Soctam_util.Json.member "version" json)
+           Soctam_util.Json.to_int);
       let c name =
         match stats_counter json name with
         | Some v -> v
@@ -320,6 +320,20 @@ let resume_garbage_rejected () =
     "names the failure" true
     (contains out "cannot resume")
 
+(* A checkpoint written by the previous schema (version 1) is refused
+   cleanly by the CLI before any work. *)
+let resume_v1_rejected () =
+  let code, out =
+    run
+      [
+        "exhaustive"; "d695"; "-w"; "16"; "-b"; "2"; "--resume";
+        Filename.concat "data" "checkpoint_v1.json";
+      ]
+  in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool) "cannot resume" true (contains out "cannot resume");
+  Alcotest.(check bool) "names the version" true (contains out "version 1")
+
 let suite =
   [
     test "info" info;
@@ -351,4 +365,5 @@ let suite =
     test "exhaustive: checkpoint + resume roundtrip"
       exhaustive_checkpoint_resume;
     test "resume: garbage checkpoint rejected" resume_garbage_rejected;
+    test "resume: version 1 checkpoint rejected" resume_v1_rejected;
   ]

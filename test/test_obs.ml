@@ -5,7 +5,7 @@
    rendering round-tripping through the shared parser. *)
 
 module Obs = Soctam_obs.Obs
-module Json = Soctam_report.Json
+module Json = Soctam_util.Json
 module Stats_json = Soctam_report.Stats_json
 module Pe = Soctam_core.Partition_evaluate
 

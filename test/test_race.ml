@@ -4,6 +4,8 @@
    golden, and first-proof early termination. *)
 
 module Cp = Soctam_core.Checkpoint
+module Rc = Soctam_core.Run_config
+module Json = Soctam_util.Json
 module Oc = Soctam_core.Outcome
 module Tt = Soctam_core.Time_table
 module Obs = Soctam_obs.Obs
@@ -252,6 +254,90 @@ let bad_portfolios_rejected () =
         "error names the unknown engine" true
         (String.length msg > 0)
 
+(* -- slot tokens ----------------------------------------------------------- *)
+
+(* A slot body that breaks its engine's invariant, inside a race
+   document whose envelope is valid (re-checksummed on rendering), is
+   rejected when the race is restored: before the first grant polls
+   [cancel], and before anything rewrites the checkpoint file. *)
+let bad_slot_body_rejected () =
+  let total_width = 12 in
+  let table = Tt.build d695 ~max_width:total_width in
+  let engines = Runners.engines [ "pe"; "pack"; "anneal" ] in
+  let token =
+    match
+      (Runners.race_run ~max_tams:3 ~checkpoint_every:2 ~slice_limit:3
+         ~engines ~table ~total_width ())
+        .Race.outcome
+    with
+    | Oc.Budget_exhausted t -> t
+    | _ -> Alcotest.fail "a 3-grant limit did not truncate the race"
+  in
+  (* [token] with the [field] of [engine]'s slot body mapped by [f]. *)
+  let break_slot engine field f =
+    let patch_body = function
+      | Json.Obj members ->
+          Json.Obj
+            (List.map
+               (fun (k, v) ->
+                 match v with
+                 | Json.Int n when k = field -> (k, Json.Int (f n))
+                 | _ -> (k, v))
+               members)
+      | _ -> Alcotest.failf "%s slot body is not an object" engine
+    in
+    let patch (sl : Cp.race_slot) =
+      match sl.Cp.rs_token with
+      | Some ({ Cp.state = Cp.Token { engine = e; body }; _ } as t)
+        when sl.Cp.rs_engine = engine ->
+          let state = Cp.Token { engine = e; body = patch_body body } in
+          { sl with Cp.rs_token = Some { t with Cp.state } }
+      | _ -> sl
+    in
+    match token.Cp.state with
+    | Cp.Race r ->
+        let ra_slots = List.map patch r.Cp.ra_slots in
+        { token with Cp.state = Cp.Race { r with Cp.ra_slots } }
+    | Cp.Token _ -> Alcotest.fail "not a race token"
+  in
+  List.iter
+    (fun (what, bad) ->
+      let path = Filename.temp_file "race_ckpt" ".json" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          (match Cp.save path bad with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "save failed: %s" msg);
+          let before = In_channel.with_open_bin path In_channel.input_all in
+          let bad =
+            match Cp.load path with
+            | Ok t -> t
+            | Error msg -> Alcotest.failf "%s: envelope rejected: %s" what msg
+          in
+          let polled = ref false in
+          let cfg =
+            Runners.cfg ~max_tams:3 ()
+            |> Rc.with_checkpoint_every 2 |> Rc.with_checkpoint path
+            |> Rc.with_resume bad
+            |> Rc.with_cancel (fun () ->
+                   polled := true;
+                   false)
+          in
+          (match Race.run cfg ~engines ~table ~total_width with
+          | exception Invalid_argument _ -> ()
+          | (_ : Race.result) -> Alcotest.failf "%s: race resumed" what);
+          Alcotest.(check bool) (what ^ ": no grant ran") false !polled;
+          Alcotest.(check string)
+            (what ^ ": checkpoint file untouched") before
+            (In_channel.with_open_bin path In_channel.input_all)))
+    [
+      ("anneal accepted > proposed",
+       break_slot "anneal" "accepted" (fun n -> n + 1_000_000));
+      ("pack candidates <> pruned + evaluated",
+       break_slot "pack" "pruned" (fun n -> n + 1));
+    ]
+
 let suite =
   [
     test "race: kill and resume at every slice boundary" resume_every_boundary;
@@ -262,4 +348,6 @@ let suite =
     test "race: a tie import cannot starve the pe polish"
       tie_import_keeps_polish;
     test "race: invalid portfolios rejected" bad_portfolios_rejected;
+    test "race: a bad slot body is rejected before the first grant"
+      bad_slot_body_rejected;
   ]
