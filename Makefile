@@ -71,13 +71,12 @@ lint: build static-analysis
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-# Source-level determinism & domain-safety analysis: the syntactic
-# families (DET-POLY, DET-ENTROPY, DOM-SHARED, IFACE)
-# plus the Typedtree families (DOM-ESCAPE, LOCK-RAISE, ALLOC-HOT and
-# the effect-inference families EFFECT-WORKER, OUTCOME-DROP,
-# ENGINE-CAPS, TAU-DISCIPLINE) over lib/, bin/, bench/ and examples/,
-# gated by analysis.baseline. The @lint-src alias builds @check first
-# so every file has a .cmt and the typed pass covers the whole tree.
+# Source-level determinism & domain-safety analysis: one Typedtree pass
+# (DET-POLY, DET-ENTROPY, DOM-SHARED, DOM-ESCAPE, LOCK-RAISE, ALLOC-HOT
+# and the effect-inference families EFFECT-WORKER, OUTCOME-DROP,
+# ENGINE-CAPS, TAU-DISCIPLINE) plus the IFACE file-set check over lib/,
+# bin/, bench/ and examples/, gated by analysis.baseline. The @lint-src
+# alias builds @check first, since a source without a .cmt is an error.
 # Fails on any non-baselined finding.
 static-analysis:
 	dune build @lint-src

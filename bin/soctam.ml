@@ -701,12 +701,11 @@ let lint_cmd spec json =
 (* -- analyze ------------------------------------------------------------- *)
 
 (* Source-level determinism & domain-safety analysis (DESIGN.md §13):
-   parse every .ml/.mli under lib/, bin/, bench/ and examples/ and
-   enforce the Soctam_analysis.Rule catalog; by default additionally run
-   the interprocedural Typedtree pass over the .cmt files of the last
-   build. Exit 0 only when every finding is fixed, [@soctam.allow]ed or
-   baselined. *)
-let analyze_cmd root baseline_path json sarif syntactic call_graph prune =
+   enforce the Soctam_analysis.Rule catalog over every .ml/.mli under
+   lib/, bin/, bench/ and examples/, walking the Typedtree of the .cmt
+   files of the last build. Exit 0 only when every finding is fixed,
+   [@soctam.allow]ed or baselined. *)
+let analyze_cmd root baseline_path json sarif call_graph prune =
   if not (Sys.file_exists (Filename.concat root "dune-project")) then begin
     Printf.eprintf
       "soctam: %s does not look like the repository root (no dune-project); \
@@ -734,26 +733,20 @@ let analyze_cmd root baseline_path json sarif syntactic call_graph prune =
         print_report ~json
           (Soctam_check.Report.make ~subject:"analyzer baseline" violations)
     | Ok baseline -> (
-        let mode =
-          if syntactic then Soctam_analysis.Analyze.Syntactic
-          else Soctam_analysis.Analyze.Typed
-        in
-        let result = Soctam_analysis.Analyze.tree ~baseline ~mode ~root () in
+        let result = Soctam_analysis.Analyze.tree ~baseline ~root () in
         prerr_endline (Soctam_analysis.Analyze.summary result);
-        (match (call_graph, result.Soctam_analysis.Analyze.graph) with
-        | Some path, Some graph ->
+        (match call_graph with
+        | Some path ->
             let oc = open_out_bin path in
             Fun.protect
               ~finally:(fun () -> close_out_noerr oc)
               (fun () ->
                 output_string oc
                   (Soctam_util.Json.to_string
-                     (Soctam_analysis.Typed.graph_json graph));
+                     (Soctam_analysis.Typed.graph_json
+                        result.Soctam_analysis.Analyze.graph));
                 output_char oc '\n')
-        | Some _, None ->
-            prerr_endline
-              "soctam: --call-graph needs the typed pass; drop --syntactic"
-        | None, _ -> ());
+        | None -> ());
         (match sarif with
         | None -> ()
         | Some path ->
@@ -1194,26 +1187,6 @@ let analyze_term =
              result per surviving finding and analyzer problem), for CI \
              diff annotation.")
   in
-  let syntactic =
-    Arg.(
-      value & flag
-      & info [ "syntactic" ]
-          ~doc:
-            "Run only the Parsetree rules (fast, needs no build). The \
-             default --typed mode additionally runs the interprocedural \
-             DOM-ESCAPE / LOCK-RAISE / ALLOC-HOT families and the \
-             effect-powered EFFECT-WORKER / OUTCOME-DROP / ENGINE-CAPS / \
-             TAU-DISCIPLINE families over the .cmt files of the last \
-             dune build.")
-  in
-  let typed =
-    Arg.(
-      value & flag
-      & info [ "typed" ]
-          ~doc:
-            "Run the Typedtree pass (the default; the flag exists so \
-             scripts can be explicit).")
-  in
   let call_graph =
     Arg.(
       value
@@ -1231,14 +1204,9 @@ let analyze_term =
             "Rewrite the baseline file in place, dropping entries that \
              match no current finding.")
   in
-  let pick_mode syntactic typed =
-    (* Typed is the default; with both flags the explicit --typed wins. *)
-    syntactic && not typed
-  in
   Term.(
-    const analyze_cmd $ root $ baseline $ json_flag $ sarif
-    $ (const pick_mode $ syntactic $ typed)
-    $ call_graph $ prune)
+    const analyze_cmd $ root $ baseline $ json_flag $ sarif $ call_graph
+    $ prune)
 
 let lint_term =
   let target =

@@ -3,6 +3,8 @@ open Parsetree
 let is_allow (attr : attribute) = attr.attr_name.txt = "soctam.allow"
 let is_hot (attr : attribute) = attr.attr_name.txt = "soctam.hot"
 
+(* The rule IDs named by an allow attribute's string-literal payload
+   (space- or comma-separated), or why the payload is malformed. *)
 let payload_rules (attr : attribute) =
   match attr.attr_payload with
   | PStr
@@ -36,34 +38,18 @@ let payload_rules (attr : attribute) =
 
 type span = { rule : Rule.id; first : int; last : int }
 
-let spans_of attrs (loc : Location.t) =
+let spans_of attrs ~first ~last =
   List.concat_map
     (fun attr ->
-      if not (is_allow attr) then []
-      else
-        match payload_rules attr with
-        | Error _ -> [] (* reported once by the Parsetree pass *)
-        | Ok rules ->
-            List.map
-              (fun rule ->
-                {
-                  rule;
-                  first = loc.loc_start.pos_lnum;
-                  last = loc.loc_end.pos_lnum;
-                })
-              rules)
+      match (is_allow attr, payload_rules attr) with
+      | true, Ok rules -> List.map (fun rule -> { rule; first; last }) rules
+      | _ -> [])
     attrs
 
-let file_spans_of attrs =
-  List.concat_map
-    (fun attr ->
-      if not (is_allow attr) then []
-      else
-        match payload_rules attr with
-        | Error _ -> []
-        | Ok rules ->
-            List.map (fun rule -> { rule; first = 1; last = max_int }) rules)
-    attrs
+let malformed attr =
+  match (is_allow attr, payload_rules attr) with
+  | true, Error why -> Some why
+  | _ -> None
 
 let covers spans (f : Finding.t) =
   List.exists

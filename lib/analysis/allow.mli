@@ -1,25 +1,21 @@
 (** The [\[@soctam.allow "RULE-ID"\]] / [\[@soctam.hot\]] attribute
-    machinery, shared by the Parsetree and Typedtree passes (Typedtree
-    attributes are Parsetree attributes, so one reader serves both). *)
+    machinery read by the Typedtree walk ({!Typed}); Typedtree attributes
+    are Parsetree attributes, so the readers take those. *)
 
-val is_allow : Parsetree.attribute -> bool
 val is_hot : Parsetree.attribute -> bool
-
-val payload_rules : Parsetree.attribute -> (Rule.id list, string) result
-(** The rule IDs named by an allow attribute's string-literal payload
-    (space- or comma-separated). [Error why] describes a malformed
-    payload; the Parsetree pass turns it into an analyzer error. *)
 
 type span = { rule : Rule.id; first : int; last : int }
 (** One suppression: [rule] is silenced on lines [first..last]. *)
 
-val spans_of : Parsetree.attributes -> Location.t -> span list
-(** Suppression spans contributed by [attrs] attached to a node at
-    [loc]. Malformed payloads contribute nothing here — they are
-    reported exactly once, by the Parsetree attribute visitor. *)
+val spans_of : Parsetree.attributes -> first:int -> last:int -> span list
+(** The suppression spans the allow attributes in [attrs] contribute to
+    lines [first..last] (a node's extent, or [1..max_int] for a floating
+    [\[@@@soctam.allow\]]). Malformed payloads contribute nothing. *)
 
-val file_spans_of : Parsetree.attributes -> span list
-(** Whole-file spans for floating [\[@@@soctam.allow\]] attributes. *)
+val malformed : Parsetree.attribute -> string option
+(** [Some why] for an allow attribute whose payload is not a string
+    literal, names no rule ID, or names an unknown one; the walk reports
+    each as an analyzer error. *)
 
 val covers : span list -> Finding.t -> bool
 (** Is the finding inside a span suppressing its rule? *)

@@ -1,13 +1,15 @@
-(** The compiler-libs source analyzer: parse [.ml] files into Parsetree
-    and walk them with [Ast_iterator], enforcing the {!Rule} catalog.
+(** Whole-repository source analysis: the Typedtree walk ({!Typed}) over
+    every compiled source, the IFACE file-set check, the baseline, and
+    the merged report.
 
-    Findings are purely syntactic (no typing pass), so each rule is a
-    conservative, documented approximation — see DESIGN.md §13 for what
-    every family does and does not catch. Suppression is scoped with
-    attributes: [\[@soctam.allow "RULE-ID"\]] on an expression or a
-    structure item silences that rule inside it, and a floating
-    [\[@@@soctam.allow "RULE-ID"\]] silences it for the whole file. A
-    suppression without a valid rule ID is itself an error. *)
+    Every rule but IFACE runs on the [.cmt] files of the last build, so
+    a source with no [.cmt] is an error: run [dune build @check] first.
+    DESIGN.md §13 documents what every family does and does not catch.
+    Suppression is scoped with attributes: [\[@soctam.allow "RULE-ID"\]]
+    on an expression or a structure item silences that rule inside it,
+    and a floating [\[@@@soctam.allow "RULE-ID"\]] silences it for the
+    whole file. A suppression without a valid rule ID is itself an
+    error. *)
 
 type finding = Finding.t = {
   rule : Rule.id;
@@ -16,67 +18,27 @@ type finding = Finding.t = {
   message : string;
 }
 
-type context = {
-  path : string;  (** path findings are reported under *)
-  solver_layer : bool;  (** DET-POLY applies *)
-  entropy_exempt : bool;  (** DET-ENTROPY is skipped *)
-  domain_reachable : bool;  (** DOM-SHARED applies *)
-}
-
-val context_for : ?domain_reachable:(string -> bool) -> string -> context
-(** Classify [path] with {!Source.solver_layer} / {!Source.entropy_exempt}
-    and the given reachability predicate (default: nothing reachable). *)
-
-type file_result = {
-  findings : finding list;  (** surviving (non-suppressed), by line *)
-  suppressed : int;  (** findings silenced by [\[@soctam.allow\]] *)
-  problems : Soctam_check.Violation.t list;
-      (** analyzer-level errors: parse failures, bad suppressions *)
-}
-
-val check_source : context -> string -> file_result
-(** Analyze one [.ml] source text. An [.mli] path yields an empty
-    result (interfaces carry no expressions; their rule is IFACE,
-    enforced by {!tree}). *)
-
-type mode =
-  | Syntactic  (** Parsetree rules only — the fast, cmt-free fallback *)
-  | Typed
-      (** Parsetree rules plus the interprocedural Typedtree families
-          (DOM-ESCAPE / LOCK-RAISE / ALLOC-HOT and the effect-powered
-          EFFECT-WORKER / OUTCOME-DROP / ENGINE-CAPS / TAU-DISCIPLINE)
-          for every file with a readable [.cmt]; the default *)
-
 type result = {
   report : Soctam_check.Report.t;
       (** the final merged report: every non-baselined finding as an
-          [Error], analyzer problems as [Error]s, stale baseline
-          entries as [Info]s *)
+          [Error], analyzer problems (missing [.cmt], malformed
+          suppressions) as [Error]s, stale baseline entries as [Info]s *)
   findings : finding list;  (** non-baselined findings, all files *)
   files : int;  (** sources analyzed (both [.ml] and [.mli]) *)
   suppressed : int;
   baselined : int;
-  typed_files : int;  (** sources the Typedtree pass covered *)
-  graph : Typed.graph option;  (** call graph, in [Typed] mode *)
+  typed_files : int;  (** [.ml] sources with a matching [.cmt] *)
+  graph : Typed.graph;
   stale : Baseline.entry list;
       (** baseline entries matching no finding — reported as [Info]s,
           and what [soctam analyze --prune-baseline] rewrites away *)
-  effect_seconds : float;
-      (** cost of the effect fixpoint and the families it powers;
-          [0.] in [Syntactic] mode *)
 }
 
-val tree : ?baseline:Baseline.t -> ?mode:mode -> root:string -> unit -> result
+val tree : ?baseline:Baseline.t -> root:string -> unit -> result
 (** Analyze the whole repository at [root]: every source under
-    {!Source.scan_dirs}, the IFACE pairing check over [lib/], and
-    DOM-SHARED reachability recovered from the committed dune files.
-    In [Typed] mode (the default) the Typedtree pass additionally runs
-    over every file with a [.cmt] under [root/_build/default] (or
-    [root] itself when analyzing from inside the build directory);
-    files without cmt data keep syntactic-only coverage and are
-    reported with an [Info] diagnostic naming the missing typed rule
-    families, so the analyzer degrades gracefully — and loudly — on an
-    unbuilt tree.
+    {!Source.scan_dirs}, the IFACE pairing check over [lib/], and the
+    Typedtree pass over every [.cmt] under [root/_build/default] (or
+    [root] itself when analyzing from inside the build directory).
     [baseline] (default {!Baseline.empty}) acknowledges findings by
     (rule, path); the run is clean when [Report.ok report]. *)
 

@@ -87,16 +87,23 @@ let io_call comps =
       Some ("Unix." ^ f)
   | _ -> None
 
-(* Entropy and wall-clock reads. [Soctam_util.Timer] is the sanctioned
-   wrapper (DET-ENTROPY exempts it) but still *is* a clock read, so it
-   contributes to the informational signature: the dump shows exactly
-   where time sensitivity enters the search. *)
-let entropy_call comps =
+(* Entropy and wall-clock reads outside the sanctioned wrappers: the
+   set DET-ENTROPY forbids outside [lib/util/prng] and [lib/util/timer]. *)
+let entropy_source comps =
   match comps with
   | "Random" :: _ :: _ -> Some "Random"
   | [ "Sys"; "time" ] -> Some "Sys.time"
-  | [ "Unix"; ("gettimeofday" | "time") ] -> Some "Unix clock"
-  | _ -> (
+  | [ "Unix"; (("gettimeofday" | "time") as f) ] -> Some ("Unix." ^ f)
+  | _ -> None
+
+(* [Soctam_util.Timer] is the sanctioned clock wrapper (DET-ENTROPY
+   exempts it) but still *is* a clock read, so it contributes to the
+   informational signature: the dump shows exactly where time
+   sensitivity enters the search. *)
+let entropy_call comps =
+  match entropy_source comps with
+  | Some _ as source -> source
+  | None -> (
       match List.rev comps with
       | ("now_ns" | "now_s" | "time" | "time_ms") :: "Timer" :: _ ->
           Some "Timer"

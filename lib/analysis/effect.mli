@@ -64,7 +64,15 @@ val raising_call : string list -> string option
     payload is the human-readable name (shared with LOCK-RAISE). *)
 
 val io_call : string list -> string option
+val entropy_source : string list -> string option
+(** [Random.*], [Sys.time], [Unix.gettimeofday] and [Unix.time]: the
+    entropy and wall-clock reads DET-ENTROPY forbids outside the
+    sanctioned wrappers. The payload names the source in messages. *)
+
 val entropy_call : string list -> string option
+(** {!entropy_source} plus the sanctioned [Timer] clock reads: the
+    [entropy] bit of the effect signature. *)
+
 val reading_call : string list -> bool
 
 val of_call : string list -> t

@@ -1,6 +1,6 @@
-(** One analyzer finding, shared by the Parsetree ({!Analyze}) and
-    Typedtree ({!Typed}) passes so both feed the same baseline,
-    suppression and report machinery. *)
+(** One analyzer finding, from the Typedtree pass ({!Typed}) or the
+    IFACE file-set check ({!Analyze}), so both feed the same baseline
+    and report machinery. *)
 
 type t = {
   rule : Rule.id;

@@ -28,25 +28,25 @@ type id =
   | Iface
       (** IFACE: every module under [lib/] has an [.mli]. *)
   | Dom_escape
-      (** DOM-ESCAPE (typed pass): a mutable value — [ref], mutable
+      (** DOM-ESCAPE: a mutable value — [ref], mutable
           record field, [Buffer.t], [Hashtbl.t], array — created outside
           a worker closure ([Pool.run] / [Pool.map_ranges] /
           [Domain.spawn] argument) but captured and mutated inside one,
           or mutated from a function the call graph shows is reachable
           from worker closures, without a guarding [Mutex] in scope. *)
   | Lock_raise
-      (** LOCK-RAISE (typed pass): between [Mutex.lock m] and
+      (** LOCK-RAISE: between [Mutex.lock m] and
           [Mutex.unlock m] without an intervening [Fun.protect] /
           [Mutex.protect], a [raise] / [failwith] / known-partial stdlib
           call may leave [m] locked forever; also two mutexes acquired
           in inconsistent order at different sites. *)
   | Alloc_hot
-      (** ALLOC-HOT (typed pass): an allocation form — closure, tuple,
+      (** ALLOC-HOT: an allocation form — closure, tuple,
           record, [Some _] / list cons, array or string building,
           boxed-float result — inside a function or loop annotated
           [\[@soctam.hot\]]. *)
   | Effect_worker
-      (** EFFECT-WORKER (typed pass, effect inference): a function with
+      (** EFFECT-WORKER (effect inference): a function with
           an inferred write effect on mutable state it did not create —
           a capture of an enclosing scope's value or a top-level binding
           — is reachable from a [Pool] / [Domain.spawn] worker closure
@@ -55,21 +55,21 @@ type id =
           is flagged wherever the call graph can carry a worker to it,
           not only when the binder itself hands closures to the pool. *)
   | Outcome_drop
-      (** OUTCOME-DROP (typed pass): a [match] / [function] case on
+      (** OUTCOME-DROP: a [match] / [function] case on
           [Outcome.t] whose [Budget_exhausted _] / [Interrupted _]
           payload — the resume checkpoint — is a wildcard, or an
           [Outcome.t] value dropped whole via [ignore] / [let _ = ...].
           The defining module itself (its accessors must destructure) is
           exempt. *)
   | Engine_caps
-      (** ENGINE-CAPS (typed pass): an [Engine.S] implementation whose
+      (** ENGINE-CAPS: an [Engine.S] implementation whose
           [caps] record contradicts its body — [run] reaches
           [Pool.run] / [Pool.map_chunks] / [Team.round] /
           [Domain.spawn] while [caps.parallel] is [false], or
           [caps.proves] is [true] with a [cert] spec requesting no
           lib/check certificate. *)
   | Tau_discipline
-      (** TAU-DISCIPLINE (typed pass): a direct [Shared_min.get] inside
+      (** TAU-DISCIPLINE: a direct [Shared_min.get] inside
           a [\[@soctam.hot\]] scope (the mirror exists precisely so hot
           loops avoid the atomic read), or [Shared_min.improve] called
           from worker-reachable code (bypassing [mirror_improve]'s

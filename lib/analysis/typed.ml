@@ -1,6 +1,5 @@
 module Violation = Soctam_check.Violation
 module Json = Soctam_util.Json
-module Timer = Soctam_util.Timer
 open Typedtree
 
 (* ==== name normalization ================================================= *)
@@ -75,6 +74,34 @@ let mutation_target comps =
 (* Known-partial stdlib calls live in the effect catalogs now; LOCK-RAISE
    shares them so both rules agree on what "may raise" means. *)
 let raising_call = Effect.raising_call
+
+(* A [Pident] is a binding of the unit itself (a local [compare]
+   shadowing the stdlib one), never a stdlib function. *)
+let local_binding (p : Path.t) =
+  match p with Pident _ -> true | _ -> false
+
+(* DET-POLY, identifier form: a reference to the polymorphic [compare]
+   or [Hashtbl.hash] / [seeded_hash]. The [=] / [<>] operators are
+   judged at application sites instead — flagging every integer
+   equality would drown the signal. *)
+let poly_ident p comps =
+  if local_binding p then None
+  else
+    match comps with
+    | [ "compare" ] -> Some "polymorphic compare"
+    | [ "Hashtbl"; ("hash" | "seeded_hash") ] -> Some "Hashtbl.hash"
+    | _ -> None
+
+(* DET-POLY, application form: [=] / [<>] where an operand is
+   syntactically structured (tuple, record, array, argument-carrying
+   constructor or variant), i.e. provably not an immediate comparison.
+   Coercions live in [exp_extra], so they need no stripping. *)
+let structured_operand e =
+  match e.exp_desc with
+  | Texp_tuple _ | Texp_record _ | Texp_array _ -> true
+  | Texp_construct (_, _, _ :: _) -> true
+  | Texp_variant (_, Some _) -> true
+  | _ -> false
 
 (* ALLOC-HOT: calls whose result is a fresh heap block. *)
 let allocating_call comps =
@@ -247,7 +274,34 @@ type local_info = {
   what : string;
 }
 
-let walk_file acc ~path ~modname (str : structure) =
+(* Malformed [@soctam.allow] payloads, wherever they sit. The default
+   traversal passes a node's attribute list to the [attributes] hook and
+   a floating attribute to the [attribute] hook; the stock [attributes]
+   does not route through [sub.attribute], so both are overridden and
+   each payload is reported exactly once. *)
+let report_malformed acc ~path (str : structure) =
+  let check (attr : Parsetree.attribute) =
+    Option.iter
+      (fun why ->
+        acc.problems :=
+          Violation.errorf Violation.Analysis_error
+            (Violation.File (path, line_of attr.attr_loc))
+            "[@soctam.allow] %s" why
+          :: !(acc.problems))
+      (Allow.malformed attr)
+  in
+  let sweep =
+    {
+      Tast_iterator.default_iterator with
+      attribute = (fun _ a -> check a);
+      attributes = (fun self l -> List.iter (self.attribute self) l);
+    }
+  in
+  sweep.structure sweep str
+
+let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
+  let solver_layer = Source.solver_layer path in
+  let entropy_exempt = Source.entropy_exempt path in
   let node_stack = ref [ modname ] in
   let cur_node () = List.hd !node_stack in
   let worker_depth = ref 0 in
@@ -262,6 +316,8 @@ let walk_file acc ~path ~modname (str : structure) =
   let local_nodes : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let top_names : (string, string) Hashtbl.t = Hashtbl.create 16 in
   let top_mutex_names : (string, string) Hashtbl.t = Hashtbl.create 4 in
+  let has_mutex = ref false in
+  let shared : (int * string) list ref = ref [] in
   let found rule line fmt =
     Format.kasprintf
       (fun message ->
@@ -269,10 +325,13 @@ let walk_file acc ~path ~modname (str : structure) =
           { Finding.rule; path; line; message } :: !(acc.findings))
       fmt
   in
-  let add_spans attrs loc =
+  let add_spans attrs ~first ~last =
     List.iter
       (fun s -> acc.spans := (path, s) :: !(acc.spans))
-      (Allow.spans_of attrs loc)
+      (Allow.spans_of attrs ~first ~last)
+  in
+  let add_node_spans attrs (loc : Location.t) =
+    add_spans attrs ~first:(line_of loc) ~last:loc.loc_end.pos_lnum
   in
   let add_effect eff =
     if not (Effect.is_pure eff) then begin
@@ -346,26 +405,31 @@ let walk_file acc ~path ~modname (str : structure) =
     in
     go e
   in
+  (* A fresh mutable value, and whether it is one of the containers
+     DOM-SHARED judges at top level (a ref cell or a Hashtbl / Queue /
+     Stack / Buffer); arrays, bytes and mutable records are left to
+     DOM-ESCAPE. *)
   let mutable_allocation e =
     match e.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
         match normalize (comps_of_path p) with
-        | [ "ref" ] -> Some "ref cell"
+        | [ "ref" ] -> Some ("ref cell", true)
         | [ ("Hashtbl" | "Queue" | "Stack" | "Buffer") as m; "create" ] ->
-            Some (m ^ ".t")
+            Some (m ^ ".t", true)
         | [ "Array";
             ( "make" | "init" | "copy" | "of_list" | "append" | "sub"
             | "concat" | "make_matrix" ) ] ->
-            Some "array"
-        | [ "Bytes"; ("create" | "make" | "of_string") ] -> Some "bytes"
+            Some ("array", false)
+        | [ "Bytes"; ("create" | "make" | "of_string") ] ->
+            Some ("bytes", false)
         | _ -> None)
-    | Texp_array _ -> Some "array"
+    | Texp_array _ -> Some ("array", false)
     | Texp_record { fields; _ }
       when Array.exists
              (fun ((ld : Types.label_description), _) ->
                ld.lbl_mut = Asttypes.Mutable)
              fields ->
-        Some "record with mutable fields"
+        Some ("record with mutable fields", false)
     | _ -> None
   in
   let is_mutex_allocation e =
@@ -480,15 +544,35 @@ let walk_file acc ~path ~modname (str : structure) =
                 "boxed float result in a [@soctam.hot] context")
     | _ -> ()
   in
+  let check_ident p comps line =
+    (if solver_layer then
+       match poly_ident p comps with
+       | Some what ->
+           found Rule.Det_poly line
+             "%s in a solver layer; determinism requires a monomorphic \
+              comparison"
+             what
+       | None -> ());
+    if not entropy_exempt then
+      match Effect.entropy_source comps with
+      | Some what ->
+          found Rule.Det_entropy line
+            "%s is an entropy/wall-clock source; use Soctam_util.Prng or \
+             Soctam_util.Timer"
+            what
+      | None -> ()
+  in
   let default = Tast_iterator.default_iterator in
   let rec expr_handler (self : Tast_iterator.iterator) e =
-    add_spans e.exp_attributes e.exp_loc;
+    add_node_spans e.exp_attributes e.exp_loc;
     let hot_attr = List.exists Allow.is_hot e.exp_attributes in
     if hot_attr then incr hot;
     if !hot > 0 then check_hot_alloc e;
     (match e.exp_desc with
     | Texp_ident (p, _, _) -> (
-        add_effect (Effect.of_call (normalize (comps_of_path p)));
+        let comps = normalize (comps_of_path p) in
+        add_effect (Effect.of_call comps);
+        check_ident p comps (line_of e.exp_loc);
         match resolve p with
         | None -> ()
         | Some callee ->
@@ -544,17 +628,15 @@ let walk_file acc ~path ~modname (str : structure) =
       | _ -> []
     in
     let line = line_of e.exp_loc in
-    let nth_arg idx =
-      let positional =
-        List.filter_map
-          (fun (label, arg) ->
-            match (label, arg) with
-            | Asttypes.Nolabel, Some a -> Some a
-            | _ -> None)
-          args
-      in
-      List.nth_opt positional idx
+    let positional =
+      List.filter_map
+        (fun (label, arg) ->
+          match (label, arg) with
+          | Asttypes.Nolabel, Some a -> Some a
+          | _ -> None)
+        args
     in
+    let nth_arg idx = List.nth_opt positional idx in
     let labelled_arg name =
       List.find_map
         (fun (label, arg) ->
@@ -563,6 +645,17 @@ let walk_file acc ~path ~modname (str : structure) =
           | _ -> None)
         args
     in
+    (* DET-POLY, application form. *)
+    (match (f.exp_desc, comps, positional) with
+    | Texp_ident (p, _, _), [ (("=" | "<>") as op) ], a :: b :: _
+      when solver_layer
+           && (not (local_binding p))
+           && (structured_operand a || structured_operand b) ->
+        found Rule.Det_poly line
+          "polymorphic %s on a structured value in a solver layer; compare \
+           fields explicitly"
+          (if op = "=" then "equality (=)" else "inequality (<>)")
+    | _ -> ());
     (* Mutation discipline. *)
     (match mutation_target comps with
     | Some (idx, what) ->
@@ -697,7 +790,7 @@ let walk_file acc ~path ~modname (str : structure) =
         end
         else List.iter (fun (_, a) -> Option.iter (self.expr self) a) args
   and handle_value_binding (self : Tast_iterator.iterator) vb =
-    add_spans vb.vb_attributes vb.vb_loc;
+    add_node_spans vb.vb_attributes vb.vb_loc;
     let top = !expr_depth = 0 in
     let line = line_of vb.vb_loc in
     match vb.vb_pat.pat_desc with
@@ -743,7 +836,7 @@ let walk_file acc ~path ~modname (str : structure) =
                   (cur_node (), requests) :: !(acc.engine_certs)
             | _ -> ());
             (match mutable_allocation vb.vb_expr with
-            | Some what ->
+            | Some (what, _) ->
                 if top then begin
                   let key = cur_node () ^ "." ^ name in
                   Hashtbl.replace top_names u key;
@@ -789,11 +882,10 @@ let walk_file acc ~path ~modname (str : structure) =
         decr hot
   and handle_structure_item (self : Tast_iterator.iterator) item =
     match item.str_desc with
-    | Tstr_attribute attr ->
-        List.iter
-          (fun s -> acc.spans := (path, s) :: !(acc.spans))
-          (Allow.file_spans_of [ attr ])
-    | Tstr_module mb -> handle_module_binding self mb
+    | Tstr_attribute attr -> add_spans [ attr ] ~first:1 ~last:max_int
+    | Tstr_module mb ->
+        add_node_spans mb.mb_attributes item.str_loc;
+        handle_module_binding self mb
     | Tstr_recmodule mbs -> List.iter (handle_module_binding self) mbs
     | Tstr_value (_, vbs) ->
         (* Reset the lock model at item granularity: lock state never
@@ -802,6 +894,14 @@ let walk_file acc ~path ~modname (str : structure) =
         held := [];
         List.iter
           (fun vb ->
+            (* DOM-SHARED candidates, emitted after the walk unless the
+               file binds a Mutex in a structure (the Count memo
+               discipline). *)
+            if is_mutex_allocation vb.vb_expr then has_mutex := true;
+            (match mutable_allocation vb.vb_expr with
+            | Some (what, true) when domain_reachable ->
+                shared := (line_of vb.vb_loc, what) :: !shared
+            | _ -> ());
             match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
             | Tpat_var (id, _), Texp_function _ ->
                 let node = cur_node () ^ "." ^ Ident.name id in
@@ -812,28 +912,34 @@ let walk_file acc ~path ~modname (str : structure) =
         List.iter (fun vb -> self.value_binding self vb) vbs
     | _ ->
         held := [];
+        (match item.str_desc with
+        | Tstr_eval (_, attrs) -> add_node_spans attrs item.str_loc
+        | _ -> ());
         default.structure_item self item
   and handle_module_binding (self : Tast_iterator.iterator) mb =
-    match mb.mb_name.txt with
-    | None -> ()
-    | Some name -> (
-        let rec unwrap me =
-          match me.mod_desc with
-          | Tmod_constraint (me, _, _, _) -> unwrap me
-          | d -> d
-        in
-        match unwrap mb.mb_expr with
-        | Tmod_ident (p, _) ->
-            Hashtbl.replace aliases name (comps_of_path p)
+    let name = Option.value ~default:"_" mb.mb_name.txt in
+    let rec unwrap me =
+      match me.mod_desc with
+      | Tmod_constraint (me, _, _, _) -> unwrap me
+      | d -> d
+    in
+    match unwrap mb.mb_expr with
+    | Tmod_ident (p, _) -> Hashtbl.replace aliases name (comps_of_path p)
+    | Tmod_structure str -> walk_submodule self name str
+    | Tmod_functor (_, me) -> (
+        match unwrap me with
         | Tmod_structure str -> walk_submodule self name str
-        | Tmod_functor (_, me) -> (
-            match unwrap me with
-            | Tmod_structure str -> walk_submodule self name str
-            | _ -> ())
-        | _ -> ())
+        | _ -> in_submodule name (fun () -> default.module_expr self me))
+    | _ ->
+        (* A functor application or an unpack: walk its structure
+           arguments as part of this submodule. *)
+        in_submodule name (fun () -> default.module_expr self mb.mb_expr)
   and walk_submodule (self : Tast_iterator.iterator) name str =
+    in_submodule name (fun () ->
+        List.iter (fun item -> self.structure_item self item) str.str_items)
+  and in_submodule name f =
     node_stack := (cur_node () ^ "." ^ name) :: !node_stack;
-    List.iter (fun item -> self.structure_item self item) str.str_items;
+    f ();
     node_stack := List.tl !node_stack
   in
   (* OUTCOME-DROP, pattern form: a [Budget_exhausted _] / [Interrupted _]
@@ -866,7 +972,17 @@ let walk_file acc ~path ~modname (str : structure) =
     }
   in
   Hashtbl.replace acc.defs modname (path, 1);
-  List.iter (fun item -> iterator.structure_item iterator item) str.str_items
+  List.iter (fun item -> iterator.structure_item iterator item) str.str_items;
+  report_malformed acc ~path str;
+  if not !has_mutex then
+    List.iter
+      (fun (line, what) ->
+        found Rule.Dom_shared line
+          "top-level %s in a module reachable from Util.Pool domains; use \
+           Atomic, guard it with a Mutex (see Partition.Count), or \
+           [@soctam.allow \"DOM-SHARED\"] it"
+          what)
+      !shared
 
 (* ==== graph assembly and the interprocedural post-pass =================== *)
 
@@ -992,7 +1108,6 @@ type t = {
   problems : Violation.t list;
   typed_files : int;
   graph : graph;
-  effect_seconds : float;
 }
 
 let modname_of_source src =
@@ -1056,25 +1171,23 @@ let run ~root ~sources =
   let units =
     List.sort (fun (a, _) (b, _) -> String.compare a b) !units
   in
-  (* Degradation is loud, not silent: every source with no matching .cmt
-     gets an info naming exactly which rule families it is missing, so a
-     stale build shows up in the report instead of as quietly weaker
-     coverage. Infos do not fail the report. *)
+  (* A source with no matching .cmt was not analyzed at all (only IFACE
+     sees it), so it fails the run rather than passing unchecked. *)
   List.iter
     (fun src ->
       if not (Hashtbl.mem claimed src) then
         acc.problems :=
-          Violation.infof Violation.Analysis_error
+          Violation.errorf Violation.Analysis_error
             (Violation.File (src, 1))
-            "no .cmt for this source (stale or incomplete build): typed \
-             rules EFFECT-WORKER, OUTCOME-DROP, ENGINE-CAPS, \
-             TAU-DISCIPLINE (and DOM-ESCAPE, LOCK-RAISE, ALLOC-HOT) did \
-             not run here; syntactic coverage only"
+            "no .cmt for this source, so it was not analyzed (it does not \
+             compile, or the build is stale); run `dune build @check` first"
           :: !(acc.problems))
     ml_sources;
+  let domain_reachable = Source.domain_reachable ~root in
   List.iter
     (fun (src, str) ->
-      walk_file acc ~path:src ~modname:(modname_of_source src) str)
+      walk_file acc ~path:src ~modname:(modname_of_source src)
+        ~domain_reachable:(domain_reachable src) str)
     units;
   let graph, is_reachable = build_graph acc in
   (* Interprocedural DOM-ESCAPE, now that reachability is known. *)
@@ -1117,9 +1230,6 @@ let run ~root ~sources =
               }
               :: !(acc.findings))
     !(acc.global_mutations);
-  (* The effect fixpoint and the four rule families it powers; timed as
-     one block so the bench can track the cost of the inference. *)
-  let effect_t0 = Timer.now_s () in
   let eff =
     Effect.solve
       ~nodes:(List.map fst graph.g_nodes)
@@ -1243,7 +1353,6 @@ let run ~root ~sources =
           }
           :: !(acc.findings))
     !(acc.tau_exports);
-  let effect_seconds = Timer.now_s () -. effect_t0 in
   (* Inconsistent lock order: (a then b) somewhere and (b then a)
      elsewhere. Reported at every acquisition site of the pair. *)
   let pairs = !(acc.lock_pairs) in
@@ -1275,10 +1384,9 @@ let run ~root ~sources =
       !(acc.findings)
   in
   {
-    findings = List.sort_uniq Finding.compare surviving;
+    findings = List.sort Finding.compare surviving;
     suppressed = List.length silenced;
     problems = List.rev !(acc.problems);
     typed_files = List.length units;
     graph;
-    effect_seconds;
   }

@@ -1,24 +1,25 @@
-(** The Typedtree pass: interprocedural effect inference powering
-    DOM-ESCAPE / LOCK-RAISE / ALLOC-HOT and the contract families
-    EFFECT-WORKER / OUTCOME-DROP / ENGINE-CAPS / TAU-DISCIPLINE over the
-    [.cmt] files dune writes during the build.
+(** The analyzer's one front end: a walk over the Typedtree of every
+    [.cmt] dune writes during the build, enforcing every rule except the
+    file-set check IFACE ({!Analyze.tree}).
 
-    Where the Parsetree rules in {!Analyze} see one file of syntax at a
-    time, this pass sees resolved identifier paths ([Path.t]) and whole-
-    repository structure: it builds a module-qualified call graph, marks
-    every function transitively callable from a [Pool.run] /
-    [Pool.map_ranges] / [Domain.spawn] worker closure as
-    domain-reachable, infers a conservative {!Effect.t} signature for
-    every node (a Kleene fixpoint over the call edges), and then checks
-    mutation, lock, allocation, outcome, caps and tau discipline against
+    Per file, with resolved identifier paths ([Path.t]), it checks the
+    local rules: DET-POLY (polymorphic [compare] / [Hashtbl.hash] and
+    structured [=] / [<>] in solver layers), DET-ENTROPY (the
+    {!Effect.entropy_source} catalog outside the sanctioned wrappers),
+    DOM-SHARED (top-level containers in pool-reachable libraries), and
+    malformed [\[@soctam.allow\]] payloads. Across files it builds a
+    module-qualified call graph, marks every function transitively
+    callable from a [Pool.run] / [Pool.map_ranges] / [Domain.spawn]
+    worker closure as domain-reachable, infers a conservative
+    {!Effect.t} signature for every node (a Kleene fixpoint over the call
+    edges), and checks DOM-ESCAPE / LOCK-RAISE / ALLOC-HOT and
+    EFFECT-WORKER / OUTCOME-DROP / ENGINE-CAPS / TAU-DISCIPLINE against
     that information. DESIGN.md §13 documents the exact approximations
     each rule family makes.
 
-    The pass is best-effort by design: a source file with no readable
-    [.cmt] (not yet compiled, stale build directory) contributes no
-    typed findings but is reported with an [Info] diagnostic naming the
-    missing rule families — {!Analyze.tree} keeps the syntactic rules as
-    the fallback for those files. *)
+    A source file with no readable [.cmt] (it does not compile, or the
+    build is stale) is not analyzed; it is reported as an [Error] so an
+    unbuilt tree cannot pass clean. *)
 
 (** {1 Call graph} *)
 
@@ -53,19 +54,17 @@ type t = {
   findings : Finding.t list;  (** surviving typed findings, sorted *)
   suppressed : int;  (** silenced by scoped [\[@soctam.allow\]] *)
   problems : Soctam_check.Violation.t list;
-      (** unreadable or version-mismatched [.cmt] files, plus one [Info]
-          per source with no matching [.cmt] at all *)
+      (** malformed [\[@soctam.allow\]] payloads and one error per
+          source with no matching [.cmt] ([Error]s), unreadable or
+          version-mismatched [.cmt] files ([Info]s) *)
   typed_files : int;  (** sources that had a matching [.cmt] *)
   graph : graph;
-  effect_seconds : float;
-      (** wall-clock cost of the effect fixpoint plus the four families
-          it powers (EFFECT-WORKER, OUTCOME-DROP, ENGINE-CAPS,
-          TAU-DISCIPLINE); recorded in BENCH_parallel.json *)
 }
 
 val run : root:string -> sources:string list -> t
 (** Analyze every [.cmt] under [root] (see {!Source.cmt_files}) whose
     recorded source file matches one of [sources] (root-relative paths
     from {!Source.discover}). Findings are reported against those
-    root-relative paths, so they compose with the baseline and the
-    suppression machinery exactly like syntactic findings. *)
+    root-relative paths, so they compose with the baseline. DOM-SHARED
+    reachability comes from {!Source.domain_reachable} over [root]'s
+    dune files. *)

@@ -1,10 +1,10 @@
 (* Tests for Soctam_analysis, the compiler-libs source analyzer: one
-   positive and one negative fixture per rule family (the Typedtree
-   families compile their fixtures for real with ocamlc -bin-annot),
-   the suppression attribute in each of its three scopes, baseline
-   parsing, round-tripping and pruning, the strict-JSON and call-graph
-   outputs, and — the tier-1 gate — the analyzer run over this
-   repository's own sources coming back clean. *)
+   positive and one negative fixture per rule family (every fixture is
+   compiled for real with ocamlc -bin-annot, since the analyzer walks
+   the Typedtree of the .cmt), the suppression attribute in each of its
+   three scopes, baseline parsing, round-tripping and pruning, the
+   strict-JSON and call-graph outputs, and — the tier-1 gate — the
+   analyzer run over this repository's own sources coming back clean. *)
 
 module Rule = Soctam_analysis.Rule
 module Source = Soctam_analysis.Source
@@ -17,40 +17,101 @@ module Violation = Soctam_check.Violation
 
 let test case f = Alcotest.test_case case `Quick f
 
-(* Fixture contexts: the analyzer classifies real paths, but
-   [check_source] takes the classification as data, so fixtures pick
-   whichever surface they need. *)
-let solver =
-  {
-    Analyze.path = "lib/core/fixture.ml";
-    solver_layer = true;
-    entropy_exempt = false;
-    domain_reachable = true;
-  }
+(* -- compiled fixtures ---------------------------------------------------- *)
 
-let plain =
-  {
-    Analyze.path = "lib/report/fixture.ml";
-    solver_layer = false;
-    entropy_exempt = false;
-    domain_reachable = false;
-  }
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun entry -> remove_tree (Filename.concat path entry))
+      (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
 
-let exempt = { plain with Analyze.entropy_exempt = true }
+let with_scratch_dir f =
+  let dir = Filename.temp_file "soctam_typed" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
-let rules_of (r : Analyze.file_result) =
-  List.map (fun (f : Analyze.finding) -> f.Analyze.rule) r.Analyze.findings
+(* [path] is root-relative and may name directories, created on
+   demand. *)
+let write_file dir path contents =
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Unix.mkdir d 0o755
+    end
+  in
+  let file = Filename.concat dir path in
+  mkdir_p (Filename.dirname file);
+  let oc = open_out file in
+  output_string oc contents;
+  close_out oc
 
-let check_rules name expected result =
-  Alcotest.(check (list string))
-    name
-    (List.map Rule.name expected)
-    (List.map Rule.name (rules_of result))
+(* Write the fixture tree into a scratch directory, compile its .mli/.ml
+   files in order with [ocamlc -bin-annot -c] from the root (every
+   fixture directory on the include path, so a path like
+   lib/core/fixture.ml keeps its solver-layer classification), and hand
+   the tree to [Typed.run]. OCaml 5 ships Domain and Mutex in the
+   stdlib and Unix behind [-I +unix], so fixtures need no build
+   system. *)
+let typed_run sources =
+  with_scratch_dir (fun dir ->
+      List.iter (fun (name, contents) -> write_file dir name contents) sources;
+      let names = List.map fst sources in
+      let compiled =
+        List.filter
+          (fun n ->
+            Filename.check_suffix n ".ml" || Filename.check_suffix n ".mli")
+          names
+      in
+      let includes =
+        List.sort_uniq String.compare (List.map Filename.dirname compiled)
+      in
+      let command =
+        Printf.sprintf "cd %s && ocamlc -bin-annot -I +unix %s -c %s 2>&1"
+          (Filename.quote dir)
+          (String.concat " "
+             (List.map (fun d -> "-I " ^ Filename.quote d) includes))
+          (String.concat " " (List.map Filename.quote compiled))
+      in
+      let ic = Unix.open_process_in command in
+      let out = In_channel.input_all ic in
+      (match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail ("fixture should compile: " ^ out));
+      Typed.run ~root:dir ~sources:compiled)
 
-let clean name (r : Analyze.file_result) =
-  check_rules name [] r;
-  Alcotest.(check int) (name ^ ": no problems") 0
-    (List.length r.Analyze.problems)
+let typed_rules (t : Typed.t) =
+  List.map
+    (fun (f : Analyze.finding) -> Rule.name f.Analyze.rule)
+    t.Typed.findings
+
+let check_rules name expected t =
+  Alcotest.(check (list string)) name (List.map Rule.name expected)
+    (typed_rules t)
+
+let clean name (t : Typed.t) =
+  check_rules name [] t;
+  Alcotest.(check int) (name ^ ": no problems") 0 (List.length t.Typed.problems)
+
+(* Fixture placements: the analyzer classifies real paths, so a fixture
+   picks its surface by where it sits. lib/core is a solver layer and,
+   with a dune file naming soctam_core, pool-reachable; lib/report is
+   neither; lib/util/prng is the sanctioned entropy wrapper. The empty
+   .mli lets a fixture keep a weakly typed top level (an unannotated
+   [Hashtbl.create]) as the real modules under lib/ do. *)
+let in_module ?(extra = []) path src =
+  typed_run (extra @ [ (path ^ ".mli", ""); (path ^ ".ml", src) ])
+
+let solver src =
+  in_module "lib/core/fixture"
+    ~extra:[ ("lib/core/dune", "(library (name soctam_core))\n") ]
+    src
+
+let plain ?extra src = in_module ?extra "lib/report/fixture" src
+let exempt src = in_module "lib/util/prng" src
 
 (* -- rule catalog --------------------------------------------------------- *)
 
@@ -70,8 +131,8 @@ let rule_names () =
 
 let det_poly_positive () =
   let r =
-    Analyze.check_source solver
-      "let f a b = if (a, 1) = b then 0 else compare a b\n\
+    solver
+      "let f a b = if (a, 1) = b then 0 else compare (a, 1) b\n\
        let h x = Hashtbl.hash x\n"
   in
   check_rules "structured =, compare, Hashtbl.hash"
@@ -80,16 +141,33 @@ let det_poly_positive () =
 
 let det_poly_negative () =
   clean "typed comparison is fine"
-    (Analyze.check_source solver
-       "let f a b = Int.compare a b\nlet g x = x = 3\n");
-  clean "outside the solver layer"
-    (Analyze.check_source plain "let f a b = compare a b\n")
+    (solver "let f a b = Int.compare a b\nlet g x = x = 3\n");
+  clean "outside the solver layer" (plain "let f a b = compare a b\n")
+
+let det_poly_resolved () =
+  (* Judged by what the identifier binds: an alias of Hashtbl is
+     Hashtbl, a local [compare] is not the stdlib one. *)
+  check_rules "aliased Hashtbl.hash" [ Rule.Det_poly ]
+    (solver "module H = Hashtbl\nlet h x = H.hash x\n");
+  clean "shadowing local compare"
+    (solver
+       "let compare (a : int) b = Int.compare a b\n\
+        let f a b = compare a b\n");
+  (* Structures passed to a functor application, also as a functor's
+     body, are walked like any other submodule. *)
+  check_rules "functor application argument" [ Rule.Det_poly ]
+    (solver
+       "module S = Set.Make (struct type t = int let compare = compare end)\n");
+  check_rules "functor whose body is an application" [ Rule.Det_poly ]
+    (solver
+       "module F (X : sig end) =\n\
+       \  Set.Make (struct type t = int let compare = compare end)\n")
 
 (* -- DET-ENTROPY ---------------------------------------------------------- *)
 
 let det_entropy_positive () =
   let r =
-    Analyze.check_source plain
+    plain
       "let x () = Random.int 5\nlet t () = Sys.time ()\n\
        let u () = Unix.gettimeofday ()\n"
   in
@@ -98,16 +176,26 @@ let det_entropy_positive () =
     r
 
 let det_entropy_negative () =
-  clean "sanctioned wrapper module"
-    (Analyze.check_source exempt "let x () = Random.int 5\n");
+  clean "sanctioned wrapper module" (exempt "let x () = Random.int 5\n");
   clean "monotonic clock wrapper is fine"
-    (Analyze.check_source plain "let t () = Soctam_util.Timer.now_s ()\n")
+    (plain
+       ~extra:
+         [
+           ( "lib/util/soctam_util.ml",
+             "module Timer = struct let now_s () = 0. end\n" );
+         ]
+       "let t () = Soctam_util.Timer.now_s ()\n")
+
+let det_entropy_alias () =
+  (* The resolved path sees through a module alias. *)
+  check_rules "aliased Random" [ Rule.Det_entropy ]
+    (plain "module R = Random let x () = R.int 5")
 
 (* -- DOM-SHARED ----------------------------------------------------------- *)
 
 let dom_shared_positive () =
   let r =
-    Analyze.check_source solver
+    solver
       "let cache : (int, int) Hashtbl.t = Hashtbl.create 16\n\
        let hits = ref 0\n"
   in
@@ -117,62 +205,89 @@ let dom_shared_positive () =
 
 let dom_shared_negative () =
   clean "mutex-guarded file (the Count memo discipline)"
-    (Analyze.check_source solver
-       "let lock = Mutex.create ()\nlet cache = Hashtbl.create 16\n");
+    (solver "let lock = Mutex.create ()\nlet cache = Hashtbl.create 16\n");
   clean "local mutable state is fine"
-    (Analyze.check_source solver
-       "let f () = let acc = ref 0 in incr acc; !acc\n");
+    (solver "let f () = let acc = ref 0 in incr acc; !acc\n");
   clean "not reachable from the pool"
-    (Analyze.check_source plain "let cache = Hashtbl.create 16\n");
+    (plain "let cache = Hashtbl.create 16\n");
   clean "atomics are the sanctioned primitive"
-    (Analyze.check_source solver "let best = Atomic.make max_int\n")
+    (solver "let best = Atomic.make max_int\n")
 
 (* -- suppression ---------------------------------------------------------- *)
 
 let suppression_scopes () =
   let expr =
-    Analyze.check_source solver
-      "let f a b = (compare a b [@soctam.allow \"DET-POLY\"])\n"
+    solver "let f a b = (compare a b [@soctam.allow \"DET-POLY\"])\n"
   in
   check_rules "expression scope" [] expr;
-  Alcotest.(check int) "expression scope counted" 1 expr.Analyze.suppressed;
+  Alcotest.(check int) "expression scope counted" 1 expr.Typed.suppressed;
   let item =
-    Analyze.check_source solver
-      "let f a b = compare a b [@@soctam.allow \"DET-POLY\"]\n"
+    solver "let f a b = compare a b [@@soctam.allow \"DET-POLY\"]\n"
   in
   check_rules "item scope" [] item;
   let file =
-    Analyze.check_source solver
+    solver
       "[@@@soctam.allow \"DET-POLY DOM-SHARED\"]\n\
        let cache = Hashtbl.create 16\n\
        let f a b = compare a b\n"
   in
   check_rules "file scope, multiple rules" [] file;
-  Alcotest.(check int) "file scope counted" 2 file.Analyze.suppressed
+  Alcotest.(check int) "file scope counted" 2 file.Typed.suppressed
 
 let suppression_is_scoped () =
   (* An allow for one rule must not silence another. *)
   let r =
-    Analyze.check_source solver
-      "let f a b = (compare a b [@soctam.allow \"DET-ENTROPY\"])\n"
+    solver "let f a b = (compare a b [@soctam.allow \"DET-ENTROPY\"])\n"
   in
   check_rules "wrong rule id does not silence" [ Rule.Det_poly ] r
 
 let suppression_requires_rule_id () =
   let bad payload =
     let r =
-      Analyze.check_source solver
+      solver
         (Printf.sprintf "let f a b = (compare a b [@soctam.allow %s])\n"
            payload)
     in
-    Alcotest.(check bool)
-      (Printf.sprintf "payload %s is an analyzer error" payload)
-      true
-      (List.length r.Analyze.problems > 0)
+    match r.Typed.problems with
+    | [ v ] ->
+        Alcotest.(check string)
+          (Printf.sprintf "payload %s is an analyzer error" payload)
+          "error"
+          (Violation.severity_name v.Violation.severity);
+        Alcotest.(check bool) "located at the attribute" true
+          (match v.Violation.location with
+          | Violation.File ("lib/core/fixture.ml", 1) -> true
+          | _ -> false)
+    | vs ->
+        Alcotest.failf "payload %s: expected exactly one problem, got %d"
+          payload (List.length vs)
   in
   bad "\"NOT-A-RULE\"";
   bad "\"\"";
-  bad "42"
+  bad "42";
+  (* One malformed payload per attribute position, each reported once at
+     its own line (line 2 carries two: a label and its type). *)
+  let r =
+    solver
+      "[@@@soctam.allow \"NOT-A-RULE\"]\n\
+       type t = { x : int [@soctam.allow \"\"] } [@@soctam.allow 42]\n\
+       let g (x [@soctam.allow 42]) = x\n\
+       let h = 1 [@@soctam.allow \"NOT-A-RULE\"]\n\
+       module M = struct end [@@soctam.allow \"NOT-A-RULE\"]\n\
+       ;; print_newline () [@@soctam.allow \"NOT-A-RULE\"]\n\
+       let k (y : (int [@soctam.allow 42])) = y\n"
+  in
+  let lines =
+    List.map
+      (fun v ->
+        match v.Violation.location with
+        | Violation.File ("lib/core/fixture.ml", l) -> l
+        | _ -> Alcotest.fail "problem not located in the fixture")
+      r.Typed.problems
+  in
+  Alcotest.(check (list int)) "one problem per payload, at its line"
+    [ 1; 2; 2; 3; 4; 5; 6; 7 ]
+    (List.sort Int.compare lines)
 
 (* -- baseline ------------------------------------------------------------- *)
 
@@ -229,62 +344,15 @@ let baseline_acknowledges_findings () =
   with
   | Error _ -> Alcotest.fail "baseline should parse"
   | Ok b ->
-      let r = Analyze.check_source solver "let f a b = compare a b\n" in
+      let r = solver "let f a b = compare a b\n" in
+      check_rules "the fixture's finding" [ Rule.Det_poly ] r;
       List.iter
         (fun (f : Analyze.finding) ->
           Alcotest.(check bool) "entry covers the finding" true
             (Baseline.covers b ~rule:f.Analyze.rule ~path:f.Analyze.path))
-        r.Analyze.findings
-
-(* -- parse errors --------------------------------------------------------- *)
-
-let syntax_error_is_reported () =
-  let r = Analyze.check_source plain "let f = (\n" in
-  Alcotest.(check bool) "parse failure is a problem" true
-    (List.length r.Analyze.problems > 0)
+        r.Typed.findings
 
 (* -- Typedtree rules ------------------------------------------------------ *)
-
-(* The typed pass reads .cmt files, so each fixture is compiled for
-   real: write the sources into a scratch directory, run
-   [ocamlc -bin-annot -c] there, and hand the directory to [Typed.run].
-   OCaml 5 ships Domain and Mutex in the stdlib, so the fixtures need
-   no extra libraries. *)
-let with_scratch_dir f =
-  let dir = Filename.temp_file "soctam_typed" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun file -> Sys.remove (Filename.concat dir file))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let write_file dir path contents =
-  let oc = open_out (Filename.concat dir path) in
-  output_string oc contents;
-  close_out oc
-
-let typed_run sources =
-  with_scratch_dir (fun dir ->
-      List.iter (fun (name, contents) -> write_file dir name contents) sources;
-      let names = List.map fst sources in
-      let command =
-        Printf.sprintf "cd %s && ocamlc -bin-annot -c %s 2>&1"
-          (Filename.quote dir)
-          (String.concat " " (List.map Filename.quote names))
-      in
-      let ic = Unix.open_process_in command in
-      let out = In_channel.input_all ic in
-      (match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail ("fixture should compile: " ^ out));
-      Typed.run ~root:dir ~sources:names)
-
-let typed_rules (t : Typed.t) =
-  List.map (fun (f : Analyze.finding) -> Rule.name f.Analyze.rule) t.Typed.findings
 
 let dom_escape_typed_positive () =
   let t =
@@ -731,10 +799,10 @@ let tau_discipline_typed_allow () =
     (typed_rules t);
   Alcotest.(check int) "and counts it" 1 t.Typed.suppressed
 
-let typed_missing_cmt_degrades () =
-  (* One compiled source and one with no .cmt: the typed pass keeps
-     analyzing what it can, and reports per stale file exactly which
-     rule families did not run there. *)
+let typed_missing_cmt_is_an_error () =
+  (* One compiled source and one with no .cmt: the pass analyzes what it
+     can, and the unanalyzed file fails the run instead of passing
+     unchecked. *)
   with_scratch_dir (fun dir ->
       write_file dir "good.ml"
         "let escape () =\n\
@@ -759,7 +827,7 @@ let typed_missing_cmt_degrades () =
       Alcotest.(check int) "one typed file" 1 t.Typed.typed_files;
       match t.Typed.problems with
       | [ v ] ->
-          Alcotest.(check string) "a non-fatal info" "info"
+          Alcotest.(check string) "an error" "error"
             (Violation.severity_name v.Violation.severity);
           Alcotest.(check string) "of the analysis-error kind"
             "analysis-error"
@@ -768,13 +836,8 @@ let typed_missing_cmt_degrades () =
             (match v.Violation.location with
             | Violation.File ("stale.ml", 1) -> true
             | _ -> false);
-          List.iter
-            (fun rule ->
-              Alcotest.(check bool)
-                ("says " ^ rule ^ " did not run")
-                true
-                (Test_cli.contains v.Violation.message rule))
-            [ "EFFECT-WORKER"; "OUTCOME-DROP"; "ENGINE-CAPS"; "TAU-DISCIPLINE" ]
+          Alcotest.(check bool) "says how to build the .cmt" true
+            (Test_cli.contains v.Violation.message "dune build @check")
       | vs ->
           Alcotest.failf "expected exactly one problem, got %d"
             (List.length vs))
@@ -819,18 +882,16 @@ let repo_is_clean () =
 
 let repo_call_graph () =
   let result = Analyze.tree ~baseline:(repo_baseline ()) ~root:repo_root () in
-  match result.Analyze.graph with
-  | None -> Alcotest.fail "typed mode returns a call graph"
-  | Some g ->
-      let reachable = Typed.reachable g in
-      Alcotest.(check bool) "workers reach the chunk evaluator" true
-        (List.mem "Partition_evaluate.evaluate_chunk" reachable);
-      Alcotest.(check bool) "workers reach the odometer" true
-        (List.exists
-           (fun n -> n = "Odometer.advance" || n = "Enumerate.Odometer.advance")
-           reachable);
-      Alcotest.(check bool) "graph has the workers pseudo-node" true
-        (List.mem_assoc "<workers>" (Typed.nodes g))
+  let g = result.Analyze.graph in
+  let reachable = Typed.reachable g in
+  Alcotest.(check bool) "workers reach the chunk evaluator" true
+    (List.mem "Partition_evaluate.evaluate_chunk" reachable);
+  Alcotest.(check bool) "workers reach the odometer" true
+    (List.exists
+       (fun n -> n = "Odometer.advance" || n = "Enumerate.Odometer.advance")
+       reachable);
+  Alcotest.(check bool) "graph has the workers pseudo-node" true
+    (List.mem_assoc "<workers>" (Typed.nodes g))
 
 let repo_reachability () =
   let libs = Source.domain_libraries ~root:repo_root in
@@ -852,23 +913,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec remove_tree path =
-  if Sys.is_directory path then begin
-    Array.iter
-      (fun entry -> remove_tree (Filename.concat path entry))
-      (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 (* A scratch repository seeded with one violation per rule family the
-   analyzer can hit from a plain tree: data/seed_bad.ml carries the
-   syntactic DET-POLY (plus IFACE, no .mli), and data/seed_typed.ml —
-   compiled with ocamlc -bin-annot so the typed pass sees a .cmt —
-   carries a positive and a negative fixture for each of DOM-ESCAPE,
-   LOCK-RAISE, ALLOC-HOT, EFFECT-WORKER, OUTCOME-DROP, ENGINE-CAPS
-   and TAU-DISCIPLINE. bad.ml is deliberately left uncompiled, so the
-   tree also exercises the missing-.cmt degradation path. *)
+   analyzer can hit from a plain tree, both files compiled with ocamlc
+   -bin-annot so the analyzer sees their .cmt: data/seed_bad.ml carries
+   DET-POLY (plus IFACE, no .mli), and data/seed_typed.ml carries a
+   positive and a negative fixture for each of DOM-ESCAPE, LOCK-RAISE,
+   ALLOC-HOT, EFFECT-WORKER, OUTCOME-DROP, ENGINE-CAPS and
+   TAU-DISCIPLINE. *)
 let with_seeded_tree f =
   let root = Filename.temp_file "soctam_analysis" "" in
   Sys.remove root;
@@ -883,7 +934,8 @@ let with_seeded_tree f =
       write_file root "lib/core/typed_fixture.ml"
         (read_file "data/seed_typed.ml");
       let compile =
-        Printf.sprintf "cd %s && ocamlc -bin-annot -c typed_fixture.ml 2>&1"
+        Printf.sprintf
+          "cd %s && ocamlc -bin-annot -c bad.ml typed_fixture.ml 2>&1"
           (Filename.quote (Filename.concat root "lib/core"))
       in
       Alcotest.(check int) "seeded fixture compiles" 0 (Sys.command compile);
@@ -912,12 +964,47 @@ let cli_analyze_finds_seeded_violation () =
           "engine-caps-mismatch";
           "tau-discipline";
         ];
-      (* The uncompiled bad.ml degrades gracefully: an info names the
-         typed families that could not run there. *)
-      Alcotest.(check bool) "reports the missing .cmt" true
-        (Test_cli.contains out "no .cmt for this source");
-      Alcotest.(check bool) "info names the skipped effect families" true
-        (Test_cli.contains out "EFFECT-WORKER, OUTCOME-DROP"))
+      Alcotest.(check bool) "every source was analyzed" false
+        (Test_cli.contains out "no .cmt for this source"))
+
+let syntax_error_is_reported () =
+  (* A source that does not compile has no .cmt, so nothing but IFACE
+     could check it: the run fails with an error located at the file,
+     over and above the seeded tree's twelve. *)
+  with_seeded_tree (fun root ->
+      write_file root "lib/core/broken.ml" "let f = (\n";
+      let code, out =
+        Test_cli.run_stdout [ "analyze"; "--root"; root; "--json" ]
+      in
+      Alcotest.(check int) "exit code" 1 code;
+      let json =
+        match Json.parse out with
+        | Ok json -> json
+        | Error msg -> Alcotest.fail ("report is strict JSON: " ^ msg)
+      in
+      let str v path =
+        List.fold_left
+          (fun v k -> Option.bind v (Json.member k))
+          (Some v) path
+        |> Fun.flip Option.bind Json.to_string_opt
+      in
+      let at_broken =
+        Option.bind (Json.member "violations" json) Json.to_list
+        |> Option.value ~default:[]
+        |> List.filter (fun v ->
+               str v [ "location"; "path" ] = Some "lib/core/broken.ml")
+      in
+      let not_analyzed v =
+        str v [ "severity" ] = Some "error"
+        && Option.fold ~none:false
+             ~some:(fun m -> Test_cli.contains m "no .cmt for this source")
+             (str v [ "message" ])
+      in
+      Alcotest.(check int) "one missing-.cmt error at lib/core/broken.ml" 1
+        (List.length (List.filter not_analyzed at_broken));
+      Alcotest.(check (option int))
+        "seeded twelve + broken.ml's IFACE and missing .cmt" (Some 14)
+        (Option.bind (Json.member "errors" json) Json.to_int))
 
 let cli_analyze_json_golden () =
   (* Strict-JSON output over the seeded tree, byte-for-byte: stable
@@ -1071,8 +1158,10 @@ let suite =
     test "rule catalog round-trips" rule_names;
     test "DET-POLY flags polymorphic comparison" det_poly_positive;
     test "DET-POLY ignores typed comparison" det_poly_negative;
+    test "DET-POLY judges resolved paths" det_poly_resolved;
     test "DET-ENTROPY flags entropy sources" det_entropy_positive;
     test "DET-ENTROPY honors exemptions" det_entropy_negative;
+    test "DET-ENTROPY sees through module aliases" det_entropy_alias;
     test "DOM-SHARED flags top-level mutable state" dom_shared_positive;
     test "DOM-SHARED honors guards and scope" dom_shared_negative;
     test "allow attribute works at all scopes" suppression_scopes;
@@ -1083,7 +1172,6 @@ let suite =
       baseline_empty_round_trip;
     test "baseline rejects malformed entries" baseline_rejects_malformed;
     test "baseline covers findings" baseline_acknowledges_findings;
-    test "syntax errors become diagnostics" syntax_error_is_reported;
     test "DOM-ESCAPE flags worker-captured mutation" dom_escape_typed_positive;
     test "DOM-ESCAPE honors guards and worker-local state"
       dom_escape_typed_negative;
@@ -1116,14 +1204,15 @@ let suite =
     test "TAU-DISCIPLINE ignores sanctioned uses"
       tau_discipline_typed_negative;
     test "TAU-DISCIPLINE honors scoped allow" tau_discipline_typed_allow;
-    test "typed pass degrades per-file without a .cmt"
-      typed_missing_cmt_degrades;
+    test "typed pass reports a missing .cmt as an error"
+      typed_missing_cmt_is_an_error;
     test "repository analyzes clean" repo_is_clean;
     test "repository call graph reaches the solver core" repo_call_graph;
     test "pool reachability from dune files" repo_reachability;
     test "cli: analyze on the repository" cli_analyze;
     test "cli: analyze fails on a seeded violation"
       cli_analyze_finds_seeded_violation;
+    test "syntax errors become diagnostics" syntax_error_is_reported;
     test "cli: analyze --json matches the golden output"
       cli_analyze_json_golden;
     test "cli: analyze --sarif matches the golden output"
