@@ -32,9 +32,11 @@ test-par-smoke:
 
 # Run-lifecycle suite only (test/test_checkpoint.ml): checkpoint
 # round-trips, corruption/truncation fuzz, and the kill-and-resume
-# determinism properties from DESIGN.md §12.
+# determinism properties from DESIGN.md §12. Runs from the build tree,
+# like test-race, because the version-1 rejection test reads
+# data/checkpoint_v1.json relative to the test directory.
 test-resume: build
-	dune exec test/test_main.exe -- test checkpoint
+	cd _build/default/test && ./test_main.exe test checkpoint
 
 # Portfolio-racer suite only (test/test_race.ml): kill-and-resume at
 # every slice boundary, jobs=1 vs jobs=4 byte-identity, the

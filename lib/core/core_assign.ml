@@ -24,6 +24,86 @@ let record stats ~cores ~assigned ~exceeded =
         s.levels_cut <- s.levels_cut + (cores - assigned)
       end
 
+(* -- the first step in closed form ----------------------------------------- *)
+
+(* All loads start at 0, so the first step always picks the widest TAM
+   (lines 10-12) and gives it the core with the largest time at that
+   width (lines 13-16, whatever the tie-break): the step ends with one
+   load equal to [Time_table.peak] at the widest width and every other
+   load 0. The early exit after it (lines 18-20) therefore fires exactly
+   when that peak reaches [best]. *)
+let widest_cut ~table ~best ~widest = Time_table.peak table ~width:widest >= best
+
+(* The counters [n] evaluations abandoned by [widest_cut] would have
+   recorded one by one: one step tried and [cores - 1] levels cut each. *)
+let record_widest_cuts ?stats ~cores n =
+  match stats with
+  | None -> ()
+  | Some s ->
+      s.tried <- s.tried + n;
+      s.early_terminations <- s.early_terminations + n;
+      s.levels_cut <- s.levels_cut + (n * (cores - 1))
+
+(* -- the greedy loop (Figure 1) ---------------------------------------------- *)
+
+(* Lines 10-12: TAM with minimum summed time; ties to the widest. *)
+let select_tam (loads : int array) (widths : int array) =
+  let best_j = ref 0 in
+  for j = 1 to Array.length widths - 1 do
+    if
+      loads.(j) < loads.(!best_j)
+      || (loads.(j) = loads.(!best_j) && widths.(j) > widths.(!best_j))
+    then best_j := j
+  done;
+  !best_j
+
+(* The widest TAM narrower than [j] (first index among equals), or -1. *)
+let narrower (widths : int array) j =
+  let n = ref (-1) in
+  for k = 0 to Array.length widths - 1 do
+    if widths.(k) < widths.(j) && (!n < 0 || widths.(k) > widths.(!n)) then
+      n := k
+  done;
+  !n
+
+(* Lines 13-16: unassigned core with maximum time on TAM [j]; if tied,
+   compare the tied cores on the widest TAM narrower than [j] and take
+   the one that would be costliest there (still tied: lowest index).
+   One pass, keeping the best core so far under that order. *)
+let select_core (times : int array array) unassigned widths j =
+  let k = narrower widths j in
+  let best_i = ref (-1) in
+  for i = 0 to Array.length times - 1 do
+    if unassigned.(i) then begin
+      let b = !best_i in
+      if
+        b < 0
+        || times.(i).(j) > times.(b).(j)
+        || times.(i).(j) = times.(b).(j)
+           && k >= 0
+           && times.(i).(k) > times.(b).(k)
+      then best_i := i
+    end
+  done;
+  !best_i
+
+(* [exceeded]: the number of cores assigned when the early exit fired,
+   0 when every core was assigned. *)
+let finish stats ~cores ~assignment ~loads exceeded =
+  if exceeded > 0 then begin
+    record stats ~cores ~assigned:exceeded ~exceeded:true;
+    Exceeded exceeded
+  end
+  else begin
+    record stats ~cores ~assigned:cores ~exceeded:false;
+    Assigned
+      {
+        assignment;
+        tam_times = loads;
+        time = Soctam_util.Intutil.max_element loads;
+      }
+  end
+
 let run_bounded ?stats ~best ~times ~widths () =
   let cores = Array.length times in
   if cores = 0 then invalid_arg "Core_assign.run: no cores";
@@ -36,75 +116,21 @@ let run_bounded ?stats ~best ~times ~widths () =
   let loads = Array.make tams 0 in
   let assignment = Array.make cores (-1) in
   let unassigned = Array.make cores true in
-  (* Lines 10-12: TAM with minimum summed time; ties to the widest. *)
-  let select_tam () =
-    let best_j = ref 0 in
-    for j = 1 to tams - 1 do
-      if
-        loads.(j) < loads.(!best_j)
-        || (loads.(j) = loads.(!best_j) && widths.(j) > widths.(!best_j))
-      then best_j := j
-    done;
-    !best_j
-  in
-  (* Lines 13-16: unassigned core with maximum time on TAM [j]; if tied,
-     compare the tied cores on the widest TAM narrower than [j] and take
-     the one that would be costliest there. *)
-  let select_core j =
-    let best_time = ref (-1) in
-    for i = 0 to cores - 1 do
-      if unassigned.(i) && times.(i).(j) > !best_time then
-        best_time := times.(i).(j)
-    done;
-    let tied = ref [] in
-    for i = cores - 1 downto 0 do
-      if unassigned.(i) && times.(i).(j) = !best_time then tied := i :: !tied
-    done;
-    match !tied with
-    | [] -> assert false
-    | [ i ] -> i
-    | first :: _ as candidates ->
-        let narrower = ref (-1) in
-        for k = 0 to tams - 1 do
-          if
-            widths.(k) < widths.(j)
-            && (!narrower < 0 || widths.(k) > widths.(!narrower))
-          then narrower := k
-        done;
-        if !narrower < 0 then first
-        else begin
-          let k = !narrower in
-          List.fold_left
-            (fun acc i -> if times.(i).(k) > times.(acc).(k) then i else acc)
-            first candidates
-        end
-  in
-  let rec loop remaining =
-    if remaining = 0 then begin
-      record stats ~cores ~assigned:cores ~exceeded:false;
-      Assigned
-        {
-          assignment;
-          tam_times = loads;
-          time = Soctam_util.Intutil.max_element loads;
-        }
-    end
-    else begin
-      let j = select_tam () in
-      let i = select_core j in
-      assignment.(i) <- j;
-      unassigned.(i) <- false;
-      loads.(j) <- loads.(j) + times.(i).(j);
-      (* Lines 18-20: abandon the partition once it cannot beat [best]. *)
-      if Soctam_util.Intutil.max_element loads >= best then begin
-        let assigned = cores - remaining + 1 in
-        record stats ~cores ~assigned ~exceeded:true;
-        Exceeded assigned
-      end
-      else loop (remaining - 1)
-    end
-  in
-  loop cores
+  let assigned = ref 0 and exceeded = ref 0 in
+  while !exceeded = 0 && !assigned < cores do
+    let j = select_tam loads widths in
+    let i = select_core times unassigned widths j in
+    assignment.(i) <- j;
+    unassigned.(i) <- false;
+    loads.(j) <- loads.(j) + times.(i).(j);
+    incr assigned;
+    (* Lines 18-20: abandon the partition once it cannot beat [best].
+       Before this step every load was below [best] (or 0, at the first
+       step) and only TAM [j]'s grew, by a non-negative time, so the
+       maximum load reaches [best] iff [loads.(j)] does. *)
+    if loads.(j) >= best then exceeded := !assigned
+  done;
+  finish stats ~cores ~assignment ~loads !exceeded
 
 let run ?stats ?(best = max_int) ~times ~widths () =
   run_bounded ?stats ~best ~times ~widths ()
@@ -126,26 +152,38 @@ type scratch = {
 let scratch () =
   { sc_loads = [||]; sc_assignment = [||]; sc_unassigned = [||] }
 
+(* [select_core] reading core [i] on TAM [j] as [rows.(i).(widths.(j) - 1)]. *)
+let select_core_rows (rows : int array array) unassigned widths j =
+  let wj = widths.(j) - 1 in
+  let k = narrower widths j in
+  let wk = if k < 0 then -1 else widths.(k) - 1 in
+  let best_i = ref (-1) in
+  for i = 0 to Array.length rows - 1 do
+    if unassigned.(i) then begin
+      let b = !best_i in
+      if
+        b < 0
+        || rows.(i).(wj) > rows.(b).(wj)
+        || rows.(i).(wj) = rows.(b).(wj)
+           && wk >= 0
+           && rows.(i).(wk) > rows.(b).(wk)
+      then best_i := i
+    end
+  done;
+  !best_i
+
 (* The same greedy loop as [run_bounded], reading testing times straight
    out of the table rows ([rows.(i).(widths.(j) - 1)]) instead of a
    per-partition [Time_table.matrix] copy, and reusing caller-owned
-   scratch arrays instead of allocating three per call. Kept as a
-   deliberate twin rather than an abstraction over [run_bounded]: an
-   indirect time lookup in this loop costs on the order of the whole
-   remaining loop body, and the equivalence is pinned by a qcheck
-   property (test_core.ml) instead of by sharing code. Any behavioral
-   edit must land in both. *)
-let run_table_direct ?stats ~scratch:s ~best ~table ~widths () =
-  let rows = Time_table.rows table in
+   scratch arrays instead of allocating three per call. The loop and
+   [select_core_rows] are kept as deliberate twins of [run_bounded]'s
+   rather than abstracted over the time lookup: an indirect lookup
+   there costs on the order of the whole remaining loop body, and the
+   equivalence is pinned by a qcheck property (test_core.ml) instead of
+   by sharing code. Any behavioral edit must land in both. *)
+let greedy_direct ~stats ~scratch:s ~best ~rows ~widths =
   let cores = Array.length rows in
-  if cores = 0 then invalid_arg "Core_assign.run: no cores";
   let tams = Array.length widths in
-  if tams = 0 then invalid_arg "Core_assign.run: no TAMs";
-  let table_width = Time_table.max_width table in
-  for j = 0 to tams - 1 do
-    if widths.(j) < 1 || widths.(j) > table_width then
-      invalid_arg "Core_assign.run: width outside the table range"
-  done;
   (* Scratch arrays are sized exactly (not merely grown): the
      [Assigned] result aliases them, so their length is part of the
      contract. Re-allocation only happens when the core or TAM count
@@ -161,76 +199,39 @@ let run_table_direct ?stats ~scratch:s ~best ~table ~widths () =
   let loads = s.sc_loads in
   let assignment = s.sc_assignment in
   let unassigned = s.sc_unassigned in
-  (* Lines 10-12: TAM with minimum summed time; ties to the widest. *)
-  let select_tam () =
-    let best_j = ref 0 in
-    for j = 1 to tams - 1 do
-      if
-        loads.(j) < loads.(!best_j)
-        || (loads.(j) = loads.(!best_j) && widths.(j) > widths.(!best_j))
-      then best_j := j
-    done;
-    !best_j
-  in
-  (* Lines 13-16: unassigned core with maximum time on TAM [j]; if tied,
-     compare the tied cores on the widest TAM narrower than [j] and take
-     the one that would be costliest there. *)
-  let select_core j =
-    let wj = widths.(j) - 1 in
-    let best_time = ref (-1) in
-    for i = 0 to cores - 1 do
-      if unassigned.(i) && rows.(i).(wj) > !best_time then
-        best_time := rows.(i).(wj)
-    done;
-    let tied = ref [] in
-    for i = cores - 1 downto 0 do
-      if unassigned.(i) && rows.(i).(wj) = !best_time then tied := i :: !tied
-    done;
-    match !tied with
-    | [] -> assert false
-    | [ i ] -> i
-    | first :: _ as candidates ->
-        let narrower = ref (-1) in
-        for k = 0 to tams - 1 do
-          if
-            widths.(k) < widths.(j)
-            && (!narrower < 0 || widths.(k) > widths.(!narrower))
-          then narrower := k
-        done;
-        if !narrower < 0 then first
-        else begin
-          let wk = widths.(!narrower) - 1 in
-          List.fold_left
-            (fun acc i -> if rows.(i).(wk) > rows.(acc).(wk) then i else acc)
-            first candidates
-        end
-  in
-  let rec loop remaining =
-    if remaining = 0 then begin
-      record stats ~cores ~assigned:cores ~exceeded:false;
-      Assigned
-        {
-          assignment;
-          tam_times = loads;
-          time = Soctam_util.Intutil.max_element loads;
-        }
-    end
-    else begin
-      let j = select_tam () in
-      let i = select_core j in
-      assignment.(i) <- j;
-      unassigned.(i) <- false;
-      loads.(j) <- loads.(j) + rows.(i).(widths.(j) - 1);
-      (* Lines 18-20: abandon the partition once it cannot beat [best]. *)
-      if Soctam_util.Intutil.max_element loads >= best then begin
-        let assigned = cores - remaining + 1 in
-        record stats ~cores ~assigned ~exceeded:true;
-        Exceeded assigned
-      end
-      else loop (remaining - 1)
-    end
-  in
-  loop cores
+  let assigned = ref 0 and exceeded = ref 0 in
+  while !exceeded = 0 && !assigned < cores do
+    let j = select_tam loads widths in
+    let i = select_core_rows rows unassigned widths j in
+    assignment.(i) <- j;
+    unassigned.(i) <- false;
+    loads.(j) <- loads.(j) + rows.(i).(widths.(j) - 1);
+    incr assigned;
+    (* Lines 18-20, as in [run_bounded]. *)
+    if loads.(j) >= best then exceeded := !assigned
+  done;
+  finish stats ~cores ~assignment ~loads !exceeded
+
+(* Validation, then the first step in closed form: most calls from the
+   partition search end there, before any scratch work. *)
+let run_table_direct ?stats ~scratch:s ~best ~table ~widths () =
+  let rows = Time_table.rows table in
+  let cores = Array.length rows in
+  if cores = 0 then invalid_arg "Core_assign.run: no cores";
+  let tams = Array.length widths in
+  if tams = 0 then invalid_arg "Core_assign.run: no TAMs";
+  let table_width = Time_table.max_width table in
+  let widest = ref 0 in
+  for j = 0 to tams - 1 do
+    if widths.(j) < 1 || widths.(j) > table_width then
+      invalid_arg "Core_assign.run: width outside the table range";
+    if widths.(j) > !widest then widest := widths.(j)
+  done;
+  if widest_cut ~table ~best ~widest:!widest then begin
+    record_widest_cuts ?stats ~cores 1;
+    Exceeded 1
+  end
+  else greedy_direct ~stats ~scratch:s ~best ~rows ~widths
 
 (* One pass of the same greedy loop with uniform random tie-breaking. *)
 let run_random_once ~rng ~times ~widths =

@@ -12,14 +12,18 @@
 
     Complexity: the paper states O(mB + m log m) for [m] cores and [B]
     TAMs, which assumes the per-TAM core orderings are pre-sorted and
-    consulted via priority queues. This implementation instead rescans
-    the unassigned set with plain linear passes — O(m + B) per of the
-    [m] assignment steps, i.e. O(m^2 + mB) overall. The simpler loop
-    was chosen deliberately: [m <= 32] on every SOC in the paper, the
-    early [tau] exit abandons most evaluations after a few steps, and
-    profiling shows the time-table lookups, not the scans, dominate.
-    Revisit with sorted structures only if SOCs with hundreds of cores
-    become a target. *)
+    consulted via priority queues. This implementation rescans instead:
+    each of the [m] steps is one O(B) pass for the TAM and one O(m + B)
+    pass for the core (the tie-break included), O(m^2 + mB) overall,
+    and {!run_table_direct} allocates nothing per step. What dominates
+    the partition search is not the full loop but its first step: on
+    wide TAMs almost every partition is abandoned right after it
+    (wide-npaw: 15,434,705 of 15,435,284 ranks; before the closed form
+    below, that search was 4.2 s of a 6.5 s run). That step has a
+    closed form, {!widest_cut}: an O(B) width check and one table
+    lookup, after which [Partition_evaluate] also skips the rest of the
+    odometer run the cut covers. The scans only matter for the few
+    partitions that get past it, so sorted structures would not pay. *)
 
 type outcome =
   | Assigned of {
@@ -59,10 +63,10 @@ val run :
   unit ->
   outcome
 (** [run ?best ~times ~widths ()] assigns every core given
-    [times.(i).(j)], the testing time of core [i] on TAM [j] (widths are
-    consulted only by the tie-breaking rules). [best] defaults to
-    [max_int], i.e. no early exit. [stats], when supplied, accumulates
-    the work done by this call.
+    [times.(i).(j) >= 0], the testing time of core [i] on TAM [j]
+    (widths are consulted only by the tie-breaking rules). [best]
+    defaults to [max_int], i.e. no early exit. [stats], when supplied,
+    accumulates the work done by this call.
     @raise Invalid_argument on empty or ragged inputs. *)
 
 val run_bounded :
@@ -94,6 +98,21 @@ val run_table_bounded :
   unit ->
   outcome
 (** {!run_bounded} over a precomputed table. *)
+
+val widest_cut : table:Time_table.t -> best:int -> widest:int -> bool
+(** The first assignment step in closed form. All loads start at 0, so
+    the step puts on the widest TAM the core with the largest time at
+    that width: [widest_cut ~table ~best ~widest] is [true] exactly when
+    {!Time_table.peak} at [widest] reaches [best], i.e. when
+    {!run_table_direct} over any partition whose widest TAM is [widest]
+    returns [Exceeded 1]. O(1). *)
+
+val record_widest_cuts : ?stats:stats -> cores:int -> int -> unit
+(** [record_widest_cuts ?stats ~cores n] adds to [stats] what [n]
+    evaluations ending in [Exceeded 1] record one by one: [n] steps
+    tried, [n] early terminations and [n * (cores - 1)] levels cut.
+    This is how a caller that settles a whole batch of partitions with
+    one {!widest_cut} keeps the counters exact. *)
 
 type scratch
 (** Caller-owned working storage for {!run_table_direct}: the three

@@ -160,12 +160,13 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
   let cb =
     { c_time = max_int; c_rank = max_int; c_widths = [||]; c_assignment = [||] }
   in
+  let cores = Time_table.core_count table in
+  let rank = ref lo in
   (match aim_odometer state ~total_width ~tams ~lo with
   | None -> ()
   | Some odometer ->
-      (for rank = lo to hi - 1 do
+      (while !rank < hi do
          let widths = Odometer.current odometer in
-         incr enumerated;
          let bound = Shared_min.mirror_get mir in
          let threshold =
            let t =
@@ -176,33 +177,58 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
            let c = if cap = max_int then max_int else cap + 1 in
            if c < t then c else t
          in
-         (match
-            Core_assign.run_table_direct ?stats:ca ~scratch:state.w_scratch
-              ~best:threshold ~table ~widths ()
-          with
-         | Core_assign.Exceeded _ -> incr tau_terminated
-         | Core_assign.Assigned { assignment; time; _ } ->
-             incr completed;
-             (* The pre-read [bound] makes the improvement test racy
-                under contention, but a trace event is an observation,
-                not a reduction input: at worst a tie between racing
-                workers is reported as an improvement by both. *)
-             if time < bound then Obs.event_v stats time "tau";
-             Shared_min.mirror_improve mir time;
-             if time < !best_time_b then best_time_b := time;
-             (* Ranks increase within the chunk, so a strict comparison
-                keeps the lowest-rank partition among equal times. *)
-             if time < cb.c_time then
-               ((cb.c_time <- time;
-                 cb.c_rank <- rank;
-                 cb.c_widths <- Array.copy widths;
-                 cb.c_assignment <- Array.copy assignment)
-               [@soctam.allow "ALLOC-HOT"] (* rare improvement path *)));
+         (* The odometer keeps the widths sorted, so the last one is the
+            widest. When the first assignment step alone reaches the
+            threshold, so does every later partition of the same run
+            (its widest part only shrinks and [Time_table.peak] is
+            non-increasing in the width), under this threshold or any
+            later, lower one: the rest of the run, up to [hi], is cut
+            here in bulk, with the counters each rank would have
+            recorded. *)
+         if Core_assign.widest_cut ~table ~best:threshold
+              ~widest:widths.(tams - 1)
+         then begin
+           let n =
+             1 + Int.min (Odometer.run_remaining odometer) (hi - 1 - !rank)
+           in
+           Core_assign.record_widest_cuts ?stats:ca ~cores n;
+           enumerated := !enumerated + n;
+           tau_terminated := !tau_terminated + n;
+           ignore (Odometer.skip odometer (n - 1));
+           rank := !rank + (n - 1)
+         end
+         else begin
+           incr enumerated;
+           match
+             Core_assign.run_table_direct ?stats:ca ~scratch:state.w_scratch
+               ~best:threshold ~table ~widths ()
+           with
+           | Core_assign.Exceeded _ -> incr tau_terminated
+           | Core_assign.Assigned { assignment; time; _ } ->
+               incr completed;
+               (* The pre-read [bound] makes the improvement test racy
+                  under contention, but a trace event is an observation,
+                  not a reduction input: at worst a tie between racing
+                  workers is reported as an improvement by both. *)
+               if time < bound then Obs.event_v stats time "tau";
+               Shared_min.mirror_improve mir time;
+               if time < !best_time_b then best_time_b := time;
+               (* Ranks increase within the chunk, so a strict
+                  comparison keeps the lowest-rank partition among
+                  equal times. *)
+               if time < cb.c_time then
+                 ((cb.c_time <- time;
+                   cb.c_rank <- !rank;
+                   cb.c_widths <- Array.copy widths;
+                   cb.c_assignment <- Array.copy assignment)
+                 [@soctam.allow "ALLOC-HOT"] (* rare improvement path *))
+         end;
          (* Advance through the last rank too, so the odometer already
             points at [hi] when the next owner chunk begins there. The
             advance can only be refused at the very end of the whole
             enumeration, where no later chunk of this slice exists. *)
-         ignore (Odometer.advance odometer)
+         ignore (Odometer.advance odometer);
+         incr rank
        done)
       [@soctam.hot];
       state.w_pos <- hi);

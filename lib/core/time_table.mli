@@ -14,7 +14,8 @@ type t
 val build :
   ?stats:Soctam_obs.Obs.t -> Soctam_model.Soc.t -> max_width:int -> t
 (** [build soc ~max_width] computes [T_i(w)] for all cores and
-    [w = 1 .. max_width]. [stats] (default disabled) times the build
+    [w = 1 .. max_width], and the {!peak} row over them in
+    O(cores * max_width). [stats] (default disabled) times the build
     into a [time_table/build] span and counts the table size into the
     [time_table/entries] counter.
     @raise Invalid_argument when [max_width < 1]. *)
@@ -25,6 +26,15 @@ val soc : t -> Soctam_model.Soc.t
 
 val time : t -> core:int -> width:int -> int
 (** [time t ~core ~width] with 0-based [core] and [width >= 1]. *)
+
+val peak : t -> width:int -> int
+(** [peak t ~width] is [max_i T_i(width)], the largest single-core time
+    at that width, read from a row precomputed by {!build} (O(1)). Every
+    core's row is a running minimum over wrapper chain counts, so it is
+    non-increasing in the width, and so is [peak]: a narrower width
+    never has a smaller peak. [Core_assign]'s first-step cut relies on
+    both facts.
+    @raise Invalid_argument when [width] is outside [1 .. max_width t]. *)
 
 val rows : t -> int array array
 (** The table's backing storage: [rows t].(i).(w - 1) is
@@ -40,8 +50,9 @@ val matrix : t -> widths:int array -> int array array
 
 val bottleneck_bound : t -> width:int -> int
 (** Lower bound on the SOC testing time at total width [width]: the
-    largest single-core time when that core enjoys the full width alone.
-    The paper's p31108 saturates at exactly this bound. *)
+    largest single-core time when that core enjoys the full width alone,
+    i.e. {!peak} at [width]. The paper's p31108 saturates at exactly
+    this bound. *)
 
 val bottleneck_core : t -> width:int -> int
 (** The 0-based core achieving {!bottleneck_bound}. *)

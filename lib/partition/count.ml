@@ -10,6 +10,14 @@
 let table : (int * int, int) Hashtbl.t = Hashtbl.create 1024
 let lock = Mutex.create ()
 
+exception Overflow
+
+(* Counts are non-negative, so a sum wrapped past [max_int] exactly
+   when it came out below an operand. *)
+let add a b =
+  let v = a + b in
+  if v < a then raise Overflow else v
+
 let rec go ~total ~parts =
   if parts <= 0 || total < parts then (if total = 0 && parts = 0 then 1 else 0)
   else if parts = total || parts = 1 then 1
@@ -18,21 +26,41 @@ let rec go ~total ~parts =
     | Some v -> v
     | None ->
         let v =
-          go ~total:(total - 1) ~parts:(parts - 1)
-          + go ~total:(total - parts) ~parts
+          add
+            (go ~total:(total - 1) ~parts:(parts - 1))
+            (go ~total:(total - parts) ~parts)
         in
         Hashtbl.add table (total, parts) v;
         v
 
+(* Both summands of the recurrence are at most p(total, parts), so an
+   overflow anywhere below the query means the query itself overflows. *)
 let exact ~total ~parts =
   Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () -> go ~total ~parts)
+  match
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock lock)
+      (fun () -> go ~total ~parts)
+  with
+  | v -> v
+  | exception Overflow ->
+      invalid_arg
+        (Printf.sprintf
+           "Count.exact: p(total = %d, parts = %d) exceeds max_int" total
+           parts)
 
 let at_most ~total ~max_parts =
   let rec loop k acc =
-    if k > max_parts then acc else loop (k + 1) (acc + exact ~total ~parts:k)
+    if k > max_parts then acc
+    else
+      match add acc (exact ~total ~parts:k) with
+      | acc -> loop (k + 1) acc
+      | exception Overflow ->
+          invalid_arg
+            (Printf.sprintf
+               "Count.at_most: partitions of total = %d into at most %d \
+                parts exceed max_int"
+               total max_parts)
   in
   loop 1 0
 

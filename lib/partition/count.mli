@@ -10,10 +10,15 @@ val exact : total:int -> parts:int -> int
     [total] into exactly [parts] positive parts. 0 when impossible.
     Exact dynamic programming; memoized across calls. The memo is
     protected by a lock, so concurrent calls from multiple domains are
-    safe (the parallel evaluation layer counts and unranks partitions). *)
+    safe (the parallel evaluation layer counts and unranks partitions).
+    Every addition is overflow-checked: p(512, 27) and p(1000, 15), for
+    instance, do not fit an OCaml [int].
+    @raise Invalid_argument naming [total] and [parts] when the count
+    exceeds [max_int]. *)
 
 val at_most : total:int -> max_parts:int -> int
-(** Partitions of [total] into at most [max_parts] parts. *)
+(** Partitions of [total] into at most [max_parts] parts.
+    @raise Invalid_argument when the count exceeds [max_int]. *)
 
 val all : int -> int
 (** p(n): partitions of [n] into any number of parts. *)

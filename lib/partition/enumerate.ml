@@ -185,4 +185,35 @@ module Odometer = struct
   let advance t =
     if t.parts = 1 then false else try_position t (t.parts - 2)
   [@@soctam.hot]
+
+  (* The innermost run: while w_(B-1) is below its bound
+     floor((total - prefix) / 2), [advance] grows it by one and shrinks
+     w_B by one, touching nothing else. *)
+  let run_remaining t =
+    if t.parts = 1 then 0
+    else begin
+      let j = t.parts - 2 in
+      ((t.total - prefix_sum t.widths j 0 0) / 2) - t.widths.(j)
+    end
+  [@@soctam.hot]
+
+  (* Jump to the end of the current run in one step, cross into the
+     next run with one [advance], and repeat until [n] is spent. *)
+  let rec skip_from t n =
+    if n = 0 then true
+    else begin
+      let k = Int.min n (run_remaining t) in
+      if k > 0 then begin
+        let j = t.parts - 2 in
+        t.widths.(j) <- t.widths.(j) + k;
+        t.widths.(j + 1) <- t.widths.(j + 1) - k
+      end;
+      k = n || (advance t && skip_from t (n - k - 1))
+    end
+  [@@soctam.hot]
+
+  let skip t n =
+    if n < 0 then invalid_arg "Enumerate.Odometer.skip: negative count";
+    skip_from t n
+  [@@soctam.hot]
 end

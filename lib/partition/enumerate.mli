@@ -99,4 +99,22 @@ module Odometer : sig
   val advance : t -> bool
   (** Move to the next partition; [false] when exhausted (the paper's
       [halt] flag). *)
+
+  val run_remaining : t -> int
+  (** How many further {!advance} calls stay inside the current
+      innermost run: the stretch of the enumeration where only the
+      last two parts change, the second-to-last growing by one and the
+      last (the widest) shrinking by one per step. 0 at the end of a
+      run and always for one part. Along a run every other part is
+      fixed and the widest part only shrinks, which is what lets
+      [Partition_evaluate] settle a whole run from its first member.
+      O(parts), allocation-free. *)
+
+  val skip : t -> int -> bool
+  (** [skip t n] has exactly the effect of [n] calls to {!advance}:
+      [true] when all [n] succeeded, otherwise [false] with [t] on the
+      last partition of the enumeration. Each run is crossed in one
+      step, so the cost is O(parts) per run touched rather than per
+      partition; allocation-free.
+      @raise Invalid_argument when [n < 0]. *)
 end

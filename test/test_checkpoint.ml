@@ -482,10 +482,11 @@ let check_same_result ~msg (a : Pe.result) (b : Pe.result) =
    completion; the resumed run must agree with the straight one. Returns
    false when the run completed before the k-th boundary (no more
    boundaries to test). *)
-let interrupt_resume_agrees ~jobs ~exact_counters ~table ~total_width k =
+let interrupt_resume_agrees ?(max_tams = 4) ?(every = 3) ~jobs ~exact_counters
+    ~table ~total_width k =
   let base cfg =
-    cfg |> Rc.with_jobs jobs |> Rc.with_max_tams 4
-    |> Rc.with_checkpoint_every 3
+    cfg |> Rc.with_jobs jobs |> Rc.with_max_tams max_tams
+    |> Rc.with_checkpoint_every every
     (* A (never reachable) budget turns slicing on without any file
        churn; cancellation provides the interrupts. *)
     |> Rc.with_time_budget 3600.
@@ -586,6 +587,23 @@ let resume_boundary_parallel () =
         (interrupt_resume_agrees ~jobs:4 ~exact_counters:false ~table
            ~total_width k))
     [ 1; 3; 5 ]
+
+(* The pinned d695 W = 40 P_NPAW instance (test_core.ml), where the
+   partition search skips cut odometer runs in bulk, sliced every 2
+   ranks so that slice edges fall inside those runs: each resumed slice
+   re-enters a run part-way and must still cut exactly what the
+   uninterrupted run cuts. *)
+let resume_inside_skipped_runs () =
+  let total_width = 40 in
+  let table = Tt.build Soctam_soc_data.D695.soc ~max_width:total_width in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "boundary %d reached" k)
+        true
+        (interrupt_resume_agrees ~max_tams:10 ~every:2 ~jobs:1
+           ~exact_counters:true ~table ~total_width k))
+    [ 1; 2; 7; 500; 1001; 2502; 4003; 6004; 8000 ]
 
 let zero_budget_resume () =
   (* A budget that expires before any work still yields a valid resume
@@ -881,6 +899,8 @@ let suite =
     test "resume: every boundary, jobs=1, counters exact"
       resume_every_boundary_seq;
     test "resume: representative boundaries, jobs=4" resume_boundary_parallel;
+    test "resume: slice edges inside skipped runs, d695 W=40"
+      resume_inside_skipped_runs;
     test "resume: zero budget leaves a valid token" zero_budget_resume;
     test "resume: mismatched checkpoints rejected" mismatched_resume_rejected;
     test "resume: checkpoint file lifecycle" checkpoint_file_lifecycle;

@@ -76,6 +76,17 @@ let optimize_fixed_b () =
     [ "optimize"; "d695"; "-w"; "16"; "-b"; "2" ]
     [ "architecture: 2 TAMs"; "lower bounds"; "final time" ]
 
+(* p(512, 27) does not fit an int: a typed error and exit 1, not a
+   wrapped count and a silently wrong architecture. The one-core SOC
+   keeps the W = 512 time table cheap. *)
+let optimize_rank_space_overflow () =
+  check_output ~code:1
+    [
+      "optimize"; Filename.concat "data" "good_minimal.itc02"; "-w"; "512";
+      "-b"; "27";
+    ]
+    [ "soctam: Count.exact"; "total = 512"; "parts = 27"; "exceeds max_int" ]
+
 let optimize_npaw_and_arch_roundtrip () =
   let path = Filename.temp_file "cli_arch" ".arch" in
   check_output
@@ -366,4 +377,5 @@ let suite =
       exhaustive_checkpoint_resume;
     test "resume: garbage checkpoint rejected" resume_garbage_rejected;
     test "resume: version 1 checkpoint rejected" resume_v1_rejected;
+    test "optimize: rank-space overflow" optimize_rank_space_overflow;
   ]

@@ -8,6 +8,8 @@ module Pe = Soctam_core.Partition_evaluate
 module Ex = Soctam_core.Exhaustive
 module Co = Soctam_core.Co_optimize
 module Exact = Soctam_ilp.Exact
+module Obs = Soctam_obs.Obs
+module Prng = Soctam_util.Prng
 
 let test case f = Alcotest.test_case case `Quick f
 let qtest prop = QCheck_alcotest.to_alcotest prop
@@ -23,6 +25,28 @@ let small_soc seed ~cores =
       max_chains = 6;
       max_chain_length = 50;
     }
+
+(* Every core draws its pattern count and its longest scan chain from
+   two values each, so groups of cores saturate to one testing time at
+   wide widths while still differing at narrow ones, and some cores are
+   exact copies: the regime where Core_assign's tie-breaks decide. *)
+let tie_heavy_soc seed ~cores =
+  let rng = Prng.create seed in
+  let pick a = a.(Prng.int rng (Array.length a)) in
+  Soctam_model.Soc.make ~name:"ties"
+    ~cores:
+      (List.init cores (fun i ->
+           let longest = pick [| 20; 30 |] in
+           let shorter =
+             List.init (Prng.int rng 3) (fun _ -> 1 + Prng.int rng longest)
+           in
+           Soctam_model.Core_data.make ~id:(i + 1)
+             ~name:(Printf.sprintf "c%d" (i + 1))
+             ~inputs:(pick [| 0; 4; 8 |])
+             ~outputs:(pick [| 0; 4; 8 |])
+             ~scan_chains:(longest :: shorter)
+             ~patterns:(pick [| 50; 80 |])
+             ()))
 
 (* -- Time_table ----------------------------------------------------------- *)
 
@@ -75,6 +99,30 @@ let bottleneck_identifies_max () =
     Alcotest.(check bool) "no core exceeds" true
       (Tt.time table ~core:i ~width:12 <= bound)
   done
+
+let peak_row =
+  QCheck.Test.make
+    ~name:"time table: peak is the per-width maximum, non-increasing"
+    ~count:30
+    QCheck.(pair (int_range 1 1000) bool)
+    (fun (seed, ties) ->
+      let soc =
+        if ties then tie_heavy_soc (Int64.of_int seed) ~cores:6
+        else small_soc (Int64.of_int seed) ~cores:6
+      in
+      let table = Tt.build soc ~max_width:16 in
+      let ok = ref true in
+      for width = 1 to 16 do
+        let top = ref 0 in
+        for core = 0 to 5 do
+          top := max !top (Tt.time table ~core ~width)
+        done;
+        if Tt.peak table ~width <> !top then ok := false;
+        if Tt.bottleneck_bound table ~width <> !top then ok := false;
+        if width > 1 && Tt.peak table ~width > Tt.peak table ~width:(width - 1)
+        then ok := false
+      done;
+      !ok)
 
 (* -- Core_assign ---------------------------------------------------------- *)
 
@@ -216,23 +264,28 @@ let equal_outcome a b =
 let direct_matches_bounded =
   QCheck.Test.make
     ~name:"Core_assign: run_table_direct identical to run_table_bounded"
-    ~count:100
-    QCheck.(triple (int_range 1 1000) (int_range 1 5) (int_range 0 2))
-    (fun (seed, tams, bound_kind) ->
-      let soc = small_soc (Int64.of_int seed) ~cores:6 in
-      let table = Tt.build soc ~max_width:12 in
-      let rng = Soctam_util.Prng.create (Int64.of_int ((seed * 31) + tams)) in
-      let widths =
-        Array.init tams (fun _ -> 1 + Soctam_util.Prng.int rng 12)
+    ~count:300
+    QCheck.(quad (int_range 1 1000) (int_range 1 5) (int_range 0 3) bool)
+    (fun (seed, tams, bound_kind, ties) ->
+      let soc =
+        if ties then tie_heavy_soc (Int64.of_int seed) ~cores:6
+        else small_soc (Int64.of_int seed) ~cores:6
       in
+      let table = Tt.build soc ~max_width:12 in
+      let rng = Prng.create (Int64.of_int ((seed * 31) + tams)) in
+      let widths = Array.init tams (fun _ -> 1 + Prng.int rng 12) in
       let reference = Ca.run_table_bounded ~best:max_int ~table ~widths () in
-      (* Exercise all three early-exit regimes: no bound, a bound hit
-         exactly (the Exceeded path), and a loose bound. *)
+      (* Exercise every early-exit regime: no bound, a bound hit exactly
+         (the Exceeded path), a loose bound, and a tight one in
+         [0, peak(w_max)] where the first step alone decides. *)
       let best =
         match (bound_kind, reference) with
+        | 3, _ ->
+            let widest = Array.fold_left max 0 widths in
+            Prng.int rng (Tt.peak table ~width:widest + 1)
         | 0, _ | _, Ca.Exceeded _ -> max_int
         | 1, Ca.Assigned { time; _ } -> time
-        | _, Ca.Assigned { time; _ } -> time + 1 + Soctam_util.Prng.int rng 50
+        | _, Ca.Assigned { time; _ } -> time + 1 + Prng.int rng 50
       in
       let scratch = Ca.scratch () in
       let check widths =
@@ -243,17 +296,83 @@ let direct_matches_bounded =
         let direct =
           Ca.run_table_direct ~stats:sd ~scratch ~best ~table ~widths ()
         in
+        (* The closed-form first step agrees with the loop that does
+           not use it. *)
+        let widest = Array.fold_left max 0 widths in
         equal_outcome bounded direct
+        && Ca.widest_cut ~table ~best ~widest
+           = equal_outcome bounded (Ca.Exceeded 1)
         && sb.Ca.tried = sd.Ca.tried
         && sb.Ca.early_terminations = sd.Ca.early_terminations
         && sb.Ca.levels_cut = sd.Ca.levels_cut
       in
       (* Second instance with the same scratch: stale state must not
          leak between evaluations. *)
-      let widths2 =
-        Array.init tams (fun _ -> 1 + Soctam_util.Prng.int rng 12)
-      in
+      let widths2 = Array.init tams (fun _ -> 1 + Prng.int rng 12) in
       check widths && check widths2)
+
+(* Lines 13-16 of Figure 1 as the paper words them: collect the cores
+   tied on TAM [j], then compare them on the widest narrower TAM. The
+   oracle for Core_assign's single-pass selection. *)
+let reference_assign ~times ~widths =
+  let cores = Array.length times and tams = Array.length widths in
+  let loads = Array.make tams 0 and assignment = Array.make cores (-1) in
+  for _ = 1 to cores do
+    let j = ref 0 in
+    for k = 1 to tams - 1 do
+      if
+        loads.(k) < loads.(!j)
+        || (loads.(k) = loads.(!j) && widths.(k) > widths.(!j))
+      then j := k
+    done;
+    let j = !j in
+    let free = List.filter (fun i -> assignment.(i) < 0) (List.init cores Fun.id) in
+    let top = List.fold_left (fun m i -> max m times.(i).(j)) (-1) free in
+    let tied = List.filter (fun i -> times.(i).(j) = top) free in
+    let narrower =
+      List.filter (fun k -> widths.(k) < widths.(j)) (List.init tams Fun.id)
+    in
+    let i =
+      match narrower with
+      | [] -> List.hd tied
+      | k0 :: _ ->
+          let k =
+            List.fold_left
+              (fun a k -> if widths.(k) > widths.(a) then k else a)
+              k0 narrower
+          in
+          List.fold_left
+            (fun a i -> if times.(i).(k) > times.(a).(k) then i else a)
+            (List.hd tied) tied
+    in
+    assignment.(i) <- j;
+    loads.(j) <- loads.(j) + times.(i).(j)
+  done;
+  (assignment, loads)
+
+let tie_break_matches_reference =
+  QCheck.Test.make
+    ~name:"Core_assign: tie-breaks match the two-pass reference" ~count:200
+    QCheck.(triple (int_range 1 1000) (int_range 1 5) bool)
+    (fun (seed, tams, ties) ->
+      let soc =
+        if ties then tie_heavy_soc (Int64.of_int seed) ~cores:7
+        else small_soc (Int64.of_int seed) ~cores:7
+      in
+      let table = Tt.build soc ~max_width:12 in
+      let rng = Prng.create (Int64.of_int seed) in
+      let widths = Array.init tams (fun _ -> 1 + Prng.int rng 12) in
+      let times = Tt.matrix table ~widths in
+      let assignment, loads = reference_assign ~times ~widths in
+      let agrees = function
+        | Ca.Assigned { assignment = a; tam_times = l; _ } ->
+            a = assignment && l = loads
+        | Ca.Exceeded _ -> false
+      in
+      agrees (Ca.run ~times ~widths ())
+      && agrees
+           (Ca.run_table_direct ~scratch:(Ca.scratch ()) ~best:max_int ~table
+              ~widths ()))
 
 let randomized_restarts_help =
   QCheck.Test.make
@@ -452,6 +571,39 @@ let fewer_tams_than_requested_is_fine () =
   let table = Tt.build soc ~max_width:3 in
   let r = Runners.pe_run ~table ~total_width:3 ~max_tams:10 () in
   Alcotest.(check int) "stats for B = 1..3" 3 (Array.length r.Pe.per_b)
+
+(* d695 at W = 40, P_NPAW (B <= 10) at jobs = 1: an instance where the
+   bulk skip of cut odometer runs fires (it settles 4,912 of the 16,928
+   ranks without visiting them). The architecture and every counter are
+   the ones the rank-by-rank evaluation produced before the skip
+   existed. *)
+let d695_w40_counters =
+  [
+    ("core_assign/assignments_tried", 28141);
+    ("core_assign/early_terminations", 16906);
+    ("core_assign/levels_cut", 141139);
+    ("partition/enumerated", 16928);
+    ("partition/evaluated", 22);
+    ("partition/pruned", 16906);
+    ("pool/chunks", 26);
+    ("pool/tau_publications", 22);
+  ]
+
+let pinned_run_skip_instance () =
+  let table = Tt.build Soctam_soc_data.D695.soc ~max_width:40 in
+  let stats = Obs.create () in
+  let r =
+    Runners.pe_run ~stats ~jobs:1 ~table ~total_width:40 ~max_tams:10 ()
+  in
+  Alcotest.(check (array int)) "widths" [| 4; 4; 8; 12; 12 |] r.Pe.widths;
+  Alcotest.(check int) "time" 19196 r.Pe.time;
+  Alcotest.(check (array int))
+    "assignment" [| 0; 4; 2; 1; 2; 3; 0; 1; 1; 4 |] r.Pe.assignment;
+  let snap = Obs.snapshot stats in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int) name n (Obs.counter_value snap name))
+    d695_w40_counters
 
 let initial_best_seeding () =
   (* Seeding tau with the known optimum means nothing completes and the
@@ -698,6 +850,7 @@ let suite =
     qtest core_assign_never_beats_exact;
     qtest core_assign_heuristic_quality;
     qtest direct_matches_bounded;
+    qtest tie_break_matches_reference;
     qtest randomized_variant_is_sound;
     qtest randomized_restarts_help;
     qtest randomized_never_beats_exact;
@@ -713,6 +866,8 @@ let suite =
     test "Partition_evaluate: validation" partition_evaluate_validation;
     test "Partition_evaluate: B capped by width" fewer_tams_than_requested_is_fine;
     test "Partition_evaluate: initial_best seeding" initial_best_seeding;
+    test "Partition_evaluate: pinned d695 W=40 run-skip instance"
+      pinned_run_skip_instance;
     qtest exhaustive_is_optimal;
     test "Exhaustive: budget degradation" exhaustive_budget_degrades;
     test "Exhaustive: partition accounting" exhaustive_counts_partitions;
@@ -730,4 +885,5 @@ let suite =
     test "Bounds: bottleneck core" bounds_bottleneck_core;
     test "Bounds: gap and saturation" bounds_gap_and_saturation;
     test "Bounds: validation" bounds_validation;
+    qtest peak_row;
   ]

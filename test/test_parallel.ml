@@ -338,6 +338,30 @@ let evaluate_exact_counters_stable =
           && a.Pe.enumerated = b.Pe.enumerated)
         seq.Pe.per_b par.Pe.per_b)
 
+(* The pinned d695 W = 40 P_NPAW instance (test_core.ml), where the
+   partition search cuts whole odometer runs at a time: with two and
+   four workers sharing tau, a run is cut under whatever bound a
+   worker's mirror holds, and the result must still be byte-identical
+   to one worker's. *)
+let run_skip_instance_matches_sequential () =
+  let table = Tt.build Soctam_soc_data.D695.soc ~max_width:40 in
+  let run jobs =
+    Runners.pe_run ~jobs ~table ~total_width:40 ~max_tams:10 ()
+  in
+  let seq = run 1 in
+  Alcotest.(check (array int)) "jobs=1 widths" [| 4; 4; 8; 12; 12 |]
+    seq.Pe.widths;
+  List.iter
+    (fun jobs ->
+      let par = run jobs in
+      let msg = Printf.sprintf "jobs=%d identical to jobs=1" jobs in
+      Alcotest.(check bool) msg true (signature seq = signature par);
+      Alcotest.(check (array int))
+        (Printf.sprintf "jobs=%d enumerated per B" jobs)
+        (Array.map (fun (b : Pe.b_stats) -> b.Pe.enumerated) seq.Pe.per_b)
+        (Array.map (fun (b : Pe.b_stats) -> b.Pe.enumerated) par.Pe.per_b))
+    [ 2; 4 ]
+
 (* -- Agreement with the exhaustive baseline ------------------------------- *)
 
 let exhaustive_matches_sequential =
@@ -420,6 +444,8 @@ let suite =
     qtest evaluate_fixed_matches_sequential;
     qtest evaluate_carry_tau_variants_agree;
     qtest evaluate_exact_counters_stable;
+    test "pinned d695 W=40 run-skip instance: jobs=1 = 2 = 4"
+      run_skip_instance_matches_sequential;
     qtest exhaustive_matches_sequential;
     qtest heuristic_bounded_by_exhaustive;
     qtest co_optimize_matches_sequential;

@@ -38,6 +38,36 @@ let exact_at_most_and_all () =
   Alcotest.(check int) "at most 2 of 10" (1 + 5)
     (Count.at_most ~total:10 ~max_parts:2)
 
+let exact_overflow_is_an_error () =
+  let contains msg needle =
+    let n = String.length needle in
+    List.exists
+      (fun i -> String.sub msg i n = needle)
+      (List.init (String.length msg - n + 1) Fun.id)
+  in
+  let overflows total parts =
+    match Count.exact ~total ~parts with
+    | n -> Alcotest.failf "p(%d, %d) = %d did not overflow" total parts n
+    | exception Invalid_argument msg ->
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%S names %S" msg needle)
+              true (contains msg needle))
+          [
+            Printf.sprintf "total = %d" total; Printf.sprintf "parts = %d" parts;
+          ]
+  in
+  overflows 512 27;
+  overflows 1000 15;
+  (* The memo stays sound after an overflowing query. *)
+  Alcotest.(check int) "p(10,3) after overflow" 8 (Count.exact ~total:10 ~parts:3);
+  Alcotest.(check bool) "p(300, 27) still fits" true
+    (Count.exact ~total:300 ~parts:27 > 0);
+  match Count.at_most ~total:1000 ~max_parts:1000 with
+  | n -> Alcotest.failf "p(1000) = %d did not overflow" n
+  | exception Invalid_argument _ -> ()
+
 let closed_forms =
   QCheck.Test.make ~name:"p(n,2) and p(n,3) closed forms" ~count:200
     QCheck.(int_range 2 120)
@@ -245,6 +275,70 @@ let create_at_equals_sequential_advances =
           done;
           !ok && Enumerate.Odometer.create_at ~total ~parts ~rank:n = None)
 
+let skip_equals_advances =
+  QCheck.Test.make ~name:"Odometer.skip t n = n advances, past the end too"
+    ~count:300
+    QCheck.(quad (int_range 1 30) (int_range 1 7) (int_range 0 1000)
+              (int_range 0 120))
+    (fun (total, parts, start, n) ->
+      let count = Count.exact ~total ~parts in
+      QCheck.assume (count > 0);
+      (* Start anywhere, including the last rank; on small instances
+         [n] runs past the end of the enumeration. *)
+      let rank = start mod count in
+      match
+        ( Enumerate.Odometer.create_at ~total ~parts ~rank,
+          Enumerate.Odometer.create_at ~total ~parts ~rank )
+      with
+      | Some stepped, Some skipped ->
+          let all_advanced = ref true in
+          for _ = 1 to n do
+            if not (Enumerate.Odometer.advance stepped) then
+              all_advanced := false
+          done;
+          Enumerate.Odometer.skip skipped n = !all_advanced
+          && !all_advanced = (rank + n < count)
+          && Enumerate.Odometer.current skipped
+             = Enumerate.Odometer.current stepped
+      | _ -> false)
+
+let run_remaining_is_the_run =
+  QCheck.Test.make
+    ~name:"Odometer.run_remaining counts the advances moving only the last two parts"
+    ~count:100
+    QCheck.(pair (int_range 1 30) (int_range 1 7))
+    (fun (total, parts) ->
+      match Enumerate.Odometer.create ~total ~parts with
+      | None -> true
+      | Some o ->
+          let ok = ref true in
+          let continue = ref true in
+          while !continue do
+            let before = Array.copy (Enumerate.Odometer.current o) in
+            let k = Enumerate.Odometer.run_remaining o in
+            for step = 1 to k do
+              if not (Enumerate.Odometer.advance o) then ok := false;
+              let w = Enumerate.Odometer.current o in
+              for i = 0 to parts - 3 do
+                if w.(i) <> before.(i) then ok := false
+              done;
+              (* the widest part shrinks by one per step *)
+              if w.(parts - 1) <> before.(parts - 1) - step then ok := false
+            done;
+            let last = Array.copy (Enumerate.Odometer.current o) in
+            continue := Enumerate.Odometer.advance o;
+            (* the next advance, when there is one, leaves the run *)
+            if !continue then begin
+              let w = Enumerate.Odometer.current o in
+              let same_prefix = ref true in
+              for i = 0 to parts - 3 do
+                if w.(i) <> last.(i) then same_prefix := false
+              done;
+              if !same_prefix then ok := false
+            end
+          done;
+          !ok)
+
 let split_ranges_cover_enumeration =
   (* The contract the parallel evaluator relies on: Pool.split produces
      contiguous, disjoint, covering ranges, and starting an odometer at
@@ -300,6 +394,7 @@ let suite =
   [
     test "count: small values" exact_small_values;
     test "count: at_most / all" exact_at_most_and_all;
+    test "count: overflow is an error" exact_overflow_is_an_error;
     qtest closed_forms;
     qtest recurrence_property;
     test "count: estimate matches paper Table 1" estimate_matches_paper_table1;
@@ -312,6 +407,8 @@ let suite =
     qtest odometer_matches_fold;
     qtest unrank_rank_round_trip;
     qtest create_at_equals_sequential_advances;
+    qtest skip_equals_advances;
+    qtest run_remaining_is_the_run;
     qtest split_ranges_cover_enumeration;
     qtest compositions_match_fold;
     test "compositions: blow-up measured" compositions_blowup_measured;
