@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-par test-par-smoke test-resume test-race bench bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
+.PHONY: all build test test-par test-par-smoke test-resume test-race test-exact bench bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
 
 all: build
 
@@ -46,6 +46,13 @@ test-resume: build
 # relative to the test directory (the `dune runtest` convention).
 test-race: build
 	cd _build/default/test && ./test_main.exe test race
+
+# Exact-solver suite only (test/test_ilp.ml): the branch & bound's
+# visit-order and heavy-finish pins, the LP dual against the primal
+# relaxation and the integer optimum, and the exhaustive engine's d695
+# guard. Runs from the build tree, like test-race.
+test-exact: build
+	cd _build/default/test && ./test_main.exe test ilp
 
 bench:
 	dune exec bench/main.exe

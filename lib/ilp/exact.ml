@@ -22,11 +22,119 @@ let makespan ~times ~assignment =
   Array.iteri (fun i j -> loads.(j) <- loads.(j) + times.(i).(j)) assignment;
   Soctam_util.Intutil.max_element loads
 
+(* The dual of the §3.2 model's LP relaxation: maximise [sum_i u_i]
+   subject to [u_i <= lambda_j * t_ij] for every core [i] and TAM [j],
+   [sum_j lambda_j = 1] and [u, lambda >= 0]. At an optimum [u_i] is
+   core [i]'s cheapest weighted time, and the value equals the
+   relaxation's minimal [T]. TAMs with identical time columns (equal
+   widths) are interchangeable and the objective is concave, so
+   averaging an optimum over them gives another one: they share one
+   weight, which shrinks the tableau. Times are divided by the largest
+   one so the tableau's coefficients lie in [0, 1]. *)
+let lp_dual ~times =
+  let cores, tams = check_instance times in
+  let module P = Soctam_lp.Problem in
+  let scale =
+    float_of_int
+      (Int.max 1
+         (Soctam_util.Intutil.max_element
+            (Array.map Soctam_util.Intutil.max_element times)))
+  in
+  (* [first.(j)]: the lowest TAM whose column equals TAM [j]'s. *)
+  let same j j' = Array.for_all (fun row -> row.(j) = row.(j')) times in
+  let first =
+    Array.init tams (fun j ->
+        let rec scan j' = if same j j' then j' else scan (j' + 1) in
+        scan 0)
+  in
+  let p = P.create ~name:"p_aw_dual" () in
+  let u = Array.init cores (fun i -> P.add_var p (Printf.sprintf "u_%d" i)) in
+  let shared =
+    Array.mapi
+      (fun j f ->
+        if f = j then Some (P.add_var p (Printf.sprintf "lambda_%d" j))
+        else None)
+      first
+  in
+  let lambda j = Option.get shared.(first.(j)) in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j t ->
+          if first.(j) = j then
+            P.add_constraint p
+              [ (1., u.(i)); (-.float_of_int t /. scale, lambda j) ]
+              P.Le 0.)
+        row)
+    times;
+  (* A shared weight appears once per member, so the terms sum to it
+     times the class size. *)
+  P.add_constraint p (List.init tams (fun j -> (1., lambda j))) P.Eq 1.;
+  P.set_objective p P.Maximize (Array.to_list (Array.map (fun v -> (1., v)) u));
+  match Soctam_lp.Simplex.solve p with
+  | Soctam_lp.Simplex.Optimal { objective; values } ->
+      Some
+        ( objective *. scale,
+          Array.init tams (fun j -> values.(P.var_index (lambda j))) )
+  | Soctam_lp.Simplex.Infeasible | Soctam_lp.Simplex.Unbounded -> None
+  | exception Soctam_lp.Simplex.Numerical_failure _ -> None
+
+let weight_total = 1 lsl 20
+
+(* [lambda] scaled to [weight_total] and rounded down to integers. A
+   node's weighted load plus [suffix_q] is at most [sum q * heavy],
+   [heavy] being the summed worst times, so the total shrinks until
+   twice that (and the rounding in [ceil_div]) fits in an [int]. [None]
+   when no weight survives. *)
+let integer_weights times lambda =
+  let heavy =
+    Array.fold_left
+      (fun acc row ->
+        let m = Soctam_util.Intutil.max_element row in
+        if acc > max_int - m then max_int else acc + m)
+      0 times
+  in
+  let total =
+    if heavy >= max_int / 2 then 0
+    else Int.min weight_total (max_int / 2 / (heavy + 1))
+  in
+  let mass =
+    Array.fold_left (fun acc l -> if l > 0. then acc +. l else acc) 0. lambda
+  in
+  if total = 0 || not (mass > 0. && Float.is_finite mass) then None
+  else
+    let q =
+      Array.map
+        (fun l ->
+          if l > 0. then int_of_float (float_of_int total *. l /. mass) else 0)
+        lambda
+    in
+    if Soctam_util.Intutil.sum q = 0 then None else Some q
+
+let dual_weights times =
+  Option.bind (lp_dual ~times) (fun (_, lambda) ->
+      integer_weights times lambda)
+
+(* Core [i]'s cheapest weighted time, [min_j q.(j) * t_ij]. *)
+let cheapest q row =
+  Soctam_util.Intutil.min_element (Array.mapi (fun j t -> q.(j) * t) row)
+
+let root_bound ~times =
+  Option.map
+    (fun q ->
+      Soctam_util.Intutil.ceil_div
+        (Array.fold_left (fun acc row -> acc + cheapest q row) 0 times)
+        (Soctam_util.Intutil.sum q))
+    (dual_weights times)
+
 (* Branch & bound state. Nothing is allocated once the search starts:
    the path, the loads and the candidate lists live in arrays made up
    front. Row [k] of [cand_tam]/[cand_load] (positions [k * tams] to
    [k * tams + tams - 1]) holds the candidate TAMs of the core at depth
-   [k] and the load each would reach, sorted by (load, TAM index). *)
+   [k] and the load each would reach, sorted by (load, TAM index).
+   [q]/[suffix_q]/[q_sum] hold the dual-weight term: zero until the node
+   count reaches [lp_at], then filled once from the LP relaxation's dual
+   (see [install_weights]), or left at zero if that fails. *)
 type search = {
   times : int array array;
   widths : int array;
@@ -36,6 +144,11 @@ type search = {
   cores : int;
   tams : int;
   node_limit : int;
+  lp_at : int;  (** node count at which the dual LP is solved *)
+  q : int array;  (** integer TAM weights of the dual-weight term *)
+  suffix_q : int array;
+      (** [suffix_q.(k)]: summed [min_j q.(j) * t_ij] of depths [k ..] *)
+  mutable q_sum : int;  (** [sum q]; 0 leaves the term off *)
   loads : int array;
   current : int array;  (** core -> TAM along the current path *)
   cand_tam : int array;
@@ -45,6 +158,19 @@ type search = {
   mutable nodes : int;
   mutable budget_hit : bool;
 }
+
+(* Solves the dual LP once and installs its weights. Any nonnegative
+   weights give a valid bound, so a failure just leaves the term off. *)
+let install_weights s =
+  match dual_weights s.times with
+  | None -> ()
+  | Some q ->
+      Array.blit q 0 s.q 0 s.tams;
+      for k = s.cores - 1 downto 0 do
+        s.suffix_q.(k) <-
+          s.suffix_q.(k + 1) + cheapest q s.times.(s.order.(k))
+      done;
+      s.q_sum <- Soctam_util.Intutil.sum q
 
 (* Every TAM from [j] on would take the core with times [row] to at
    least the incumbent. *)
@@ -63,14 +189,29 @@ let rec placement_reaches s k =
      || placement_reaches s (k + 1))
 [@@soctam.hot]
 
+(* [acc] plus the weighted load [sum q.(j) * loads.(j)] of TAMs [j ..].
+   Read from [loads] at every node rather than carried down the path,
+   since the weights change once mid-search. *)
+let rec weighted_load s j acc =
+  if j = s.tams then acc
+  else weighted_load s (j + 1) (acc + (s.q.(j) * s.loads.(j)))
+[@@soctam.hot]
+
 (* The node's lower bound is the max of the path's makespan, the
-   average-load bound and the placement bound; it prunes when it reaches
-   the incumbent. The terms are tried cheapest first and the first one
-   that reaches the incumbent decides. *)
+   average-load bound, the dual-weight bound and the placement bound; it
+   prunes when it reaches the incumbent. The average-load bound is the
+   dual-weight bound with every TAM weighted alike. The terms are tried
+   cheapest first and the first one that reaches the incumbent
+   decides. *)
 let pruned s k total_load current_max =
   current_max >= s.incumbent_time
   || Soctam_util.Intutil.ceil_div (total_load + s.suffix_min.(k)) s.tams
      >= s.incumbent_time
+  || s.q_sum > 0
+     && Soctam_util.Intutil.ceil_div
+          (weighted_load s 0 s.suffix_q.(k))
+          s.q_sum
+        >= s.incumbent_time
   || placement_reaches s k
 [@@soctam.hot]
 
@@ -121,12 +262,15 @@ let rec explore s k total_load current_max =
   else begin
     s.nodes <- s.nodes + 1;
     if s.nodes > s.node_limit then s.budget_hit <- true
-    else if not (pruned s k total_load current_max) then begin
-      let i = s.order.(k) in
-      let row = s.times.(i) in
-      let base = k * s.tams in
-      fill_row s row base 0;
-      branch s k i row base base total_load current_max
+    else begin
+      if s.nodes = s.lp_at then install_weights s;
+      if not (pruned s k total_load current_max) then begin
+        let i = s.order.(k) in
+        let row = s.times.(i) in
+        let base = k * s.tams in
+        fill_row s row base 0;
+        branch s k i row base base total_load current_max
+      end
     end
   end
 [@@soctam.hot]
@@ -182,6 +326,13 @@ let solve_bb ?(node_limit = 2_000_000) ?initial ?widths ~times () =
       cores;
       tams;
       node_limit;
+      (* The dual LP has [cores * tams] rows and [cores + tams]
+         structural columns, so one simplex pivot costs about [lp_at]
+         steps: a search smaller than that never pays for the LP. *)
+      lp_at = cores * tams * (cores + tams);
+      q = Array.make tams 0;
+      suffix_q = Array.make (cores + 1) 0;
+      q_sum = 0;
       loads = Array.make tams 0;
       current = Array.make cores 0;
       cand_tam = Array.make (cores * tams) 0;

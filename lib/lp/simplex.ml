@@ -11,26 +11,38 @@ let feas_eps = 1e-7
 (* The tableau holds one row per constraint plus an objective row kept in
    reduced-cost form; column layout is [structurals | slacks | artificials
    | rhs]. [basis.(r)] is the column basic in row [r]; [allowed.(c)] marks
-   columns permitted to enter (artificials are blocked in phase 2). *)
+   columns permitted to enter (artificials are blocked in phase 2).
+   [nonzero] is scratch space for [pivot]. *)
 type tableau = {
   rows : float array array;  (* m rows, each of length ncols + 1 *)
   obj : float array;  (* reduced-cost row, length ncols + 1 *)
   basis : int array;
   allowed : bool array;
   ncols : int;
+  nonzero : int array;  (* length ncols + 1 *)
 }
 
+(* Elimination only touches the columns where the pivot row is nonzero:
+   elsewhere [target.(c) -. factor *. 0.] is [target.(c)] again. The
+   rows of the models built here are sparse, and stay mostly so. *)
 let pivot t ~row ~col =
   let m = Array.length t.rows in
   let piv = t.rows.(row).(col) in
   let r = t.rows.(row) in
+  let count = ref 0 in
   for c = 0 to t.ncols do
-    r.(c) <- r.(c) /. piv
+    r.(c) <- r.(c) /. piv;
+    if r.(c) <> 0. then begin
+      t.nonzero.(!count) <- c;
+      incr count
+    end
   done;
+  let count = !count in
   let eliminate target =
     let factor = target.(col) in
     if Float.abs factor > 0. then
-      for c = 0 to t.ncols do
+      for k = 0 to count - 1 do
+        let c = t.nonzero.(k) in
         target.(c) <- target.(c) -. (factor *. r.(c))
       done
   in
@@ -172,6 +184,7 @@ let solve ?bounds problem =
         basis = Array.make m (-1);
         allowed = Array.make ncols true;
         ncols;
+        nonzero = Array.make (ncols + 1) 0;
       }
     in
     let next_slack = ref slack_from in

@@ -2,8 +2,10 @@
 
     Solves the continuous relaxation of a {!Problem.t}: integrality kinds
     are ignored, variable bounds are honoured ([lb] via shifting, finite
-    [ub] via an extra row). Suitable for the small, dense models this
-    project builds (tens of variables and rows). *)
+    [ub] via an extra row). Suitable for the small models this project
+    builds: tens of variables, and up to a few hundred sparse rows for
+    the dual-weight LP of [Soctam_ilp.Exact.solve_bb]. A pivot only
+    updates the columns where its row is nonzero. *)
 
 type outcome =
   | Optimal of { objective : float; values : float array }
