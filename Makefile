@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-par test-par-smoke test-resume test-race test-exact bench bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
+.PHONY: all build test test-par test-par-smoke test-resume test-race test-exact bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
 
 all: build
 
@@ -54,9 +54,6 @@ test-race: build
 test-exact: build
 	cd _build/default/test && ./test_main.exe test ilp
 
-bench:
-	dune exec bench/main.exe
-
 # The layered benchmark's own checks (perfbench/README.md): the
 # statistics and verdict selftest, then one instance per workload with
 # one untraced and one traced pass (a few seconds).
@@ -84,7 +81,7 @@ lint: build static-analysis
 # (DET-POLY, DET-ENTROPY, DOM-SHARED, DOM-ESCAPE, LOCK-RAISE, ALLOC-HOT
 # and the effect-inference families EFFECT-WORKER, OUTCOME-DROP,
 # ENGINE-CAPS, TAU-DISCIPLINE) plus the IFACE file-set check over lib/,
-# bin/, bench/ and examples/, gated by analysis.baseline. The @lint-src
+# bin/ and examples/, gated by analysis.baseline. The @lint-src
 # alias builds @check first, since a source without a .cmt is an error.
 # Fails on any non-baselined finding.
 static-analysis:

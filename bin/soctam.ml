@@ -702,7 +702,7 @@ let lint_cmd spec json =
 
 (* Source-level determinism & domain-safety analysis (DESIGN.md §13):
    enforce the Soctam_analysis.Rule catalog over every .ml/.mli under
-   lib/, bin/, bench/ and examples/, walking the Typedtree of the .cmt
+   lib/, bin/ and examples/, walking the Typedtree of the .cmt
    files of the last build. Exit 0 only when every finding is fixed,
    [@soctam.allow]ed or baselined. *)
 let analyze_cmd root baseline_path json sarif call_graph prune =
@@ -923,10 +923,27 @@ let front_cache_arg =
            entries (0 disables caching). The cache only affects wall time: \
            results are byte-identical at every setting. Default 256.")
 
+(* Seconds of wall-clock budget, shared by the solver subcommands and
+   [tables]: a finite value >= 0, so a negative, NaN or infinite
+   [--budget] is a usage error at parse time rather than an exception
+   (or a silently ignored limit) inside a run. *)
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v >= 0. -> Ok v
+    | Some _ | None ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "invalid budget %S: expected a finite number of seconds >= 0"
+               s))
+  in
+  Arg.conv ~docv:"S" (parse, Format.pp_print_float)
+
 let budget_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some seconds_conv) None
     & info [ "budget" ] ~docv:"S"
         ~doc:
           "Wall-clock budget in seconds. The run stops at the next slice \
@@ -1078,7 +1095,7 @@ let tables_term =
   in
   let budget =
     Arg.(
-      value & opt float 20.
+      value & opt seconds_conv 20.
       & info [ "budget" ] ~docv:"S"
           ~doc:"Exhaustive-baseline budget per cell in seconds.")
   in

@@ -1,4 +1,4 @@
-let scan_dirs = [ "lib"; "bin"; "bench"; "examples" ]
+let scan_dirs = [ "lib"; "bin"; "examples" ]
 
 let is_source path =
   Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"

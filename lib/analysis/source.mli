@@ -1,12 +1,12 @@
 (** Source-tree discovery and the reachability model behind DOM-SHARED.
 
     The analyzer works on the repository's own sources: every [.ml] and
-    [.mli] under [lib/], [bin/], [bench/] and [examples/]. Paths are
+    [.mli] under [lib/], [bin/] and [examples/]. Paths are
     reported relative to the analysis root, ['/']-separated, so findings
     and baseline entries are stable across machines. *)
 
 val scan_dirs : string list
-(** [["lib"; "bin"; "bench"; "examples"]] — the directories walked. *)
+(** [["lib"; "bin"; "examples"]] — the directories walked. *)
 
 val discover : root:string -> string list
 (** Every [.ml] / [.mli] file under [root/]{!scan_dirs}, as root-relative

@@ -25,10 +25,24 @@ let remove_nth n l = List.filteri (fun i _ -> i <> n) l
 
 let replace_nth n v l = List.mapi (fun i x -> if i = n then v else x) l
 
-(* The hill climb itself: repeatedly try to help the bottleneck TAM of
-   [current] and recurse on the first improving move. Shared by the
-   multi-start [optimize] and the single-seed [climb]. *)
-let improver ~table ~max_tams ~moves_tried ~moves_accepted =
+let climb ?(max_tams = 10) ~table ~widths () =
+  if Array.length widths = 0 then
+    invalid_arg "Tr_architect.climb: empty seed partition";
+  Array.iter
+    (fun w ->
+      if w < 1 then invalid_arg "Tr_architect.climb: seed widths must be >= 1")
+    widths;
+  if max_tams < 1 then invalid_arg "Tr_architect.climb: max_tams must be >= 1";
+  if Tt.max_width table < Soctam_util.Intutil.sum widths then
+    invalid_arg "Tr_architect.climb: table narrower than the seed's width";
+  (* The climb never merges below one TAM, and a seed already past
+     [max_tams] may still be improved in place — only splits are
+     bounded, so widen the bound to the seed's TAM count. *)
+  let max_tams = max max_tams (Array.length widths) in
+  let moves_tried = ref 0 in
+  let moves_accepted = ref 0 in
+  (* The hill climb itself: repeatedly try to help the bottleneck TAM of
+     [current] and recurse on the first improving move. *)
   let try_move current widths_list =
     incr moves_tried;
     evaluate ~table ~best:current.time widths_list
@@ -99,85 +113,6 @@ let improver ~table ~max_tams ~moves_tried ~moves_accepted =
         incr moves_accepted;
         improve improved
     | None -> current
-  in
-  improve
-
-let optimize ?(max_tams = 10) ~table ~total_width () =
-  if total_width < 1 then
-    invalid_arg "Tr_architect.optimize: total_width must be >= 1";
-  if max_tams < 1 then invalid_arg "Tr_architect.optimize: max_tams must be >= 1";
-  if Tt.max_width table < total_width then
-    invalid_arg "Tr_architect.optimize: table narrower than total width";
-  let cores = Tt.core_count table in
-  let moves_tried = ref 0 in
-  let moves_accepted = ref 0 in
-  let improve = improver ~table ~max_tams ~moves_tried ~moves_accepted in
-  (* Even width split over [tams] TAMs. *)
-  let initial_widths tams =
-    let base = total_width / tams and extra = total_width mod tams in
-    List.init tams (fun i -> if i < extra then base + 1 else base)
-  in
-  (* Multi-start: one hill climb per permitted TAM count, plus one from
-     the rectangle-packing engine's best distilled partition — the
-     packing backend hands the climb a geometry-aware basin the even
-     splits never reach, and because the climb only ever improves its
-     seed, the result can never be worse than the pack engine's time. *)
-  let even_starts =
-    List.filter_map
-      (fun tams -> evaluate ~table ~best:max_int (initial_widths tams))
-      (Soctam_util.Intutil.range 1 (min max_tams (min total_width cores)))
-  in
-  let pack_start =
-    let cfg =
-      Soctam_core.Run_config.default
-      |> Soctam_core.Run_config.with_max_tams
-           (min max_tams (min total_width cores))
-    in
-    let pack = Soctam_pack.Pack_engine.run_with cfg ~table ~total_width in
-    {
-      widths = Array.to_list pack.Soctam_pack.Pack_engine.widths;
-      assignment = pack.Soctam_pack.Pack_engine.assignment;
-      time = pack.Soctam_pack.Pack_engine.time;
-    }
-  in
-  let final =
-    List.fold_left
-      (fun best start ->
-        let candidate = improve start in
-        match best with
-        | Some b when b.time <= candidate.time -> best
-        | Some _ | None -> Some candidate)
-      None
-      (even_starts @ [ pack_start ])
-  in
-  let final = match final with Some s -> s | None -> assert false in
-  {
-    widths = Array.of_list final.widths;
-    assignment = final.assignment;
-    time = final.time;
-    moves_tried = !moves_tried;
-    moves_accepted = !moves_accepted;
-  }
-
-let climb ?(max_tams = 10) ~table ~widths () =
-  if Array.length widths = 0 then
-    invalid_arg "Tr_architect.climb: empty seed partition";
-  Array.iter
-    (fun w ->
-      if w < 1 then invalid_arg "Tr_architect.climb: seed widths must be >= 1")
-    widths;
-  if max_tams < 1 then invalid_arg "Tr_architect.climb: max_tams must be >= 1";
-  if Tt.max_width table < Soctam_util.Intutil.sum widths then
-    invalid_arg "Tr_architect.climb: table narrower than the seed's width";
-  let moves_tried = ref 0 in
-  let moves_accepted = ref 0 in
-  let improve =
-    (* The climb never merges below one TAM, and a seed already past
-       [max_tams] may still be improved in place — only splits are
-       bounded, so widen the bound to the seed's TAM count. *)
-    improver ~table
-      ~max_tams:(max max_tams (Array.length widths))
-      ~moves_tried ~moves_accepted
   in
   let seed =
     match Ca.run_table ~table ~widths () with

@@ -2,24 +2,17 @@
     Marinissen's TR-Architect, the successor of the paper's method).
 
     Where [Partition_evaluate] sweeps the whole partition space under a
-    pruning threshold, this optimizer walks greedily: start from many
-    one-wire TAMs, then repeatedly try to help the bottleneck TAM —
+    pruning threshold, this optimizer walks greedily from a seed
+    partition: it repeatedly tries to help the bottleneck TAM —
     take a wire from the TAM with the most slack, or merge the two
     least-loaded TAMs and hand the freed wires to the bottleneck —
     re-running [Core_assign] after each tentative move and keeping the
     first move that lowers the SOC testing time. Terminates when no
     move helps.
 
-    Complexity per accepted move is a constant number of [Core_assign]
-    runs, so the search is attractive exactly where exhaustive partition
-    enumeration explodes (large [W], many TAMs); the bench compares the
-    two on the paper's SOCs.
-
-    The climb is multi-start: one basin per permitted TAM count (even
-    splits) plus the best distilled partition of the rectangle-packing
-    engine ({!Soctam_pack.Pack_engine}), its packing backend. Since a
-    climb never worsens its seed, [optimize] always reports a time
-    [<=] the pack engine's. *)
+    Each accepted move costs at most O(B^2) [Core_assign] runs, so a
+    climb is cheap next to a partition sweep; [soctam race] uses it to
+    polish its winning architecture. *)
 
 type result = {
   widths : int array;
@@ -29,28 +22,17 @@ type result = {
   moves_accepted : int;
 }
 
-val optimize :
-  ?max_tams:int ->
-  table:Soctam_core.Time_table.t ->
-  total_width:int ->
-  unit ->
-  result
-(** [optimize ~table ~total_width ()] with [max_tams] defaulting to 10.
-    @raise Invalid_argument when the table is narrower than
-    [total_width], or [total_width < 1], or [max_tams < 1]. *)
-
 val climb :
   ?max_tams:int ->
   table:Soctam_core.Time_table.t ->
   widths:int array ->
   unit ->
   result
-(** One hill climb from a supplied seed partition instead of the
-    multi-start schedule: the seed's optimal core assignment is
-    re-derived with [Core_assign], then the climb walks from there.
-    Never reports a time worse than the seed's, which is what lets the
-    racing portfolio polish its winner with it ([soctam race] seeds the
-    climb with the winning architecture). Split moves are bounded by
-    [max (max_tams) (seed TAM count)].
+(** One hill climb from a supplied seed partition: the seed's core
+    assignment is re-derived with [Core_assign], then the climb walks
+    from there. Never reports a time worse than the seed's, which is
+    what lets the racing portfolio polish its winner with it ([soctam
+    race] seeds the climb with the winning architecture). Split moves
+    are bounded by [max (max_tams) (seed TAM count)].
     @raise Invalid_argument on an empty seed, a width below 1, a table
     narrower than the seed's total width, or [max_tams < 1]. *)

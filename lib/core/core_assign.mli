@@ -156,5 +156,5 @@ val run_randomized :
     by the paper's width-aware rules, and the best of [restarts]
     independent runs is kept. Returns [(assignment, time)]. Comparing it
     against {!run} quantifies how much the paper's deterministic
-    tie-breaking buys (see the bench ablation).
+    tie-breaking buys (the [ab_ties] ablation of [soctam tables]).
     @raise Invalid_argument like {!run}, or when [restarts < 1]. *)

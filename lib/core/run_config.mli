@@ -86,8 +86,8 @@ val default : t
 val with_jobs : int -> t -> t
 
 val with_oversubscribe : bool -> t -> t
-(** Allow more worker domains than host cores (test/bench evidence
-    runs; production leaves the cap on). *)
+(** Allow more worker domains than host cores (the test suite's
+    multi-worker interleavings; production leaves the cap on). *)
 
 val with_stats : Soctam_obs.Obs.t -> t -> t
 val with_soc_name : string -> t -> t

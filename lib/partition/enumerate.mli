@@ -31,7 +31,8 @@ module Compositions : sig
       number of compositions is [C(total-1, parts-1)] — exponentially
       more than the unique partitions — and the duplicate memory grows
       with the partition count, which is exactly why the bounded
-      [Increment] enumeration wins. Exposed for the ablation benches. *)
+      [Increment] enumeration wins. Exposed for the [ab_enum] ablation of
+      [soctam tables]. *)
 
   type stats = {
     compositions : int;  (** ordered tuples generated *)

@@ -17,7 +17,7 @@ type context = {
   tables : (string, Tt.t) Hashtbl.t;
   exhaustive : (string * int * int, cell) Hashtbl.t;
   new_fixed : (string * int * int, cell) Hashtbl.t;
-  npaw : (string * int, cell) Hashtbl.t;
+  npaw : (string * int, Co.t * cell) Hashtbl.t;
 }
 
 let context ?(exhaustive_budget = 20.) ?(widths = Paper_ref.widths) () =
@@ -48,13 +48,25 @@ let soc ctx name =
 let max_sweep_width ctx =
   List.fold_left max 1 ctx.widths
 
-let time_table ctx name =
-  memo ctx.tables name (fun () ->
-      Tt.build (soc ctx name) ~max_width:(max_sweep_width ctx))
+(* One table per SOC, rebuilt wider when a cell needs more width than
+   the memo holds (the ablations run up to W = 64 whatever the sweep).
+   T_i(w) does not depend on the build's max width, so cells computed
+   on the narrower table stay valid. *)
+let table_upto ctx name ~width =
+  match Hashtbl.find_opt ctx.tables name with
+  | Some t when Tt.max_width t >= width -> t
+  | Some _ | None ->
+      let t =
+        Tt.build (soc ctx name) ~max_width:(max width (max_sweep_width ctx))
+      in
+      Hashtbl.replace ctx.tables name t;
+      t
+
+let time_table ctx name = table_upto ctx name ~width:(max_sweep_width ctx)
 
 let exhaustive_cell ctx ~soc:name ~tams ~w =
   memo ctx.exhaustive (name, tams, w) (fun () ->
-      let table = time_table ctx name in
+      let table = table_upto ctx name ~width:w in
       let result, cpu =
         Soctam_util.Timer.time (fun () ->
             Soctam_core.Exhaustive.run_with
@@ -73,7 +85,7 @@ let exhaustive_cell ctx ~soc:name ~tams ~w =
 
 let new_fixed_cell ctx ~soc:name ~tams ~w =
   memo ctx.new_fixed (name, tams, w) (fun () ->
-      let table = time_table ctx name in
+      let table = table_upto ctx name ~width:w in
       let result, cpu =
         Soctam_util.Timer.time (fun () ->
             Co.run_with
@@ -88,9 +100,12 @@ let new_fixed_cell ctx ~soc:name ~tams ~w =
         complete = result.Co.final_proven_optimal;
       })
 
-let npaw_cell ctx ~soc:name ~w =
+(* The pipeline's P_NPAW run (B <= 10) at one width, kept whole: the
+   P_NPAW tables read its final cell, the final-step ablation its
+   heuristic time. *)
+let npaw_run ctx ~soc:name ~w =
   memo ctx.npaw (name, w) (fun () ->
-      let table = time_table ctx name in
+      let table = table_upto ctx name ~width:w in
       let result, cpu =
         Soctam_util.Timer.time (fun () ->
             Co.run_with
@@ -98,12 +113,21 @@ let npaw_cell ctx ~soc:name ~w =
                 default |> with_max_tams 10 |> with_table table)
               (soc ctx name) ~total_width:w)
       in
-      {
-        partition = result.Co.architecture.Arch.widths;
-        time = result.Co.final_time;
-        cpu;
-        complete = result.Co.final_proven_optimal;
-      })
+      ( result,
+        {
+          partition = result.Co.architecture.Arch.widths;
+          time = result.Co.final_time;
+          cpu;
+          complete = result.Co.final_proven_optimal;
+        } ))
+
+let npaw_cell ctx ~soc ~w = snd (npaw_run ctx ~soc ~w)
+
+let pe_run ?(carry_tau = true) ~table ~total_width ~max_tams () =
+  Pe.run_with
+    Soctam_core.Run_config.(
+      default |> with_carry_tau carry_tau |> with_max_tams max_tams)
+    ~table ~total_width
 
 (* Formatting helpers. *)
 
@@ -325,12 +349,7 @@ let table1 ctx =
   List.iter
     (fun row ->
       let w = row.Paper_ref.w1 in
-      let pe =
-        Pe.run_with
-          Soctam_core.Run_config.(
-            default |> with_carry_tau false |> with_max_tams 8)
-          ~table ~total_width:w
-      in
+      let pe = pe_run ~carry_tau:false ~table ~total_width:w ~max_tams:8 () in
       let stat b = pe.Pe.per_b.(b - 1) in
       let est b =
         int_of_float (Soctam_partition.Count.estimate ~total:w ~parts:b)
@@ -358,10 +377,226 @@ let table1 ctx =
      default carries tau across B and prunes even harder";
   t
 
+(* -- Ablations of the paper's design arguments --------------------------- *)
+
+(* Each ablation fixes its own SOCs and widths, independent of the
+   context's sweep. *)
+
+(* Every partition evaluated to completion, tau early exit off: isolates
+   the value of the paper's Core_assign lines 18-20. Returns the best
+   time and the number of partitions evaluated. *)
+let evaluate_all_partitions ~table ~total_width ~max_tams =
+  let best = ref max_int and evaluated = ref 0 in
+  for tams = 1 to max_tams do
+    Soctam_partition.Enumerate.iter ~total:total_width ~parts:tams
+      (fun widths ->
+        incr evaluated;
+        match Soctam_core.Core_assign.run_table ~table ~widths () with
+        | Soctam_core.Core_assign.Assigned { time; _ } ->
+            if time < !best then best := time
+        | Soctam_core.Core_assign.Exceeded _ -> assert false)
+  done;
+  (!best, !evaluated)
+
+(* Figure 3's tau pruning: carried across B (the pipeline), reset per B
+   (the paper's line 6), and off. *)
+let ablation_tau ctx ~title =
+  let t =
+    Texttable.create ~title
+      ~columns:
+        [
+          ("W", Texttable.Right);
+          ("variant", Texttable.Left);
+          ("best T", Texttable.Right);
+          ("completed", Texttable.Right);
+          ("cpu", Texttable.Right);
+        ]
+  in
+  let completed r =
+    Array.fold_left (fun acc s -> acc + s.Pe.completed) 0 r.Pe.per_b
+  in
+  List.iter
+    (fun w ->
+      let table = table_upto ctx "p21241" ~width:w in
+      let row variant run =
+        let (best, n), cpu = Soctam_util.Timer.time run in
+        Texttable.add_row t
+          [
+            string_of_int w; variant; string_of_int best; string_of_int n;
+            cpu_string cpu;
+          ]
+      in
+      let pe carry_tau () =
+        let r = pe_run ~carry_tau ~table ~total_width:w ~max_tams:8 () in
+        (r.Pe.time, completed r)
+      in
+      row "tau carried (pipeline)" (pe true);
+      row "tau reset per B (Fig. 3)" (pe false);
+      row "no pruning" (fun () ->
+          evaluate_all_partitions ~table ~total_width:w ~max_tams:8))
+    [ 32; 48; 64 ];
+  t
+
+(* Section 3.1: enumerating compositions and discarding permuted
+   duplicates "grows exponentially with B and severely limits
+   scalability"; the bounded Increment enumeration never generates a
+   duplicate. *)
+let ablation_enumeration ~title =
+  let module C = Soctam_partition.Enumerate.Compositions in
+  let t =
+    Texttable.create ~title
+      ~columns:
+        [
+          ("W", Texttable.Right);
+          ("B", Texttable.Right);
+          ("unique p(W,B)", Texttable.Right);
+          ("compositions generated", Texttable.Right);
+          ("dedup memory", Texttable.Right);
+          ("blow-up", Texttable.Right);
+        ]
+  in
+  List.iter
+    (fun (w, b) ->
+      let stats = C.count ~total:w ~parts:b in
+      Texttable.add_row t
+        [
+          string_of_int w;
+          string_of_int b;
+          string_of_int stats.C.unique;
+          string_of_int stats.C.compositions;
+          string_of_int stats.C.memory_entries;
+          Printf.sprintf "%.0fx"
+            (float_of_int stats.C.compositions
+            /. float_of_int (max 1 stats.C.unique));
+        ])
+    [ (16, 4); (24, 4); (24, 6); (32, 6); (32, 8); (40, 8) ];
+  Texttable.add_note t
+    "the Increment odometer generates exactly the 'unique' column with \
+     zero dedup memory; the naive method pays the 'compositions' column \
+     and retains every canonical form";
+  t
+
+(* Are the paper's deterministic tie-breaking rules (Core_assign lines
+   11-16) worth anything over random tie-breaking? *)
+let ablation_tie_breaks ctx ~title =
+  let module Ca = Soctam_core.Core_assign in
+  let t =
+    Texttable.create ~title
+      ~columns:
+        [
+          ("soc", Texttable.Left);
+          ("partition", Texttable.Left);
+          ("paper rules", Texttable.Right);
+          ("random x1", Texttable.Right);
+          ("random x10", Texttable.Right);
+          ("random x100", Texttable.Right);
+          ("exact", Texttable.Right);
+        ]
+  in
+  List.iter
+    (fun (name, widths) ->
+      let width = Soctam_util.Intutil.sum widths in
+      let table = table_upto ctx name ~width in
+      let times = Tt.matrix table ~widths in
+      let paper =
+        match Ca.run ~times ~widths () with
+        | Ca.Assigned { time; _ } -> time
+        | Ca.Exceeded _ -> assert false
+      in
+      let random restarts =
+        snd
+          (Ca.run_randomized
+             ~rng:(Soctam_util.Prng.create 7L)
+             ~restarts ~times ~widths ())
+      in
+      let exact =
+        (Soctam_ilp.Exact.solve_bb ~widths ~times ()).Soctam_ilp.Exact.time
+      in
+      Texttable.add_row t
+        (name :: partition_string widths
+        :: List.map string_of_int
+             [ paper; random 1; random 10; random 100; exact ]))
+    [
+      ("d695", [| 16; 16; 16 |]);
+      ("d695", [| 8; 16; 24 |]);
+      ("p21241", [| 8; 16; 24 |]);
+      ("p31108", [| 8; 16; 24 |]);
+      ("p93791", [| 8; 16; 24 |]);
+    ];
+  Texttable.add_note t
+    "ties are rare on industrial-size time tables, so the paper's \
+     width-aware tie-breaks and random tie-breaks usually coincide; the \
+     rules matter on small or hand-crafted instances like Fig. 2";
+  t
+
+(* Section 4.2: does the final exact step matter, and does the heuristic
+   hand it the right partition? *)
+let ablation_final_step ctx ~title =
+  let t =
+    Texttable.create ~title
+      ~columns:
+        [
+          ("soc", Texttable.Left);
+          ("W", Texttable.Right);
+          ("T_heuristic", Texttable.Right);
+          ("T_final", Texttable.Right);
+          ("gain%", Texttable.Right);
+        ]
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun w ->
+          let r, _ = npaw_run ctx ~soc:name ~w in
+          Texttable.add_row t
+            [
+              name;
+              string_of_int w;
+              string_of_int r.Co.heuristic_time;
+              string_of_int r.Co.final_time;
+              Printf.sprintf "%.2f"
+                (100.
+                *. float_of_int (r.Co.heuristic_time - r.Co.final_time)
+                /. float_of_int r.Co.heuristic_time);
+            ])
+        [ 16; 32; 64 ])
+    [ "d695"; "p31108"; "p93791" ];
+  Texttable.add_note t
+    "the paper notes the heuristic partition is not always the one that \
+     wins after exact optimization - compare adjacent rows above";
+  t
+
+(* How much does allowing more TAMs buy? The paper's motivation for
+   scaling beyond B = 3. *)
+let ablation_max_tams ctx ~title =
+  let bs = [ 1; 2; 3; 4; 6; 8; 10 ] in
+  let t =
+    Texttable.create ~title
+      ~columns:
+        (("soc", Texttable.Left)
+        :: List.map (fun b -> (Printf.sprintf "B<=%d" b, Texttable.Right)) bs)
+  in
+  List.iter
+    (fun name ->
+      let table = table_upto ctx name ~width:48 in
+      Texttable.add_row t
+        (name
+        :: List.map
+             (fun max_tams ->
+               string_of_int
+                 (pe_run ~table ~total_width:48 ~max_tams ()).Pe.time)
+             bs))
+    [ "d695"; "p21241"; "p31108"; "p93791" ];
+  Texttable.add_note t
+    "times are heuristic, before the final exact step; monotone \
+     non-increasing left to right";
+  t
+
 let table_ids =
   [
     "t1"; "t2"; "t3"; "t4"; "t5_6"; "t7"; "t8"; "t9_10"; "t11_12"; "t13";
-    "t14"; "t15_16"; "t17_18"; "t19";
+    "t14"; "t15_16"; "t17_18"; "t19"; "ab_tau"; "ab_enum"; "ab_ties";
+    "ab_final"; "ab_tams";
   ]
 
 let description = function
@@ -379,6 +614,19 @@ let description = function
   | "t15_16" -> "p93791, B = 2: exhaustive vs new method (Tables 15-16)"
   | "t17_18" -> "p93791, B = 3: exhaustive vs new method (Tables 17-18)"
   | "t19" -> "p93791 P_NPAW, B <= 10 (Table 19)"
+  | "ab_tau" ->
+      "ablation: tau pruning carried, reset per B or off (p21241, B <= 8; \
+       Figure 3)"
+  | "ab_enum" ->
+      "ablation: Increment enumeration vs the naive enumeration-comparison \
+       method (Section 3.1)"
+  | "ab_ties" ->
+      "ablation: Core_assign tie-breaking, paper rules vs random restarts \
+       (W = 48, B = 3)"
+  | "ab_final" ->
+      "ablation: value of the final exact optimization step (P_NPAW, \
+       Section 4.2)"
+  | "ab_tams" -> "ablation: P_NPAW time vs permitted number of TAMs (W = 48)"
   | _ -> raise Not_found
 
 let run ctx id =
@@ -445,6 +693,9 @@ let run ctx id =
   | "t15_16" -> fixed_table ctx ~soc:"p93791" ~tams:2 ~title:(titled "t15_16")
   | "t17_18" -> fixed_table ctx ~soc:"p93791" ~tams:3 ~title:(titled "t17_18")
   | "t19" -> npaw_table ctx ~soc:"p93791" ~title:(titled "t19")
+  | "ab_tau" -> ablation_tau ctx ~title:(titled "ab_tau")
+  | "ab_enum" -> ablation_enumeration ~title:(titled "ab_enum")
+  | "ab_ties" -> ablation_tie_breaks ctx ~title:(titled "ab_ties")
+  | "ab_final" -> ablation_final_step ctx ~title:(titled "ab_final")
+  | "ab_tams" -> ablation_max_tams ctx ~title:(titled "ab_tams")
   | _ -> raise Not_found
-
-let run_all ctx = List.map (run ctx) table_ids

@@ -1,5 +1,8 @@
 (** Experiment harness: regenerates every table of the paper's evaluation
-    section on this machine and prints the published values alongside.
+    section on this machine and prints the published values alongside,
+    plus the ablations behind the paper's design arguments (the §3.1
+    enumeration strawman, Figure 3's tau pruning, the §4.2 final-step
+    anomaly).
 
     Computation is memoized inside a {!context}, so rendering several
     tables that share cells (e.g. the exhaustive baseline reused as the
@@ -15,9 +18,12 @@ val context : ?exhaustive_budget:float -> ?widths:int list -> unit -> context
     16, 24, ..., 64. *)
 
 val table_ids : string list
-(** Canonical ids: ["t1"], ["t2"] (covers Table 2a-d), ["t3"], ["t4"],
-    ["t5_6"], ["t7"], ["t8"], ["t9_10"], ["t11_12"], ["t13"], ["t14"],
-    ["t15_16"], ["t17_18"], ["t19"]. *)
+(** Canonical ids, in print order: the paper's tables ["t1"], ["t2"]
+    (covers Table 2a-d), ["t3"], ["t4"], ["t5_6"], ["t7"], ["t8"],
+    ["t9_10"], ["t11_12"], ["t13"], ["t14"], ["t15_16"], ["t17_18"],
+    ["t19"]; then the ablations ["ab_tau"], ["ab_enum"], ["ab_ties"],
+    ["ab_final"], ["ab_tams"]. The ablations fix their own SOCs and
+    widths (up to W = 64) whatever the context's sweep. *)
 
 val description : string -> string
 (** Human-readable description of a table id.
@@ -27,10 +33,7 @@ val run : context -> string -> Texttable.t
 (** Compute (or reuse) the experiments behind a table id and render it.
     @raise Not_found for an unknown id. *)
 
-val run_all : context -> Texttable.t list
-(** All tables in order. *)
-
-(** Raw access for tests and the benchmark harness. *)
+(** Raw access for tests. *)
 
 type cell = {
   partition : int array;

@@ -137,7 +137,7 @@ module Team = struct
      chunk-boundary independent, so the reduction is byte-identical at
      any requested [jobs]. [oversubscribe:true] exists for the test
      suite, which needs real multi-worker interleavings regardless of
-     the host, and for the bench's scheduler-evidence rows. *)
+     the host. *)
   let create ?(oversubscribe = false) ~jobs () =
     if jobs < 1 then invalid_arg "Pool.Team.create: jobs must be >= 1";
     let size = if oversubscribe then jobs else min jobs (recommended_jobs ()) in

@@ -159,8 +159,8 @@ let d695_published_architectures_certify () =
         in
         (* The published assignments are optimal on the authors' core data
            and only feasible on the reconstruction, so the replayed time
-           may drift well above the published number (see the bench's
-           paper-architecture section). The certifiable invariant is that
+           may drift well above the published number (test_regression
+           bounds it from below only). The certifiable invariant is that
            every published vector is a well-formed test-bus architecture
            whose re-derived times are self-consistent. *)
         check_ok
@@ -174,7 +174,7 @@ let d695_published_architectures_certify () =
   check_rows "npaw" `Npaw None
 
 let d695_published_times_reproduced () =
-  (* The fidelity check that does hold (bench: within ~0-4%): our
+  (* The fidelity check that does hold (t2: within ~0-4%): our
      optimizer, run on the reconstruction, reaches the paper's published
      {e optima} for d695. Certify each result while we are at it. *)
   let table = Tt.build d695 ~max_width:24 in

@@ -168,6 +168,32 @@ let tables_single () = check_output [ "tables"; "--id"; "t4" ] [ "logic"; "memor
 let tables_unknown_id () =
   check_output ~code:1 [ "tables"; "--id"; "t99" ] [ "unknown table id" ]
 
+(* --budget takes a finite number of seconds >= 0 on every subcommand
+   that has it: anything else is a usage error with a message, never an
+   uncaught exception (exit 125) or a silently ignored budget. *)
+let budget_rejected () =
+  List.iter
+    (fun base ->
+      List.iter
+        (fun bad ->
+          let args = base @ [ "--budget=" ^ bad ] in
+          let code, out = run args in
+          let shown = String.concat " " args in
+          Alcotest.(check bool)
+            (shown ^ ": nonzero exit, not an uncaught exception")
+            true
+            (code <> 0 && code <> 125);
+          Alcotest.(check bool)
+            (shown ^ ": names the budget")
+            true
+            (contains out "invalid budget");
+          Alcotest.(check bool)
+            (shown ^ ": no internal error")
+            false
+            (contains out "internal error"))
+        [ "-1"; "nan"; "inf" ])
+    [ [ "optimize"; "d695"; "-w"; "32" ]; [ "tables"; "--id"; "t2" ] ]
+
 let tables_markdown_and_csv () =
   check_output [ "tables"; "--id"; "t4"; "--markdown" ] [ "| :--- |"; "**t4" ];
   check_output [ "tables"; "--id"; "t4"; "--csv" ] [ "circuit,count"; "# t4" ]
@@ -378,4 +404,5 @@ let suite =
     test "resume: garbage checkpoint rejected" resume_garbage_rejected;
     test "resume: version 1 checkpoint rejected" resume_v1_rejected;
     test "optimize: rank-space overflow" optimize_rank_space_overflow;
+    test "--budget: negative, nan and inf rejected" budget_rejected;
   ]

@@ -17,8 +17,6 @@ let () =
       ("power", Test_power.suite);
       ("anneal", Test_anneal.suite);
       ("sim", Test_sim.suite);
-      ("scan", Test_scan.suite);
-      ("order", Test_order.suite);
       ("architect", Test_architect.suite);
       ("pack", Test_pack.suite);
       ("regression", Test_regression.suite);

@@ -211,6 +211,40 @@ let exhaustive_no_worse_than_new () =
   Alcotest.(check bool) "exhaustive <= new" true
     (exh.Experiments.time <= nw.Experiments.time)
 
+(* The cited ablations through the same dispatcher, on the test context
+   whose sweep stops at W = 24: each ablation reads a table wide enough
+   for its own widths (up to 64). ab_tau and ab_enum are left to
+   [soctam tables]; ab_enum alone walks 15.4 M compositions. *)
+let ablations_pinned () =
+  let ctx = Lazy.force ctx in
+  let cells id prefix =
+    let words line = String.split_on_char ' ' line |> List.filter (( <> ) "") in
+    let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+    let n = List.length prefix in
+    let s = Texttable.render (Experiments.run ctx id) in
+    match
+      List.find_opt
+        (fun line ->
+          let w = words line in
+          List.length w > n && List.filteri (fun i _ -> i < n) w = prefix)
+        (String.split_on_char '\n' s)
+    with
+    | Some line -> drop n (words line)
+    | None -> Alcotest.failf "%s: no row %s" id (String.concat " " prefix)
+  in
+  let check id prefix expected =
+    Alcotest.(check (list string))
+      (id ^ " " ^ String.concat " " prefix)
+      expected (cells id prefix)
+  in
+  check "ab_ties" [ "d695"; "16+16+16" ]
+    [ "17473"; "17473"; "17473"; "17473"; "17473" ];
+  check "ab_ties" [ "p31108"; "8+16+24" ]
+    [ "933015"; "1203297"; "895695"; "895695"; "841825" ];
+  check "ab_tams" [ "d695" ]
+    [ "35753"; "22615"; "17473"; "16956"; "16956"; "16956"; "16956" ];
+  check "ab_final" [ "p31108"; "32" ] [ "978917"; "919062"; "6.11" ]
+
 let unknown_table_id () =
   let ctx = Lazy.force ctx in
   match Experiments.run ctx "t99" with
@@ -279,6 +313,7 @@ let suite =
     test "experiments: new cell consistent" new_cell_matches_pipeline;
     test "experiments: npaw cell shape" npaw_cell_shape;
     test "experiments: exhaustive dominates" exhaustive_no_worse_than_new;
+    test "experiments: ablations pinned" ablations_pinned;
     test "experiments: unknown id" unknown_table_id;
     test "gantt: bars" gantt_renders_bars;
     test "gantt: scaling" gantt_scales_times;
