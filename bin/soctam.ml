@@ -859,9 +859,23 @@ let wrapper_term =
   in
   Term.(const wrapper_cmd $ soc_arg $ core_id $ width_arg $ layout)
 
+(* A count that must be >= 1 ([-j], [--checkpoint-every]): zero or a
+   negative value is a usage error at parse time, like a bad
+   [--budget], rather than an [Invalid_argument] out of the run
+   configuration. *)
+let positive_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid count %S: expected an integer >= 1" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Evaluate partitions on $(docv) parallel domains. The reported \
@@ -895,7 +909,7 @@ let checkpoint_arg =
 
 let checkpoint_every_arg =
   Arg.(
-    value & opt int 50_000
+    value & opt positive_conv 50_000
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:
           "Partition ranks per checkpoint slice: the granularity at which \

@@ -71,24 +71,11 @@ type slice = {
 let merge_best_time a b =
   match (a, b) with None, t | t, None -> t | Some x, Some y -> Some (min x y)
 
-(* The best candidate found inside one contiguous rank chunk. [c_rank] is
-   the global lexicographic rank of [c_widths]: the reduction over chunks
-   minimizes (time, rank), which reproduces the sequential "first strict
-   improvement in enumeration order" winner no matter how chunk
-   completions interleave. *)
-type chunk_best = {
-  mutable c_time : int;
-  mutable c_rank : int;
-  mutable c_widths : int array;
-  mutable c_assignment : int array;
-}
-
 type chunk_result = {
   ch_enumerated : int;
   ch_completed : int;
   ch_tau_terminated : int;
   ch_best_time : int option;
-  ch_best : chunk_best;
   ch_tried : int;
   ch_early : int;
   ch_levels : int;
@@ -104,7 +91,8 @@ type wstate = {
   mutable w_odo : Odometer.t option;
   mutable w_pos : int;  (* global rank [w_odo] points at; -1 = unknown *)
   w_scratch : Core_assign.scratch;
-  w_mirror : Shared_min.mirror;
+  w_mirror : (int array * int array) Shared_min.mirror;
+      (* incumbent payload: widths, assignment *)
 }
 
 (* Point the worker's odometer at [lo]: free when the chunk continues
@@ -129,13 +117,11 @@ let aim_odometer st ~total_width ~tams ~lo =
       | None -> None)
 
 (* One worker's chunk of a TAM count: evaluate the partitions of global
-   rank [lo .. hi-1]. The early-exit threshold depends on the team
-   size. Alone ([prune_ties]), the threshold is the bound itself — a
-   tie's rank is always larger than the incumbent's, the paper's
-   sequential Figure 3 behavior. Racing, the threshold is [bound + 1]:
-   a partition that merely ties must still complete, because the
-   deterministic (time, rank) reduction needs its rank, which is
-   exactly the information a racing worker lacks about its peers.
+   rank [lo .. hi-1] against the shared (time, rank) incumbent, whose
+   [Shared_min.mirror_threshold] is the one tie rule at every team size:
+   a tie completes only when its rank is below the incumbent's. Alone,
+   ranks ascend, so ties are always pruned — the paper's sequential
+   Figure 3 behavior.
 
    [cap] is a foreign bound ([Run_config.tau_import]; [max_int] = none):
    the threshold is capped at [cap + 1], not [cap] — a candidate that
@@ -145,10 +131,10 @@ let aim_odometer st ~total_width ~tams ~lo =
    reported). Without the tie the final exact polish would have nothing
    to improve whenever a rival engine reaches the heuristic optimum
    first, and a portfolio race could end worse than this engine run
-   solo. Once an own tie has completed, the own [bound] equals [cap]
-   and the usual team-size rule takes over. *)
-let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
-    ~total_width ~tams ~lo ~hi () =
+   solo. Once an own tie has completed, the own bound equals [cap]
+   and the incumbent's rule takes over. *)
+let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
+    ~lo ~hi () =
   let enumerated = ref 0 in
   let completed = ref 0 in
   let tau_terminated = ref 0 in
@@ -157,9 +143,6 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
   let best_time_b = ref max_int in
   let ca = ca_stats stats in
   let mir = state.w_mirror in
-  let cb =
-    { c_time = max_int; c_rank = max_int; c_widths = [||]; c_assignment = [||] }
-  in
   let cores = Time_table.core_count table in
   let rank = ref lo in
   (match aim_odometer state ~total_width ~tams ~lo with
@@ -167,13 +150,8 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
   | Some odometer ->
       (while !rank < hi do
          let widths = Odometer.current odometer in
-         let bound = Shared_min.mirror_get mir in
          let threshold =
-           let t =
-             if prune_ties then bound
-             else if bound = max_int then max_int
-             else bound + 1
-           in
+           let t = Shared_min.mirror_threshold mir ~rank:!rank in
            let c = if cap = max_int then max_int else cap + 1 in
            if c < t then c else t
          in
@@ -182,9 +160,10 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
             threshold, so does every later partition of the same run
             (its widest part only shrinks and [Time_table.peak] is
             non-increasing in the width), under this threshold or any
-            later, lower one: the rest of the run, up to [hi], is cut
-            here in bulk, with the counters each rank would have
-            recorded. *)
+            later one: along the run ranks ascend and the incumbent key
+            only falls, so the threshold never rises. The rest of the
+            run, up to [hi], is cut here in bulk, with the counters each
+            rank would have recorded. *)
          if Core_assign.widest_cut ~table ~best:threshold
               ~widest:widths.(tams - 1)
          then begin
@@ -206,22 +185,18 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
            | Core_assign.Exceeded _ -> incr tau_terminated
            | Core_assign.Assigned { assignment; time; _ } ->
                incr completed;
-               (* The pre-read [bound] makes the improvement test racy
+               (* The mirror's view makes the improvement test racy
                   under contention, but a trace event is an observation,
-                  not a reduction input: at worst a tie between racing
-                  workers is reported as an improvement by both. *)
-               if time < bound then Obs.event_v stats time "tau";
-               Shared_min.mirror_improve mir time;
+                  not an input to the winner. *)
+               if time < Shared_min.mirror_get mir then
+                 Obs.event_v stats time "tau";
                if time < !best_time_b then best_time_b := time;
-               (* Ranks increase within the chunk, so a strict
-                  comparison keeps the lowest-rank partition among
-                  equal times. *)
-               if time < cb.c_time then
-                 ((cb.c_time <- time;
-                   cb.c_rank <- !rank;
-                   cb.c_widths <- Array.copy widths;
-                   cb.c_assignment <- Array.copy assignment)
-                 [@soctam.allow "ALLOC-HOT"] (* rare improvement path *))
+               (* A completion always beats the mirror's key (its
+                  threshold came from that key), so this copy runs once
+                  per improvement. *)
+               (Shared_min.mirror_improve mir ~time ~rank:!rank
+                  (Array.copy widths, Array.copy assignment)
+               [@soctam.allow "ALLOC-HOT"] (* rare improvement path *))
          end;
          (* Advance through the last rank too, so the odometer already
             points at [hi] when the next owner chunk begins there. The
@@ -239,7 +214,6 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
     ch_completed = !completed;
     ch_tau_terminated = !tau_terminated;
     ch_best_time = (if !best_time_b = max_int then None else Some !best_time_b);
-    ch_best = cb;
     ch_tried = (match ca with None -> 0 | Some c -> c.Core_assign.tried);
     ch_early =
       (match ca with None -> 0 | Some c -> c.Core_assign.early_terminations);
@@ -247,21 +221,23 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
   }
 
 (* One slice on the work-stealing team — the only evaluation path, at
-   every team size: carve [lo, hi) into adaptive chunks, prune against
-   the shared bound through per-worker mirrors, and reduce the chunk
-   winners to the minimum by (time, rank), which reproduces the
-   first-strict-improvement-in-enumeration-order winner no matter how
-   steals and completions interleave. With one worker the chunks are
-   consumed in rank order by a single exact mirror, so the evaluation
-   sequence — thresholds, prunes, improvements — is byte-identical to
-   the historical dedicated sequential path this replaced. *)
+   every team size: carve [lo, hi) into adaptive chunks and evaluate
+   them against the shared (time, rank) incumbent through per-worker
+   mirrors. The incumbent ends holding the minimum key, the
+   first-strict-improvement-in-enumeration-order winner, no matter how
+   steals and completions interleave: that candidate's threshold always
+   lets it complete. The slice starts from key (tau, -1), which is exact:
+   every earlier winner came before this slice in enumeration order, so
+   a tie here must not replace it. With one
+   worker the chunks are consumed in rank order by a single exact
+   mirror, so the evaluation sequence — thresholds, prunes,
+   improvements — is byte-identical to the historical dedicated
+   sequential path this replaced. *)
 let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
     ~tau ~lo ~hi best =
   let shared = Shared_min.create !tau in
-  let size = Pool.Team.size team in
-  let prune_ties = size = 1 in
   let states =
-    Array.init size (fun _ ->
+    Array.init (Pool.Team.size team) (fun _ ->
         {
           w_odo = None;
           w_pos = -1;
@@ -273,8 +249,8 @@ let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
     Obs.span stats "partition/evaluate_b" (fun () ->
         Pool.map_chunks ~stats team ~length:(hi - lo)
           ~f:(fun ~worker ~lo:clo ~hi:chi ->
-            (evaluate_chunk ~stats ~state:states.(worker) ~prune_ties ~cap
-               ~table ~total_width ~tams ~lo:(lo + clo) ~hi:(lo + chi) ()
+            (evaluate_chunk ~stats ~state:states.(worker) ~cap ~table
+               ~total_width ~tams ~lo:(lo + clo) ~hi:(lo + chi) ()
              [@soctam.allow "DOM-ESCAPE"]
              (* [states] is indexed by the worker slot, and the
                 scheduler runs at most one chunk per slot at a time:
@@ -284,28 +260,11 @@ let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
   tau := Shared_min.get shared;
   let publications = Shared_min.publications shared in
   Obs.add stats ~n:publications "pool/tau_publications";
-  (* Deterministic reduction: chunks arrive sorted by rank, so scanning
-     left to right with strict comparisons yields the minimum
-     (time, rank) candidate — byte-identical to the jobs = 1 winner. *)
-  let winner =
-    Array.fold_left
-      (fun acc (chunk : chunk_result Pool.chunk) ->
-        let cb = chunk.Pool.c_value.ch_best in
-        if Array.length cb.c_widths = 0 then acc
-        else
-          match acc with
-          | Some b
-            when b.c_time < cb.c_time
-                 || (b.c_time = cb.c_time && b.c_rank < cb.c_rank) ->
-              Some b
-          | Some _ | None -> Some cb)
-      None chunks
-  in
-  (match winner with
-  | Some cb when cb.c_time < best.b_time ->
-      best.b_time <- cb.c_time;
-      best.b_widths <- cb.c_widths;
-      best.b_assignment <- cb.c_assignment
+  (match Shared_min.winner shared with
+  | Some (widths, assignment) when !tau < best.b_time ->
+      best.b_time <- !tau;
+      best.b_widths <- widths;
+      best.b_assignment <- assignment
   | Some _ | None -> ());
   let sum f =
     Array.fold_left (fun acc c -> acc + f c.Pool.c_value) 0 chunks

@@ -223,26 +223,12 @@ type slice = {
   sl_publications : int;
 }
 
-(* The best candidate found inside one contiguous rank chunk. [c_rank]
-   is the generator rank the candidate came from: ranks are disjoint
-   across chunks and candidates within a rank are evaluated in a fixed
-   order, so the (time, rank) minimum over chunks reproduces the
-   sequential first-strict-improvement winner at any job count — the
-   same argument as [Partition_evaluate]'s reduction. *)
-type chunk_best = {
-  mutable c_time : int;
-  mutable c_rank : int;
-  mutable c_widths : int array;
-  mutable c_assignment : int array;
-}
-
 type chunk_result = {
   ch_packings : int;
   ch_candidates : int;
   ch_completed : int;
   ch_pruned : int;
   ch_best_makespan : int option;
-  ch_best : chunk_best;
   ch_tried : int;
   ch_early : int;
   ch_levels : int;
@@ -250,11 +236,18 @@ type chunk_result = {
 
 type wstate = {
   w_scratch : Core_assign.scratch;
-  w_mirror : Shared_min.mirror;
+  w_mirror : (int array * int array) Shared_min.mirror;
+      (* incumbent payload: widths, assignment *)
 }
 
-let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
-    ~total_width ~tams ~max_tams ~sp ~lo ~hi () =
+(* The incumbent is keyed by generator rank: ranks are disjoint across
+   chunks and one worker evaluates a rank's candidates in their fixed
+   order, where a later tie at the same rank gets threshold [tau] and
+   is pruned. The minimum key is therefore the sequential
+   first-strict-improvement winner at any job count — the same argument
+   as [Partition_evaluate]'s. *)
+let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
+    ~max_tams ~sp ~lo ~hi () =
   let packings = ref 0 in
   let cands = ref 0 in
   let completed = ref 0 in
@@ -262,9 +255,6 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
   let makespan = ref None in
   let ca = ca_stats stats in
   let mir = state.w_mirror in
-  let cb =
-    { c_time = max_int; c_rank = max_int; c_widths = [||]; c_assignment = [||] }
-  in
   for rank = lo to hi - 1 do
     let rank_cands, rank_packings, rank_makespan =
       candidates_of_rank ~table ~total_width ~tams ~max_tams sp rank
@@ -274,18 +264,10 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
     List.iter
       (fun widths ->
         incr cands;
-        let bound = Shared_min.mirror_get mir in
-        (* Alone, prune ties like the sequential paper loop; racing,
-           ties must complete so the deterministic reduction sees their
-           rank (see [Partition_evaluate.evaluate_chunk]). An imported
-           bound caps the threshold at every job count, so foreign
-           times never enter the (time, rank) reduction. *)
+        (* An imported bound caps the threshold at every job count, so
+           foreign times never enter the incumbent. *)
         let threshold =
-          let t =
-            if prune_ties then bound
-            else if bound = max_int then max_int
-            else bound + 1
-          in
+          let t = Shared_min.mirror_threshold mir ~rank in
           if cap < t then cap else t
         in
         match
@@ -295,16 +277,12 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
         | Core_assign.Exceeded _ -> incr pruned
         | Core_assign.Assigned { assignment; time; _ } ->
             incr completed;
-            if time < bound then Obs.event_v stats time "tau";
-            Shared_min.mirror_improve mir time;
-            if time < cb.c_time then begin
-              cb.c_time <- time;
-              cb.c_rank <- rank;
-              (* [widths] is freshly built per rank, but [assignment]
-                 aliases the worker scratch and must be copied. *)
-              cb.c_widths <- widths;
-              cb.c_assignment <- Array.copy assignment
-            end)
+            if time < Shared_min.mirror_get mir then
+              Obs.event_v stats time "tau";
+            (* [widths] is freshly built per rank, but [assignment]
+               aliases the worker scratch and must be copied. *)
+            Shared_min.mirror_improve mir ~time ~rank
+              (widths, Array.copy assignment))
       rank_cands
   done;
   flush_counters stats ~packings:!packings ~cands:!cands ~pruned:!pruned
@@ -315,7 +293,6 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
     ch_completed = !completed;
     ch_pruned = !pruned;
     ch_best_makespan = !makespan;
-    ch_best = cb;
     ch_tried = (match ca with None -> 0 | Some c -> c.Core_assign.tried);
     ch_early =
       (match ca with None -> 0 | Some c -> c.Core_assign.early_terminations);
@@ -329,10 +306,8 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~prune_ties ~cap ~table
 let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
     ~max_tams ~sp ~tau ~lo ~hi best =
   let shared = Shared_min.create !tau in
-  let size = Pool.Team.size team in
-  let prune_ties = size = 1 in
   let states =
-    Array.init size (fun _ ->
+    Array.init (Pool.Team.size team) (fun _ ->
         {
           w_scratch = Core_assign.scratch ();
           w_mirror = Shared_min.mirror shared;
@@ -342,9 +317,9 @@ let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
     Obs.span stats "pack/evaluate_slice" (fun () ->
         Pool.map_chunks ~stats ~min_chunk:1 team ~length:(hi - lo)
           ~f:(fun ~worker ~lo:clo ~hi:chi ->
-            (evaluate_chunk ~stats ~state:states.(worker) ~prune_ties ~cap
-               ~table ~total_width ~tams ~max_tams ~sp ~lo:(lo + clo)
-               ~hi:(lo + chi) ()
+            (evaluate_chunk ~stats ~state:states.(worker) ~cap ~table
+               ~total_width ~tams ~max_tams ~sp ~lo:(lo + clo) ~hi:(lo + chi)
+               ()
              [@soctam.allow "DOM-ESCAPE"]
              (* [states] is indexed by the worker slot, and the
                 scheduler runs at most one chunk per slot at a time:
@@ -354,25 +329,11 @@ let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
   tau := Shared_min.get shared;
   let publications = Shared_min.publications shared in
   Obs.add stats ~n:publications "pool/tau_publications";
-  let winner =
-    Array.fold_left
-      (fun acc (chunk : chunk_result Pool.chunk) ->
-        let cb = chunk.Pool.c_value.ch_best in
-        if Array.length cb.c_widths = 0 then acc
-        else
-          match acc with
-          | Some b
-            when b.c_time < cb.c_time
-                 || (b.c_time = cb.c_time && b.c_rank < cb.c_rank) ->
-              Some b
-          | Some _ | None -> Some cb)
-      None chunks
-  in
-  (match winner with
-  | Some cb when cb.c_time < best.b_time ->
-      best.b_time <- cb.c_time;
-      best.b_widths <- cb.c_widths;
-      best.b_assignment <- cb.c_assignment
+  (match Shared_min.winner shared with
+  | Some (widths, assignment) when !tau < best.b_time ->
+      best.b_time <- !tau;
+      best.b_widths <- widths;
+      best.b_assignment <- assignment
   | Some _ | None -> ());
   let sum f = Array.fold_left (fun acc c -> acc + f c.Pool.c_value) 0 chunks in
   {

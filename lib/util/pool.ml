@@ -344,58 +344,74 @@ let map_chunks ?(stats = Obs.null) ?(min_chunk = default_min_chunk) team
   end
 
 module Shared_min = struct
-  type t = { bound : int Atomic.t; publications : int Atomic.t }
+  type 'a key = { time : int; rank : int; payload : 'a option }
+  type 'a t = { cell : 'a key Atomic.t; publications : int Atomic.t }
 
   let create initial =
-    { bound = Atomic.make initial; publications = Atomic.make 0 }
+    {
+      cell = Atomic.make { time = initial; rank = -1; payload = None };
+      publications = Atomic.make 0;
+    }
 
-  let get t = Atomic.get t.bound
+  let get t = (Atomic.get t.cell).time
+  let winner t = (Atomic.get t.cell).payload
 
-  let rec improve t v =
-    let current = Atomic.get t.bound in
-    if v < current then
-      if Atomic.compare_and_set t.bound current v then
+  let below a b = a.time < b.time || (a.time = b.time && a.rank < b.rank)
+
+  (* Physical equality is what [compare_and_set] tests, and every
+     published key is a fresh record, so a lost race re-reads and
+     retries against the key that beat it. *)
+  let rec publish t k =
+    let current = Atomic.get t.cell in
+    if below k current then
+      if Atomic.compare_and_set t.cell current k then
         Atomic.incr t.publications
-      else improve t v
+      else publish t k
+
+  let improve t ~time ~rank payload =
+    publish t { time; rank; payload = Some payload }
 
   let publications t = Atomic.get t.publications
 
-  (* A worker-local view of the bound: reads come from a plain field
+  (* A worker-local view of the incumbent: reads come from a plain field
      refreshed from the atomic once every [refresh_every] calls, and
-     only strict local improvements touch the shared cell at all. With
-     one worker the mirror is exact (it is the only publisher), which
-     is what keeps the jobs=1 threshold sequence byte-identical to the
+     only local improvements touch the shared cell at all. With one
+     worker the mirror is exact (it is the only publisher), which is
+     what keeps the jobs=1 threshold sequence byte-identical to the
      historical sequential path. *)
-  type mirror = {
-    shared : t;
-    mutable known : int;
+  type 'a mirror = {
+    shared : 'a t;
+    mutable known : 'a key;
     mutable credit : int;
-    refresh_every : int;
   }
 
-  let mirror ?(refresh_every = 32) t =
-    if refresh_every < 1 then
-      invalid_arg "Shared_min.mirror: refresh_every must be >= 1";
-    {
-      shared = t;
-      known = Atomic.get t.bound;
-      credit = refresh_every;
-      refresh_every;
-    }
+  let refresh_every = 32
 
-  let mirror_get m =
+  let mirror t =
+    { shared = t; known = Atomic.get t.cell; credit = refresh_every }
+
+  (* The one tie rule. A candidate that merely ties the incumbent's time
+     wins only with a lower rank, so it may complete (threshold
+     [time + 1]) exactly when its rank is below the incumbent's. The
+     refresh needs no comparison: the shared key is never above the
+     known one, which is either a past shared key or an own published
+     improvement. *)
+  let mirror_threshold m ~rank =
     if m.credit <= 0 then begin
-      m.credit <- m.refresh_every;
-      let b = Atomic.get m.shared.bound in
-      if b < m.known then m.known <- b
+      m.credit <- refresh_every;
+      m.known <- Atomic.get m.shared.cell
     end
     else m.credit <- m.credit - 1;
-    m.known
+    let k = m.known in
+    if rank < k.rank && k.time < max_int then k.time + 1 else k.time
   [@@soctam.hot]
 
-  let mirror_improve m v =
-    if v < m.known then begin
-      m.known <- v;
-      improve m.shared v
+  let mirror_get m = m.known.time
+
+  let mirror_improve m ~time ~rank payload =
+    let k = { time; rank; payload = Some payload } in
+    if below k m.known then begin
+      m.known <- k;
+      publish m.shared k
     end
 end

@@ -5,9 +5,10 @@
     embarrassingly parallel: every work item needs only read-only shared
     state (the time table), so the only coordination required is (1)
     carving an indexable range into contiguous chunks, (2) running the
-    chunks on a bounded number of domains, and (3) a shared best-known
-    bound so the paper's early-termination pruning keeps biting across
-    domains. This module provides exactly those three pieces and nothing
+    chunks on a bounded number of domains, and (3) a shared [(time,
+    rank)] incumbent, so the paper's early-termination pruning keeps
+    biting across domains and the winner is the same at every team
+    size. This module provides exactly those three pieces and nothing
     else; everything policy-shaped (what a chunk computes, how results
     are reduced) stays with the caller, which is what makes the
     deterministic reductions easy to audit.
@@ -26,9 +27,10 @@
     chunks always tile the requested range exactly — every index
     covered exactly once — no matter how steals interleave. A caller
     whose per-chunk result is reduced by an associative,
-    chunk-boundary-independent operator (the solver's min-by
-    [(time, rank)]) therefore gets byte-identical reductions at every
-    [jobs] value. *)
+    chunk-boundary-independent operator (the solvers' counter sums)
+    therefore gets byte-identical reductions at every [jobs] value;
+    the solvers' winner needs no reduction at all, {!Shared_min} holds
+    it. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: a sensible default for [-j]. *)
@@ -168,59 +170,56 @@ val map_chunks :
     @raise Invalid_argument when [min_chunk < 1]. *)
 
 module Shared_min : sig
-  (** A shared monotonically non-increasing integer: the parallel form
-      of the paper's best-known SOC time [tau]. Domains publish every
-      completed evaluation with {!improve} and read the current bound
-      with {!get}; the early-exit threshold each worker hands to
-      [Core_assign] then reflects the best result found by {e any}
-      domain, which is what keeps the paper's second pruning level
-      effective under parallel evaluation. Reads are racy by design:
-      a stale read only weakens pruning, never correctness. *)
+  (** The shared incumbent: the parallel form of the paper's best-known
+      SOC time [tau], keyed lexicographically by [(time, rank)] and
+      carrying the incumbent's payload. Domains publish completed
+      evaluations with their rank; the cell keeps the minimum key — the
+      first strict improvement in rank order, the sequential winner —
+      however evaluations interleave. A stale read only weakens
+      pruning, never the winner. *)
 
-  type t
+  type 'a t
 
-  val create : int -> t
-  (** A shared bound starting at the given value ([max_int] = no bound). *)
+  val create : int -> 'a t
+  (** An incumbent with key [(tau, -1)] and no payload ([max_int] = no
+      bound): every candidate must beat [tau] strictly. *)
 
-  val get : t -> int
-  (** Current bound. *)
+  val get : 'a t -> int
+  (** The incumbent's time. *)
 
-  val improve : t -> int -> unit
-  (** [improve t v] lowers the bound to [v] if [v] is smaller; a
-      compare-and-set loop, so concurrent improvements never lose the
-      minimum. *)
+  val winner : 'a t -> 'a option
+  (** The incumbent's payload; [None] while the seed key stands. *)
 
-  val publications : t -> int
-  (** How many times {!improve} successfully lowered the bound since
-      {!create} — the number of shared-tau publications. Sequential
-      evaluation makes this the number of strict improvements; under
-      parallel evaluation it additionally counts racing partial
-      improvements that were themselves beaten later. *)
+  val improve : 'a t -> time:int -> rank:int -> 'a -> unit
+  (** Make [(time, rank)] and its payload the incumbent if that key is
+      lexicographically lower; a compare-and-set loop, so concurrent
+      improvements never lose the minimum. *)
 
-  type mirror
-  (** A worker-local batched view of a shared bound. Reading the atomic
-      cell on every partition serializes all workers on one cache line;
-      the mirror instead serves reads from a plain field refreshed from
-      the shared cell once every [refresh_every] reads, and publishes
-      only strict local improvements. Staleness weakens pruning by at
-      most [refresh_every] ranks, never correctness — the deterministic
-      reduction does not depend on pruning decisions. With a single
-      worker the mirror is exact: it is the only publisher, so its
-      local field always equals the shared bound and the jobs=1
-      threshold sequence is unchanged from the sequential original. *)
+  val publications : 'a t -> int
+  (** How many times the incumbent was replaced since {!create}: the
+      strict time improvements when sequential, plus racing
+      improvements beaten later when parallel. *)
 
-  val mirror : ?refresh_every:int -> t -> mirror
-  (** A fresh mirror of [t], initially synced. [refresh_every]
-      (default 32) is how many {!mirror_get} reads may be served
-      between refreshes. @raise Invalid_argument when
-      [refresh_every < 1]. *)
+  type 'a mirror
+  (** A worker-local view of an incumbent, so workers do not serialize
+      on one cache line: reads come from a plain field refreshed from
+      the shared cell once every 32 reads. With a single worker the
+      mirror is exact: it is the only publisher. *)
 
-  val mirror_get : mirror -> int
-  (** The locally known bound: at most [refresh_every] reads stale,
-      never staler than the owner's own improvements. *)
+  val mirror : 'a t -> 'a mirror
+  (** A fresh mirror, initially synced. *)
 
-  val mirror_improve : mirror -> int -> unit
-  (** Lower the local view and, on strict improvement over it, the
-      shared bound ({!improve}). Improvements already beaten locally
-      are filtered without touching shared state. *)
+  val mirror_threshold : 'a mirror -> rank:int -> int
+  (** The early-exit threshold for a candidate of rank [rank] under the
+      known incumbent [(tau, r)]: [tau + 1] when [rank < r] (a tie would
+      win on rank, so it must complete), [tau] otherwise. Ranks visited
+      in ascending order always get [tau], the paper's tie pruning. *)
+
+  val mirror_get : 'a mirror -> int
+  (** The known incumbent time, as of the last {!mirror_threshold} or
+      {!mirror_improve}. *)
+
+  val mirror_improve : 'a mirror -> time:int -> rank:int -> 'a -> unit
+  (** Lower the local view and, when the key beats it, the shared
+      incumbent ({!improve}). *)
 end

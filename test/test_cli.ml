@@ -171,28 +171,56 @@ let tables_unknown_id () =
 (* --budget takes a finite number of seconds >= 0 on every subcommand
    that has it: anything else is a usage error with a message, never an
    uncaught exception (exit 125) or a silently ignored budget. *)
+(* Numeric flags out of range are cmdliner usage errors, never an
+   uncaught exception (exit 125) out of the run configuration: each row
+   is a flag, the bad values tried and the word the error must name. *)
 let budget_rejected () =
+  let optimize = [ "optimize"; "d695"; "-w"; "32" ] in
   List.iter
-    (fun base ->
+    (fun (bases, flag, bads, named) ->
       List.iter
-        (fun bad ->
-          let args = base @ [ "--budget=" ^ bad ] in
-          let code, out = run args in
-          let shown = String.concat " " args in
-          Alcotest.(check bool)
-            (shown ^ ": nonzero exit, not an uncaught exception")
-            true
-            (code <> 0 && code <> 125);
-          Alcotest.(check bool)
-            (shown ^ ": names the budget")
-            true
-            (contains out "invalid budget");
-          Alcotest.(check bool)
-            (shown ^ ": no internal error")
-            false
-            (contains out "internal error"))
-        [ "-1"; "nan"; "inf" ])
-    [ [ "optimize"; "d695"; "-w"; "32" ]; [ "tables"; "--id"; "t2" ] ]
+        (fun base ->
+          List.iter
+            (fun bad ->
+              let args = base @ [ flag ^ "=" ^ bad ] in
+              let code, out = run args in
+              let shown = String.concat " " args in
+              Alcotest.(check bool)
+                (shown ^ ": nonzero exit, not an uncaught exception")
+                true
+                (code <> 0 && code <> 125);
+              Alcotest.(check bool)
+                (shown ^ ": names the " ^ named)
+                true
+                (contains out ("invalid " ^ named));
+              Alcotest.(check bool)
+                (shown ^ ": no internal error")
+                false
+                (contains out "internal error"))
+            bads)
+        bases)
+    [
+      ( [ optimize; [ "tables"; "--id"; "t2" ] ],
+        "--budget",
+        [ "-1"; "nan"; "inf" ],
+        "budget" );
+      ( [
+          optimize;
+          [ "pack"; "d695"; "-w"; "16" ];
+          [ "exhaustive"; "d695"; "-w"; "16"; "-b"; "2" ];
+          [ "ilp"; "d695"; "-w"; "16"; "-b"; "2" ];
+          [ "anneal"; "d695"; "-w"; "16" ];
+          [ "race"; "d695"; "-w"; "16" ];
+          [ "sweep"; "d695" ];
+        ],
+        "--jobs",
+        [ "0"; "-2" ],
+        "count" );
+      ( [ optimize; [ "race"; "d695"; "-w"; "16" ] ],
+        "--checkpoint-every",
+        [ "0"; "-1" ],
+        "count" );
+    ]
 
 let tables_markdown_and_csv () =
   check_output [ "tables"; "--id"; "t4"; "--markdown" ] [ "| :--- |"; "**t4" ];
@@ -404,5 +432,7 @@ let suite =
     test "resume: garbage checkpoint rejected" resume_garbage_rejected;
     test "resume: version 1 checkpoint rejected" resume_v1_rejected;
     test "optimize: rank-space overflow" optimize_rank_space_overflow;
-    test "--budget: negative, nan and inf rejected" budget_rejected;
+    test "--budget: negative, nan and inf rejected; -j and --checkpoint-every: \
+          0 rejected"
+      budget_rejected;
   ]

@@ -605,6 +605,28 @@ let pinned_run_skip_instance () =
       Alcotest.(check int) name n (Obs.counter_value snap name))
     d695_w40_counters
 
+(* p31108 at W = 96 saturates at its bottleneck floor, so almost every
+   partition ties the incumbent. A racing worker must not complete those
+   ties: only a tie whose rank is below the incumbent's can win. Before
+   the (time, rank) incumbent, jobs = 2 completed 1.8 M of them; the
+   bound is loose because parallel counts depend on the schedule. *)
+let p31108_w96_ties_pruned_at_jobs2 () =
+  let table = Tt.build (Soctam_soc_data.Philips.soc_p31108 ()) ~max_width:96 in
+  let seq = Runners.pe_run ~jobs:1 ~table ~total_width:96 ~max_tams:10 () in
+  let stats = Obs.create () in
+  let par =
+    Runners.pe_run ~stats ~jobs:2 ~table ~total_width:96 ~max_tams:10 ()
+  in
+  Alcotest.(check (array int)) "widths" seq.Pe.widths par.Pe.widths;
+  Alcotest.(check int) "time" seq.Pe.time par.Pe.time;
+  Alcotest.(check (array int)) "assignment" seq.Pe.assignment par.Pe.assignment;
+  let evaluated =
+    Obs.counter_value (Obs.snapshot stats) "partition/evaluated"
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "partition/evaluated %d <= 10000" evaluated)
+    true (evaluated <= 10_000)
+
 let initial_best_seeding () =
   (* Seeding tau with the known optimum means nothing completes and the
      fallback single-TAM architecture is returned; seeding with a looser
@@ -886,4 +908,6 @@ let suite =
     test "Bounds: gap and saturation" bounds_gap_and_saturation;
     test "Bounds: validation" bounds_validation;
     qtest peak_row;
+    test "Partition_evaluate: p31108 W=96 jobs=2 prunes ties like jobs=1"
+      p31108_w96_ties_pruned_at_jobs2;
   ]

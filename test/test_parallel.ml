@@ -96,14 +96,39 @@ let run_propagates_exception () =
            (Array.init 8 (fun i () ->
                 if i = 5 then failwith "boom" else i))))
 
+(* Workers improve one shared incumbent concurrently, each through its
+   own mirror, with candidate [i] keyed (times.(i), i): the cell must end
+   holding the lexicographic minimum key below the seed, with that key's
+   payload, however the chunks interleave. *)
 let shared_min_keeps_minimum =
-  QCheck.Test.make ~name:"Shared_min: holds the minimum of all improvements"
+  QCheck.Test.make
+    ~name:"Shared_min: holds the (time, rank) minimum and its payload"
     ~count:(scaled 200)
-    QCheck.(pair small_int (list small_int))
-    (fun (initial, updates) ->
+    QCheck.(
+      triple (int_range 1 4) (int_range 0 60)
+        (list_of_size Gen.(0 -- 300) (int_range 0 60)))
+    (fun (jobs, initial, updates) ->
+      let times = Array.of_list updates in
       let t = Pool.Shared_min.create initial in
-      List.iter (Pool.Shared_min.improve t) updates;
-      Pool.Shared_min.get t = List.fold_left min initial updates)
+      Pool.Team.with_team ~oversubscribe:true ~jobs (fun team ->
+          let mirrors = Array.init jobs (fun _ -> Pool.Shared_min.mirror t) in
+          ignore
+            (Pool.map_chunks ~min_chunk:1 team ~length:(Array.length times)
+               ~f:(fun ~worker ~lo ~hi ->
+                 for i = lo to hi - 1 do
+                   Pool.Shared_min.mirror_improve mirrors.(worker)
+                     ~time:times.(i) ~rank:i i
+                 done)
+               ()));
+      let expected = ref None and best = ref initial in
+      Array.iteri
+        (fun i time ->
+          if time < !best then begin
+            best := time;
+            expected := Some i
+          end)
+        times;
+      Pool.Shared_min.get t = !best && Pool.Shared_min.winner t = !expected)
 
 (* -- Team + map_chunks: the work-stealing scheduler ------------------------ *)
 

@@ -1,4 +1,5 @@
-(* Tests for Soctam_util: PRNG, selection, integer helpers, timer. *)
+(* Tests for Soctam_util: PRNG, selection, integer helpers, the shared
+   incumbent's tie rule, timer. *)
 
 module Prng = Soctam_util.Prng
 module Select = Soctam_util.Select
@@ -154,6 +155,34 @@ let pow_factorial () =
   Alcotest.(check int) "0!" 1 (Intutil.factorial 0);
   Alcotest.(check int) "6!" 720 (Intutil.factorial 6)
 
+(* -- Shared_min ---------------------------------------------------------- *)
+
+module Shared_min = Soctam_util.Pool.Shared_min
+
+(* The one tie rule: a candidate whose rank is below the incumbent's may
+   complete on a tie ([tau + 1]); at or above it, a tie is pruned
+   ([tau]). The seed key (tau, -1) prunes ties at every rank. *)
+let shared_min_tie_threshold () =
+  let t = Shared_min.create 100 in
+  let at rank = Shared_min.mirror_threshold (Shared_min.mirror t) ~rank in
+  Alcotest.(check int) "seed, rank 0" 100 (at 0);
+  Alcotest.(check (option string)) "seed has no payload" None
+    (Shared_min.winner t);
+  Shared_min.improve t ~time:90 ~rank:7 "r7";
+  Alcotest.(check int) "below the incumbent's rank" 91 (at 6);
+  Alcotest.(check int) "at the incumbent's rank" 90 (at 7);
+  Alcotest.(check int) "above the incumbent's rank" 90 (at 8);
+  Shared_min.improve t ~time:90 ~rank:3 "r3";
+  Shared_min.improve t ~time:90 ~rank:5 "r5";
+  Alcotest.(check int) "tie at a lower rank wins" 90 (Shared_min.get t);
+  Alcotest.(check (option string)) "its payload" (Some "r3")
+    (Shared_min.winner t);
+  Alcotest.(check int) "two publications" 2 (Shared_min.publications t);
+  Alcotest.(check int) "no bound stays unbounded" max_int
+    (Shared_min.mirror_threshold
+       (Shared_min.mirror (Shared_min.create max_int))
+       ~rank:0)
+
 (* -- Timer --------------------------------------------------------------- *)
 
 let timer_returns_result () =
@@ -189,4 +218,5 @@ let suite =
     test "intutil: pow/factorial" pow_factorial;
     test "timer: result" timer_returns_result;
     test "timer: ms" timer_ms_scales;
+    test "shared_min: tie threshold by rank" shared_min_tie_threshold;
   ]
