@@ -834,9 +834,23 @@ let soc_arg =
     & pos 0 (some string) None
     & info [] ~docv:"SOC" ~doc:"Benchmark name or path to a .soc file.")
 
+(* A count that must be >= 1 ([-w], [-b], [--max-tams], [-j],
+   [--checkpoint-every]): zero or a negative value is a usage error at
+   parse time, like a bad [--budget], rather than an [Invalid_argument]
+   out of the solver or the run configuration. *)
+let positive_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid count %S: expected an integer >= 1" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let width_arg =
   Arg.(
-    value & opt int 32
+    value & opt positive_conv 32
     & info [ "w"; "width" ] ~docv:"W" ~doc:"Total TAM width.")
 
 let info_term =
@@ -858,20 +872,6 @@ let wrapper_term =
       & info [ "layout" ] ~doc:"Print every wrapper chain's composition.")
   in
   Term.(const wrapper_cmd $ soc_arg $ core_id $ width_arg $ layout)
-
-(* A count that must be >= 1 ([-j], [--checkpoint-every]): zero or a
-   negative value is a usage error at parse time, like a bad
-   [--budget], rather than an [Invalid_argument] out of the run
-   configuration. *)
-let positive_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-        Error
-          (`Msg (Printf.sprintf "invalid count %S: expected an integer >= 1" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let jobs_arg =
   Arg.(
@@ -1002,7 +1002,7 @@ let json_flag =
 let tams_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_conv) None
     & info [ "b"; "tams" ] ~docv:"B"
         ~doc:
           "Fix the number of TAMs (P_PAW). Required by engines that solve \
@@ -1011,7 +1011,7 @@ let tams_arg =
 
 let max_tams_arg =
   Arg.(
-    value & opt int 10
+    value & opt positive_conv 10
     & info [ "max-tams" ] ~docv:"B" ~doc:"TAM count ceiling for P_NPAW.")
 
 let save_arch_arg =
@@ -1162,7 +1162,7 @@ let check_term =
   let width =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_conv) None
       & info [ "w"; "width" ] ~docv:"W"
           ~doc:"Total TAM width the architecture must partition exactly.")
   in

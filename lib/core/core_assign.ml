@@ -24,25 +24,44 @@ let record stats ~cores ~assigned ~exceeded =
         s.levels_cut <- s.levels_cut + (cores - assigned)
       end
 
-(* -- the first step in closed form ----------------------------------------- *)
+(* -- the first two steps in closed form ------------------------------------ *)
 
-(* All loads start at 0, so the first step always picks the widest TAM
-   (lines 10-12) and gives it the core with the largest time at that
-   width (lines 13-16, whatever the tie-break): the step ends with one
-   load equal to [Time_table.peak] at the widest width and every other
-   load 0. The early exit after it (lines 18-20) therefore fires exactly
-   when that peak reaches [best]. *)
-let widest_cut ~table ~best ~widest = Time_table.peak table ~width:widest >= best
+(* All loads start at 0, so the first step gives the widest TAM
+   (lines 10-12) the core with the largest time at that width (lines
+   13-16, whatever the tie-break), and the exit after it (lines 18-20)
+   fires exactly when that peak reaches [best]. A peak held by one core
+   c1 out of two or more is positive, so the second step goes to the
+   widest TAM still at load 0, of width [second], and adds the largest
+   time there among the other cores. A tied peak leaves c1 to the
+   tie-break, so the loop decides. With one TAM ([second = 0]) the
+   second step adds the largest time of the other cores to the same
+   load, tied or not. *)
+let cut ~table ~best ~widest ~second =
+  let peak = Time_table.peak table ~width:widest in
+  if peak >= best then 1
+  else if second = 0 then
+    if peak + Time_table.runner_up table ~width:widest >= best then 2 else 0
+  else
+    let c1 = Time_table.peak_core table ~width:widest in
+    if c1 < 0 then 0
+    else
+      let load =
+        if Time_table.peak_core table ~width:second = c1 then
+          Time_table.runner_up table ~width:second
+        else Time_table.peak table ~width:second
+      in
+      if load >= best then 2 else 0
 
-(* The counters [n] evaluations abandoned by [widest_cut] would have
-   recorded one by one: one step tried and [cores - 1] levels cut each. *)
-let record_widest_cuts ?stats ~cores n =
+(* The counters [n] evaluations abandoned by [cut] at [step] would have
+   recorded one by one: [step] steps tried and [cores - step] levels cut
+   each. *)
+let record_cuts ?stats ~cores ~step n =
   match stats with
   | None -> ()
   | Some s ->
-      s.tried <- s.tried + n;
+      s.tried <- s.tried + (n * step);
       s.early_terminations <- s.early_terminations + n;
-      s.levels_cut <- s.levels_cut + (n * (cores - 1))
+      s.levels_cut <- s.levels_cut + (n * (cores - step))
 
 (* -- the greedy loop (Figure 1) ---------------------------------------------- *)
 
@@ -212,8 +231,8 @@ let greedy_direct ~stats ~scratch:s ~best ~rows ~widths =
   done;
   finish stats ~cores ~assignment ~loads !exceeded
 
-(* Validation, then the first step in closed form: most calls from the
-   partition search end there, before any scratch work. *)
+(* Validation, then the first two steps in closed form, before any
+   scratch work. *)
 let run_table_direct ?stats ~scratch:s ~best ~table ~widths () =
   let rows = Time_table.rows table in
   let cores = Array.length rows in
@@ -221,17 +240,22 @@ let run_table_direct ?stats ~scratch:s ~best ~table ~widths () =
   let tams = Array.length widths in
   if tams = 0 then invalid_arg "Core_assign.run: no TAMs";
   let table_width = Time_table.max_width table in
-  let widest = ref 0 in
+  let widest = ref 0 and second = ref 0 in
   for j = 0 to tams - 1 do
-    if widths.(j) < 1 || widths.(j) > table_width then
+    let w = widths.(j) in
+    if w < 1 || w > table_width then
       invalid_arg "Core_assign.run: width outside the table range";
-    if widths.(j) > !widest then widest := widths.(j)
+    if w > !widest then begin
+      second := !widest;
+      widest := w
+    end
+    else if w > !second then second := w
   done;
-  if widest_cut ~table ~best ~widest:!widest then begin
-    record_widest_cuts ?stats ~cores 1;
-    Exceeded 1
-  end
-  else greedy_direct ~stats ~scratch:s ~best ~rows ~widths
+  match cut ~table ~best ~widest:!widest ~second:!second with
+  | 0 -> greedy_direct ~stats ~scratch:s ~best ~rows ~widths
+  | step ->
+      record_cuts ?stats ~cores ~step 1;
+      Exceeded step
 
 (* One pass of the same greedy loop with uniform random tie-breaking. *)
 let run_random_once ~rng ~times ~widths =

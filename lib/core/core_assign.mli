@@ -16,14 +16,13 @@
     each of the [m] steps is one O(B) pass for the TAM and one O(m + B)
     pass for the core (the tie-break included), O(m^2 + mB) overall,
     and {!run_table_direct} allocates nothing per step. What dominates
-    the partition search is not the full loop but its first step: on
-    wide TAMs almost every partition is abandoned right after it
-    (wide-npaw: 15,434,705 of 15,435,284 ranks; before the closed form
-    below, that search was 4.2 s of a 6.5 s run). That step has a
-    closed form, {!widest_cut}: an O(B) width check and one table
-    lookup, after which [Partition_evaluate] also skips the rest of the
-    odometer run the cut covers. The scans only matter for the few
-    partitions that get past it, so sorted structures would not pay. *)
+    the partition search is not the full loop but its first two steps:
+    on wide TAMs almost every partition is abandoned after one or two
+    of them. Both have a closed form, {!cut}: at most four table
+    lookups, after which [Partition_evaluate] also skips the rest of
+    the odometer block a step-1 cut covers. On wide-npaw's pass that
+    leaves about 130 thousand of 15.4 million ranks for the loop; the
+    scans only matter for those, so sorted structures would not pay. *)
 
 type outcome =
   | Assigned of {
@@ -99,20 +98,30 @@ val run_table_bounded :
   outcome
 (** {!run_bounded} over a precomputed table. *)
 
-val widest_cut : table:Time_table.t -> best:int -> widest:int -> bool
-(** The first assignment step in closed form. All loads start at 0, so
-    the step puts on the widest TAM the core with the largest time at
-    that width: [widest_cut ~table ~best ~widest] is [true] exactly when
-    {!Time_table.peak} at [widest] reaches [best], i.e. when
-    {!run_table_direct} over any partition whose widest TAM is [widest]
-    returns [Exceeded 1]. O(1). *)
+val cut : table:Time_table.t -> best:int -> widest:int -> second:int -> int
+(** The first two assignment steps in closed form, for a partition
+    whose widest TAM has width [widest] and whose second-widest has
+    width [second] (0 when there is one TAM). All loads start at 0, so
+    step 1 puts {!Time_table.peak} at [widest] on the widest TAM: when
+    that reaches [best] the result is 1. Otherwise, when one core c1
+    holds that peak ({!Time_table.peak_core}), step 2 puts on the
+    second-widest TAM the largest time at [second] of any core but c1,
+    which is {!Time_table.runner_up} at [second] when c1 holds the peak
+    there too and {!Time_table.peak} at [second] otherwise; with one TAM
+    it adds {!Time_table.runner_up} at [widest] to the first load. When
+    that load reaches [best] the result is 2, and otherwise 0. The
+    closed form declines, with 0, only when two or more TAMs meet a
+    tied peak at [widest] below [best]: the tie-break then picks c1 and
+    the loop decides. So 1 or 2 is exactly the [Exceeded] step
+    {!run_table_direct} returns, and 0 means the loop gets past step 2
+    unless the closed form declined. O(1). *)
 
-val record_widest_cuts : ?stats:stats -> cores:int -> int -> unit
-(** [record_widest_cuts ?stats ~cores n] adds to [stats] what [n]
-    evaluations ending in [Exceeded 1] record one by one: [n] steps
-    tried, [n] early terminations and [n * (cores - 1)] levels cut.
-    This is how a caller that settles a whole batch of partitions with
-    one {!widest_cut} keeps the counters exact. *)
+val record_cuts : ?stats:stats -> cores:int -> step:int -> int -> unit
+(** [record_cuts ?stats ~cores ~step n] adds to [stats] what [n]
+    evaluations ending in [Exceeded step] record one by one: [n * step]
+    steps tried, [n] early terminations and [n * (cores - step)] levels
+    cut. This is how a caller that settles a partition, or a whole
+    block of them, with one {!cut} keeps the counters exact. *)
 
 type scratch
 (** Caller-owned working storage for {!run_table_direct}: the three
@@ -136,6 +145,9 @@ val run_table_direct :
     [Time_table.matrix] copy) and the working arrays come from
     [scratch]. Outcome-identical to {!run_table_bounded} on every
     input (pinned by a qcheck property), including tie-breaking.
+
+    The first two steps come from {!cut} after an O(B) width check,
+    recorded in [stats] as the loop would record them.
 
     Aliasing caveat: the arrays inside an [Assigned] result are the
     scratch arrays — valid only until the next call with the same

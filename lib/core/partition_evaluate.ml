@@ -155,28 +155,15 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
            let c = if cap = max_int then max_int else cap + 1 in
            if c < t then c else t
          in
-         (* The odometer keeps the widths sorted, so the last one is the
-            widest. When the first assignment step alone reaches the
-            threshold, so does every later partition of the same run
-            (its widest part only shrinks and [Time_table.peak] is
-            non-increasing in the width), under this threshold or any
-            later one: along the run ranks ascend and the incumbent key
-            only falls, so the threshold never rises. The rest of the
-            run, up to [hi], is cut here in bulk, with the counters each
-            rank would have recorded. *)
-         if Core_assign.widest_cut ~table ~best:threshold
-              ~widest:widths.(tams - 1)
-         then begin
-           let n =
-             1 + Int.min (Odometer.run_remaining odometer) (hi - 1 - !rank)
-           in
-           Core_assign.record_widest_cuts ?stats:ca ~cores n;
-           enumerated := !enumerated + n;
-           tau_terminated := !tau_terminated + n;
-           ignore (Odometer.skip odometer (n - 1));
-           rank := !rank + (n - 1)
-         end
-         else begin
+         (* The odometer keeps the widths sorted, so the last two are
+            the widest and the second-widest. [check_args] has already
+            bounded every width by the table's, so unlike
+            [run_table_direct] the cut needs no per-call width check. *)
+         let step =
+           Core_assign.cut ~table ~best:threshold ~widest:widths.(tams - 1)
+             ~second:(if tams > 1 then widths.(tams - 2) else 0)
+         in
+         if step = 0 then begin
            incr enumerated;
            match
              Core_assign.run_table_direct ?stats:ca ~scratch:state.w_scratch
@@ -197,6 +184,24 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
                (Shared_min.mirror_improve mir ~time ~rank:!rank
                   (Array.copy widths, Array.copy assignment)
                [@soctam.allow "ALLOC-HOT"] (* rare improvement path *))
+         end
+         else begin
+           (* A step-1 cut settles the rest of the odometer's trailing
+              block too, up to [hi]: no partition in it has a wider
+              widest part, [Time_table.peak] is non-increasing in the
+              width, and along a chunk the threshold never rises (ranks
+              ascend and the incumbent key only falls). Each of those
+              ranks would have been cut at step 1 on its own, so the
+              counters record one cut per rank. *)
+           let n =
+             if step = 1 then
+               1 + Odometer.skip_block odometer ~limit:(hi - 1 - !rank)
+             else 1
+           in
+           Core_assign.record_cuts ?stats:ca ~cores ~step n;
+           enumerated := !enumerated + n;
+           tau_terminated := !tau_terminated + n;
+           rank := !rank + (n - 1)
          end;
          (* Advance through the last rank too, so the odometer already
             points at [hi] when the next owner chunk begins there. The

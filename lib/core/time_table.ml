@@ -3,6 +3,8 @@ type t = {
   max_width : int;
   times : int array array;  (* core -> width-1 -> time *)
   peak : int array;  (* width-1 -> max over cores of the time *)
+  peak_core : int array;  (* width-1 -> the core holding [peak], -1 on a tie *)
+  runner_up : int array;  (* width-1 -> max over every other core, 0 alone *)
 }
 
 module Obs = Soctam_obs.Obs
@@ -16,11 +18,28 @@ let build ?(stats = Obs.null) soc ~max_width =
           (Soctam_model.Soc.cores soc))
   in
   Obs.add stats ~n:(Array.length times * max_width) "time_table/entries";
-  let peak =
-    Array.init max_width (fun w ->
-        Array.fold_left (fun acc row -> Int.max acc row.(w)) 0 times)
-  in
-  { soc; max_width; times; peak }
+  (* One pass per core keeps, per width, the largest time, its core and
+     the largest time of every other core: a second core reaching the
+     peak makes the peak tied (-1) and becomes its own runner-up. *)
+  let peak = Array.make max_width 0 in
+  let peak_core = Array.make max_width (-1) in
+  let runner_up = Array.make max_width 0 in
+  Array.iteri
+    (fun i row ->
+      for w = 0 to max_width - 1 do
+        let x = row.(w) in
+        if i = 0 || x > peak.(w) then begin
+          if i > 0 then runner_up.(w) <- peak.(w);
+          peak.(w) <- x;
+          peak_core.(w) <- i
+        end
+        else begin
+          if x = peak.(w) then peak_core.(w) <- -1;
+          if x > runner_up.(w) then runner_up.(w) <- x
+        end
+      done)
+    times;
+  { soc; max_width; times; peak; peak_core; runner_up }
 
 let core_count t = Array.length t.times
 let max_width t = t.max_width
@@ -40,6 +59,14 @@ let time t ~core ~width =
 let peak t ~width =
   check_width "peak" t width;
   t.peak.(width - 1)
+
+let peak_core t ~width =
+  check_width "peak_core" t width;
+  t.peak_core.(width - 1)
+
+let runner_up t ~width =
+  check_width "runner_up" t width;
+  t.runner_up.(width - 1)
 
 let matrix t ~widths =
   Array.init (core_count t) (fun core ->

@@ -14,10 +14,10 @@ type t
 val build :
   ?stats:Soctam_obs.Obs.t -> Soctam_model.Soc.t -> max_width:int -> t
 (** [build soc ~max_width] computes [T_i(w)] for all cores and
-    [w = 1 .. max_width], and the {!peak} row over them in
-    O(cores * max_width). [stats] (default disabled) times the build
-    into a [time_table/build] span and counts the table size into the
-    [time_table/entries] counter.
+    [w = 1 .. max_width], and the {!peak}, {!peak_core} and {!runner_up}
+    rows over them in O(cores * max_width). [stats] (default disabled)
+    times the build into a [time_table/build] span and counts the table
+    size into the [time_table/entries] counter.
     @raise Invalid_argument when [max_width < 1]. *)
 
 val core_count : t -> int
@@ -32,8 +32,20 @@ val peak : t -> width:int -> int
     at that width, read from a row precomputed by {!build} (O(1)). Every
     core's row is a running minimum over wrapper chain counts, so it is
     non-increasing in the width, and so is [peak]: a narrower width
-    never has a smaller peak. [Core_assign]'s first-step cut relies on
-    both facts.
+    never has a smaller peak. [Core_assign.cut] and the partition
+    search's block skip rely on both facts.
+    @raise Invalid_argument when [width] is outside [1 .. max_width t]. *)
+
+val peak_core : t -> width:int -> int
+(** The 0-based core whose time at [width] is {!peak}, or [-1] when two
+    or more cores share that time (O(1)).
+    @raise Invalid_argument when [width] is outside [1 .. max_width t]. *)
+
+val runner_up : t -> width:int -> int
+(** The largest time at [width] among every core but {!peak_core}: equal
+    to {!peak} when the peak is tied, 0 for a one-core SOC (O(1)).
+    [Core_assign.cut] reads it as the second step's load when the first
+    step took the peak core.
     @raise Invalid_argument when [width] is outside [1 .. max_width t]. *)
 
 val rows : t -> int array array

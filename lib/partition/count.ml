@@ -33,21 +33,30 @@ let rec go ~total ~parts =
         Hashtbl.add table (total, parts) v;
         v
 
+let exact_two n = if n < 2 then 0 else n / 2
+
 (* Both summands of the recurrence are at most p(total, parts), so an
-   overflow anywhere below the query means the query itself overflows. *)
+   overflow anywhere below the query means the query itself overflows.
+   At most two parts the count needs no memo and so no lock: the
+   odometer's block skip asks for p(n, 2) whenever it cuts the rest of
+   an innermost run. *)
 let exact ~total ~parts =
-  Mutex.lock lock;
-  match
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () -> go ~total ~parts)
-  with
-  | v -> v
-  | exception Overflow ->
-      invalid_arg
-        (Printf.sprintf
-           "Count.exact: p(total = %d, parts = %d) exceeds max_int" total
-           parts)
+  if parts = 2 then exact_two total
+  else if parts < 2 then go ~total ~parts
+  else begin
+    Mutex.lock lock;
+    match
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock lock)
+        (fun () -> go ~total ~parts)
+    with
+    | v -> v
+    | exception Overflow ->
+        invalid_arg
+          (Printf.sprintf
+             "Count.exact: p(total = %d, parts = %d) exceeds max_int" total
+             parts)
+  end
 
 let at_most ~total ~max_parts =
   let rec loop k acc =
@@ -70,8 +79,6 @@ let estimate ~total ~parts =
   let open Soctam_util in
   float_of_int (Intutil.pow total (parts - 1))
   /. float_of_int (Intutil.factorial parts * Intutil.factorial (parts - 1))
-
-let exact_two n = if n < 2 then 0 else n / 2
 
 let exact_three n =
   if n < 3 then 0 else int_of_float (Float.round (float_of_int (n * n) /. 12.))

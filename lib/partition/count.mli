@@ -9,8 +9,10 @@ val exact : total:int -> parts:int -> int
 (** [exact ~total ~parts] is p(total, parts), the number of partitions of
     [total] into exactly [parts] positive parts. 0 when impossible.
     Exact dynamic programming; memoized across calls. The memo is
-    protected by a lock, so concurrent calls from multiple domains are
-    safe (the parallel evaluation layer counts and unranks partitions).
+    protected by a global lock, so concurrent calls from multiple
+    domains are safe (the parallel evaluation layer counts and unranks
+    partitions); at most two parts are answered in closed form without
+    it.
     Every addition is overflow-checked: p(512, 27) and p(1000, 15), for
     instance, do not fit an OCaml [int].
     @raise Invalid_argument naming [total] and [parts] when the count

@@ -186,30 +186,48 @@ module Odometer = struct
     if t.parts = 1 then false else try_position t (t.parts - 2)
   [@@soctam.hot]
 
-  (* The innermost run: while w_(B-1) is below its bound
-     floor((total - prefix) / 2), [advance] grows it by one and shrinks
-     w_B by one, touching nothing else. *)
-  let run_remaining t =
-    if t.parts = 1 then 0
+  (* The trailing block starts at the smallest [j] with
+     w_j = ... = w_(B-1) (loop variables only; w_B is derived). *)
+  let rec block_start widths j =
+    if j > 0 && widths.(j - 1) = widths.(j) then block_start widths (j - 1)
+    else j
+  [@@soctam.hot]
+
+  (* With the prefix below [j] fixed and w_j = ... = w_(B-1) = w, the
+     current partition is the first of the partitions of
+     [R = total - prefix] into [B - j] parts of size >= w: the rest of
+     the prefix's subtree in lexicographic order, ending at the
+     balanced split of [R]. [unrank_fill] finds the [limit]-th of them
+     when the block is longer than [limit]. *)
+  let skip_block t ~limit =
+    if t.parts = 1 || limit <= 0 then 0
     else begin
-      let j = t.parts - 2 in
-      ((t.total - prefix_sum t.widths j 0 0) / 2) - t.widths.(j)
+      let j = block_start t.widths (t.parts - 2) in
+      let w = t.widths.(j) in
+      let r = t.total - prefix_sum t.widths j 0 0 in
+      let k = t.parts - j in
+      let left = count_with_min ~total:r ~parts:k ~min_part:w - 1 in
+      if left <= limit then begin
+        let q = r / k and wider = t.parts - (r mod k) in
+        for i = j to t.parts - 1 do
+          t.widths.(i) <- (if i < wider then q else q + 1)
+        done;
+        left
+      end
+      else begin
+        unrank_fill t.widths t.parts j w r limit;
+        limit
+      end
     end
   [@@soctam.hot]
 
-  (* Jump to the end of the current run in one step, cross into the
-     next run with one [advance], and repeat until [n] is spent. *)
+  (* Cross the current block in one step, then the next with one
+     [advance], until [n] is spent. *)
   let rec skip_from t n =
-    if n = 0 then true
-    else begin
-      let k = Int.min n (run_remaining t) in
-      if k > 0 then begin
-        let j = t.parts - 2 in
-        t.widths.(j) <- t.widths.(j) + k;
-        t.widths.(j + 1) <- t.widths.(j + 1) - k
-      end;
-      k = n || (advance t && skip_from t (n - k - 1))
-    end
+    n = 0
+    ||
+    let k = skip_block t ~limit:n in
+    k = n || (advance t && skip_from t (n - k - 1))
   [@@soctam.hot]
 
   let skip t n =

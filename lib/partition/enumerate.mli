@@ -101,21 +101,30 @@ module Odometer : sig
   (** Move to the next partition; [false] when exhausted (the paper's
       [halt] flag). *)
 
-  val run_remaining : t -> int
-  (** How many further {!advance} calls stay inside the current
-      innermost run: the stretch of the enumeration where only the
-      last two parts change, the second-to-last growing by one and the
-      last (the widest) shrinking by one per step. 0 at the end of a
-      run and always for one part. Along a run every other part is
-      fixed and the widest part only shrinks, which is what lets
-      [Partition_evaluate] settle a whole run from its first member.
-      O(parts), allocation-free. *)
+  val skip_block : t -> limit:int -> int
+  (** [skip_block t ~limit] advances [t] through its trailing block,
+      stopping after [limit] advances, and returns how many it made.
+      The trailing block starts at the first of the equal loop
+      variables [w_j = ... = w_(B-1)] (the last of them alone at
+      worst): with the parts before [j] fixed, the current partition is
+      the first of the partitions of [R] into [B - j] parts of size
+      [>= w_j], where [R] is what the fixed parts leave, and the block
+      is all of them.
+      Its last partition is the balanced split of [R], after which an
+      advance changes a fixed part. No partition of the block has a
+      wider widest part than the current one, which is what lets
+      [Partition_evaluate] settle a whole block from its first member.
+      The block's size comes from {!Count.exact}, which takes a global
+      lock above two parts. O(parts) when the block fits in [limit],
+      plus an {!unrank_into} descent below position [j] when it does
+      not; allocation-free. 0 for one part or [limit <= 0]. *)
 
   val skip : t -> int -> bool
   (** [skip t n] has exactly the effect of [n] calls to {!advance}:
       [true] when all [n] succeeded, otherwise [false] with [t] on the
-      last partition of the enumeration. Each run is crossed in one
-      step, so the cost is O(parts) per run touched rather than per
-      partition; allocation-free.
+      last partition of the enumeration. Each trailing block is
+      crossed in one {!skip_block}, so the cost is one block count per
+      block touched rather than one advance per partition;
+      allocation-free.
       @raise Invalid_argument when [n < 0]. *)
 end

@@ -589,9 +589,9 @@ let resume_boundary_parallel () =
     [ 1; 3; 5 ]
 
 (* The pinned d695 W = 40 P_NPAW instance (test_core.ml), where the
-   partition search skips cut odometer runs in bulk, sliced every 2
-   ranks so that slice edges fall inside those runs: each resumed slice
-   re-enters a run part-way and must still cut exactly what the
+   partition search skips cut odometer blocks in bulk, sliced every 2
+   ranks so that slice edges fall inside those blocks: each resumed
+   slice re-enters a block part-way and must still cut exactly what the
    uninterrupted run cuts. *)
 let resume_inside_skipped_runs () =
   let total_width = 40 in

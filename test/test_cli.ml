@@ -168,12 +168,10 @@ let tables_single () = check_output [ "tables"; "--id"; "t4" ] [ "logic"; "memor
 let tables_unknown_id () =
   check_output ~code:1 [ "tables"; "--id"; "t99" ] [ "unknown table id" ]
 
-(* --budget takes a finite number of seconds >= 0 on every subcommand
-   that has it: anything else is a usage error with a message, never an
-   uncaught exception (exit 125) or a silently ignored budget. *)
 (* Numeric flags out of range are cmdliner usage errors, never an
-   uncaught exception (exit 125) out of the run configuration: each row
-   is a flag, the bad values tried and the word the error must name. *)
+   uncaught exception (exit 125) or an internal error out of a solver or
+   the run configuration: each row is a flag, the bad values tried and
+   the word the error must name. *)
 let budget_rejected () =
   let optimize = [ "optimize"; "d695"; "-w"; "32" ] in
   List.iter
@@ -218,6 +216,25 @@ let budget_rejected () =
         "count" );
       ( [ optimize; [ "race"; "d695"; "-w"; "16" ] ],
         "--checkpoint-every",
+        [ "0"; "-1" ],
+        "count" );
+      ( [
+          [ "optimize"; "d695" ];
+          [ "pack"; "d695" ];
+          [ "compare"; "d695" ];
+          [ "schedule"; "d695" ];
+          [ "wrapper"; "d695"; "-c"; "1" ];
+          [ "check"; "d695"; "--arch"; "missing.arch" ];
+        ],
+        "--width",
+        [ "0"; "-1" ],
+        "count" );
+      ( [ optimize; [ "exhaustive"; "d695"; "-w"; "16" ] ],
+        "--tams",
+        [ "0"; "-1" ],
+        "count" );
+      ( [ optimize; [ "pack"; "d695"; "-w"; "16" ] ],
+        "--max-tams",
         [ "0"; "-1" ],
         "count" );
     ]
@@ -432,7 +449,7 @@ let suite =
     test "resume: garbage checkpoint rejected" resume_garbage_rejected;
     test "resume: version 1 checkpoint rejected" resume_v1_rejected;
     test "optimize: rank-space overflow" optimize_rank_space_overflow;
-    test "--budget: negative, nan and inf rejected; -j and --checkpoint-every: \
-          0 rejected"
+    test "--budget: negative, nan and inf rejected; -j, --checkpoint-every, \
+          -w, -b and --max-tams: 0 rejected"
       budget_rejected;
   ]

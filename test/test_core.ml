@@ -124,6 +124,36 @@ let peak_row =
       done;
       !ok)
 
+let peak_core_and_runner_up =
+  QCheck.Test.make
+    ~name:"time table: peak_core and runner_up match a scan of the cores"
+    ~count:30
+    QCheck.(triple (int_range 1 1000) (int_range 1 6) bool)
+    (fun (seed, cores, ties) ->
+      let soc =
+        if ties then tie_heavy_soc (Int64.of_int seed) ~cores
+        else small_soc (Int64.of_int seed) ~cores
+      in
+      let table = Tt.build soc ~max_width:16 in
+      let ok = ref true in
+      for width = 1 to 16 do
+        let time core = Tt.time table ~core ~width in
+        let peak = Tt.peak table ~width in
+        let all = List.init cores Fun.id in
+        let expected_core =
+          match List.filter (fun c -> time c = peak) all with
+          | [ c ] -> c
+          | _ -> -1
+        in
+        let others = List.filter (fun c -> c <> expected_core) all in
+        let expected_runner_up =
+          List.fold_left (fun acc c -> max acc (time c)) 0 others
+        in
+        if Tt.peak_core table ~width <> expected_core then ok := false;
+        if Tt.runner_up table ~width <> expected_runner_up then ok := false
+      done;
+      !ok)
+
 (* -- Core_assign ---------------------------------------------------------- *)
 
 let figure2_times =
@@ -261,11 +291,27 @@ let equal_outcome a b =
   | Ca.Exceeded m, Ca.Exceeded n -> m = n
   | _ -> false
 
+(* The second step's load by brute force: the first step puts the
+   first core of largest time at [w1] on the widest TAM, the second the
+   largest time at [w2] among the rest on the second-widest. *)
+let step2_load table ~w1 ~w2 =
+  let cores = Tt.core_count table in
+  let c1 = ref 0 in
+  for i = 1 to cores - 1 do
+    if Tt.time table ~core:i ~width:w1 > Tt.time table ~core:!c1 ~width:w1
+    then c1 := i
+  done;
+  let load = ref 0 in
+  for i = 0 to cores - 1 do
+    if i <> !c1 then load := max !load (Tt.time table ~core:i ~width:w2)
+  done;
+  !load
+
 let direct_matches_bounded =
   QCheck.Test.make
     ~name:"Core_assign: run_table_direct identical to run_table_bounded"
     ~count:300
-    QCheck.(quad (int_range 1 1000) (int_range 1 5) (int_range 0 3) bool)
+    QCheck.(quad (int_range 1 1000) (int_range 1 5) (int_range 0 4) bool)
     (fun (seed, tams, bound_kind, ties) ->
       let soc =
         if ties then tie_heavy_soc (Int64.of_int seed) ~cores:6
@@ -273,16 +319,35 @@ let direct_matches_bounded =
       in
       let table = Tt.build soc ~max_width:12 in
       let rng = Prng.create (Int64.of_int ((seed * 31) + tams)) in
-      let widths = Array.init tams (fun _ -> 1 + Prng.int rng 12) in
+      (* The second step can only exit before the first when the
+         second-widest TAM is much narrower: bound kind 4 draws it so. *)
+      let widths =
+        Array.init tams (fun j ->
+            1 + Prng.int rng (if bound_kind = 4 && j > 0 then 3 else 12))
+      in
       let reference = Ca.run_table_bounded ~best:max_int ~table ~widths () in
+      let top2 widths =
+        let sorted = Array.copy widths in
+        Array.sort Int.compare sorted;
+        let n = Array.length sorted in
+        (sorted.(n - 1), if n > 1 then sorted.(n - 2) else 0)
+      in
       (* Exercise every early-exit regime: no bound, a bound hit exactly
-         (the Exceeded path), a loose bound, and a tight one in
-         [0, peak(w_max)] where the first step alone decides. *)
+         (the Exceeded path), a loose bound, a tight one in
+         [0, peak(w_max)] where the first step alone decides, and one in
+         (peak(w_max), step-2 load] where the second step does (on the
+         second-widest TAM, or on the same one when there is one). *)
       let best =
+        let widest, second = top2 widths in
+        let peak = Tt.peak table ~width:widest in
         match (bound_kind, reference) with
-        | 3, _ ->
-            let widest = Array.fold_left max 0 widths in
-            Prng.int rng (Tt.peak table ~width:widest + 1)
+        | 3, _ -> Prng.int rng (peak + 1)
+        | 4, _ ->
+            let load =
+              if second > 0 then step2_load table ~w1:widest ~w2:second
+              else peak + step2_load table ~w1:widest ~w2:widest
+            in
+            peak + 1 + Prng.int rng (max 1 (load - peak))
         | 0, _ | _, Ca.Exceeded _ -> max_int
         | 1, Ca.Assigned { time; _ } -> time
         | _, Ca.Assigned { time; _ } -> time + 1 + Prng.int rng 50
@@ -296,12 +361,19 @@ let direct_matches_bounded =
         let direct =
           Ca.run_table_direct ~stats:sd ~scratch ~best ~table ~widths ()
         in
-        (* The closed-form first step agrees with the loop that does
-           not use it. *)
-        let widest = Array.fold_left max 0 widths in
+        (* The closed-form first two steps agree with the loop that does
+           not use them: a cut at step 1 or 2 exactly when the loop
+           exits there, except that a tied first peak over two or more
+           TAMs declines (0) and never names a wrong step. *)
+        let widest, second = top2 widths in
+        let step = Ca.cut ~table ~best ~widest ~second in
+        let exited =
+          match bounded with Ca.Exceeded ((1 | 2) as k) -> k | _ -> 0
+        in
+        let declines = second > 0 && Tt.peak_core table ~width:widest < 0 in
         equal_outcome bounded direct
-        && Ca.widest_cut ~table ~best ~widest
-           = equal_outcome bounded (Ca.Exceeded 1)
+        && (step = exited || (declines && exited = 2 && step = 0))
+        && ((not declines) || step <> 2)
         && sb.Ca.tried = sd.Ca.tried
         && sb.Ca.early_terminations = sd.Ca.early_terminations
         && sb.Ca.levels_cut = sd.Ca.levels_cut
@@ -573,10 +645,10 @@ let fewer_tams_than_requested_is_fine () =
   Alcotest.(check int) "stats for B = 1..3" 3 (Array.length r.Pe.per_b)
 
 (* d695 at W = 40, P_NPAW (B <= 10) at jobs = 1: an instance where the
-   bulk skip of cut odometer runs fires (it settles 4,912 of the 16,928
-   ranks without visiting them). The architecture and every counter are
-   the ones the rank-by-rank evaluation produced before the skip
-   existed. *)
+   block skip of cut odometer blocks fires (it settles 6,770 of the
+   16,928 ranks without visiting them) and 6,503 ranks end at the
+   closed-form second step. The architecture and every counter are the
+   ones the rank-by-rank evaluation produced before either existed. *)
 let d695_w40_counters =
   [
     ("core_assign/assignments_tried", 28141);
@@ -626,6 +698,40 @@ let p31108_w96_ties_pruned_at_jobs2 () =
   Alcotest.(check bool)
     (Printf.sprintf "partition/evaluated %d <= 10000" evaluated)
     true (evaluated <= 10_000)
+
+(* d695 at W = 88, P_NPAW (B <= 10) at jobs = 1: a wide instance where
+   nearly every rank is settled by the closed-form first two steps and
+   the block skip. The architecture and every counter are the ones the
+   rank-by-rank evaluation produces; jobs = 2 must find the same
+   architecture. *)
+let d695_w88_counters =
+  [
+    ("core_assign/assignments_tried", 3_452_219);
+    ("core_assign/early_terminations", 2_543_793);
+    ("core_assign/levels_cut", 21_986_271);
+    ("partition/enumerated", 2_543_849);
+    ("partition/evaluated", 56);
+    ("partition/pruned", 2_543_793);
+  ]
+
+let pinned_block_skip_instance () =
+  let table = Tt.build Soctam_soc_data.D695.soc ~max_width:88 in
+  let stats = Obs.create () in
+  let r =
+    Runners.pe_run ~stats ~jobs:1 ~table ~total_width:88 ~max_tams:10 ()
+  in
+  Alcotest.(check (array int)) "widths" [| 3; 7; 9; 17; 21; 31 |] r.Pe.widths;
+  Alcotest.(check int) "time" 9878 r.Pe.time;
+  let snap = Obs.snapshot stats in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int) name n (Obs.counter_value snap name))
+    d695_w88_counters;
+  let par = Runners.pe_run ~jobs:2 ~table ~total_width:88 ~max_tams:10 () in
+  Alcotest.(check (array int)) "jobs=2 widths" r.Pe.widths par.Pe.widths;
+  Alcotest.(check int) "jobs=2 time" r.Pe.time par.Pe.time;
+  Alcotest.(check (array int))
+    "jobs=2 assignment" r.Pe.assignment par.Pe.assignment
 
 let initial_best_seeding () =
   (* Seeding tau with the known optimum means nothing completes and the
@@ -910,4 +1016,7 @@ let suite =
     qtest peak_row;
     test "Partition_evaluate: p31108 W=96 jobs=2 prunes ties like jobs=1"
       p31108_w96_ties_pruned_at_jobs2;
+    qtest peak_core_and_runner_up;
+    test "Partition_evaluate: pinned d695 W=88 block-skip instance"
+      pinned_block_skip_instance;
   ]

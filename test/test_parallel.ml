@@ -364,8 +364,8 @@ let evaluate_exact_counters_stable =
         seq.Pe.per_b par.Pe.per_b)
 
 (* The pinned d695 W = 40 P_NPAW instance (test_core.ml), where the
-   partition search cuts whole odometer runs at a time: with two and
-   four workers sharing tau, a run is cut under whatever bound a
+   partition search cuts whole odometer blocks at a time: with two and
+   four workers sharing tau, a block is cut under whatever bound a
    worker's mirror holds, and the result must still be byte-identical
    to one worker's. *)
 let run_skip_instance_matches_sequential () =

@@ -72,7 +72,9 @@ let closed_forms =
   QCheck.Test.make ~name:"p(n,2) and p(n,3) closed forms" ~count:200
     QCheck.(int_range 2 120)
     (fun n ->
-      Count.exact_two n = Count.exact ~total:n ~parts:2
+      (* [Count.exact] answers two parts with [exact_two] itself, so
+         that closed form is checked against the enumeration. *)
+      Count.exact_two n = List.length (Enumerate.to_list ~total:n ~parts:2)
       && (n < 3 || Count.exact_three n = Count.exact ~total:n ~parts:3))
 
 let recurrence_property =
@@ -302,42 +304,90 @@ let skip_equals_advances =
              = Enumerate.Odometer.current stepped
       | _ -> false)
 
-let run_remaining_is_the_run =
+(* The first of the trailing equal loop variables w_j = ... = w_(B-1). *)
+let block_start widths parts =
+  let j = ref (max 0 (parts - 2)) in
+  while !j > 0 && widths.(!j - 1) = widths.(!j) do
+    decr j
+  done;
+  !j
+
+let skip_block_is_the_block =
   QCheck.Test.make
-    ~name:"Odometer.run_remaining counts the advances moving only the last two parts"
-    ~count:100
-    QCheck.(pair (int_range 1 30) (int_range 1 7))
+    ~name:
+      "Odometer.skip_block crosses exactly the trailing block, up to its \
+       limit"
+    ~count:60
+    QCheck.(pair (int_range 1 24) (int_range 1 6))
     (fun (total, parts) ->
-      match Enumerate.Odometer.create ~total ~parts with
-      | None -> true
-      | Some o ->
-          let ok = ref true in
-          let continue = ref true in
-          while !continue do
-            let before = Array.copy (Enumerate.Odometer.current o) in
-            let k = Enumerate.Odometer.run_remaining o in
-            for step = 1 to k do
-              if not (Enumerate.Odometer.advance o) then ok := false;
-              let w = Enumerate.Odometer.current o in
-              for i = 0 to parts - 3 do
-                if w.(i) <> before.(i) then ok := false
-              done;
-              (* the widest part shrinks by one per step *)
-              if w.(parts - 1) <> before.(parts - 1) - step then ok := false
-            done;
-            let last = Array.copy (Enumerate.Odometer.current o) in
-            continue := Enumerate.Odometer.advance o;
-            (* the next advance, when there is one, leaves the run *)
-            if !continue then begin
-              let w = Enumerate.Odometer.current o in
-              let same_prefix = ref true in
-              for i = 0 to parts - 3 do
-                if w.(i) <> last.(i) then same_prefix := false
-              done;
-              if !same_prefix then ok := false
-            end
-          done;
-          !ok)
+      let count = Count.exact ~total ~parts in
+      let at rank =
+        Option.get (Enumerate.Odometer.create_at ~total ~parts ~rank)
+      in
+      let ok = ref true in
+      for rank = 0 to count - 1 do
+        (* From every rank: the block is the advances that keep the
+           parts before the trailing equal block fixed. *)
+        let stepped = at rank in
+        let fixed = block_start (Enumerate.Odometer.current stepped) parts in
+        let prefix o = Array.sub (Enumerate.Odometer.current o) 0 fixed in
+        let start = prefix stepped in
+        let inside = ref 0 in
+        let last = ref (Array.copy (Enumerate.Odometer.current stepped)) in
+        while
+          Enumerate.Odometer.advance stepped && prefix stepped = start
+        do
+          incr inside;
+          last := Array.copy (Enumerate.Odometer.current stepped)
+        done;
+        let whole = at rank in
+        if Enumerate.Odometer.skip_block whole ~limit:max_int <> !inside then
+          ok := false;
+        if Enumerate.Odometer.current whole <> !last then ok := false;
+        (* A limit inside the block stops there, like that many advances. *)
+        let limit = !inside / 2 in
+        let part = at rank and walked = at rank in
+        for _ = 1 to limit do
+          ignore (Enumerate.Odometer.advance walked)
+        done;
+        if Enumerate.Odometer.skip_block part ~limit <> limit then ok := false;
+        if Enumerate.Odometer.current part <> Enumerate.Odometer.current walked
+        then ok := false
+      done;
+      !ok)
+
+let skip_spans_whole_blocks =
+  QCheck.Test.make
+    ~name:"Odometer.skip t n = n advances when n spans whole blocks"
+    ~count:200
+    QCheck.(quad (int_range 1 40) (int_range 1 7) (int_range 0 1000)
+              (pair (int_range 1 6) (int_range (-1) 1)))
+    (fun (total, parts, start, (blocks, offset)) ->
+      let count = Count.exact ~total ~parts in
+      QCheck.assume (count > 0);
+      let rank = start mod count in
+      let at () =
+        Option.get (Enumerate.Odometer.create_at ~total ~parts ~rank)
+      in
+      (* [n]: the advances crossing [blocks] whole blocks from [rank],
+         give or take one. *)
+      let o = at () in
+      let n = ref 0 in
+      (try
+         for _ = 1 to blocks do
+           n := !n + Enumerate.Odometer.skip_block o ~limit:max_int;
+           if Enumerate.Odometer.advance o then incr n else raise Exit
+         done
+       with Exit -> ());
+      let n = max 0 (!n + offset) in
+      let stepped = at () and skipped = at () in
+      let all_advanced = ref true in
+      for _ = 1 to n do
+        if not (Enumerate.Odometer.advance stepped) then all_advanced := false
+      done;
+      Enumerate.Odometer.skip skipped n = !all_advanced
+      && Enumerate.Odometer.current skipped
+         = Enumerate.Odometer.current stepped)
 
 let split_ranges_cover_enumeration =
   (* The contract the parallel evaluator relies on: Pool.split produces
@@ -408,9 +458,10 @@ let suite =
     qtest unrank_rank_round_trip;
     qtest create_at_equals_sequential_advances;
     qtest skip_equals_advances;
-    qtest run_remaining_is_the_run;
+    qtest skip_block_is_the_block;
     qtest split_ranges_cover_enumeration;
     qtest compositions_match_fold;
     test "compositions: blow-up measured" compositions_blowup_measured;
     test "odometer: impossible inputs" odometer_none_when_impossible;
+    qtest skip_spans_whole_blocks;
   ]
