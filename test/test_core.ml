@@ -859,6 +859,42 @@ let exhaustive_beats_or_matches_heuristic =
       let exact = Runners.ex_run ~table ~total_width:10 ~tams:2 () in
       exact.Ex.time <= heuristic.Pe.time)
 
+(* Exhaustive at jobs = 1 on three budgets: a complete run, a run whose
+   per-partition node budget stops the slice at its first partition,
+   and a zero time budget, which stops after the first solve. The
+   sequence of solves, and so every figure here, is the one the
+   sequential search has always produced. *)
+let exhaustive_jobs1_pinned () =
+  let table = Tt.build (small_soc 62L ~cores:6) ~max_width:14 in
+  let check name ?node_limit_per_partition ?time_budget ~time ~widths
+      ~solved ~nodes ~complete () =
+    let stats = Obs.create () in
+    let r =
+      Runners.ex_run ~stats ~jobs:1 ?node_limit_per_partition ?time_budget
+        ~table ~total_width:14 ~tams:3 ()
+    in
+    let snap = Obs.snapshot stats in
+    Alcotest.(check int) (name ^ ": time") time r.Ex.time;
+    Alcotest.(check (array int)) (name ^ ": widths") widths r.Ex.widths;
+    Alcotest.(check int) (name ^ ": partitions_solved") solved
+      r.Ex.partitions_solved;
+    Alcotest.(check int) (name ^ ": nodes") nodes r.Ex.nodes;
+    Alcotest.(check int)
+      (name ^ ": exhaustive/partitions_solved")
+      solved
+      (Obs.counter_value snap "exhaustive/partitions_solved");
+    Alcotest.(check int) (name ^ ": exhaustive/nodes") nodes
+      (Obs.counter_value snap "exhaustive/nodes");
+    Alcotest.(check bool) (name ^ ": complete") complete
+      (Soctam_core.Outcome.is_complete r.Ex.outcome)
+  in
+  check "complete" ~time:7386 ~widths:[| 3; 5; 6 |] ~solved:16 ~nodes:173
+    ~complete:true ();
+  check "node limit 1" ~node_limit_per_partition:1 ~time:21070
+    ~widths:[| 1; 1; 12 |] ~solved:0 ~nodes:2 ~complete:false ();
+  check "zero budget" ~time_budget:0. ~time:14056 ~widths:[| 1; 1; 12 |]
+    ~solved:1 ~nodes:6 ~complete:false ()
+
 (* -- Co_optimize ----------------------------------------------------------- *)
 
 let pipeline_invariants =
@@ -1019,4 +1055,6 @@ let suite =
     qtest peak_core_and_runner_up;
     test "Partition_evaluate: pinned d695 W=88 block-skip instance"
       pinned_block_skip_instance;
+    test "Exhaustive: jobs=1 pinned complete, node-limit and zero-budget runs"
+      exhaustive_jobs1_pinned;
   ]
