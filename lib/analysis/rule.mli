@@ -30,8 +30,8 @@ type id =
   | Dom_escape
       (** DOM-ESCAPE: a mutable value — [ref], mutable
           record field, [Buffer.t], [Hashtbl.t], array — created outside
-          a worker closure ([Pool.run] / [Pool.map_ranges] /
-          [Domain.spawn] argument) but captured and mutated inside one,
+          a worker closure ([Pool.map_chunks] / [Slice_search.round]
+          / [Domain.spawn] argument) but captured and mutated inside one,
           or mutated from a function the call graph shows is reachable
           from worker closures, without a guarding [Mutex] in scope. *)
   | Lock_raise
@@ -64,7 +64,7 @@ type id =
   | Engine_caps
       (** ENGINE-CAPS: an [Engine.S] implementation whose
           [caps] record contradicts its body — [run] reaches
-          [Pool.run] / [Pool.map_chunks] / [Team.round] /
+          [Pool.map_chunks] / [Slice_search.round] / [Team.round] /
           [Domain.spawn] while [caps.parallel] is [false], or
           [caps.proves] is [true] with a [cert] spec requesting no
           lib/check certificate. *)

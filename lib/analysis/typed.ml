@@ -5,8 +5,9 @@ open Typedtree
 (* ==== name normalization ================================================= *)
 
 (* Dune wraps libraries, so a cross-module path prints as
-   "Soctam_util__Pool.run". Split each '.'-component on the "__" mangling
-   and drop the "Stdlib" head, giving ["Soctam_util"; "Pool"; "run"]. *)
+   "Soctam_util__Pool.map_chunks". Split each '.'-component on the "__"
+   mangling and drop the "Stdlib" head, giving
+   ["Soctam_util"; "Pool"; "map_chunks"]. *)
 let split_mangled comp =
   let n = String.length comp in
   let rec cut acc start i =
@@ -362,12 +363,14 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
         | [] | [ _ ] -> None
         | comps -> Some (Raw comps))
   in
+  (* [Slice_search.round] hands its [~chunk] argument to
+     [Pool.map_chunks]: the engines' chunk evaluators run on workers. *)
   let pool_entry = function
-    | Some (Node n) ->
-        n = "Pool.run" || n = "Pool.map_ranges" || n = "Pool.map_chunks"
+    | Some (Node n) -> n = "Pool.map_chunks" || n = "Slice_search.round"
     | Some (Raw comps) -> (
         match last2 comps with
-        | Some ("Pool", ("run" | "map_ranges" | "map_chunks"))
+        | Some ("Pool", "map_chunks")
+        | Some ("Slice_search", "round")
         | Some ("Team", "round")
         | Some ("Domain", "spawn") ->
             true

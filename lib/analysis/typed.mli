@@ -9,8 +9,8 @@
     DOM-SHARED (top-level containers in pool-reachable libraries), and
     malformed [\[@soctam.allow\]] payloads. Across files it builds a
     module-qualified call graph, marks every function transitively
-    callable from a [Pool.run] / [Pool.map_ranges] / [Domain.spawn]
-    worker closure as domain-reachable, infers a conservative
+    callable from a [Pool.map_chunks] / [Slice_search.round] /
+    [Team.round] / [Domain.spawn] worker closure as domain-reachable, infers a conservative
     {!Effect.t} signature for every node (a Kleene fixpoint over the call
     edges), and checks DOM-ESCAPE / LOCK-RAISE / ALLOC-HOT and
     EFFECT-WORKER / OUTCOME-DROP / ENGINE-CAPS / TAU-DISCIPLINE against
@@ -25,7 +25,7 @@
 
 type graph
 (** The module-qualified call graph of every analyzed compilation unit.
-    Nodes are ["Module.fn"] (nested: ["Pool.run.worker"]); the
+    Nodes are ["Module.fn"] (nested: ["Pool.map_chunks.take"]); the
     distinguished pseudo-node ["<workers>"] has an edge to every
     function a worker closure calls. *)
 

@@ -20,105 +20,66 @@ type result = {
   outcome : Outcome.t;
 }
 
-(* One contiguous rank chunk of the partition sequence, solved exactly.
-   The first partition of a chunk is always evaluated before the
-   deadline is consulted, so even a zero budget returns a well-formed
-   (truncated) incumbent instead of failing. The deadline itself is a
-   monotonic reading ([Timer.now_s]): a wall-clock step under NTP can
-   neither cut the budget short nor extend it. *)
-type chunk = {
-  mutable k_time : int;
-  mutable k_rank : int;
-  mutable k_widths : int array;
-  mutable k_assignment : int array;
-  mutable k_solved : int;
-  mutable k_nodes : int;
-}
+module Odometer = Soctam_partition.Enumerate.Odometer
+module Shared_min = Soctam_util.Pool.Shared_min
 
-(* [cap] is a foreign bound ([Run_config.tau_import]; [max_int] = none).
+(* One contiguous rank chunk of the partition sequence, solved exactly.
+   [stop] ends the whole slice: a solve that exhausted its node budget
+   signals the instance is too hard for the budgets, and past the
+   deadline nothing more is started. The deadline is consulted only
+   after a partition has been solved, so even a zero budget returns a
+   well-formed (truncated) incumbent instead of failing. The deadline
+   itself is a monotonic reading ([Timer.now_s]): a wall-clock step
+   under NTP can neither cut the budget short nor extend it.
+
+   [cap] is a foreign bound ([Run_config.tau_import]; [max_int] = none).
    It warm-starts the B&B incumbent — a zero assignment at the imported
-   time, pruning everything that cannot strictly beat it — and gates
-   the chunk best: a solve that only reproduced the warm start must not
-   surface its placeholder assignment. *)
-let solve_chunk ?(stats = Obs.null) ~solver ~cap ~node_limit_per_partition
-    ~out_of_time ~table ~total_width ~tams ~lo ~hi () =
-  let c =
-    {
-      k_time = max_int;
-      k_rank = max_int;
-      k_widths = [||];
-      k_assignment = [||];
-      k_solved = 0;
-      k_nodes = 0;
-    }
-  in
-  (match
-     Soctam_partition.Enumerate.Odometer.create_at ~total:total_width
-       ~parts:tams ~rank:lo
-   with
+   time, pruning everything that cannot strictly beat it; the slice's
+   incumbent is seeded at or below it, so a solve that only reproduced
+   the warm start never surfaces its placeholder assignment. *)
+let solve_chunk ~stats ~solver ~cap ~node_limit ~out_of_time ~stop ~table
+    ~total_width ~tams (w : unit Slice_search.worker) ~lo ~hi =
+  let solved = ref 0 and nodes = ref 0 in
+  (match Odometer.create_at ~total:total_width ~parts:tams ~rank:lo with
   | None -> ()
   | Some odometer ->
       let rank = ref lo in
-      let continue = ref true in
-      while !continue do
-        let widths =
-          Soctam_partition.Enumerate.Odometer.current odometer
-        in
+      while !rank < hi && not (Atomic.get stop) do
+        let widths = Odometer.current odometer in
         let times = Time_table.matrix table ~widths in
         let exact =
           match solver with
-          | Milp ->
-              Soctam_ilp.Exact.solve_milp
-                ~node_limit:node_limit_per_partition ~times ()
+          | Milp -> Soctam_ilp.Exact.solve_milp ~node_limit ~times ()
           | Bb when cap = max_int ->
-              Soctam_ilp.Exact.solve_bb ~node_limit:node_limit_per_partition
-                ~widths ~times ()
+              Soctam_ilp.Exact.solve_bb ~node_limit ~widths ~times ()
           | Bb ->
-              Soctam_ilp.Exact.solve_bb ~node_limit:node_limit_per_partition
+              Soctam_ilp.Exact.solve_bb ~node_limit
                 ~initial:(Array.make (Array.length times) 0, cap)
                 ~widths ~times ()
         in
-        c.k_nodes <- c.k_nodes + exact.Soctam_ilp.Exact.nodes;
-        (* A solve that exhausted its node budget signals the instance
-           is too hard for the budgets: keep its incumbent but stop this
-           chunk, as the sequential baseline always did. *)
-        if exact.Soctam_ilp.Exact.optimal then c.k_solved <- c.k_solved + 1
-        else continue := false;
-        if exact.Soctam_ilp.Exact.time < c.k_time
-           && exact.Soctam_ilp.Exact.time < cap then begin
-          c.k_time <- exact.Soctam_ilp.Exact.time;
-          c.k_rank <- !rank;
-          c.k_widths <- Array.copy widths;
-          c.k_assignment <- exact.Soctam_ilp.Exact.assignment
-        end;
-        incr rank;
-        if !rank >= hi then continue := false
-        else if !continue then begin
-          if out_of_time () then continue := false
-          else ignore (Soctam_partition.Enumerate.Odometer.advance odometer)
-        end
+        nodes := !nodes + exact.Soctam_ilp.Exact.nodes;
+        if exact.Soctam_ilp.Exact.optimal then incr solved
+        else Atomic.set stop true;
+        Shared_min.mirror_improve w.Slice_search.mirror
+          ~time:exact.Soctam_ilp.Exact.time ~rank:!rank
+          (Array.copy widths, exact.Soctam_ilp.Exact.assignment);
+        if out_of_time () then Atomic.set stop true;
+        ignore (Odometer.advance odometer);
+        incr rank
       done);
   if Obs.enabled stats then begin
-    Obs.add stats ~n:c.k_solved "exhaustive/partitions_solved";
-    Obs.add stats ~n:c.k_nodes "exhaustive/nodes"
+    Obs.add stats ~n:!solved "exhaustive/partitions_solved";
+    Obs.add stats ~n:!nodes "exhaustive/nodes"
   end;
-  c
+  (!solved, !nodes)
 
 (* -- resume token ---------------------------------------------------------- *)
-
-(* The incumbent with the rank that breaks (time) ties deterministically. *)
-type best = {
-  eb_time : int;
-  eb_rank : int;
-  eb_widths : int array;
-  eb_assignment : int array;
-}
 
 type token = {
   t_total_width : int;
   t_tams : int;
   t_next_rank : int;
-  t_best : best option;
+  t_best : (Checkpoint.best_arch * int) option;  (* with its rank *)
   t_solved : int;
   t_nodes : int;
 }
@@ -133,12 +94,12 @@ let decode json =
       | Json.Null -> None
       | b ->
           Some
-            {
-              eb_time = Checkpoint.int_field "time" b;
-              eb_rank = Checkpoint.count_field "rank" b;
-              eb_widths = Checkpoint.ints_field "widths" b;
-              eb_assignment = Checkpoint.ints_field "assignment" b;
-            });
+            ( {
+                Checkpoint.ba_time = Checkpoint.int_field "time" b;
+                ba_widths = Checkpoint.ints_field "widths" b;
+                ba_assignment = Checkpoint.ints_field "assignment" b;
+              },
+              Checkpoint.count_field "rank" b ));
     t_solved = Checkpoint.count_field "solved" json;
     t_nodes = Checkpoint.count_field "nodes" json;
   }
@@ -170,7 +131,11 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   let next = ref (match restored with Some k -> k.t_next_rank | None -> 0) in
   let solved = ref (match restored with Some k -> k.t_solved | None -> 0) in
   let nodes = ref (match restored with Some k -> k.t_nodes | None -> 0) in
-  let best = ref (match restored with Some k -> k.t_best | None -> None) in
+  let best =
+    match Option.bind restored (fun k -> k.t_best) with
+    | Some (arch, rank) -> Slice_search.best ~initial:max_int ~rank (Some arch)
+    | None -> Slice_search.best ~initial:max_int None
+  in
   let deadline = Run_config.deadline cfg in
   let out_of_time () =
     match deadline with
@@ -185,16 +150,16 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
           ("tams", Json.Int tams);
           ("next_rank", Json.Int !next);
           ( "best",
-            match !best with
-            | None -> Json.Null
-            | Some b ->
-                Json.Obj
-                  [
-                    ("time", Json.Int b.eb_time);
-                    ("rank", Json.Int b.eb_rank);
-                    ("widths", Checkpoint.json_ints b.eb_widths);
-                    ("assignment", Checkpoint.json_ints b.eb_assignment);
-                  ] );
+            if Array.length best.Slice_search.b_widths = 0 then Json.Null
+            else
+              Json.Obj
+                [
+                  ("time", Json.Int best.Slice_search.b_time);
+                  ("rank", Json.Int best.Slice_search.b_rank);
+                  ("widths", Checkpoint.json_ints best.Slice_search.b_widths);
+                  ( "assignment",
+                    Checkpoint.json_ints best.Slice_search.b_assignment );
+                ] );
           ("solved", Json.Int !solved);
           ("nodes", Json.Int !nodes);
         ]
@@ -215,64 +180,49 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   let slice_len = Run_config.slice_size cfg ~length:total in
   let stop = ref None in
   let slices_done = ref 0 in
-  while !next < total && !stop = None do
-    (* The safe state to resume a truncated slice from: which partitions
-       inside the slice got solved before a budget stop is
-       timing-dependent, so the checkpoint rewinds to the slice start
-       and the resumed run re-solves the whole slice. *)
-    let cp_pre = checkpoint_now () in
-    let lo = !next in
-    let hi = min (lo + slice_len) total in
-    let chunks =
-      Obs.span stats "exhaustive/solve" (fun () ->
-          Soctam_util.Pool.map_ranges ~stats ~jobs:cfg.Run_config.jobs
-            ~length:(hi - lo)
-            ~f:(fun ~lo:clo ~hi:chi ->
-              solve_chunk ~stats ~solver ~cap
-                ~node_limit_per_partition:cfg.Run_config.node_limit
-                ~out_of_time ~table ~total_width ~tams ~lo:(lo + clo)
-                ~hi:(lo + chi) ())
-            ())
-    in
-    (* Deterministic reduction, as in [Partition_evaluate]: the winner is
-       the minimum by (time, rank), independent of completion order. *)
-    Array.iter
-      (fun c ->
-        if Array.length c.k_widths <> 0 then
-          match !best with
-          | Some b
-            when b.eb_time < c.k_time
-                 || (b.eb_time = c.k_time && b.eb_rank < c.k_rank) ->
-              ()
-          | Some _ | None ->
-              best :=
-                Some
-                  {
-                    eb_time = c.k_time;
-                    eb_rank = c.k_rank;
-                    eb_widths = c.k_widths;
-                    eb_assignment = c.k_assignment;
-                  })
-      chunks;
-    let slice_solved =
-      Array.fold_left (fun acc c -> acc + c.k_solved) 0 chunks
-    in
-    solved := !solved + slice_solved;
-    nodes :=
-      !nodes + Array.fold_left (fun acc c -> acc + c.k_nodes) 0 chunks;
-    next := hi;
-    incr slices_done;
-    if slice_solved < hi - lo then begin
-      (* A deadline or per-partition node budget stopped the slice
-         mid-way: the incumbent keeps the partial work, the resume
-         token rewinds to the slice start. *)
-      Run_config.publish cfg cp_pre;
-      stop := Some (Outcome.Budget_exhausted cp_pre)
-    end
-    else if !next < total then
-      stop :=
-        Run_config.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
-  done;
+  Soctam_util.Pool.Team.with_team ~oversubscribe:cfg.Run_config.oversubscribe
+    ~jobs:(max 1 cfg.Run_config.jobs) (fun team ->
+      while !next < total && !stop = None do
+        (* The safe state to resume a truncated slice from: which
+           partitions inside the slice got solved before a budget stop
+           is timing-dependent, so the checkpoint rewinds to the slice
+           start and the resumed run re-solves the whole slice. *)
+        let cp_pre = checkpoint_now () in
+        let lo = !next in
+        let hi = min (lo + slice_len) total in
+        (* Each partition is a whole exact solve, so chunks shrink to
+           single ranks. The B&B keeps its [cap] warm start; the slice
+           incumbent only collects the winner. *)
+        let halt = Atomic.make false in
+        let chunks =
+          Slice_search.round ~stats ~span:"exhaustive/solve" ~min_chunk:1
+            team ~local:ignore
+            ~tau:(ref (min best.Slice_search.b_time cap))
+            best ~lo ~hi
+            ~chunk:
+              (solve_chunk ~stats ~solver ~cap
+                 ~node_limit:cfg.Run_config.node_limit ~out_of_time
+                 ~stop:halt ~table ~total_width ~tams)
+        in
+        let slice_solved =
+          Array.fold_left (fun acc (s, _) -> acc + s) 0 chunks
+        in
+        solved := !solved + slice_solved;
+        nodes := Array.fold_left (fun acc (_, n) -> acc + n) !nodes chunks;
+        next := hi;
+        incr slices_done;
+        if slice_solved < hi - lo then begin
+          (* A deadline or per-partition node budget stopped the slice
+             mid-way: the incumbent keeps the partial work, the resume
+             token rewinds to the slice start. *)
+          Run_config.publish cfg cp_pre;
+          stop := Some (Outcome.Budget_exhausted cp_pre)
+        end
+        else if !next < total then
+          stop :=
+            Run_config.boundary cfg ~deadline ~slices:!slices_done
+              checkpoint_now
+      done);
   let outcome =
     match !stop with
     | Some o -> o
@@ -280,32 +230,26 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
         Run_config.retire cfg;
         Outcome.Complete
   in
-  match !best with
-  | None when cap < max_int ->
-      (* Every partition solved so far only reproduced the imported
-         bound: there is nothing of this engine's own to report. A
-         completed run in this state is a proof that no architecture
-         beats the import. The racer (the only caller that imports)
-         reads this as "no improvement"; the empty arrays never reach a
-         human-facing surface. *)
-      {
-        widths = [||];
-        time = cap;
-        assignment = [||];
-        partitions_total = total;
-        partitions_solved = !solved;
-        nodes = !nodes;
-        outcome;
-      }
-  | None ->
-      invalid_arg "Exhaustive.run: no partition evaluated (budget too small)"
-  | Some b ->
-      {
-        widths = b.eb_widths;
-        time = b.eb_time;
-        assignment = b.eb_assignment;
-        partitions_total = total;
-        partitions_solved = !solved;
-        nodes = !nodes;
-        outcome;
-      }
+  let result widths time assignment =
+    {
+      widths;
+      time;
+      assignment;
+      partitions_total = total;
+      partitions_solved = !solved;
+      nodes = !nodes;
+      outcome;
+    }
+  in
+  if Array.length best.Slice_search.b_widths > 0 then
+    result best.Slice_search.b_widths best.Slice_search.b_time
+      best.Slice_search.b_assignment
+  else if cap < max_int then
+    (* Every partition solved so far only reproduced the imported
+       bound: there is nothing of this engine's own to report. A
+       completed run in this state is a proof that no architecture
+       beats the import. The racer (the only caller that imports) reads
+       this as "no improvement"; the empty arrays never reach a
+       human-facing surface. *)
+    result [||] cap [||]
+  else invalid_arg "Exhaustive.run: no partition evaluated (budget too small)"

@@ -10,8 +10,8 @@
     degrade to "best found so far", mirroring the paper's "did not
     complete even after two days" entries — and since those truncated
     runs are the expensive ones, {!run_with} can checkpoint them and
-    resume later (the partition sequence is walked in slices, exactly as
-    in {!Partition_evaluate}). *)
+    resume later (the partition sequence is walked in slices by
+    {!Slice_search.round}, exactly as in {!Partition_evaluate}). *)
 
 type solver = Bb | Milp
 (** Exact method used on every partition: the dedicated branch & bound
@@ -54,24 +54,23 @@ val run_with :
     portfolio sets this field. [cfg.slice_limit] stops the run
     (resumably, [Outcome.Budget_exhausted]) after that many slices.
 
-    Policy read from [cfg]: [jobs] splits each slice into contiguous
-    rank chunks solved on that many domains; without a budget the result
-    is identical for every job count (the winner is the minimum by
-    (time, rank)). [time_budget] is in elapsed seconds on the monotonic
-    clock; each worker always solves the first partition of its chunk
-    before consulting the deadline, so even a zero budget returns a
-    well-formed truncated incumbent with [Outcome.Budget_exhausted] (a
-    per-partition node-budget stop ends the run the same way). [cancel]
-    is polled at slice boundaries and ends the run with
-    [Outcome.Interrupted]. Checkpoints go to [checkpoint_path] at every
-    boundary (removed again on completion); a budget stop {e inside} a
-    slice rewinds the resume token to the slice start, because which
-    partitions beat the deadline is timing-dependent — the resumed run
-    re-solves that slice and its counter totals match an uninterrupted
-    run's. [resume] continues a checkpointed run; the checkpoint must
-    match this instance and SOC name. [stats] records
-    [exhaustive/partitions_total], [exhaustive/partitions_solved] and
-    [exhaustive/nodes] counters, [exhaustive/solve] spans and pool
+    Policy read from [cfg]: [jobs] (capped at the host cores unless
+    [oversubscribe]) solves each slice on a work-stealing team; without
+    a budget the result is identical for every job count (the winner is
+    the minimum by (time, rank)). [time_budget] is in elapsed seconds on
+    the monotonic clock, read only after a solve, so even a zero budget
+    returns a well-formed truncated incumbent with
+    [Outcome.Budget_exhausted]; a solve that hits its node budget ends
+    the run the same way, and either stop ends the whole slice.
+    [cancel] is polled at slice boundaries ([Outcome.Interrupted]).
+    Checkpoints go to [checkpoint_path] at every boundary (removed
+    again on completion); a stop {e inside} a slice rewinds the resume
+    token to the slice start, because which partitions beat the
+    deadline is timing-dependent — the resumed run re-solves that slice
+    and its counter totals match an uninterrupted run's. [resume]
+    continues a checkpointed run of this instance and SOC name. [stats]
+    records [exhaustive/partitions_total], [exhaustive/partitions_solved]
+    and [exhaustive/nodes], [exhaustive/solve] spans and pool
     utilization; on resume the checkpointed counters are replayed first.
 
     @raise Invalid_argument when [total_width < tams] or a resume

@@ -25,75 +25,35 @@ type result = {
   outcome : Outcome.t;
 }
 
-type best = {
-  mutable b_widths : int array;
-  mutable b_time : int;
-  mutable b_assignment : int array;
-}
-
-(* Flush one slice's local counters into the collector. Called at
-   slice / chunk granularity, so the per-partition hot loop stays free
-   of collector traffic (see the [Obs] design notes). *)
-let flush_counters stats ~enumerated ~pruned ~evaluated ~ca =
+(* Flush one chunk's partition counters into the collector. Called at
+   chunk granularity, so the per-partition hot loop stays free of
+   collector traffic (see the [Obs] design notes). *)
+let flush_counters stats ~enumerated ~pruned ~evaluated =
   if Obs.enabled stats then begin
     Obs.add stats ~n:enumerated "partition/enumerated";
     Obs.add stats ~n:pruned "partition/pruned";
-    Obs.add stats ~n:evaluated "partition/evaluated";
-    match ca with
-    | None -> ()
-    | Some (c : Core_assign.stats) ->
-        Obs.add stats ~n:c.Core_assign.tried "core_assign/assignments_tried";
-        Obs.add stats ~n:c.Core_assign.early_terminations
-          "core_assign/early_terminations";
-        Obs.add stats ~n:c.Core_assign.levels_cut "core_assign/levels_cut"
+    Obs.add stats ~n:evaluated "partition/evaluated"
   end
-
-let ca_stats stats =
-  if Obs.enabled stats then Some (Core_assign.stats ()) else None
 
 (* -- slice evaluation ------------------------------------------------------ *)
 
-(* Everything a slice [lo, hi) of one TAM count's rank sequence reports
-   back to the engine: the pruning split, the per-B best, and the
-   solver-owned work counters the checkpoint must carry so a resumed
-   run's totals match an uninterrupted one. *)
-type slice = {
-  sl_enumerated : int;
-  sl_completed : int;
-  sl_pruned : int;
-  sl_best_time : int option;
-  sl_tried : int;
-  sl_early : int;
-  sl_levels : int;
-  sl_publications : int;
-}
-
-let merge_best_time a b =
-  match (a, b) with None, t | t, None -> t | Some x, Some y -> Some (min x y)
-
+(* Everything a chunk of one TAM count's rank sequence reports back to
+   the engine: the pruning split and the per-B best. *)
 type chunk_result = {
   ch_enumerated : int;
   ch_completed : int;
   ch_tau_terminated : int;
   ch_best_time : int option;
-  ch_tried : int;
-  ch_early : int;
-  ch_levels : int;
 }
 
-(* Per-worker evaluation state: one slot per team worker, created per
-   slice, reused across every chunk that worker runs within the slice.
-   This is what the work-stealing scheduler's per-slot exclusivity
-   guarantee buys: the odometer, the assignment scratch and the tau
-   mirror are allocated once per slice instead of once per chunk (or,
-   before this design, once per partition for the scratch). *)
-type wstate = {
+(* The odometer each worker slot keeps across the chunks it runs within
+   one slice: allocated once per slice instead of once per chunk. *)
+type odo = {
   mutable w_odo : Odometer.t option;
   mutable w_pos : int;  (* global rank [w_odo] points at; -1 = unknown *)
-  w_scratch : Core_assign.scratch;
-  w_mirror : (int array * int array) Shared_min.mirror;
-      (* incumbent payload: widths, assignment *)
 }
+
+let odo () = { w_odo = None; w_pos = -1 }
 
 (* Point the worker's odometer at [lo]: free when the chunk continues
    where the previous one ended (the owner's common case), an
@@ -133,16 +93,17 @@ let aim_odometer st ~total_width ~tams ~lo =
    first, and a portfolio race could end worse than this engine run
    solo. Once an own tie has completed, the own bound equals [cap]
    and the incumbent's rule takes over. *)
-let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
-    ~lo ~hi () =
+let evaluate_chunk ~stats ~cap ~table ~total_width ~tams
+    (w : odo Slice_search.worker) ~lo ~hi =
   let enumerated = ref 0 in
   let completed = ref 0 in
   let tau_terminated = ref 0 in
   (* [max_int] = "no completion yet": an int sentinel rather than an
      [int option] so the per-partition loop below never allocates. *)
   let best_time_b = ref max_int in
-  let ca = ca_stats stats in
-  let mir = state.w_mirror in
+  let ca = w.Slice_search.ca in
+  let mir = w.Slice_search.mirror in
+  let state = w.Slice_search.local in
   let cores = Time_table.core_count table in
   let rank = ref lo in
   (match aim_odometer state ~total_width ~tams ~lo with
@@ -166,8 +127,9 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
          if step = 0 then begin
            incr enumerated;
            match
-             Core_assign.run_table_direct ?stats:ca ~scratch:state.w_scratch
-               ~best:threshold ~table ~widths ()
+             Core_assign.run_table_direct ?stats:ca
+               ~scratch:w.Slice_search.scratch ~best:threshold ~table ~widths
+               ()
            with
            | Core_assign.Exceeded _ -> incr tau_terminated
            | Core_assign.Assigned { assignment; time; _ } ->
@@ -213,79 +175,12 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
       [@soctam.hot];
       state.w_pos <- hi);
   flush_counters stats ~enumerated:!enumerated ~pruned:!tau_terminated
-    ~evaluated:!completed ~ca;
+    ~evaluated:!completed;
   {
     ch_enumerated = !enumerated;
     ch_completed = !completed;
     ch_tau_terminated = !tau_terminated;
     ch_best_time = (if !best_time_b = max_int then None else Some !best_time_b);
-    ch_tried = (match ca with None -> 0 | Some c -> c.Core_assign.tried);
-    ch_early =
-      (match ca with None -> 0 | Some c -> c.Core_assign.early_terminations);
-    ch_levels = (match ca with None -> 0 | Some c -> c.Core_assign.levels_cut);
-  }
-
-(* One slice on the work-stealing team — the only evaluation path, at
-   every team size: carve [lo, hi) into adaptive chunks and evaluate
-   them against the shared (time, rank) incumbent through per-worker
-   mirrors. The incumbent ends holding the minimum key, the
-   first-strict-improvement-in-enumeration-order winner, no matter how
-   steals and completions interleave: that candidate's threshold always
-   lets it complete. The slice starts from key (tau, -1), which is exact:
-   every earlier winner came before this slice in enumeration order, so
-   a tie here must not replace it. With one
-   worker the chunks are consumed in rank order by a single exact
-   mirror, so the evaluation sequence — thresholds, prunes,
-   improvements — is byte-identical to the historical dedicated
-   sequential path this replaced. *)
-let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
-    ~tau ~lo ~hi best =
-  let shared = Shared_min.create !tau in
-  let states =
-    Array.init (Pool.Team.size team) (fun _ ->
-        {
-          w_odo = None;
-          w_pos = -1;
-          w_scratch = Core_assign.scratch ();
-          w_mirror = Shared_min.mirror shared;
-        })
-  in
-  let chunks =
-    Obs.span stats "partition/evaluate_b" (fun () ->
-        Pool.map_chunks ~stats team ~length:(hi - lo)
-          ~f:(fun ~worker ~lo:clo ~hi:chi ->
-            (evaluate_chunk ~stats ~state:states.(worker) ~cap ~table
-               ~total_width ~tams ~lo:(lo + clo) ~hi:(lo + chi) ()
-             [@soctam.allow "DOM-ESCAPE"]
-             (* [states] is indexed by the worker slot, and the
-                scheduler runs at most one chunk per slot at a time:
-                each element is effectively worker-local. *)))
-          ())
-  in
-  tau := Shared_min.get shared;
-  let publications = Shared_min.publications shared in
-  Obs.add stats ~n:publications "pool/tau_publications";
-  (match Shared_min.winner shared with
-  | Some (widths, assignment) when !tau < best.b_time ->
-      best.b_time <- !tau;
-      best.b_widths <- widths;
-      best.b_assignment <- assignment
-  | Some _ | None -> ());
-  let sum f =
-    Array.fold_left (fun acc c -> acc + f c.Pool.c_value) 0 chunks
-  in
-  {
-    sl_enumerated = sum (fun c -> c.ch_enumerated);
-    sl_completed = sum (fun c -> c.ch_completed);
-    sl_pruned = sum (fun c -> c.ch_tau_terminated);
-    sl_best_time =
-      Array.fold_left
-        (fun acc c -> merge_best_time acc c.Pool.c_value.ch_best_time)
-        None chunks;
-    sl_tried = sum (fun c -> c.ch_tried);
-    sl_early = sum (fun c -> c.ch_early);
-    sl_levels = sum (fun c -> c.ch_levels);
-    sl_publications = publications;
   }
 
 (* -- checkpoint engine ----------------------------------------------------- *)
@@ -322,16 +217,6 @@ let b_stats_of_eng ~total_width g =
     tau_terminated = g.g_pruned;
     best_time = g.g_best_time;
   }
-
-(* Work counters the checkpoint carries beyond the per-B cursors:
-   restored from a resume token, grown by every slice, replayed into the
-   collector so final totals equal an uninterrupted run's. *)
-type extras = {
-  mutable x_tried : int;
-  mutable x_early : int;
-  mutable x_levels : int;
-  mutable x_publications : int;
-}
 
 (* -- resume token ---------------------------------------------------------- *)
 
@@ -446,25 +331,9 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
         "Partition_evaluate: resume checkpoint does not match this run's TAM \
          plan")
     restored;
-  let extras =
-    let get = Run_config.resumed_count cfg in
-    {
-      x_tried = get "core_assign/assignments_tried";
-      x_early = get "core_assign/early_terminations";
-      x_levels = get "core_assign/levels_cut";
-      x_publications = get "pool/tau_publications";
-    }
-  in
+  let work = Slice_search.work cfg in
   let best =
-    match restored with
-    | Some { k_best = Some b; _ } ->
-        {
-          b_widths = b.Checkpoint.ba_widths;
-          b_time = b.Checkpoint.ba_time;
-          b_assignment = b.Checkpoint.ba_assignment;
-        }
-    | Some { k_best = None; _ } | None ->
-        { b_widths = [||]; b_time = initial; b_assignment = [||] }
+    Slice_search.best ~initial (Option.bind restored (fun k -> k.k_best))
   in
   let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
   let done_rev =
@@ -481,16 +350,11 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
   let counters_now ~cursor =
     let live = List.rev_append !done_rev (Option.to_list cursor) in
     let sum f = List.fold_left (fun acc g -> acc + f g) 0 live in
-    List.filter
-      (fun (_, n) -> n > 0)
+    Slice_search.counters work
       [
         ("partition/enumerated", sum (fun g -> g.g_enumerated));
         ("partition/evaluated", sum (fun g -> g.g_completed));
         ("partition/pruned", sum (fun g -> g.g_pruned));
-        ("core_assign/assignments_tried", extras.x_tried);
-        ("core_assign/early_terminations", extras.x_early);
-        ("core_assign/levels_cut", extras.x_levels);
-        ("pool/tau_publications", extras.x_publications);
       ]
   in
   let checkpoint_now ~cursor ~pending () =
@@ -501,16 +365,7 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
           ("carry_tau", Json.Bool cfg.Run_config.carry_tau);
           ("initial", Checkpoint.json_int_opt cfg.Run_config.initial_best);
           ("tau", Json.Int !tau);
-          ( "best",
-            Checkpoint.best_to_json
-              (if Array.length best.b_widths = 0 then None
-               else
-                 Some
-                   {
-                     Checkpoint.ba_widths = best.b_widths;
-                     ba_time = best.b_time;
-                     ba_assignment = best.b_assignment;
-                   }) );
+          ("best", Checkpoint.best_to_json (Slice_search.best_arch best));
           ("done", Json.List (List.rev_map cursor_json !done_rev));
           ( "cursor",
             match cursor with None -> Json.Null | Some g -> cursor_json g );
@@ -533,16 +388,11 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
     | Some o -> raise (Stopped o)
     | None -> ()
   in
-  let accumulate g (s : slice) hi =
-    g.g_next <- hi;
-    g.g_enumerated <- g.g_enumerated + s.sl_enumerated;
-    g.g_completed <- g.g_completed + s.sl_completed;
-    g.g_pruned <- g.g_pruned + s.sl_pruned;
-    g.g_best_time <- merge_best_time g.g_best_time s.sl_best_time;
-    extras.x_tried <- extras.x_tried + s.sl_tried;
-    extras.x_early <- extras.x_early + s.sl_early;
-    extras.x_levels <- extras.x_levels + s.sl_levels;
-    extras.x_publications <- extras.x_publications + s.sl_publications
+  let accumulate g c =
+    g.g_enumerated <- g.g_enumerated + c.ch_enumerated;
+    g.g_completed <- g.g_completed + c.ch_completed;
+    g.g_pruned <- g.g_pruned + c.ch_tau_terminated;
+    g.g_best_time <- Slice_search.merge_min g.g_best_time c.ch_best_time
   in
   let outcome =
     (* One persistent team for the whole plan: domains are spawned here
@@ -566,11 +416,13 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
                   boundary ~cursor:(Some g) ~pending;
                   let lo = g.g_next in
                   let hi = min (lo + slice_len) unique in
-                  let s =
-                    evaluate_slice ~stats ~team ~cap ~table ~total_width
-                      ~tams:g.g_tams ~tau ~lo ~hi best
-                  in
-                  accumulate g s hi;
+                  Slice_search.round ~stats ~span:"partition/evaluate_b"
+                    team ~local:odo ~tau best ~work ~lo ~hi
+                    ~chunk:
+                      (evaluate_chunk ~stats ~cap ~table ~total_width
+                         ~tams:g.g_tams)
+                  |> Array.iter (accumulate g);
+                  g.g_next <- hi;
                   incr slices_done
                 done;
                 done_rev := g :: !done_rev;
@@ -584,26 +436,9 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
   let per_b =
     List.rev_map (b_stats_of_eng ~total_width) !done_rev |> Array.of_list
   in
-  if Array.length best.b_widths = 0 then begin
-    (* Nothing beat the seed: fall back to an even split over the first
-       permitted TAM count (1 for P_NPAW, the fixed B for P_PAW). *)
-    let parts =
-      match b_values with [] -> 1 | b :: _ -> min b total_width
-    in
-    let base = total_width / parts and extra = total_width mod parts in
-    let widths =
-      Array.init parts (fun i -> if i < extra then base + 1 else base)
-    in
-    match Core_assign.run_table ~table ~widths () with
-    | Core_assign.Assigned { assignment; time; _ } ->
-        { widths; time; assignment; per_b; outcome }
-    | Core_assign.Exceeded _ -> assert false
-  end
-  else
-    {
-      widths = best.b_widths;
-      time = best.b_time;
-      assignment = best.b_assignment;
-      per_b;
-      outcome;
-    }
+  (* Nothing beat the seed: the even split over the first permitted TAM
+     count (1 for P_NPAW, the fixed B for P_PAW). *)
+  let widths, time, assignment =
+    Slice_search.answer ~table ~total_width ~tams:(List.hd b_values) best
+  in
+  { widths; time; assignment; per_b; outcome }

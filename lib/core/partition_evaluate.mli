@@ -53,9 +53,9 @@ val run_with : Run_config.t -> table:Time_table.t -> total_width:int -> result
 (** [run_with cfg ~table ~total_width] solves P_NPAW up to
     [cfg.max_tams] TAMs, or P_PAW when [cfg.tams] is set.
 
-    Policy read from [cfg]: [jobs] evaluates each slice on a pool of
-    domains pruning against a shared atomic bound, with the winner
-    reduced deterministically by (time, rank) — [widths], [time] and
+    Policy read from [cfg]: [jobs] evaluates each slice on a team of
+    domains pruning against a shared (time, rank) incumbent
+    ({!Slice_search.round}) — [widths], [time] and
     [assignment] are identical for every job count. [initial_best] seeds
     the pruning threshold; [carry_tau] (default true) keeps it monotone
     across TAM counts. [time_budget] stops the run at the next slice

@@ -144,12 +144,6 @@ let resumed_race t =
           Checkpoint.fail
             "race: resume checkpoint is for a different solver (%s)" engine)
 
-let resumed_count t name =
-  match t.resume with
-  | None -> 0
-  | Some cp ->
-      Option.value ~default:0 (List.assoc_opt name cp.Checkpoint.counters)
-
 let deadline t =
   Option.map (fun budget -> Soctam_util.Timer.now_s () +. budget) t.time_budget
 

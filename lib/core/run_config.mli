@@ -22,7 +22,7 @@ type t = {
       (** spawn all [jobs] workers even past the host core count;
           default [false] caps the team at
           [Soctam_util.Pool.recommended_jobs ()] (results are identical
-          either way — see [Pool.Team.create]) *)
+          either way — see [Pool.Team.with_team]) *)
   stats : Soctam_obs.Obs.t;  (** observability collector; [Obs.null] = off *)
   soc_name : string option;
       (** stamped into checkpoint documents; resuming a checkpoint whose
@@ -146,9 +146,6 @@ val resumed : t -> engine:string -> (Soctam_util.Json.t -> 'a) -> 'a option
 
 val resumed_race : t -> Checkpoint.race_state option
 (** {!resumed} for the race state, which the envelope itself decodes. *)
-
-val resumed_count : t -> string -> int
-(** A counter carried by the resume token; [0] without one. *)
 
 val deadline : t -> float option
 (** [time_budget] seconds from now, on the monotonic clock. *)

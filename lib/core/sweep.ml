@@ -167,27 +167,27 @@ let run_with (cfg : Run_config.t) soc ~widths =
     else begin
       let resume = !inner_resume in
       inner_resume := None;
-      let result =
+      (* The [pe] engine runs the exact finish only on a completed
+         search, so a width truncated mid-search pays for none. *)
+      let report =
         Soctam_obs.Obs.span stats
           (Printf.sprintf "sweep/width%d" width)
           (fun () ->
-            Co_optimize.run_with (inner_cfg ~resume remaining) soc
-              ~total_width:width)
+            Engine.run Engine.pe (inner_cfg ~resume remaining)
+              { Engine.table; total_width = width })
       in
       (* On truncation the width's own token (partial incumbent,
          cursor, counters) is embedded in the sweep checkpoint, so a
          resume picks the width up mid-search. *)
-      match result.Co_optimize.outcome with
+      match report.Engine.r_outcome with
       | Outcome.Interrupted inner ->
           halt ~inner (fun cp -> Outcome.Interrupted cp)
       | Outcome.Budget_exhausted inner ->
           halt ~inner (fun cp -> Outcome.Budget_exhausted cp)
       | Outcome.Complete ->
           let bounds = Bounds.compute table ~total_width:width in
-          let partition =
-            result.Co_optimize.architecture.Soctam_tam.Architecture.widths
-          in
-          let time = result.Co_optimize.final_time in
+          let partition = report.Engine.r_widths in
+          let time = report.Engine.r_time in
           done_rev :=
             {
               width;

@@ -24,8 +24,9 @@ type result = {
 }
 
 val run_with : Run_config.t -> Soctam_model.Soc.t -> widths:int list -> result
-(** [run_with cfg soc ~widths] runs one pipeline per width, in the given
-    order, each under [cfg] (see {!Co_optimize.run_with}). The time
+(** [run_with cfg soc ~widths] runs the [pe] engine ({!Engine.pe}: the
+    partition search, then the exact finish once the search completes)
+    per width, in the given order, each under [cfg]. The time
     table is [cfg.table] when present (it must cover the widest point),
     else built once at the largest width and shared.
 

@@ -1,7 +1,7 @@
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* Worker ids are ambient (domain-local) so library code never threads
-   them: Pool.run tags each domain once, recording reads the tag. *)
+   them: Pool.Team tags each domain once, recording reads the tag. *)
 let worker_key = Domain.DLS.new_key (fun () -> 0)
 let set_worker id = Domain.DLS.set worker_key id
 let current_worker () = Domain.DLS.get worker_key

@@ -20,7 +20,7 @@
       therefore sees tens to hundreds of operations per optimization,
       not one per partition, and contention is irrelevant.
     - {b Per-worker attribution is ambient.} {!set_worker} stores the
-      worker id in domain-local storage ([Pool.run] sets it when it
+      worker id in domain-local storage ([Pool.Team] sets it when it
       spawns); {!add} and {!event} read it back, so library code does
       not thread worker ids explicitly. Counters are kept per worker
       and aggregated at {!snapshot} time.

@@ -6,6 +6,7 @@ module Rc = Soctam_core.Run_config
 module Outcome = Soctam_core.Outcome
 module Checkpoint = Soctam_core.Checkpoint
 module Core_assign = Soctam_core.Core_assign
+module Slice_search = Soctam_core.Slice_search
 module Tt = Soctam_core.Time_table
 
 type result = {
@@ -19,12 +20,6 @@ type result = {
   pruned : int;
   best_makespan : int option;
   outcome : Outcome.t;
-}
-
-type best = {
-  mutable b_widths : int array;
-  mutable b_time : int;
-  mutable b_assignment : int array;
 }
 
 (* -- rank space ------------------------------------------------------------ *)
@@ -67,10 +62,6 @@ let gen_of_rank sp r =
     let n_orders = Array.length sp.sp_orders in
     Pack ((k / n_orders) + 1, sp.sp_orders.(k mod n_orders))
   else Express (r - n_even - n_pack + 1)
-
-let even_widths ~total_width parts =
-  let base = total_width / parts and extra = total_width mod parts in
-  Array.init parts (fun i -> if i < extra then base + 1 else base)
 
 (* -- level distillation ---------------------------------------------------- *)
 
@@ -150,7 +141,7 @@ let arrays_equal a b =
    often distill to the same partition; first occurrence wins). *)
 let candidates_of_rank ~table ~total_width ~tams ~max_tams sp r =
   match gen_of_rank sp r with
-  | Even b -> ([ even_widths ~total_width b ], 0, None)
+  | Even b -> ([ Slice_search.even_widths ~total_width b ], 0, None)
   | Express e ->
       (* One full-height lane of width [e], the remaining [W - e] wires
          split evenly over k further lanes; every permitted k (P_NPAW)
@@ -164,7 +155,10 @@ let candidates_of_rank ~table ~total_width ~tams ~max_tams sp r =
       let cands =
         List.map
           (fun k ->
-            let arr = Array.append [| e |] (even_widths ~total_width:rest k) in
+            let arr =
+              Array.append [| e |]
+                (Slice_search.even_widths ~total_width:rest k)
+            in
             Array.sort desc arr;
             arr)
           ks
@@ -190,38 +184,13 @@ let candidates_of_rank ~table ~total_width ~tams ~max_tams sp r =
 
 (* -- slice evaluation ------------------------------------------------------ *)
 
-let merge_makespan a b =
-  match (a, b) with None, t | t, None -> t | Some x, Some y -> Some (min x y)
-
-let flush_counters stats ~packings ~cands ~pruned ~evaluated ~ca =
+let flush_counters stats ~packings ~cands ~pruned ~evaluated =
   if Obs.enabled stats then begin
     Obs.add stats ~n:packings "pack/packings";
     Obs.add stats ~n:cands "pack/candidates";
     Obs.add stats ~n:pruned "pack/pruned";
-    Obs.add stats ~n:evaluated "pack/evaluated";
-    match ca with
-    | None -> ()
-    | Some (c : Core_assign.stats) ->
-        Obs.add stats ~n:c.Core_assign.tried "core_assign/assignments_tried";
-        Obs.add stats ~n:c.Core_assign.early_terminations
-          "core_assign/early_terminations";
-        Obs.add stats ~n:c.Core_assign.levels_cut "core_assign/levels_cut"
+    Obs.add stats ~n:evaluated "pack/evaluated"
   end
-
-let ca_stats stats =
-  if Obs.enabled stats then Some (Core_assign.stats ()) else None
-
-type slice = {
-  sl_packings : int;
-  sl_candidates : int;
-  sl_completed : int;
-  sl_pruned : int;
-  sl_best_makespan : int option;
-  sl_tried : int;
-  sl_early : int;
-  sl_levels : int;
-  sl_publications : int;
-}
 
 type chunk_result = {
   ch_packings : int;
@@ -229,15 +198,6 @@ type chunk_result = {
   ch_completed : int;
   ch_pruned : int;
   ch_best_makespan : int option;
-  ch_tried : int;
-  ch_early : int;
-  ch_levels : int;
-}
-
-type wstate = {
-  w_scratch : Core_assign.scratch;
-  w_mirror : (int array * int array) Shared_min.mirror;
-      (* incumbent payload: widths, assignment *)
 }
 
 (* The incumbent is keyed by generator rank: ranks are disjoint across
@@ -246,21 +206,20 @@ type wstate = {
    is pruned. The minimum key is therefore the sequential
    first-strict-improvement winner at any job count — the same argument
    as [Partition_evaluate]'s. *)
-let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
-    ~max_tams ~sp ~lo ~hi () =
+let evaluate_chunk ~stats ~cap ~table ~total_width ~tams ~max_tams ~sp
+    (w : unit Slice_search.worker) ~lo ~hi =
   let packings = ref 0 in
   let cands = ref 0 in
   let completed = ref 0 in
   let pruned = ref 0 in
   let makespan = ref None in
-  let ca = ca_stats stats in
-  let mir = state.w_mirror in
+  let mir = w.Slice_search.mirror in
   for rank = lo to hi - 1 do
     let rank_cands, rank_packings, rank_makespan =
       candidates_of_rank ~table ~total_width ~tams ~max_tams sp rank
     in
     packings := !packings + rank_packings;
-    makespan := merge_makespan !makespan rank_makespan;
+    makespan := Slice_search.merge_min !makespan rank_makespan;
     List.iter
       (fun widths ->
         incr cands;
@@ -271,7 +230,8 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
           if cap < t then cap else t
         in
         match
-          Core_assign.run_table_direct ?stats:ca ~scratch:state.w_scratch
+          Core_assign.run_table_direct ?stats:w.Slice_search.ca
+            ~scratch:w.Slice_search.scratch
             ~best:threshold ~table ~widths ()
         with
         | Core_assign.Exceeded _ -> incr pruned
@@ -286,79 +246,14 @@ let evaluate_chunk ?(stats = Obs.null) ~state ~cap ~table ~total_width ~tams
       rank_cands
   done;
   flush_counters stats ~packings:!packings ~cands:!cands ~pruned:!pruned
-    ~evaluated:!completed ~ca;
+    ~evaluated:!completed;
   {
     ch_packings = !packings;
     ch_candidates = !cands;
     ch_completed = !completed;
     ch_pruned = !pruned;
     ch_best_makespan = !makespan;
-    ch_tried = (match ca with None -> 0 | Some c -> c.Core_assign.tried);
-    ch_early =
-      (match ca with None -> 0 | Some c -> c.Core_assign.early_terminations);
-    ch_levels = (match ca with None -> 0 | Some c -> c.Core_assign.levels_cut);
   }
-
-(* One slice [lo, hi) of the rank sequence on the work-stealing team.
-   Ranks are coarse units (a whole packing plus its candidate
-   evaluations), so chunks shrink to single ranks ([min_chunk:1]) —
-   the default granularity would serialize the whole space. *)
-let evaluate_slice ?(stats = Obs.null) ~team ~cap ~table ~total_width ~tams
-    ~max_tams ~sp ~tau ~lo ~hi best =
-  let shared = Shared_min.create !tau in
-  let states =
-    Array.init (Pool.Team.size team) (fun _ ->
-        {
-          w_scratch = Core_assign.scratch ();
-          w_mirror = Shared_min.mirror shared;
-        })
-  in
-  let chunks =
-    Obs.span stats "pack/evaluate_slice" (fun () ->
-        Pool.map_chunks ~stats ~min_chunk:1 team ~length:(hi - lo)
-          ~f:(fun ~worker ~lo:clo ~hi:chi ->
-            (evaluate_chunk ~stats ~state:states.(worker) ~cap ~table
-               ~total_width ~tams ~max_tams ~sp ~lo:(lo + clo) ~hi:(lo + chi)
-               ()
-             [@soctam.allow "DOM-ESCAPE"]
-             (* [states] is indexed by the worker slot, and the
-                scheduler runs at most one chunk per slot at a time:
-                each element is effectively worker-local. *)))
-          ())
-  in
-  tau := Shared_min.get shared;
-  let publications = Shared_min.publications shared in
-  Obs.add stats ~n:publications "pool/tau_publications";
-  (match Shared_min.winner shared with
-  | Some (widths, assignment) when !tau < best.b_time ->
-      best.b_time <- !tau;
-      best.b_widths <- widths;
-      best.b_assignment <- assignment
-  | Some _ | None -> ());
-  let sum f = Array.fold_left (fun acc c -> acc + f c.Pool.c_value) 0 chunks in
-  {
-    sl_packings = sum (fun c -> c.ch_packings);
-    sl_candidates = sum (fun c -> c.ch_candidates);
-    sl_completed = sum (fun c -> c.ch_completed);
-    sl_pruned = sum (fun c -> c.ch_pruned);
-    sl_best_makespan =
-      Array.fold_left
-        (fun acc c -> merge_makespan acc c.Pool.c_value.ch_best_makespan)
-        None chunks;
-    sl_tried = sum (fun c -> c.ch_tried);
-    sl_early = sum (fun c -> c.ch_early);
-    sl_levels = sum (fun c -> c.ch_levels);
-    sl_publications = publications;
-  }
-
-(* -- checkpoint engine ----------------------------------------------------- *)
-
-type extras = {
-  mutable x_tried : int;
-  mutable x_early : int;
-  mutable x_levels : int;
-  mutable x_publications : int;
-}
 
 (* -- resume token ---------------------------------------------------------- *)
 
@@ -446,25 +341,9 @@ let run_with (cfg : Rc.t) ~table ~total_width =
       Checkpoint.require (k.k_ranks = ranks)
         "Pack_engine: resume checkpoint does not match this rank space")
     restored;
-  let extras =
-    let get = Rc.resumed_count cfg in
-    {
-      x_tried = get "core_assign/assignments_tried";
-      x_early = get "core_assign/early_terminations";
-      x_levels = get "core_assign/levels_cut";
-      x_publications = get "pool/tau_publications";
-    }
-  in
+  let work = Slice_search.work cfg in
   let best =
-    match restored with
-    | Some { k_best = Some b; _ } ->
-        {
-          b_widths = b.Checkpoint.ba_widths;
-          b_time = b.Checkpoint.ba_time;
-          b_assignment = b.Checkpoint.ba_assignment;
-        }
-    | Some { k_best = None; _ } | None ->
-        { b_widths = [||]; b_time = initial; b_assignment = [||] }
+    Slice_search.best ~initial (Option.bind restored (fun k -> k.k_best))
   in
   let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
   let next = ref (match restored with Some k -> k.k_next_rank | None -> 0) in
@@ -479,17 +358,12 @@ let run_with (cfg : Rc.t) ~table ~total_width =
   in
   let deadline = Rc.deadline cfg in
   let counters_now () =
-    List.filter
-      (fun (_, n) -> n > 0)
+    Slice_search.counters work
       [
         ("pack/packings", !packings);
         ("pack/candidates", !cands);
         ("pack/evaluated", !completed);
         ("pack/pruned", !pruned);
-        ("core_assign/assignments_tried", extras.x_tried);
-        ("core_assign/early_terminations", extras.x_early);
-        ("core_assign/levels_cut", extras.x_levels);
-        ("pool/tau_publications", extras.x_publications);
       ]
   in
   let checkpoint_now () =
@@ -501,16 +375,7 @@ let run_with (cfg : Rc.t) ~table ~total_width =
           ("max_tams", Json.Int max_tams);
           ("initial", Checkpoint.json_int_opt cfg.Rc.initial_best);
           ("tau", Json.Int !tau);
-          ( "best",
-            Checkpoint.best_to_json
-              (if Array.length best.b_widths = 0 then None
-               else
-                 Some
-                   {
-                     Checkpoint.ba_widths = best.b_widths;
-                     ba_time = best.b_time;
-                     ba_assignment = best.b_assignment;
-                   }) );
+          ("best", Checkpoint.best_to_json (Slice_search.best_arch best));
           ("next_rank", Json.Int !next);
           ("ranks", Json.Int ranks);
           ("packings", Json.Int !packings);
@@ -540,61 +405,45 @@ let run_with (cfg : Rc.t) ~table ~total_width =
             | None -> ());
             let lo = !next in
             let hi = min (lo + slice_len) ranks in
-            let s =
-              evaluate_slice ~stats ~team ~cap ~table ~total_width ~tams
-                ~max_tams ~sp ~tau ~lo ~hi best
-            in
+            (* Ranks are coarse units (a whole packing plus its
+               candidate evaluations), so chunks shrink to single ranks;
+               the default granularity would serialize the space. *)
+            Slice_search.round ~stats ~span:"pack/evaluate_slice" ~min_chunk:1
+              team ~local:ignore ~tau best ~work ~lo ~hi
+              ~chunk:
+                (evaluate_chunk ~stats ~cap ~table ~total_width ~tams
+                   ~max_tams ~sp)
+            |> Array.iter (fun c ->
+                   packings := !packings + c.ch_packings;
+                   cands := !cands + c.ch_candidates;
+                   completed := !completed + c.ch_completed;
+                   pruned := !pruned + c.ch_pruned;
+                   makespan :=
+                     Slice_search.merge_min !makespan c.ch_best_makespan);
             next := hi;
-            incr slices_done;
-            packings := !packings + s.sl_packings;
-            cands := !cands + s.sl_candidates;
-            completed := !completed + s.sl_completed;
-            pruned := !pruned + s.sl_pruned;
-            makespan := merge_makespan !makespan s.sl_best_makespan;
-            extras.x_tried <- extras.x_tried + s.sl_tried;
-            extras.x_early <- extras.x_early + s.sl_early;
-            extras.x_levels <- extras.x_levels + s.sl_levels;
-            extras.x_publications <- extras.x_publications + s.sl_publications
+            incr slices_done
           done;
           Rc.retire cfg;
           Outcome.Complete
         with Stopped o -> o)
   in
-  if Array.length best.b_widths = 0 then begin
-    (* Nothing beat the seed (or the budget expired before the first
-       slice): fall back to the even split over the first permitted TAM
-       count, exactly like [Partition_evaluate]. *)
-    let parts = match b_values with [] -> 1 | b :: _ -> min b total_width in
-    let widths = even_widths ~total_width parts in
-    match Core_assign.run_table ~table ~widths () with
-    | Core_assign.Assigned { assignment; time; _ } ->
-        {
-          widths;
-          time;
-          assignment;
-          ranks;
-          packings = !packings;
-          candidates = !cands;
-          completed = !completed;
-          pruned = !pruned;
-          best_makespan = !makespan;
-          outcome;
-        }
-    | Core_assign.Exceeded _ -> assert false
-  end
-  else
-    {
-      widths = best.b_widths;
-      time = best.b_time;
-      assignment = best.b_assignment;
-      ranks;
-      packings = !packings;
-      candidates = !cands;
-      completed = !completed;
-      pruned = !pruned;
-      best_makespan = !makespan;
-      outcome;
-    }
+  (* Nothing beat the seed (or the budget expired before the first
+     slice): the even split over the first permitted TAM count. *)
+  let widths, time, assignment =
+    Slice_search.answer ~table ~total_width ~tams:(List.hd b_values) best
+  in
+  {
+    widths;
+    time;
+    assignment;
+    ranks;
+    packings = !packings;
+    candidates = !cands;
+    completed = !completed;
+    pruned = !pruned;
+    best_makespan = !makespan;
+    outcome;
+  }
 
 let architecture ~table r =
   Soctam_tam.Architecture.of_times

@@ -38,8 +38,9 @@
 
     The engine runs behind the same [Run_config]/[Outcome] lifecycle
     as every other solver: budget-aware slices over the rank sequence,
-    checkpoint/resume (solver tag ["pack"]), [-j] parallel rank
-    evaluation with the jobs-independent (time, rank) reduction, and
+    each run by [Slice_search.round], checkpoint/resume (solver tag
+    ["pack"]), [-j] parallel rank evaluation with the jobs-independent
+    (time, rank) incumbent, and
     [?stats] counters ([pack/packings], [pack/candidates],
     [pack/evaluated], [pack/pruned]) via [lib/obs]. *)
 

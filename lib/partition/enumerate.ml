@@ -220,18 +220,4 @@ module Odometer = struct
       end
     end
   [@@soctam.hot]
-
-  (* Cross the current block in one step, then the next with one
-     [advance], until [n] is spent. *)
-  let rec skip_from t n =
-    n = 0
-    ||
-    let k = skip_block t ~limit:n in
-    k = n || (advance t && skip_from t (n - k - 1))
-  [@@soctam.hot]
-
-  let skip t n =
-    if n < 0 then invalid_arg "Enumerate.Odometer.skip: negative count";
-    skip_from t n
-  [@@soctam.hot]
 end

@@ -118,13 +118,4 @@ module Odometer : sig
       lock above two parts. O(parts) when the block fits in [limit],
       plus an {!unrank_into} descent below position [j] when it does
       not; allocation-free. 0 for one part or [limit <= 0]. *)
-
-  val skip : t -> int -> bool
-  (** [skip t n] has exactly the effect of [n] calls to {!advance}:
-      [true] when all [n] succeeded, otherwise [false] with [t] on the
-      last partition of the enumeration. Each trailing block is
-      crossed in one {!skip_block}, so the cost is one block count per
-      block touched rather than one advance per partition;
-      allocation-free.
-      @raise Invalid_argument when [n < 0]. *)
 end

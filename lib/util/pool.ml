@@ -1,86 +1,15 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-let split ~chunks ~length =
-  if length <= 0 || chunks < 1 then [||]
-  else begin
-    let n = min chunks length in
-    let base = length / n and extra = length mod n in
-    Array.init n (fun i ->
-        let lo = (i * base) + min i extra in
-        let hi = lo + base + if i < extra then 1 else 0 in
-        (lo, hi))
-  end
-
 module Obs = Soctam_obs.Obs
-
-(* One executed thunk: a chunk count for the worker that ran it plus its
-   busy time. Counters stay deterministic (chunk totals do not depend on
-   scheduling); wall time goes to the span table, which the determinism
-   contract excludes. *)
-let observed ~stats thunk =
-  if not (Obs.enabled stats) then thunk ()
-  else begin
-    Obs.add stats "pool/chunks";
-    Obs.span stats
-      (Printf.sprintf "pool/worker%d" (Obs.current_worker ()))
-      thunk
-  end
-
-let run_inline ~stats thunks =
-  Array.map (fun thunk -> observed ~stats thunk) thunks
-
-let run ?(stats = Obs.null) ~jobs thunks =
-  let n = Array.length thunks in
-  if jobs <= 1 || n < 2 then run_inline ~stats thunks
-  else begin
-    let results = Array.make n None in
-    let failure = Atomic.make None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n || Atomic.get failure <> None then continue := false
-        else
-          match observed ~stats thunks.(i) with
-          | value -> results.(i) <- Some value
-          | exception exn ->
-              (* First failure wins; the others drain and exit. *)
-              ignore (Atomic.compare_and_set failure None (Some exn))
-      done
-    in
-    let domains =
-      Array.init
-        (min jobs n - 1)
-        (fun i ->
-          Domain.spawn (fun () ->
-              (* Worker 0 is the calling domain. *)
-              Obs.set_worker (i + 1);
-              worker ()))
-    in
-    worker ();
-    Array.iter Domain.join domains;
-    (match Atomic.get failure with Some exn -> raise exn | None -> ());
-    Array.map
-      (function
-        | Some value -> value
-        | None -> invalid_arg "Pool.run: worker produced no result")
-      results
-  end
-
-let map_ranges ?stats ~jobs ?(chunks_per_job = 4) ~length ~f () =
-  let chunks = if jobs <= 1 then 1 else jobs * max 1 chunks_per_job in
-  let ranges = split ~chunks ~length in
-  run ?stats ~jobs (Array.map (fun (lo, hi) () -> f ~lo ~hi) ranges)
 
 (* -- persistent worker team ------------------------------------------------ *)
 
 module Team = struct
-  (* The spawn-per-call pattern of [run] costs one domain startup and
-     teardown per slice, which on a small host dwarfs the work itself.
-     A team spawns its domains once and parks them on a condition
-     variable between rounds; submitting a round is a mutex broadcast,
-     not a [Domain.spawn]. *)
+  (* Spawning per call costs one domain startup and teardown per
+     slice, which on a small host dwarfs the work itself. A team spawns
+     its domains once and parks them on a condition variable between
+     rounds; submitting a round is a mutex broadcast, not a
+     [Domain.spawn]. *)
   type t = {
     size : int;
     mutex : Mutex.t;
@@ -233,10 +162,14 @@ let map_chunks ?(stats = Obs.null) ?(min_chunk = default_min_chunk) team
   if length <= 0 then [||]
   else begin
     let size = Team.size team in
-    let deques = Array.init size (fun _ -> Atomic.make { lo = 0; hi = 0 }) in
-    Array.iteri
-      (fun i (lo, hi) -> Atomic.set deques.(i) { lo; hi })
-      (split ~chunks:size ~length);
+    (* Balanced contiguous initial shares, the leading ones taking the
+       remainder; with fewer indices than workers the rest start empty. *)
+    let base = length / size and extra = length mod size in
+    let deques =
+      Array.init size (fun i ->
+          let lo = (i * base) + min i extra in
+          Atomic.make { lo; hi = lo + base + if i < extra then 1 else 0 })
+    in
     let remaining = Atomic.make length in
     let failure = Atomic.make None in
     (* One result list per worker slot: disjoint writes, read only after
@@ -354,6 +287,7 @@ module Shared_min = struct
     }
 
   let get t = (Atomic.get t.cell).time
+  let rank t = (Atomic.get t.cell).rank
   let winner t = (Atomic.get t.cell).payload
 
   let below a b = a.time < b.time || (a.time = b.time && a.rank < b.rank)

@@ -1,121 +1,54 @@
 (** A small fixed-size [Domain] pool with work-stealing chunk
     distribution.
 
-    The partition fan-out of [Partition_evaluate] and [Exhaustive] is
-    embarrassingly parallel: every work item needs only read-only shared
-    state (the time table), so the only coordination required is (1)
-    carving an indexable range into contiguous chunks, (2) running the
-    chunks on a bounded number of domains, and (3) a shared [(time,
-    rank)] incumbent, so the paper's early-termination pruning keeps
-    biting across domains and the winner is the same at every team
-    size. This module provides exactly those three pieces and nothing
-    else; everything policy-shaped (what a chunk computes, how results
-    are reduced) stays with the caller, which is what makes the
-    deterministic reductions easy to audit.
+    The rank-space searches ([Partition_evaluate], [Pack_engine],
+    [Exhaustive], through [Slice_search]) are embarrassingly parallel:
+    every work item needs only read-only shared state (the time table),
+    so the only coordination required is (1) carving an indexable range
+    into contiguous chunks, (2) running the chunks on a bounded number
+    of domains, and (3) a shared [(time, rank)] incumbent, so the
+    paper's early-termination pruning keeps biting across domains and
+    the winner is the same at every team size. This module provides
+    exactly those three pieces and nothing else; everything
+    policy-shaped (what a chunk computes, how results are reduced)
+    stays with the caller, which is what makes the deterministic
+    reductions easy to audit.
 
-    Two schedulers are provided. {!Team} + {!map_chunks} is the
-    production engine: domains are spawned once per team and parked
-    between rounds, each worker owns an atomic range descriptor it
-    claims adaptive chunks from, and idle workers steal the top half of
-    a victim's descriptor. {!run} / {!map_ranges} is the legacy static
-    layer (spawn per call, fixed chunk grid) kept for callers whose per
-    item cost dwarfs scheduling ([Exhaustive]'s branch-and-bound) and
-    for the test suite's scheduler-independent baselines.
-
-    Determinism contract: {!run} and {!map_ranges} return results in
-    input order; {!map_chunks} returns chunks sorted by [c_lo], and the
-    chunks always tile the requested range exactly — every index
-    covered exactly once — no matter how steals interleave. A caller
-    whose per-chunk result is reduced by an associative,
-    chunk-boundary-independent operator (the solvers' counter sums)
-    therefore gets byte-identical reductions at every [jobs] value;
-    the solvers' winner needs no reduction at all, {!Shared_min} holds
-    it. *)
+    Determinism contract: {!map_chunks} returns chunks sorted by
+    [c_lo], and the chunks always tile the requested range exactly —
+    every index covered exactly once — no matter how steals
+    interleave. A caller whose per-chunk result is reduced by an
+    associative, chunk-boundary-independent operator (the solvers'
+    counter sums) therefore gets byte-identical reductions at every
+    [jobs] value; the solvers' winner needs no reduction at all,
+    {!Shared_min} holds it. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: a sensible default for [-j]. *)
 
-val split : chunks:int -> length:int -> (int * int) array
-(** [split ~chunks ~length] divides the index range [0 .. length-1] into
-    at most [chunks] contiguous [(lo, hi)] half-open ranges. Every index
-    is covered exactly once, ranges are in increasing order, and their
-    sizes differ by at most one (the leading ranges take the remainder).
-    Empty when [length <= 0]; fewer than [chunks] ranges when
-    [length < chunks] (never an empty range). *)
-
-val run :
-  ?stats:Soctam_obs.Obs.t -> jobs:int -> (unit -> 'a) array -> 'a array
-(** [run ~jobs thunks] evaluates every thunk and returns the results in
-    input order. With [jobs <= 1] or fewer than two thunks everything
-    runs inline on the calling domain (no spawning); otherwise
-    [min jobs (Array.length thunks)] domains are spawned and pull thunks
-    off a shared atomic counter until none remain, so a skewed thunk
-    cost (e.g. tau pruning killing one chunk early) rebalances onto the
-    idle domains.
-
-    [stats] (default disabled) records pool utilization: each executed
-    thunk bumps the [pool/chunks] counter attributed to the worker that
-    ran it ({!Soctam_obs.Obs.set_worker} tags spawned domains 1..N-1;
-    the calling domain is worker 0) and times the thunk into a
-    [pool/worker<i>] span, so per-worker busy time and chunk counts are
-    reported. The aggregate chunk count is deterministic; the
-    worker split and the times are not.
-
-    Exceptions raised by a thunk are re-raised on the calling domain
-    after every domain has been joined. *)
-
-val map_ranges :
-  ?stats:Soctam_obs.Obs.t ->
-  jobs:int ->
-  ?chunks_per_job:int ->
-  length:int ->
-  f:(lo:int -> hi:int -> 'a) ->
-  unit ->
-  'a array
-(** [map_ranges ~jobs ~length ~f ()] applies [f] to every range of
-    [split ~chunks:(jobs * chunks_per_job) ~length] via {!run}. Results
-    are in range order. [chunks_per_job] (default 4) oversubscribes the
-    pool so chunks whose work collapses early (shared-tau pruning)
-    do not leave domains idle. With [jobs <= 1] the single range
-    [0 .. length-1] is processed inline: the sequential path is the
-    parallel path with one chunk, not separate code. *)
-
 module Team : sig
-  (** A persistent set of worker domains. [Domain.spawn] costs
-      milliseconds on a small host — more than an entire evaluation
-      slice — so the work-stealing scheduler amortizes it: a team
-      spawns its [jobs - 1] domains once, parks them on a condition
-      variable, and every {!map_chunks} round is a broadcast plus a
-      barrier. Worker [0] is always the calling domain; a [jobs = 1]
-      team spawns nothing and runs rounds inline, so the sequential
-      path is the parallel path with one worker, not separate code. *)
-
   type t
+  (** A persistent set of worker domains, parked on a condition
+      variable between {!map_chunks} rounds ([Domain.spawn] costs more
+      than a whole slice on a small host). Worker [0] is the calling
+      domain, so a one-worker team spawns nothing: the sequential path
+      is the parallel path with one worker. *)
 
-  val create : ?oversubscribe:bool -> jobs:int -> unit -> t
-  (** Spawn a team of workers: the effective size is
-      [min jobs (recommended_jobs ())] — [size - 1] domains plus the
-      caller. The cap is the oversubscription guard: OCaml 5 minor
-      collections stop the world across every running domain, so more
-      domains than cores turns each collection into an OS-scheduler
-      rendezvous (measured ~13x slowdown for an allocation-heavy round
-      at 8 domains on a 1-core host) while adding no parallelism. The
-      cap never changes results — {!map_chunks} reductions are
-      chunk-boundary independent. [oversubscribe:true] (default false)
-      disables the cap: the determinism test suite uses it to exercise
-      real multi-worker interleavings on any host.
+  val with_team : ?oversubscribe:bool -> jobs:int -> (t -> 'a) -> 'a
+  (** [with_team ~jobs f] runs [f] with a fresh team of
+      [min jobs (recommended_jobs ())] workers and joins its domains on
+      every exit path. The cap guards against oversubscription: OCaml 5
+      minor collections stop the world across every running domain, so
+      more domains than cores turns each collection into an
+      OS-scheduler rendezvous (measured ~13x slowdown for an
+      allocation-heavy round at 8 domains on a 1-core host). It never
+      changes results — {!map_chunks} reductions are chunk-boundary
+      independent. [oversubscribe:true] lifts it: the determinism tests
+      use it for real multi-worker interleavings on any host.
       @raise Invalid_argument when [jobs < 1]. *)
 
   val size : t -> int
   (** The effective worker count (after the oversubscription cap). *)
-
-  val shutdown : t -> unit
-  (** Wake every parked worker, let it exit, and join its domain.
-      Idempotent; the team must not be used afterwards. *)
-
-  val with_team : ?oversubscribe:bool -> jobs:int -> (t -> 'a) -> 'a
-  (** [with_team ~jobs f] runs [f] with a fresh team and guarantees
-      {!shutdown} on every exit path. *)
 end
 
 type 'a chunk = { c_lo : int; c_hi : int; c_value : 'a }
@@ -133,8 +66,8 @@ val map_chunks :
 (** [map_chunks team ~length ~f ()] applies [f] to contiguous chunks
     that together tile [0, length) exactly, scheduled by work stealing:
 
-    - every worker starts with one balanced contiguous share (the
-      {!split} grid over [Team.size] workers);
+    - every worker starts with one balanced contiguous share (sizes
+      differ by at most one, the leading shares taking the remainder);
     - an owner claims chunks off the {e low} end of its descriptor,
       halving what remains per claim (coarse first, finer toward the
       tail) and never claiming below [min_chunk] (default 256) except
@@ -185,10 +118,10 @@ module Shared_min : sig
       bound): every candidate must beat [tau] strictly. *)
 
   val get : 'a t -> int
-  (** The incumbent's time. *)
-
+  val rank : 'a t -> int
   val winner : 'a t -> 'a option
-  (** The incumbent's payload; [None] while the seed key stands. *)
+  (** The incumbent's time, rank and payload: rank [-1] and no payload
+      while the seed key stands. *)
 
   val improve : 'a t -> time:int -> rank:int -> 'a -> unit
   (** Make [(time, rank)] and its payload the incumbent if that key is

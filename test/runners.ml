@@ -13,7 +13,7 @@ module An = Soctam_anneal.Annealer
 let opt set v cfg = match v with None -> cfg | Some x -> set x cfg
 
 (* Tests oversubscribe on purpose: the production policy caps the
-   worker count at the host cores (Pool.Team.create), which on a small
+   worker count at the host cores (Pool.Team.with_team), which on a small
    CI host would silently turn every jobs=4 determinism property into a
    sequential run. Forcing the requested size keeps real multi-worker
    interleavings under test everywhere. *)

@@ -871,6 +871,41 @@ let sweep_midwidth_resume_agrees () =
         (counters_of straight_stats)
         (counters_of resumed_stats)
 
+(* Interrupted after every slice and resumed each time in a fresh
+   collector that replays the token, as a new process would: the last
+   run's counters equal an uninterrupted run's only if every token
+   carries all the work before it, not just its own run's. *)
+let chained_resume_counters () =
+  let table = Lazy.force table in
+  let base cfg =
+    cfg |> Rc.with_max_tams 4 |> Rc.with_checkpoint_every 3
+    |> Rc.with_time_budget 3600.
+  in
+  let straight_stats = Obs.create () in
+  let straight =
+    Pe.run_with
+      (base Rc.default |> Rc.with_stats straight_stats)
+      ~table ~total_width:12
+  in
+  let rec chain token hops =
+    let stats = Obs.create () in
+    let cfg =
+      base Rc.default |> Rc.with_stats stats |> Rc.with_cancel (cancel_after 1)
+    in
+    let cfg = match token with Some t -> Rc.with_resume t cfg | None -> cfg in
+    let r = Pe.run_with cfg ~table ~total_width:12 in
+    match r.Pe.outcome with
+    | Oc.Interrupted t -> chain (Some t) (hops + 1)
+    | Oc.Complete -> (r, stats, hops)
+    | Oc.Budget_exhausted _ -> Alcotest.fail "budget fired under a 1h budget"
+  in
+  let resumed, stats, hops = chain None 0 in
+  Alcotest.(check bool) (Printf.sprintf "%d resumes" hops) true (hops >= 3);
+  check_same_result ~msg:"chained resume" straight resumed;
+  List.iter2
+    (fun (name, a) (_, b) -> Alcotest.(check int) ("counter " ^ name) a b)
+    (counters_of straight_stats) (counters_of stats)
+
 let suite =
   [
     test "checkpoint: partition_evaluate round-trip" (round_trip pe_doc);
@@ -908,4 +943,5 @@ let suite =
     test "resume: sweep agrees at every width" sweep_resume_agrees;
     test "resume: sweep continues mid-width, counters exact"
       sweep_midwidth_resume_agrees;
+    test "resume: chained resumes keep every counter" chained_resume_counters;
   ]

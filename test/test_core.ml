@@ -895,6 +895,54 @@ let exhaustive_jobs1_pinned () =
   check "zero budget" ~time_budget:0. ~time:14056 ~widths:[| 1; 1; 12 |]
     ~solved:1 ~nodes:6 ~complete:false ()
 
+(* An imported bound warm-starts every B&B solve with a placeholder
+   assignment at the bound's time. A tie with the optimum must not
+   surface that placeholder as the engine's own architecture; a looser
+   bound leaves the optimum to be found. *)
+let exhaustive_tau_import () =
+  let table = Tt.build (small_soc 62L ~cores:6) ~max_width:14 in
+  let plain = Runners.ex_run ~table ~total_width:14 ~tams:3 () in
+  let run cap =
+    Ex.run_with
+      (Runners.cfg ~tams:3 () |> Soctam_core.Run_config.with_tau_import cap)
+      ~table ~total_width:14 ~tams:3
+  in
+  let tied = run plain.Ex.time in
+  Alcotest.(check int) "tied: the import's time" plain.Ex.time tied.Ex.time;
+  Alcotest.(check (array int)) "tied: no architecture of its own" [||]
+    tied.Ex.widths;
+  Alcotest.(check (array int)) "tied: no assignment" [||] tied.Ex.assignment;
+  let loose = run (plain.Ex.time + 1) in
+  Alcotest.(check int) "loose: the optimum" plain.Ex.time loose.Ex.time;
+  Alcotest.(check (array int)) "loose: widths" plain.Ex.widths loose.Ex.widths;
+  Alcotest.(check (array int))
+    "loose: assignment" plain.Ex.assignment loose.Ex.assignment
+
+(* A sweep stopped by its slice limit inside a width pays the exact
+   finish only for the widths it completed: W = 4 completes within three
+   slices of four ranks, W = 12 needs six and is truncated. *)
+let sweep_truncated_width_skips_finish () =
+  let soc = small_soc 5L ~cores:4 in
+  let stats = Obs.create () in
+  let cfg =
+    Runners.cfg ~stats ~max_tams:3 ()
+    |> Soctam_core.Run_config.with_checkpoint_every 4
+    |> Soctam_core.Run_config.with_slice_limit 3
+  in
+  let r = Soctam_core.Sweep.run_with cfg soc ~widths:[ 4; 12 ] in
+  Alcotest.(check bool) "truncated" false
+    (Soctam_core.Outcome.is_complete r.Soctam_core.Sweep.outcome);
+  let completed = List.length r.Soctam_core.Sweep.points in
+  Alcotest.(check int) "completed widths" 1 completed;
+  let finishes =
+    match
+      List.assoc_opt "co_optimize/exact_step" (Obs.snapshot stats).Obs.spans
+    with
+    | Some s -> s.Obs.s_count
+    | None -> 0
+  in
+  Alcotest.(check int) "exact steps = completed widths" completed finishes
+
 (* -- Co_optimize ----------------------------------------------------------- *)
 
 let pipeline_invariants =
@@ -1057,4 +1105,8 @@ let suite =
       pinned_block_skip_instance;
     test "Exhaustive: jobs=1 pinned complete, node-limit and zero-budget runs"
       exhaustive_jobs1_pinned;
+    test "Sweep: a truncated width runs no exact finish"
+      sweep_truncated_width_skips_finish;
+    test "Exhaustive: an imported bound is never reported as its own"
+      exhaustive_tau_import;
   ]

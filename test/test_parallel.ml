@@ -1,11 +1,15 @@
-(* Determinism harness for the multicore partition evaluation.
+(* Determinism harness for the multicore rank-space searches.
 
    The contract under test: for every [jobs] value, [Partition_evaluate],
    [Exhaustive], [Co_optimize] and [Sweep] return results byte-identical
    to the sequential run — same best time, same partition, same
-   core-to-TAM assignment. The qcheck properties drive seeded random
-   SOCs ([Random_soc]) so the suite covers fresh instances on every
-   run while staying reproducible from the printed seed.
+   core-to-TAM assignment. They all run on one scheduler, the
+   work-stealing [Pool.map_chunks] on a persistent [Pool.Team], whose
+   own properties (chunks tile the range, reductions match, steals,
+   exception propagation, the shared incumbent) come first. The qcheck
+   properties drive seeded random SOCs ([Random_soc]) so the suite
+   covers fresh instances on every run while staying reproducible from
+   the printed seed.
 
    This file is its own executable, wired to the [runtest-slow] alias
    (gated on SOCTAM_SLOW_TESTS=1, see test/dune and `make test-par`):
@@ -42,59 +46,6 @@ let small_soc seed ~cores =
       max_chains = 6;
       max_chain_length = 50;
     }
-
-(* -- Pool.split: the chunking itself -------------------------------------- *)
-
-let split_covers_every_index_once =
-  QCheck.Test.make
-    ~name:"split: every index covered exactly once, in order" ~count:(scaled 200)
-    QCheck.(pair (int_range 1 40) (int_range 0 500))
-    (fun (chunks, length) ->
-      let ranges = Pool.split ~chunks ~length in
-      let seen = Array.make length 0 in
-      Array.iter
-        (fun (lo, hi) ->
-          if lo >= hi then QCheck.Test.fail_report "empty range";
-          for i = lo to hi - 1 do
-            seen.(i) <- seen.(i) + 1
-          done)
-        ranges;
-      Array.iteri
-        (fun i (lo, _) ->
-          if i > 0 then begin
-            let _, prev_hi = ranges.(i - 1) in
-            if lo <> prev_hi then
-              QCheck.Test.fail_report "ranges not contiguous"
-          end)
-        ranges;
-      Array.for_all (fun c -> c = 1) seen)
-
-let split_sizes_balanced =
-  QCheck.Test.make ~name:"split: chunk sizes differ by at most one"
-    ~count:(scaled 200)
-    QCheck.(pair (int_range 1 40) (int_range 1 500))
-    (fun (chunks, length) ->
-      let sizes =
-        Pool.split ~chunks ~length |> Array.map (fun (lo, hi) -> hi - lo)
-      in
-      let mn = Array.fold_left min max_int sizes in
-      let mx = Array.fold_left max 0 sizes in
-      mx - mn <= 1)
-
-let run_preserves_input_order () =
-  let thunks = Array.init 23 (fun i () -> i * i) in
-  Alcotest.(check (array int))
-    "jobs=4 results in input order"
-    (Array.init 23 (fun i -> i * i))
-    (Pool.run ~jobs:4 thunks)
-
-let run_propagates_exception () =
-  Alcotest.check_raises "a worker exception reaches the caller"
-    (Failure "boom") (fun () ->
-      ignore
-        (Pool.run ~jobs:4
-           (Array.init 8 (fun i () ->
-                if i = 5 then failwith "boom" else i))))
 
 (* Workers improve one shared incumbent concurrently, each through its
    own mirror, with candidate [i] keyed (times.(i), i): the cell must end
@@ -404,6 +355,41 @@ let exhaustive_matches_sequential =
       && Soctam_core.Outcome.is_complete seq.Ex.outcome
       && Soctam_core.Outcome.is_complete par.Ex.outcome)
 
+(* A per-partition node budget of one stops the slice at the first
+   unproven solve, wherever a worker meets it: the incumbent is only
+   what was solved so far, and the token rewinds to the slice start, so
+   resuming it without the budget reaches the jobs=1 answer. *)
+let exhaustive_starved_resumes =
+  QCheck.Test.make
+    ~name:"Exhaustive: node-starved jobs=4 run resumes to the jobs=1 answer"
+    ~count:(scaled 50)
+    QCheck.(pair (int_range 1 1000) (int_range 2 4))
+    (fun (seed, tams) ->
+      let soc = small_soc (Int64.of_int seed) ~cores:4 in
+      let table = Tt.build soc ~max_width:10 in
+      let seq = Runners.ex_run ~jobs:1 ~table ~total_width:10 ~tams () in
+      let starved =
+        Runners.ex_run ~jobs:4 ~node_limit_per_partition:1 ~table
+          ~total_width:10 ~tams ()
+      in
+      let same (r : Ex.result) =
+        r.Ex.time = seq.Ex.time
+        && r.Ex.widths = seq.Ex.widths
+        && r.Ex.assignment = seq.Ex.assignment
+      in
+      starved.Ex.time >= seq.Ex.time
+      &&
+      match starved.Ex.outcome with
+      | Soctam_core.Outcome.Complete -> same starved
+      | Soctam_core.Outcome.Budget_exhausted token
+      | Soctam_core.Outcome.Interrupted token ->
+          let resumed =
+            Ex.run_with
+              (Runners.cfg ~jobs:1 () |> Rc.with_resume token)
+              ~table ~total_width:10 ~tams
+          in
+          same resumed && Soctam_core.Outcome.is_complete resumed.Ex.outcome)
+
 let heuristic_bounded_by_exhaustive =
   QCheck.Test.make
     ~name:"parallel heuristic time within [optimal, +] of Exhaustive"
@@ -454,10 +440,6 @@ let d695_reference_architecture () =
 
 let suite =
   [
-    qtest split_covers_every_index_once;
-    qtest split_sizes_balanced;
-    test "pool: results in input order" run_preserves_input_order;
-    test "pool: exception propagation" run_propagates_exception;
     qtest shared_min_keeps_minimum;
     qtest chunks_tile_range;
     qtest map_chunks_reduction_matches_sequential;
@@ -472,6 +454,7 @@ let suite =
     test "pinned d695 W=40 run-skip instance: jobs=1 = 2 = 4"
       run_skip_instance_matches_sequential;
     qtest exhaustive_matches_sequential;
+    qtest exhaustive_starved_resumes;
     qtest heuristic_bounded_by_exhaustive;
     qtest co_optimize_matches_sequential;
     test "sweep: jobs=8 identical to jobs=1" sweep_matches_sequential;

@@ -277,33 +277,6 @@ let create_at_equals_sequential_advances =
           done;
           !ok && Enumerate.Odometer.create_at ~total ~parts ~rank:n = None)
 
-let skip_equals_advances =
-  QCheck.Test.make ~name:"Odometer.skip t n = n advances, past the end too"
-    ~count:300
-    QCheck.(quad (int_range 1 30) (int_range 1 7) (int_range 0 1000)
-              (int_range 0 120))
-    (fun (total, parts, start, n) ->
-      let count = Count.exact ~total ~parts in
-      QCheck.assume (count > 0);
-      (* Start anywhere, including the last rank; on small instances
-         [n] runs past the end of the enumeration. *)
-      let rank = start mod count in
-      match
-        ( Enumerate.Odometer.create_at ~total ~parts ~rank,
-          Enumerate.Odometer.create_at ~total ~parts ~rank )
-      with
-      | Some stepped, Some skipped ->
-          let all_advanced = ref true in
-          for _ = 1 to n do
-            if not (Enumerate.Odometer.advance stepped) then
-              all_advanced := false
-          done;
-          Enumerate.Odometer.skip skipped n = !all_advanced
-          && !all_advanced = (rank + n < count)
-          && Enumerate.Odometer.current skipped
-             = Enumerate.Odometer.current stepped
-      | _ -> false)
-
 (* The first of the trailing equal loop variables w_j = ... = w_(B-1). *)
 let block_start widths parts =
   let j = ref (max 0 (parts - 2)) in
@@ -356,84 +329,6 @@ let skip_block_is_the_block =
       done;
       !ok)
 
-let skip_spans_whole_blocks =
-  QCheck.Test.make
-    ~name:"Odometer.skip t n = n advances when n spans whole blocks"
-    ~count:200
-    QCheck.(quad (int_range 1 40) (int_range 1 7) (int_range 0 1000)
-              (pair (int_range 1 6) (int_range (-1) 1)))
-    (fun (total, parts, start, (blocks, offset)) ->
-      let count = Count.exact ~total ~parts in
-      QCheck.assume (count > 0);
-      let rank = start mod count in
-      let at () =
-        Option.get (Enumerate.Odometer.create_at ~total ~parts ~rank)
-      in
-      (* [n]: the advances crossing [blocks] whole blocks from [rank],
-         give or take one. *)
-      let o = at () in
-      let n = ref 0 in
-      (try
-         for _ = 1 to blocks do
-           n := !n + Enumerate.Odometer.skip_block o ~limit:max_int;
-           if Enumerate.Odometer.advance o then incr n else raise Exit
-         done
-       with Exit -> ());
-      let n = max 0 (!n + offset) in
-      let stepped = at () and skipped = at () in
-      let all_advanced = ref true in
-      for _ = 1 to n do
-        if not (Enumerate.Odometer.advance stepped) then all_advanced := false
-      done;
-      Enumerate.Odometer.skip skipped n = !all_advanced
-      && Enumerate.Odometer.current skipped
-         = Enumerate.Odometer.current stepped)
-
-let split_ranges_cover_enumeration =
-  (* The contract the parallel evaluator relies on: Pool.split produces
-     contiguous, disjoint, covering ranges, and starting an odometer at
-     each chunk's lo and advancing to hi reproduces the sequential
-     enumeration with no partition lost or duplicated at any chunk
-     boundary. *)
-  QCheck.Test.make ~name:"every Pool.split chunk boundary is covered"
-    ~count:100
-    QCheck.(triple (int_range 1 26) (int_range 1 6) (int_range 1 12))
-    (fun (total, parts, chunks) ->
-      let n = Count.exact ~total ~parts in
-      let ranges = Soctam_util.Pool.split ~chunks ~length:n in
-      let contiguous = ref true in
-      let expected_lo = ref 0 in
-      Array.iter
-        (fun (lo, hi) ->
-          if lo <> !expected_lo || hi <= lo then contiguous := false;
-          expected_lo := hi)
-        ranges;
-      if n = 0 then Array.length ranges = 0
-      else
-        !contiguous
-        && !expected_lo = n
-        && begin
-             let sequential = Enumerate.to_list ~total ~parts in
-             let chunked =
-               Array.to_list ranges
-               |> List.concat_map (fun (lo, hi) ->
-                      match
-                        Enumerate.Odometer.create_at ~total ~parts ~rank:lo
-                      with
-                      | None -> []
-                      | Some o ->
-                          List.init (hi - lo) (fun i ->
-                              let w =
-                                Array.copy (Enumerate.Odometer.current o)
-                              in
-                              if lo + i < hi - 1 then
-                                ignore (Enumerate.Odometer.advance o);
-                              w))
-             in
-             List.map Array.to_list chunked
-             = List.map Array.to_list sequential
-           end)
-
 let odometer_none_when_impossible () =
   Alcotest.(check bool) "none" true
     (Enumerate.Odometer.create ~total:2 ~parts:3 = None);
@@ -457,11 +352,8 @@ let suite =
     qtest odometer_matches_fold;
     qtest unrank_rank_round_trip;
     qtest create_at_equals_sequential_advances;
-    qtest skip_equals_advances;
     qtest skip_block_is_the_block;
-    qtest split_ranges_cover_enumeration;
     qtest compositions_match_fold;
     test "compositions: blow-up measured" compositions_blowup_measured;
     test "odometer: impossible inputs" odometer_none_when_impossible;
-    qtest skip_spans_whole_blocks;
   ]
