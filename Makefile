@@ -21,12 +21,15 @@ test:
 # properties asserting jobs=1 and jobs=N return byte-identical
 # architectures, the work-stealing scheduler properties, and the
 # jobs=4-vs-jobs=1 perf regression gate. Slow (spawns domains
-# thousands of times), hence gated.
+# thousands of times), hence gated. The same alias runs the wrapper
+# oracle sweep (test/test_wrapper_slow.ml): the closed-form wrapper
+# design against the chain-count sweep on 5,000 cores, widths 1..128.
 test-par:
 	SOCTAM_SLOW_TESTS=1 dune build @runtest-slow
 
-# The same harness at a twentieth of the iteration count (~1s): every
-# scheduler path on every CI pass; the full sweep stays in test-par.
+# The same harnesses at a twentieth of the iteration count (~1s, and
+# ~7s for 250 oracle cores): every scheduler path and every wrapper
+# regime on every CI pass; the full sweeps stay in test-par.
 test-par-smoke:
 	SOCTAM_SLOW_TESTS=1 SOCTAM_PAR_SMOKE=1 dune build @runtest-slow
 

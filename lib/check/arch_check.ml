@@ -90,11 +90,13 @@ let compare_times ~claimed ~recomputed ~kind ~loc ~what =
     claimed;
   List.rev !violations
 
+(* A table of another SOC, even one of the same size, holds other cores'
+   times: reuse it only for this very SOC. *)
 let ensure_table ?table soc ~width =
   match table with
   | Some t
     when Soctam_core.Time_table.max_width t >= width
-         && Soctam_core.Time_table.core_count t = Soc.core_count soc ->
+         && Soctam_core.Time_table.soc t == soc ->
       t
   | Some _ | None -> Soctam_core.Time_table.build soc ~max_width:width
 

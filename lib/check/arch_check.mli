@@ -51,7 +51,8 @@ val certify_claim :
       reproduce the recomputed SOC time.
 
     [table] reuses a precomputed time table; it is ignored (and rebuilt)
-    when it does not cover the required width. *)
+    when it was built for another SOC value (physical equality with
+    [soc]) or does not cover the required width. *)
 
 val certify :
   ?table:Soctam_core.Time_table.t ->

@@ -155,17 +155,87 @@ let validate_layout (core : Core_data.t) design =
         end
   end
 
-let better a b =
-  a.time < b.time || (a.time = b.time && a.used_width < b.used_width)
+(* The longest chain after [units] cells go one at a time onto the
+   shortest of [zeros] empty chains and chains of the ascending [loads]:
+   the least level [l] with sum (l - load) over the [count] chains below
+   it reaching [units], or the longest load when that is higher. *)
+let fill_max ~zeros loads units =
+  let g = Array.length loads in
+  let top = if g = 0 then 0 else loads.(g - 1) in
+  let rec level count sum next =
+    if next < g && (count = 0 || (count * loads.(next)) - sum < units) then
+      level (count + 1) (sum + loads.(next)) (next + 1)
+    else max top (Soctam_util.Intutil.ceil_div (units + sum) count)
+  in
+  if units = 0 then top else level zeros 0 0
+
+let sorted_chains (core : Core_data.t) =
+  let a = Array.copy core.Core_data.scan_chains in
+  Array.sort Int.compare a;
+  a
+
+(* [with_chain_count]'s time and used width without its layout. Bidirs
+   keep scan-in equal to scan-out on every chain, so each goes to the
+   lowest scan-in, lowest index: the inputs' own rule. Scan-in is thus
+   one fill of bidirs + inputs onto the LPT loads, scan-out one of
+   bidirs + outputs, and both fills take the empty chains in index
+   order. [sorted] is the core's chain lengths ascending, the LPT loads
+   whenever every chain has a wrapper chain of its own. *)
+let chain_time_sorted (core : Core_data.t) ~sorted ~chains =
+  let k = Array.length sorted in
+  let zeros, loads =
+    if chains >= k then (chains - k, sorted)
+    else begin
+      (* [Makespan.lpt]'s loads: longest chain first, each onto the first
+         least-loaded wrapper chain. Its per-call sort and polymorphic
+         argmin cost [design] as much as the one layout it builds. *)
+      let loads = Array.make chains 0 in
+      for j = k - 1 downto 0 do
+        let m = ref 0 in
+        for i = 1 to chains - 1 do
+          if loads.(i) < loads.(!m) then m := i
+        done;
+        loads.(!m) <- loads.(!m) + sorted.(j)
+      done;
+      Array.sort Int.compare loads;
+      (0, loads)
+    end
+  in
+  let cells_in = core.Core_data.bidirs + core.Core_data.inputs in
+  let cells_out = core.Core_data.bidirs + core.Core_data.outputs in
+  let scan_groups = min chains k in
+  ( test_time ~patterns:core.Core_data.patterns
+      ~scan_in:(fill_max ~zeros loads cells_in)
+      ~scan_out:(fill_max ~zeros loads cells_out),
+    scan_groups + min (chains - scan_groups) (max cells_in cells_out) )
+
+let chain_time core ~chains =
+  if chains < 1 then invalid_arg "Design.chain_time: chains must be >= 1";
+  chain_time_sorted core ~sorted:(sorted_chains core) ~chains
 
 let design core ~width =
   if width < 1 then invalid_arg "Design.design: width must be >= 1";
-  let best = ref (with_chain_count core ~chains:1) in
-  for n = 2 to width do
-    let cand = with_chain_count core ~chains:n in
-    if better cand !best then best := cand
+  let sorted = sorted_chains core in
+  (* From one wrapper chain per internal chain and per cell on, the
+     fills and the used width stay constant: no later count is better. *)
+  let limit =
+    min width
+      (max 1
+         (Array.length sorted
+         + core.Core_data.bidirs
+         + max core.Core_data.inputs core.Core_data.outputs))
+  in
+  let time1, used1 = chain_time_sorted core ~sorted ~chains:1 in
+  let best = ref 1 and best_time = ref time1 and best_used = ref used1 in
+  for n = 2 to limit do
+    let time, used = chain_time_sorted core ~sorted ~chains:n in
+    if time < !best_time || (time = !best_time && used < !best_used) then begin
+      best := n;
+      best_time := time;
+      best_used := used
+    end
   done;
-  { !best with requested_width = width }
+  { (with_chain_count core ~chains:!best) with requested_width = width }
 
 let time_table core ~max_width =
   if max_width < 1 then invalid_arg "Design.time_table: max_width must be >= 1";

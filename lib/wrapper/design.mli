@@ -52,15 +52,28 @@ val with_chain_count : Soctam_model.Core_data.t -> chains:int -> t
     exposed for tests and ablations. @raise Invalid_argument when
     [chains < 1]. *)
 
+val chain_time : Soctam_model.Core_data.t -> chains:int -> int * int
+(** [(time, used_width)] of [with_chain_count core ~chains], computed
+    without the layout: scan-in is one level fill of [bidirs + inputs]
+    cells onto the LPT loads, scan-out one of [bidirs + outputs] (see
+    DESIGN.md §5). O(k log k + k * min(k, chains)) for a core of [k]
+    scan chains, whatever its cell count.
+    @raise Invalid_argument when [chains < 1]. *)
+
 val design : Soctam_model.Core_data.t -> width:int -> t
-(** Best design over all chain counts [1 .. width].
+(** The first chain count in [1 .. width] with the smallest
+    [(time, used width)] by {!chain_time}, laid out by
+    {!with_chain_count}; [requested_width] is [width]. Equal field for
+    field to the best {!with_chain_count} over every count
+    (property-tested).
     @raise Invalid_argument when [width < 1]. *)
 
 val time_table : Soctam_model.Core_data.t -> max_width:int -> int array
 (** [time_table core ~max_width] gives the core's testing time at every
-    width: element [w - 1] is [(design core ~width:w).time]. Computed in
-    one pass (O(max_width * cells)), so use this rather than repeated
-    {!design} calls when sweeping widths. *)
+    width: element [w - 1] is [(design core ~width:w).time]. One
+    {!with_chain_count} per width, so O(max_width^2 * cells) in all;
+    use this rather than repeated {!design} calls when sweeping
+    widths. *)
 
 val max_useful_width : ?cap:int -> Soctam_model.Core_data.t -> int
 (** Smallest width beyond which the testing time stops decreasing

@@ -2,7 +2,7 @@
 
     [Design.time_table core ~max_width] — the core's best testing time
     at every wrapper width, the paper's per-core Pareto front — costs
-    O(max_width * chains) per call, and the co-optimization layers ask
+    O(max_width^2 * cells) per call, and the co-optimization layers ask
     for the same cores' fronts once per table build, per sweep width,
     per solver invocation. The fronts depend only on the core's test
     content, so this module keeps a bounded, process-wide,

@@ -326,6 +326,49 @@ let impossible_time_beats_bounds () =
   expect_kind "impossible time" report V.Lower_bound_violated;
   expect_kind "impossible time" report V.Beats_exhaustive_optimum
 
+(* A supplied table of another 10-core SOC must not be reused for d695:
+   its slower cores would raise the bounds and the exact optimum above
+   the true d695 claim. *)
+let foreign_table_rebuilt () =
+  let slower =
+    Soctam_model.Soc.make ~name:"d695-slow"
+      ~cores:
+        (Array.to_list
+           (Array.map
+              (fun (c : Soctam_model.Core_data.t) ->
+                Soctam_model.Core_data.make ~id:c.id ~name:c.name
+                  ~inputs:c.inputs ~outputs:c.outputs ~bidirs:c.bidirs
+                  ~scan_chains:(Array.to_list c.scan_chains)
+                  ~patterns:(50 * c.patterns) ())
+              (Soctam_model.Soc.cores d695)))
+  in
+  let table = Tt.build slower ~max_width:16 in
+  check_ok "d695 claim against a d695-slow table"
+    (Certify.claim ~table ~check_exact:true ~subject:"foreign table" ~soc:d695
+       (Lazy.force reference_claim))
+
+(* Chains 10, 1, 1 reach their best time at every count from 2 up; the
+   design takes 2, the count that uses the fewest wrapper chains. *)
+let used_width_tie_certifies () =
+  let c =
+    Soctam_model.Core_data.make ~id:1 ~name:"tie" ~inputs:0 ~outputs:0
+      ~scan_chains:[ 10; 1; 1 ] ~patterns:4 ()
+  in
+  let design = Soctam_wrapper.Design.design c ~width:4 in
+  let three = Soctam_wrapper.Design.with_chain_count c ~chains:3 in
+  Alcotest.(check int) "tied time at 3 chains" design.time three.time;
+  Alcotest.(check (pair int int)) "used widths" (2, 3)
+    (design.used_width, three.used_width);
+  let soc = Soctam_model.Soc.make ~name:"tie" ~cores:[ c ] in
+  let claim =
+    Arch_check.claim_of_architecture ~total_width:4
+      (Arch.make ~soc ~widths:[| 4 |] ~assignment:[| 0 |])
+  in
+  check_ok "true claim" (Certify.claim ~check_exact:true ~soc claim);
+  expect_kind "SOC time off by one"
+    (Certify.claim ~soc { claim with Arch_check.time = claim.time + 1 })
+    V.Soc_time_mismatch
+
 (* -- schedules ------------------------------------------------------------ *)
 
 let schedule_fixture =
@@ -643,4 +686,6 @@ let suite =
     test "lint: semantic checks" lint_semantic_complexity_and_degenerate;
     test "json rendering" json_rendering;
     test "property: 200 random SOCs" property_random_socs;
+    test "certify: a table of another SOC is rebuilt" foreign_table_rebuilt;
+    test "certify: time tied across chain counts" used_width_tie_certifies;
   ]

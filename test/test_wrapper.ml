@@ -242,6 +242,67 @@ let layout_catches_tampering () =
   Alcotest.(check bool) "missing chain detected" true
     (Design.validate_layout c missing_chain <> Ok ())
 
+(* -- closed form against the chain-count sweep ------------------------------ *)
+
+let oracle_agrees name c ~max_width =
+  match Wrapper_oracle.check c ~max_width with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+let oracle_soc name soc ~max_width =
+  Array.iteri
+    (fun i c ->
+      oracle_agrees (Printf.sprintf "%s core %d" name (i + 1)) c ~max_width)
+    (Soctam_model.Soc.cores soc)
+
+let oracle_builtin_socs () =
+  oracle_soc "d695" Soctam_soc_data.D695.soc ~max_width:64;
+  List.iter
+    (fun (name, soc) -> oracle_soc name (soc ()) ~max_width:24)
+    Soctam_soc_data.Philips.
+      [
+        ("p21241", soc_p21241); ("p31108", soc_p31108); ("p93791", soc_p93791);
+      ];
+  List.iter
+    (fun profile ->
+      oracle_soc
+        (Soctam_soc_data.Family.name profile)
+        (Soctam_soc_data.Family.instance profile ~index:0)
+        ~max_width:16)
+    Soctam_soc_data.Family.all
+
+(* Every check starts at W = 1, where one wrapper chain carries all. *)
+let oracle_degenerate_cores () =
+  List.iter
+    (fun (name, c) -> oracle_agrees name c ~max_width:24)
+    [
+      ("no scan chains, no I/O", core ~patterns:3 ());
+      ("I/O only", core ~inputs:7 ~outputs:3 ~patterns:2 ());
+      ("bidirs only", core ~bidirs:5 ~patterns:4 ());
+      ("scan only", core ~scan_chains:[ 9; 9; 4; 1 ] ~patterns:6 ());
+      ( "one long chain under many cells",
+        core ~inputs:30 ~outputs:2 ~bidirs:3 ~scan_chains:[ 25 ] ~patterns:5
+          () );
+    ]
+
+let oracle_random_soc =
+  QCheck.Test.make ~name:"design: closed form = sweep on seeded Random_soc"
+    ~count:6 QCheck.small_nat
+    (fun seed ->
+      let soc =
+        Soctam_soc_data.Random_soc.generate
+          (Soctam_util.Prng.create (Int64.of_int seed))
+          { Soctam_soc_data.Random_soc.default_params with cores = 6 }
+      in
+      Array.for_all
+        (fun c -> Wrapper_oracle.check c ~max_width:32 = Ok ())
+        (Soctam_model.Soc.cores soc))
+
+let oracle_arbitrary_core =
+  QCheck.Test.make ~name:"design: closed form = sweep with bidirs" ~count:150
+    arbitrary_core
+    (fun c -> Wrapper_oracle.check c ~max_width:24 = Ok ())
+
 (* -- Front: the per-core Pareto-front memo cache --------------------------- *)
 
 module Front = Soctam_wrapper.Front
@@ -396,6 +457,10 @@ let suite =
     qtest layout_always_valid;
     test "layout: tampering detected" layout_catches_tampering;
     test "layout: pretty printer" layout_pretty_printer;
+    test "oracle: d695, Philips and every Family profile" oracle_builtin_socs;
+    test "oracle: degenerate cores" oracle_degenerate_cores;
+    qtest oracle_random_soc;
+    qtest oracle_arbitrary_core;
     test "front: identical to fresh on d695/p21241/p93791"
       front_identical_to_fresh;
     test "front: prefix stability across widths"
