@@ -23,12 +23,13 @@ test:
 # jobs=4-vs-jobs=1 perf regression gate. Slow (spawns domains
 # thousands of times), hence gated. The same alias runs the wrapper
 # oracle sweep (test/test_wrapper_slow.ml): the closed-form wrapper
-# design against the chain-count sweep on 5,000 cores, widths 1..128.
+# design against the chain-count sweep on 5,000 cores, widths 1..128
+# (~45 s in all, ~32 s of it the oracle).
 test-par:
 	SOCTAM_SLOW_TESTS=1 dune build @runtest-slow
 
 # The same harnesses at a twentieth of the iteration count (~1s, and
-# ~7s for 250 oracle cores): every scheduler path and every wrapper
+# ~2s for 250 oracle cores): every scheduler path and every wrapper
 # regime on every CI pass; the full sweeps stay in test-par.
 test-par-smoke:
 	SOCTAM_SLOW_TESTS=1 SOCTAM_PAR_SMOKE=1 dune build @runtest-slow

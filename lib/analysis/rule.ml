@@ -68,8 +68,9 @@ let kind = function
 
 let synopsis = function
   | Det_poly ->
-      "polymorphic =/compare/Hashtbl.hash in a solver layer \
-       (lib/core, lib/partition, lib/wrapper, lib/tam)"
+      "polymorphic =/</compare/Hashtbl.hash in a solver layer \
+       (lib/core, lib/partition, lib/wrapper, lib/tam), or an \
+       ordering/compare/min/max at a type variable under lib/"
   | Det_entropy ->
       "Random / Sys.time / Unix.gettimeofday outside lib/util/prng and \
        lib/util/timer"

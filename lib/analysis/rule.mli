@@ -10,11 +10,13 @@
 
 type id =
   | Det_poly
-      (** DET-POLY: no polymorphic [=] / [compare] / [Hashtbl.hash] in
-          the solver layers (lib/core, lib/partition, lib/wrapper,
-          lib/tam) — polymorphic comparison on solver types silently
-          depends on representation, which breaks byte-identical
-          results across refactors. *)
+      (** DET-POLY: no polymorphic [=] / [<] / [compare] /
+          [Hashtbl.hash] in the solver layers (lib/core, lib/partition,
+          lib/wrapper, lib/tam) — polymorphic comparison on solver types
+          silently depends on representation, which breaks
+          byte-identical results across refactors — and no ordering,
+          [compare], [min] or [max] at a type variable anywhere under
+          lib/, where every call is the C runtime's compare. *)
   | Det_entropy
       (** DET-ENTROPY: no [Random], [Sys.time] or [Unix.gettimeofday]
           outside [lib/util/prng] and [lib/util/timer] — all entropy

@@ -39,6 +39,8 @@ let under dir path =
   String.length path > String.length prefix
   && String.sub path 0 (String.length prefix) = prefix
 
+let in_lib path = under "lib" path
+
 let solver_layer path =
   List.exists
     (fun dir -> under dir path)

@@ -19,6 +19,11 @@ val solver_layer : string -> bool
     ([lib/core], [lib/partition], [lib/wrapper], [lib/tam])? DET-POLY
     applies exactly there. *)
 
+val in_lib : string -> bool
+(** Is this path under [lib/]? DET-POLY's type-variable form (an
+    ordering, [compare], [min] or [max] at a type variable) applies
+    there, solver layer or not. *)
+
 val entropy_exempt : string -> bool
 (** Is this path one of the sanctioned entropy/clock wrappers
     ([lib/util/prng.*], [lib/util/timer.*])? DET-ENTROPY does not apply

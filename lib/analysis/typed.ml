@@ -93,16 +93,35 @@ let poly_ident p comps =
     | [ "Hashtbl"; ("hash" | "seeded_hash") ] -> Some "Hashtbl.hash"
     | _ -> None
 
-(* DET-POLY, application form: [=] / [<>] where an operand is
-   syntactically structured (tuple, record, array, argument-carrying
-   constructor or variant), i.e. provably not an immediate comparison.
-   Coercions live in [exp_extra], so they need no stripping. *)
+(* DET-POLY, type-variable form: an ordering, [compare], [min] or [max]
+   instantiated at a type variable. Without flambda nothing specializes
+   it, so every call is the C runtime's polymorphic compare even when
+   the callers only ever pass ints. *)
+let tvar_ordering p comps ty =
+  (not (local_binding p))
+  && (match comps with
+     | [ ("<" | ">" | "<=" | ">=" | "compare" | "min" | "max") ] -> true
+     | _ -> false)
+  &&
+  match Types.get_desc ty with
+  | Types.Tarrow (_, operand, _, _) -> (
+      match Types.get_desc operand with
+      | Types.Tvar _ | Types.Tunivar _ -> true
+      | _ -> false)
+  | _ -> false
+
+(* DET-POLY, application form: [=], [<>], [<], [>], [<=] or [>=] where
+   an operand is syntactically structured (tuple, record, array,
+   argument-carrying constructor or variant) or tuple-typed, i.e.
+   provably not an immediate comparison. Coercions live in [exp_extra],
+   so they need no stripping. *)
 let structured_operand e =
   match e.exp_desc with
   | Texp_tuple _ | Texp_record _ | Texp_array _ -> true
   | Texp_construct (_, _, _ :: _) -> true
   | Texp_variant (_, Some _) -> true
-  | _ -> false
+  | _ -> (
+      match Types.get_desc e.exp_type with Types.Ttuple _ -> true | _ -> false)
 
 (* ALLOC-HOT: calls whose result is a fresh heap block. *)
 let allocating_call comps =
@@ -302,6 +321,7 @@ let report_malformed acc ~path (str : structure) =
 
 let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
   let solver_layer = Source.solver_layer path in
+  let in_lib = Source.in_lib path in
   let entropy_exempt = Source.entropy_exempt path in
   let node_stack = ref [ modname ] in
   let cur_node () = List.hd !node_stack in
@@ -547,15 +567,20 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
                 "boxed float result in a [@soctam.hot] context")
     | _ -> ()
   in
-  let check_ident p comps line =
-    (if solver_layer then
-       match poly_ident p comps with
-       | Some what ->
-           found Rule.Det_poly line
-             "%s in a solver layer; determinism requires a monomorphic \
-              comparison"
-             what
-       | None -> ());
+  let check_ident p comps ty line =
+    (match (if solver_layer then poly_ident p comps else None) with
+    | Some what ->
+        found Rule.Det_poly line
+          "%s in a solver layer; determinism requires a monomorphic \
+           comparison"
+          what
+    | None ->
+        if in_lib && tvar_ordering p comps ty then
+          found Rule.Det_poly line
+            "polymorphic %s at a type variable: every call is the C \
+             runtime's compare; fix the type (Int.compare, Int.min, an \
+             int key) or take a comparison function"
+            (List.hd comps));
     if not entropy_exempt then
       match Effect.entropy_source comps with
       | Some what ->
@@ -575,7 +600,7 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
     | Texp_ident (p, _, _) -> (
         let comps = normalize (comps_of_path p) in
         add_effect (Effect.of_call comps);
-        check_ident p comps (line_of e.exp_loc);
+        check_ident p comps e.exp_type (line_of e.exp_loc);
         match resolve p with
         | None -> ()
         | Some callee ->
@@ -650,14 +675,19 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
     in
     (* DET-POLY, application form. *)
     (match (f.exp_desc, comps, positional) with
-    | Texp_ident (p, _, _), [ (("=" | "<>") as op) ], a :: b :: _
+    | ( Texp_ident (p, _, _),
+        [ (("=" | "<>" | "<" | ">" | "<=" | ">=") as op) ],
+        a :: b :: _ )
       when solver_layer
            && (not (local_binding p))
            && (structured_operand a || structured_operand b) ->
         found Rule.Det_poly line
           "polymorphic %s on a structured value in a solver layer; compare \
            fields explicitly"
-          (if op = "=" then "equality (=)" else "inequality (<>)")
+          (match op with
+          | "=" -> "equality (=)"
+          | "<>" -> "inequality (<>)"
+          | _ -> "ordering (" ^ op ^ ")")
     | _ -> ());
     (* Mutation discipline. *)
     (match mutation_target comps with

@@ -4,8 +4,10 @@
 
     Per file, with resolved identifier paths ([Path.t]), it checks the
     local rules: DET-POLY (polymorphic [compare] / [Hashtbl.hash] and
-    structured [=] / [<>] in solver layers), DET-ENTROPY (the
-    {!Effect.entropy_source} catalog outside the sanctioned wrappers),
+    structured [=] / [<>] / orderings in solver layers, orderings /
+    [compare] / [min] / [max] at a type variable anywhere under lib/),
+    DET-ENTROPY (the {!Effect.entropy_source} catalog outside the
+    sanctioned wrappers),
     DOM-SHARED (top-level containers in pool-reachable libraries), and
     malformed [\[@soctam.allow\]] payloads. Across files it builds a
     module-qualified call graph, marks every function transitively

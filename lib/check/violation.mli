@@ -63,8 +63,9 @@ type kind =
   | Degenerate_core  (** no terminals and no scan: nothing to test *)
   (* Source-level analyzer ([Soctam_analysis]). *)
   | Polymorphic_comparison
-      (** DET-POLY: polymorphic [=]/[compare]/[Hashtbl.hash] in a solver
-          layer *)
+      (** DET-POLY: polymorphic [=]/[<]/[compare]/[Hashtbl.hash] in a
+          solver layer, or an ordering/[compare]/[min]/[max] at a type
+          variable under lib/ *)
   | Entropy_source
       (** DET-ENTROPY: wall clock or [Random] outside the sanctioned
           wrappers *)

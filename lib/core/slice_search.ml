@@ -67,7 +67,9 @@ let counters work own =
       ])
 
 let merge_min a b =
-  match (a, b) with None, t | t, None -> t | Some x, Some y -> Some (min x y)
+  match (a, b) with
+  | None, t | t, None -> t
+  | Some x, Some y -> Some (Int.min x y)
 
 (* -- the slice round ------------------------------------------------------- *)
 

@@ -73,6 +73,7 @@ let matrix t ~widths =
       Array.map (fun width -> time t ~core ~width) widths)
 
 let bottleneck_core t ~width =
+  check_width "bottleneck_core" t width;
   Soctam_util.Select.max_index_by
     (fun row -> row.(width - 1))
     t.times

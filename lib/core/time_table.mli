@@ -67,4 +67,6 @@ val bottleneck_bound : t -> width:int -> int
     this bound. *)
 
 val bottleneck_core : t -> width:int -> int
-(** The 0-based core achieving {!bottleneck_bound}. *)
+(** The 0-based core achieving {!bottleneck_bound}, the lowest index on
+    a tie.
+    @raise Invalid_argument when [width] is outside [1..max_width]. *)

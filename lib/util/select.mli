@@ -14,10 +14,16 @@ val max_index : ('a -> 'a -> int) -> 'a array -> int
     @raise Invalid_argument on an empty array. *)
 
 val min_index_by : ('a -> int) -> 'a array -> int
-(** [min_index_by key a] is the least index minimizing [key a.(i)]. *)
+(** [min_index_by key a] is the least index minimizing [key a.(i)]:
+    keys compare as ints, ties go to the lowest index. [key] is called
+    once per element.
+    @raise Invalid_argument on an empty array. *)
 
 val max_index_by : ('a -> int) -> 'a array -> int
-(** [max_index_by key a] is the least index maximizing [key a.(i)]. *)
+(** [max_index_by key a] is the least index maximizing [key a.(i)]:
+    keys compare as ints, ties go to the lowest index. [key] is called
+    once per element.
+    @raise Invalid_argument on an empty array. *)
 
 val filter_indices : (int -> 'a -> bool) -> 'a array -> int list
 (** Indices whose elements satisfy the predicate, in increasing order. *)

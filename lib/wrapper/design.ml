@@ -18,12 +18,14 @@ type t = {
   layout : chain_layout array;
 }
 
+(* [Int.max] / [Int.min] throughout: [Stdlib.max] / [min] are
+   polymorphic, a C call per use without flambda. *)
 let test_time ~patterns ~scan_in ~scan_out =
-  ((1 + max scan_in scan_out) * patterns) + min scan_in scan_out
+  ((1 + Int.max scan_in scan_out) * patterns) + Int.min scan_in scan_out
 
 let with_chain_count (core : Core_data.t) ~chains =
   if chains < 1 then invalid_arg "Design.with_chain_count: chains must be >= 1";
-  let scan_groups = min chains (Core_data.scan_chain_count core) in
+  let scan_groups = Int.min chains (Core_data.scan_chain_count core) in
   let scan_in = Array.make chains 0 in
   let scan_out = Array.make chains 0 in
   let internal = Array.make chains [] in
@@ -46,15 +48,15 @@ let with_chain_count (core : Core_data.t) ~chains =
       packing.Soctam_schedule.Makespan.assignment
   end;
   (* Bidirectional cells: lengthen both sides of the chosen chain; place
-     where the max of the two resulting lengths is smallest. *)
+     where the max of the two resulting lengths is smallest, then where
+     scan-in is shortest, then at the lowest index. *)
   for _ = 1 to core.Core_data.bidirs do
     let best = ref 0 in
     for j = 1 to chains - 1 do
-      let cand = (max (scan_in.(j) + 1) (scan_out.(j) + 1), scan_in.(j)) in
-      let cur =
-        (max (scan_in.(!best) + 1) (scan_out.(!best) + 1), scan_in.(!best))
-      in
-      if cand < cur then best := j
+      let cand = Int.max scan_in.(j) scan_out.(j) in
+      let cur = Int.max scan_in.(!best) scan_out.(!best) in
+      if cand < cur || (cand = cur && scan_in.(j) < scan_in.(!best)) then
+        best := j
     done;
     scan_in.(!best) <- scan_in.(!best) + 1;
     scan_out.(!best) <- scan_out.(!best) + 1;
@@ -165,7 +167,7 @@ let fill_max ~zeros loads units =
   let rec level count sum next =
     if next < g && (count = 0 || (count * loads.(next)) - sum < units) then
       level (count + 1) (sum + loads.(next)) (next + 1)
-    else max top (Soctam_util.Intutil.ceil_div (units + sum) count)
+    else Int.max top (Soctam_util.Intutil.ceil_div (units + sum) count)
   in
   if units = 0 then top else level zeros 0 0
 
@@ -187,8 +189,8 @@ let chain_time_sorted (core : Core_data.t) ~sorted ~chains =
     if chains >= k then (chains - k, sorted)
     else begin
       (* [Makespan.lpt]'s loads: longest chain first, each onto the first
-         least-loaded wrapper chain. Its per-call sort and polymorphic
-         argmin cost [design] as much as the one layout it builds. *)
+         least-loaded wrapper chain. [sorted] is already in order, so
+         this skips [lpt]'s per-call index sort and assignment array. *)
       let loads = Array.make chains 0 in
       for j = k - 1 downto 0 do
         let m = ref 0 in
@@ -203,11 +205,12 @@ let chain_time_sorted (core : Core_data.t) ~sorted ~chains =
   in
   let cells_in = core.Core_data.bidirs + core.Core_data.inputs in
   let cells_out = core.Core_data.bidirs + core.Core_data.outputs in
-  let scan_groups = min chains k in
+  let scan_groups = Int.min chains k in
   ( test_time ~patterns:core.Core_data.patterns
       ~scan_in:(fill_max ~zeros loads cells_in)
       ~scan_out:(fill_max ~zeros loads cells_out),
-    scan_groups + min (chains - scan_groups) (max cells_in cells_out) )
+    scan_groups
+    + Int.min (chains - scan_groups) (Int.max cells_in cells_out) )
 
 let chain_time core ~chains =
   if chains < 1 then invalid_arg "Design.chain_time: chains must be >= 1";
@@ -219,11 +222,11 @@ let design core ~width =
   (* From one wrapper chain per internal chain and per cell on, the
      fills and the used width stay constant: no later count is better. *)
   let limit =
-    min width
-      (max 1
+    Int.min width
+      (Int.max 1
          (Array.length sorted
          + core.Core_data.bidirs
-         + max core.Core_data.inputs core.Core_data.outputs))
+         + Int.max core.Core_data.inputs core.Core_data.outputs))
   in
   let time1, used1 = chain_time_sorted core ~sorted ~chains:1 in
   let best = ref 1 and best_time = ref time1 and best_used = ref used1 in
@@ -254,9 +257,9 @@ let max_useful_width ?(cap = 256) core =
   let open Core_data in
   let natural =
     scan_chain_count core
-    + max (core.inputs + core.bidirs) (core.outputs + core.bidirs)
+    + Int.max (core.inputs + core.bidirs) (core.outputs + core.bidirs)
   in
-  let limit = max 1 (min cap natural) in
+  let limit = Int.max 1 (Int.min cap natural) in
   let times = time_table core ~max_width:limit in
   let rec first_stable w =
     if w <= 1 then 1

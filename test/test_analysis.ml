@@ -142,7 +142,60 @@ let det_poly_positive () =
 let det_poly_negative () =
   clean "typed comparison is fine"
     (solver "let f a b = Int.compare a b\nlet g x = x = 3\n");
-  clean "outside the solver layer" (plain "let f a b = compare a b\n")
+  clean "outside the solver layer"
+    (plain "let f (a : int * int) b = compare a b\n")
+
+(* The ordering operators join [=] / [<>] in the application form: a
+   structured operand, written out or tuple-typed, is flagged in a
+   solver layer. *)
+let det_poly_ordering_positive () =
+  check_rules "structured <, >=, and tuple-typed <"
+    [ Rule.Det_poly; Rule.Det_poly; Rule.Det_poly ]
+    (solver
+       "let f a b = (a, 1) < b\n\
+        let g (a : int) b = Some a >= b\n\
+        let h (x : int) y =\n\
+       \  let cand = (x + 1, y) and cur = (y, x) in\n\
+       \  cand < cur\n")
+
+let det_poly_ordering_negative () =
+  clean "integer orderings in a solver layer"
+    (solver
+       "let f (a : int) b = a < b || a >= b\n\
+        let g a b = Int.max a b > Int.min a b\n\
+        let h (x : int) y =\n\
+       \  let cand = Int.max x y and cur = Int.max y x in\n\
+       \  cand < cur || (cand = cur && x < y)\n");
+  clean "structured ordering outside the solver layer"
+    (plain "let f a b = (a, 1) < b\n")
+
+(* Anywhere under lib/, an ordering, compare, min or max at a type
+   variable is flagged, since nothing specializes it to an inline
+   compare. The key-typed argmin is the shape that hid it. *)
+let det_poly_tvar_positive () =
+  check_rules "<, >, min, max and compare at a type variable"
+    [ Rule.Det_poly; Rule.Det_poly; Rule.Det_poly; Rule.Det_poly;
+      Rule.Det_poly ]
+    (plain
+       "let lt a b = a < b\n\
+        let by key x y = key x > key y\n\
+        let lo a b = min a b\n\
+        let hi a b = max a b\n\
+        let sort l = List.sort compare l\n");
+  check_rules "one finding for compare at a type variable in a solver layer"
+    [ Rule.Det_poly ]
+    (solver "let f a b = compare a b\n")
+
+let det_poly_tvar_negative () =
+  clean "instantiated orderings under lib/"
+    (plain
+       "let lt (a : int) b = a < b\n\
+        let by (key : 'a -> int) x y = key x > key y\n\
+        let lo a b = Int.min a b\n\
+        let sort (l : string list) = List.sort compare l\n\
+        let pick cmp a b = if cmp a b <= 0 then a else b\n");
+  clean "outside lib/"
+    (in_module "bin/fixture" "let lt a b = a < b\nlet lo a b = min a b\n")
 
 let det_poly_resolved () =
   (* Judged by what the identifier binds: an alias of Hashtbl is
@@ -1159,6 +1212,11 @@ let suite =
     test "DET-POLY flags polymorphic comparison" det_poly_positive;
     test "DET-POLY ignores typed comparison" det_poly_negative;
     test "DET-POLY judges resolved paths" det_poly_resolved;
+    test "DET-POLY flags structured orderings" det_poly_ordering_positive;
+    test "DET-POLY ignores integer orderings" det_poly_ordering_negative;
+    test "DET-POLY flags orderings at a type variable"
+      det_poly_tvar_positive;
+    test "DET-POLY ignores instantiated orderings" det_poly_tvar_negative;
     test "DET-ENTROPY flags entropy sources" det_entropy_positive;
     test "DET-ENTROPY honors exemptions" det_entropy_negative;
     test "DET-ENTROPY sees through module aliases" det_entropy_alias;

@@ -100,6 +100,20 @@ let bottleneck_identifies_max () =
       (Tt.time table ~core:i ~width:12 <= bound)
   done
 
+(* Like every other accessor, a width outside the table is named rather
+   than an array index out of bounds. *)
+let bottleneck_checks_width () =
+  let table = Tt.build (small_soc 7L ~cores:8) ~max_width:12 in
+  List.iter
+    (fun width ->
+      Alcotest.check_raises
+        (Printf.sprintf "width %d" width)
+        (Invalid_argument
+           (Printf.sprintf
+              "Time_table.bottleneck_core: width %d outside 1..12" width))
+        (fun () -> ignore (Tt.bottleneck_core table ~width)))
+    [ 0; 13 ]
+
 let peak_row =
   QCheck.Test.make
     ~name:"time table: peak is the per-width maximum, non-increasing"
@@ -1054,6 +1068,8 @@ let suite =
     test "time table: accessors" table_accessors;
     test "time table: matrix" table_matrix;
     test "time table: bottleneck" bottleneck_identifies_max;
+    test "time table: bottleneck_core checks the width"
+      bottleneck_checks_width;
     test "Core_assign: Figure 2 reproduced" figure2_reproduced;
     test "Core_assign: early exit" core_assign_exceeded;
     test "Core_assign: threshold boundary" core_assign_threshold_boundary;

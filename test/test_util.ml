@@ -96,11 +96,70 @@ let select_min_max () =
 let select_tie_lowest_index () =
   let a = [| 5; 1; 1; 5 |] in
   Alcotest.(check int) "first minimal wins" 1 (Select.min_index compare a);
-  Alcotest.(check int) "first maximal wins" 0 (Select.max_index compare a)
+  Alcotest.(check int) "first maximal wins" 0 (Select.max_index compare a);
+  Alcotest.(check int) "first minimal key wins" 1
+    (Select.min_index_by Fun.id a);
+  Alcotest.(check int) "first maximal key wins" 0
+    (Select.max_index_by Fun.id a);
+  (* Distinct elements, equal keys: the index decides, not the element. *)
+  let b = [| 3; -3; 1; -1 |] in
+  Alcotest.(check int) "first of the tied least keys" 2
+    (Select.min_index_by abs b);
+  Alcotest.(check int) "first of the tied greatest keys" 0
+    (Select.max_index_by abs b);
+  Alcotest.(check int) "all keys tied" 0
+    (Select.min_index_by (fun _ -> 7) b);
+  Alcotest.(check int) "all keys tied, max" 0
+    (Select.max_index_by (fun _ -> 7) b)
 
 let select_empty_raises () =
-  Alcotest.check_raises "empty" (Invalid_argument "Select: empty array")
-    (fun () -> ignore (Select.min_index compare [||]))
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises name (Invalid_argument "Select: empty array")
+        (fun () -> ignore (f [||])))
+    [
+      ("min_index", Select.min_index compare);
+      ("max_index", Select.max_index compare);
+      ("min_index_by", Select.min_index_by Fun.id);
+      ("max_index_by", Select.max_index_by Fun.id);
+    ]
+
+(* The keyed argmin / argmax against a reference fold that keeps the
+   first index whose key is strictly better, on arrays with duplicates,
+   negatives and both ends of the int range. Keys: the element itself
+   and its low three bits (ties on nearly every element). *)
+let select_by_matches_fold =
+  let first_best better key a =
+    snd
+      (Array.fold_left
+         (fun (i, best) x ->
+           (i + 1, if better (Int.compare (key x) (key a.(best))) then i else best))
+         (0, 0) a)
+  in
+  let element =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, int_range (-4) 4);
+          (1, return min_int);
+          (1, return max_int);
+          (1, return (min_int + 1));
+          (1, return (max_int - 1));
+          (2, int);
+        ])
+  in
+  QCheck.Test.make ~name:"Select.*_index_by match a first-wins fold"
+    ~count:500
+    QCheck.(
+      make
+        ~print:Print.(array int)
+        Gen.(array_size (int_range 1 24) element))
+    (fun a ->
+      List.for_all
+        (fun key ->
+          Select.min_index_by key a = first_best (fun c -> c < 0) key a
+          && Select.max_index_by key a = first_best (fun c -> c > 0) key a)
+        [ Fun.id; (fun x -> x land 7) ])
 
 let select_key_transform () =
   let a = [| 1; -5; 3 |] in
@@ -208,6 +267,7 @@ let suite =
     test "select: min/max" select_min_max;
     test "select: tie lowest index" select_tie_lowest_index;
     test "select: empty raises" select_empty_raises;
+    qtest select_by_matches_fold;
     test "select: key transform" select_key_transform;
     test "select: filter_indices" select_filter_indices;
     test "intutil: ceil_div cases" ceil_div_cases;

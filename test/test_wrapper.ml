@@ -54,7 +54,22 @@ let bidirs_count_both_sides () =
   let c = core ~bidirs:9 ~patterns:2 () in
   let d = Design.design c ~width:3 in
   Alcotest.(check int) "si" 3 d.Design.scan_in_max;
-  Alcotest.(check int) "so" 3 d.Design.scan_out_max
+  Alcotest.(check int) "so" 3 d.Design.scan_out_max;
+  (* Ties go to the lowest index, for bidirs and for the cells placed
+     after them: 5 bidirs fill 2, 2, 1; 4 inputs then 1, 1, 2; the one
+     output the third chain. *)
+  let w =
+    Design.with_chain_count
+      (core ~inputs:4 ~outputs:1 ~bidirs:5 ~patterns:1 ())
+      ~chains:3
+  in
+  let cells f = Array.map f w.Design.layout in
+  Alcotest.(check (array int)) "bidir cells" [| 2; 2; 1 |]
+    (cells (fun p -> p.Design.bidir_cells));
+  Alcotest.(check (array int)) "input cells" [| 1; 1; 2 |]
+    (cells (fun p -> p.Design.input_cells));
+  Alcotest.(check (array int)) "output cells" [| 0; 0; 1 |]
+    (cells (fun p -> p.Design.output_cells))
 
 let internal_chain_is_atomic () =
   (* A single 50-bit internal chain cannot be split however wide the TAM:
