@@ -1068,8 +1068,6 @@ let suite =
     test "time table: accessors" table_accessors;
     test "time table: matrix" table_matrix;
     test "time table: bottleneck" bottleneck_identifies_max;
-    test "time table: bottleneck_core checks the width"
-      bottleneck_checks_width;
     test "Core_assign: Figure 2 reproduced" figure2_reproduced;
     test "Core_assign: early exit" core_assign_exceeded;
     test "Core_assign: threshold boundary" core_assign_threshold_boundary;
@@ -1125,4 +1123,6 @@ let suite =
       sweep_truncated_width_skips_finish;
     test "Exhaustive: an imported bound is never reported as its own"
       exhaustive_tau_import;
+    test "time table: bottleneck_core checks the width"
+      bottleneck_checks_width;
   ]
