@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-par test-par-smoke test-resume test-race test-exact bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
+.PHONY: all build test test-par test-par-smoke test-resume test-race test-exact test-anneal bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
 
 all: build
 
@@ -24,7 +24,7 @@ test:
 # thousands of times), hence gated. The same alias runs the wrapper
 # oracle sweep (test/test_wrapper_slow.ml): the closed-form wrapper
 # design against the chain-count sweep on 5,000 cores, widths 1..128
-# (~45 s in all, ~32 s of it the oracle).
+# (~50 s in all, ~40 s of it the oracle, on a 2-vCPU host).
 test-par:
 	SOCTAM_SLOW_TESTS=1 dune build @runtest-slow
 
@@ -57,6 +57,14 @@ test-race: build
 # guard. Runs from the build tree, like test-race.
 test-exact: build
 	cd _build/default/test && ./test_main.exe test ilp
+
+# Annealer suite only (test/test_anneal.ml): the result invariants, the
+# exhaustive lower bound, and the trajectory pins (time, accept counts,
+# architecture and mid-walk token of d695, p93791 and a resumed random
+# SOC) that hold the step loop to one walk. Runs from the build tree,
+# like test-race.
+test-anneal: build
+	cd _build/default/test && ./test_main.exe test anneal
 
 # The layered benchmark's own checks (perfbench/README.md): the
 # statistics and verdict selftest, then one instance per workload with

@@ -834,19 +834,23 @@ let soc_arg =
     & pos 0 (some string) None
     & info [] ~docv:"SOC" ~doc:"Benchmark name or path to a .soc file.")
 
-(* A count that must be >= 1 ([-w], [-b], [--max-tams], [-j],
-   [--checkpoint-every]): zero or a negative value is a usage error at
-   parse time, like a bad [--budget], rather than an [Invalid_argument]
-   out of the solver or the run configuration. *)
-let positive_conv =
+(* A count that must be >= [least]: >= 1 for [-w], [-b], [--max-tams],
+   [-j] and [--checkpoint-every], >= 0 for [--iterations]. A value below
+   it is a usage error at parse time, like a bad [--budget], rather than
+   an [Invalid_argument] out of the solver or the run configuration. *)
+let count_conv least =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    | Some n when n >= least -> Ok n
     | Some _ | None ->
         Error
-          (`Msg (Printf.sprintf "invalid count %S: expected an integer >= 1" s))
+          (`Msg
+            (Printf.sprintf "invalid count %S: expected an integer >= %d" s
+               least))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_conv = count_conv 1
 
 let width_arg =
   Arg.(
@@ -1035,7 +1039,7 @@ let ilp_term = engine_term (Soctam_race.Registry.find "ilp")
 let anneal_term =
   let iterations =
     Arg.(
-      value & opt int 100_000
+      value & opt (count_conv 0) 100_000
       & info [ "iterations" ] ~docv:"N" ~doc:"Annealing moves.")
   in
   let seed =

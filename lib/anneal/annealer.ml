@@ -25,102 +25,195 @@ type result = {
   outcome : Outcome.t;
 }
 
-(* Mutable annealing state: widths and assignment as growable arrays
-   capped at max_tams; energy recomputed in O(cores) per evaluation,
-   cheap because times are table lookups. *)
+(* Mutable annealing state. [widths] and [loads] have [max_tams] slots,
+   the first [tams] live; a slot past [tams] keeps the width it last held
+   (the token carries every slot). [loads.(j)] is TAM [j]'s test time, the
+   sum of its cores' [Time_table.rows] entries at its width, so the energy
+   is a max over at most [max_tams] loads. Every move keeps the loads
+   current: [reassign] moves one core's time between two loads,
+   [shift_wire] reloads its two TAMs, [split] and [merge] reload the TAMs
+   they touch. The loads are never serialized: [walker] derives them
+   from (widths, assignment) on a fresh start and on resume alike. *)
 type state = {
   mutable tams : int;
-  widths : int array;  (* first [tams] entries meaningful *)
+  widths : int array;
   assignment : int array;
+  loads : int array;
 }
 
-let energy table st =
-  let loads = Array.make st.tams 0 in
-  Array.iteri
-    (fun core tam ->
-      loads.(tam) <-
-        loads.(tam) + Tt.time table ~core ~width:st.widths.(tam))
-    st.assignment;
-  Soctam_util.Intutil.max_element loads
+(* Accumulator recursion rather than a [ref]: the hot-path analysis
+   (DESIGN.md §13) counts every [ref] as an allocation. [assignment] is
+   typed: at a type variable the test would be the runtime's polymorphic
+   equality, a C call per core. *)
+let rec load_of rows (assignment : int array) ~tam ~col core acc =
+  if core = Array.length assignment then acc
+  else
+    load_of rows assignment ~tam ~col (core + 1)
+      (if assignment.(core) = tam then acc + rows.(core).(col) else acc)
+[@@soctam.hot]
 
-let copy_state ~max_tams st =
-  {
-    tams = st.tams;
-    widths = Array.sub st.widths 0 max_tams;
-    assignment = Array.copy st.assignment;
-  }
+let reload rows st tam =
+  st.loads.(tam) <-
+    load_of rows st.assignment ~tam ~col:(st.widths.(tam) - 1) 0 0
+[@@soctam.hot]
+
+let walker rows ~tams ~widths ~assignment =
+  let st =
+    { tams; widths; assignment; loads = Array.make (Array.length widths) 0 }
+  in
+  for tam = 0 to tams - 1 do
+    reload rows st tam
+  done;
+  st
+
+let copy_of rows st =
+  walker rows ~tams:st.tams ~widths:(Array.copy st.widths)
+    ~assignment:(Array.copy st.assignment)
+
+let rec max_load (loads : int array) ~tams tam acc =
+  if tam = tams then acc
+  else
+    max_load loads ~tams (tam + 1)
+      (if loads.(tam) > acc then loads.(tam) else acc)
+[@@soctam.hot]
+
+let energy st = max_load st.loads ~tams:st.tams 1 st.loads.(0) [@@soctam.hot]
+
+(* Element loops, not [Array.blit]: the runtime's blit cannot tell an
+   [int array] from a boxed one and pays a write barrier per element
+   when the destination lives in the major heap. *)
+let copy_ints ~(src : int array) ~dst =
+  for i = 0 to Array.length src - 1 do
+    dst.(i) <- src.(i)
+  done
+[@@soctam.hot]
 
 let copy_into ~src ~dst =
   dst.tams <- src.tams;
-  Array.blit src.widths 0 dst.widths 0 (Array.length src.widths);
-  Array.blit src.assignment 0 dst.assignment 0 (Array.length src.assignment)
+  copy_ints ~src:src.widths ~dst:dst.widths;
+  copy_ints ~src:src.assignment ~dst:dst.assignment;
+  copy_ints ~src:src.loads ~dst:dst.loads
+
+(* What a [reassign] or [shift_wire] changed, enough to reverse it: the
+   two TAMs it touched with their loads before the move, and the core it
+   moved from [src] to [dst] ([-1] for a wire shift, which moved one wire
+   from [src] to [dst]). [split] and [merge] renumber or resize more than
+   two TAMs and are reversed from a snapshot instead. *)
+type undo = {
+  mutable core : int;
+  mutable src : int;
+  mutable dst : int;
+  mutable src_load : int;
+  mutable dst_load : int;
+}
+
+let record u st ~core ~src ~dst =
+  u.core <- core;
+  u.src <- src;
+  u.dst <- dst;
+  u.src_load <- st.loads.(src);
+  u.dst_load <- st.loads.(dst)
+[@@soctam.hot]
+
+let undo st u =
+  if u.core >= 0 then st.assignment.(u.core) <- u.src
+  else begin
+    st.widths.(u.src) <- st.widths.(u.src) + 1;
+    st.widths.(u.dst) <- st.widths.(u.dst) - 1
+  end;
+  st.loads.(u.src) <- u.src_load;
+  st.loads.(u.dst) <- u.dst_load
+[@@soctam.hot]
 
 (* Moves return false when inapplicable (state unchanged). *)
 
-let move_shift_wire rng st =
+let move_shift_wire rng rows st u =
   if st.tams < 2 then false
   else begin
     let src = Prng.int rng st.tams in
     let dst = Prng.int rng st.tams in
     if src = dst || st.widths.(src) <= 1 then false
     else begin
+      record u st ~core:(-1) ~src ~dst;
       st.widths.(src) <- st.widths.(src) - 1;
       st.widths.(dst) <- st.widths.(dst) + 1;
+      reload rows st src;
+      reload rows st dst;
       true
     end
   end
+[@@soctam.hot]
 
-let move_reassign rng st =
+let move_reassign rng rows st u =
   if st.tams < 2 then false
   else begin
     let core = Prng.int rng (Array.length st.assignment) in
     let tam = Prng.int rng st.tams in
-    if st.assignment.(core) = tam then false
+    let src = st.assignment.(core) in
+    if src = tam then false
     else begin
+      record u st ~core ~src ~dst:tam;
+      let row = rows.(core) in
+      st.loads.(src) <- st.loads.(src) - row.(st.widths.(src) - 1);
+      st.loads.(tam) <- st.loads.(tam) + row.(st.widths.(tam) - 1);
       st.assignment.(core) <- tam;
       true
     end
   end
+[@@soctam.hot]
 
-let move_split rng ~max_tams st =
+let move_split rng rows ~max_tams st snapshot =
   if st.tams >= max_tams then false
   else begin
     let tam = Prng.int rng st.tams in
     if st.widths.(tam) < 2 then false
     else begin
+      copy_into ~src:st ~dst:snapshot;
+      let fresh = st.tams in
       let moved = 1 + Prng.int rng (st.widths.(tam) - 1) in
-      st.widths.(st.tams) <- moved;
+      st.widths.(fresh) <- moved;
       st.widths.(tam) <- st.widths.(tam) - moved;
       (* Cores stay behind; later reassign moves populate the new TAM,
          but seed it with one random core to make splits useful. *)
       let core = Prng.int rng (Array.length st.assignment) in
-      st.assignment.(core) <- st.tams;
+      let src = st.assignment.(core) in
+      st.assignment.(core) <- fresh;
       st.tams <- st.tams + 1;
+      reload rows st tam;
+      if src <> tam then
+        st.loads.(src) <-
+          st.loads.(src) - rows.(core).(st.widths.(src) - 1);
+      st.loads.(fresh) <- rows.(core).(moved - 1);
       true
     end
   end
 
-let move_merge rng st =
+let swap (a : int array) i j =
+  let v = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- v
+
+let move_merge rng rows st snapshot =
   if st.tams < 2 then false
   else begin
+    copy_into ~src:st ~dst:snapshot;
     let victim = Prng.int rng st.tams in
     let last = st.tams - 1 in
     let into = Prng.int rng (st.tams - 1) in
     (* Swap victim to the end, fold its wires and cores into [into]
        (indices taken in the post-swap numbering). *)
-    let swap_w = st.widths.(victim) in
-    st.widths.(victim) <- st.widths.(last);
-    st.widths.(last) <- swap_w;
-    Array.iteri
-      (fun core tam ->
-        if tam = victim then st.assignment.(core) <- last
-        else if tam = last then st.assignment.(core) <- victim)
-      st.assignment;
+    swap st.widths victim last;
+    swap st.loads victim last;
     st.widths.(into) <- st.widths.(into) + st.widths.(last);
-    Array.iteri
-      (fun core tam -> if tam = last then st.assignment.(core) <- into)
-      st.assignment;
+    for core = 0 to Array.length st.assignment - 1 do
+      let tam = st.assignment.(core) in
+      let tam =
+        if tam = victim then last else if tam = last then victim else tam
+      in
+      st.assignment.(core) <- (if tam = last then into else tam)
+    done;
     st.tams <- st.tams - 1;
+    reload rows st into;
     true
   end
 
@@ -204,6 +297,18 @@ let decode json =
 
 (* -- checkpointed run ------------------------------------------------------ *)
 
+(* The walk's counters, and its temperature in a record of its own: an
+   all-float record stores the float unboxed, so cooling it every
+   iteration allocates nothing. *)
+type walk = {
+  mutable current : int;  (* energy of the walker *)
+  mutable best : int;  (* energy of the incumbent *)
+  mutable accepted : int;
+  mutable proposed : int;
+}
+
+type temperature = { mutable temperature : float }
+
 let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 exception Stopped of Outcome.t
@@ -244,58 +349,61 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
         "Annealer: resume checkpoint was taken under a different annealing \
          schedule")
     restored;
+  let rows = Tt.rows table in
+  (* The walker and the incumbent are rebuilt from the token's widths
+     and assignment, after checking them against this instance: the
+     loads, and so the energy, are a pure function of them. *)
   let st =
     match restored with
     | Some k ->
-        {
-          tams = k.k_tams;
-          widths = Array.copy k.k_widths;
-          assignment = Array.copy k.k_assignment;
-        }
+        (try
+           ignore
+             (Checkpoint.makespan ~table ~total_width ~max_tams
+                ~widths:(Array.sub k.k_widths 0 k.k_tams)
+                ~assignment:k.k_assignment)
+         with Invalid_argument msg ->
+           Checkpoint.fail "anneal walker: %s" msg);
+        walker rows ~tams:k.k_tams ~widths:(Array.copy k.k_widths)
+          ~assignment:(Array.copy k.k_assignment)
     | None ->
-        {
-          tams = 1;
-          widths =
-            Array.init max_tams (fun i -> if i = 0 then total_width else 0);
-          assignment = Array.make cores 0;
-        }
+        walker rows ~tams:1
+          ~widths:
+            (Array.init max_tams (fun i -> if i = 0 then total_width else 0))
+          ~assignment:(Array.make cores 0)
   in
   let rng =
     match restored with
     | Some k -> Prng.of_state k.k_rng
     | None -> Prng.create params.seed
   in
-  (* The walker's energy is a pure function of its state, so it is
-     recomputed on resume instead of being checkpointed. *)
-  let current = ref (energy table st) in
-  let best_state, best =
+  let best_state =
     match restored with
     | Some { k_best = Some b; _ } ->
+        Checkpoint.check_best ~table ~total_width ~max_tams b;
+        let tams = Array.length b.Checkpoint.ba_widths in
         let widths = Array.make max_tams 0 in
-        Array.blit b.Checkpoint.ba_widths 0 widths 0
-          (Array.length b.Checkpoint.ba_widths);
-        ( {
-            tams = Array.length b.Checkpoint.ba_widths;
-            widths;
-            assignment = Array.copy b.Checkpoint.ba_assignment;
-          },
-          ref b.Checkpoint.ba_time )
-    | Some { k_best = None; _ } | None ->
-        (copy_state ~max_tams st, ref !current)
+        Array.blit b.Checkpoint.ba_widths 0 widths 0 tams;
+        walker rows ~tams ~widths
+          ~assignment:(Array.copy b.Checkpoint.ba_assignment)
+    | Some { k_best = None; _ } | None -> copy_of rows st
   in
-  let temperature =
-    ref
-      (match restored with
-      | Some k -> k.k_temperature
-      | None ->
-          if params.initial_temperature > 0. then params.initial_temperature
-          else 0.1 *. float_of_int !current)
+  let w =
+    {
+      current = energy st;
+      best = energy best_state;
+      accepted = (match restored with Some k -> k.k_accepted | None -> 0);
+      proposed = (match restored with Some k -> k.k_proposed | None -> 0);
+    }
   in
-  let accepted =
-    ref (match restored with Some k -> k.k_accepted | None -> 0)
-  in
-  let proposed =
-    ref (match restored with Some k -> k.k_proposed | None -> 0)
+  let temp =
+    {
+      temperature =
+        (match restored with
+        | Some k -> k.k_temperature
+        | None ->
+            if params.initial_temperature > 0. then params.initial_temperature
+            else 0.1 *. float_of_int w.current);
+    }
   in
   let next =
     ref
@@ -303,15 +411,15 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
       | Some k -> k.k_next_iteration
       | None -> 0)
   in
-  let flushed_accepted = ref !accepted in
-  let flushed_proposed = ref !proposed in
+  let flushed_accepted = ref w.accepted in
+  let flushed_proposed = ref w.proposed in
   let flush () =
     if Obs.enabled stats then begin
-      Obs.add stats ~n:(!proposed - !flushed_proposed) "anneal/proposed";
-      Obs.add stats ~n:(!accepted - !flushed_accepted) "anneal/accepted"
+      Obs.add stats ~n:(w.proposed - !flushed_proposed) "anneal/proposed";
+      Obs.add stats ~n:(w.accepted - !flushed_accepted) "anneal/accepted"
     end;
-    flushed_proposed := !proposed;
-    flushed_accepted := !accepted
+    flushed_proposed := w.proposed;
+    flushed_accepted := w.accepted
   in
   let checkpoint_now () =
     let body =
@@ -323,7 +431,7 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
           ("next_iteration", Json.Int !next);
           ("seed", json_hex64 params.seed);
           ("rng", json_hex64 (Prng.state rng));
-          ("temperature", json_float_bits !temperature);
+          ("temperature", json_float_bits temp.temperature);
           ( "initial_temperature",
             json_float_bits params.initial_temperature );
           ("cooling", json_float_bits params.cooling);
@@ -336,11 +444,11 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
                  {
                    Checkpoint.ba_widths =
                      Array.sub best_state.widths 0 best_state.tams;
-                   ba_time = !best;
+                   ba_time = w.best;
                    ba_assignment = best_state.assignment;
                  }) );
-          ("accepted", Json.Int !accepted);
-          ("proposed", Json.Int !proposed);
+          ("accepted", Json.Int w.accepted);
+          ("proposed", Json.Int w.proposed);
         ]
     in
     {
@@ -348,42 +456,48 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
       counters =
         List.filter
           (fun (_, n) -> n > 0)
-          [ ("anneal/proposed", !proposed); ("anneal/accepted", !accepted) ];
+          [ ("anneal/proposed", w.proposed); ("anneal/accepted", w.accepted) ];
       state = Checkpoint.Token { engine = tag; body };
     }
   in
   let deadline = Rc.deadline cfg in
   let slices_done = ref 0 in
-  let backup = copy_state ~max_tams st in
+  let undo_record =
+    { core = -1; src = 0; dst = 0; src_load = 0; dst_load = 0 }
+  in
+  let snapshot = copy_of rows st in
   let step () =
-    copy_into ~src:st ~dst:backup;
+    let move = Prng.int rng 10 in
     let changed =
-      match Prng.int rng 10 with
-      | 0 -> move_split rng ~max_tams st
-      | 1 -> move_merge rng st
-      | 2 | 3 | 4 -> move_shift_wire rng st
-      | 5 | 6 | 7 | 8 | 9 -> move_reassign rng st
+      match move with
+      | 0 -> move_split rng rows ~max_tams st snapshot
+      | 1 -> move_merge rng rows st snapshot
+      | 2 | 3 | 4 -> move_shift_wire rng rows st undo_record
+      | 5 | 6 | 7 | 8 | 9 -> move_reassign rng rows st undo_record
       | _ -> assert false
     in
     if changed then begin
-      incr proposed;
-      let next_e = energy table st in
-      let delta = float_of_int (next_e - !current) in
+      w.proposed <- w.proposed + 1;
+      let next_e = energy st in
+      let delta = float_of_int (next_e - w.current) in
       let accept =
         delta <= 0.
-        || Prng.float rng 1.0 < exp (-.delta /. max 1e-9 !temperature)
+        || Prng.float rng 1.0
+           < exp (-.delta /. Float.max 1e-9 temp.temperature)
       in
       if accept then begin
-        incr accepted;
-        current := next_e;
-        if next_e < !best then begin
-          best := next_e;
+        w.accepted <- w.accepted + 1;
+        w.current <- next_e;
+        if next_e < w.best then begin
+          w.best <- next_e;
           copy_into ~src:st ~dst:best_state
         end
       end
-      else copy_into ~src:backup ~dst:st
+      else if move <= 1 (* split or merge *) then
+        copy_into ~src:snapshot ~dst:st
+      else undo st undo_record
     end;
-    temperature := !temperature *. params.cooling
+    temp.temperature <- temp.temperature *. params.cooling
   in
   let slice_len = Rc.slice_size cfg ~length:params.iterations in
   let outcome =
@@ -411,9 +525,9 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
   {
     widths = Array.sub best_state.widths 0 best_state.tams;
     assignment = Array.copy best_state.assignment;
-    time = !best;
-    accepted = !accepted;
-    proposed = !proposed;
+    time = w.best;
+    accepted = w.accepted;
+    proposed = w.proposed;
     outcome;
   }
 

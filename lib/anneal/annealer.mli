@@ -5,9 +5,11 @@
     The state is a full architecture (TAM count, width partition, core
     assignment); moves shift one wire between TAMs, reassign one core,
     split a TAM in two, or merge two TAMs. The energy is the SOC testing
-    time from the precomputed core time tables. Classic geometric
-    cooling with a Metropolis acceptance rule; fully deterministic given
-    the seed.
+    time, the largest of the per-TAM loads that every move updates in
+    place from the precomputed core time tables: a reassignment costs
+    O(1), the other moves O(cores), and a rejected move is undone in
+    place. Classic geometric cooling with a Metropolis acceptance rule;
+    fully deterministic given the seed.
 
     {!run_with} runs the walk under the shared [Run_config]/[Outcome]
     lifecycle: budget-aware slices over the iteration schedule,
@@ -62,8 +64,11 @@ val run_with :
     import.
 
     @raise Invalid_argument on a table narrower than [total_width],
-    [max_tams < 1], [cfg.tams] set, or a resume checkpoint that does
-    not match this run.
+    [max_tams < 1], [iterations < 0], [cfg.tams] set, or a resume
+    checkpoint that does not match this run, including a walker or
+    incumbent that is not an architecture of this instance and an
+    incumbent time that is not its test time
+    ({!Soctam_core.Checkpoint.check_best}).
     @raise Failure when a checkpoint write to [checkpoint_path]
     fails. *)
 

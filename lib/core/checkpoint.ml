@@ -112,6 +112,50 @@ let best_of_json = function
           ba_assignment = ints_field "assignment" json;
         }
 
+(* A restored architecture is as untrusted as the rest of the body: a
+   hand-edited time or a width list that no longer fits the instance
+   must end the resume here, not surface later as a wrong "optimal"
+   answer or an index error deep in an engine. *)
+let makespan ~table ~total_width ~max_tams ~widths ~assignment =
+  let tams = Array.length widths in
+  if tams < 1 || tams > max_tams then
+    fail "architecture has %d TAMs; this run allows 1 to %d" tams max_tams;
+  Array.iter
+    (fun w -> if w < 1 then fail "architecture has a TAM of width %d" w)
+    widths;
+  let sum = Array.fold_left ( + ) 0 widths in
+  if sum <> total_width then
+    fail "architecture widths sum to %d, not the total width %d" sum
+      total_width;
+  let cores = Time_table.core_count table in
+  if Array.length assignment <> cores then
+    fail "architecture assigns %d cores; the SOC has %d"
+      (Array.length assignment) cores;
+  Array.iteri
+    (fun core tam ->
+      if tam < 0 || tam >= tams then
+        fail "architecture puts core %d on TAM %d of %d" core tam tams)
+    assignment;
+  Soctam_ilp.Exact.makespan ~times:(Time_table.matrix table ~widths)
+    ~assignment
+
+let check_best ~table ~total_width ~max_tams ?tau b =
+  let time =
+    try
+      makespan ~table ~total_width ~max_tams ~widths:b.ba_widths
+        ~assignment:b.ba_assignment
+    with Invalid_argument msg -> fail "checkpoint incumbent: %s" msg
+  in
+  if b.ba_time <> time then
+    fail "checkpoint incumbent: time %d is not its architecture's test time %d"
+      b.ba_time time;
+  Option.iter
+    (fun tau ->
+      if tau < time then
+        fail "checkpoint incumbent: bound %d is below its test time %d" tau
+          time)
+    tau
+
 let decode ~engine f t =
   match t.state with
   | Token tk when String.equal tk.engine engine -> (

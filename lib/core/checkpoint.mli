@@ -14,8 +14,9 @@
     solver-owned observability counters, and the engine tag. Each leaf
     engine ([pe], [exhaustive]/[ilp], [sweep], [pack], [anneal]) encodes
     its own state as an opaque JSON body and decodes and validates it at
-    the start of a resume, with the readers below. The race state stays
-    here, because it nests the other engines' tokens.
+    the start of a resume, with the readers below, and checks a restored
+    incumbent against its instance with {!check_best}. The race state
+    stays here, because it nests the other engines' tokens.
 
     Documents are serialized with the strict {!Soctam_util.Json}
     parser/printer and written atomically (temporary file + rename).
@@ -141,3 +142,32 @@ val json_ints : int array -> Soctam_util.Json.t
 val json_int_opt : int option -> Soctam_util.Json.t
 val best_to_json : best_arch option -> Soctam_util.Json.t
 val best_of_json : Soctam_util.Json.t -> best_arch option
+
+(** {1 Restored architectures} *)
+
+val makespan :
+  table:Time_table.t ->
+  total_width:int ->
+  max_tams:int ->
+  widths:int array ->
+  assignment:int array ->
+  int
+(** [makespan ~table ~total_width ~max_tams ~widths ~assignment] is the
+    test time of a restored architecture, after checking its shape
+    against the instance: 1 to [max_tams] widths, each [>= 1], summing
+    to [total_width], and one TAM index in range for every core of
+    [table].
+    @raise Invalid_argument naming what does not fit. *)
+
+val check_best :
+  table:Time_table.t ->
+  total_width:int ->
+  max_tams:int ->
+  ?tau:int ->
+  best_arch ->
+  unit
+(** The check every restore path runs on a checkpointed incumbent
+    before trusting it: the shape checks of {!makespan}, [ba_time]
+    equal to the recomputed test time, and the restored bound [tau],
+    when the engine carries one, not below it.
+    @raise Invalid_argument naming what does not fit. *)

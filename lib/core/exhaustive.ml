@@ -132,9 +132,10 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   let solved = ref (match restored with Some k -> k.t_solved | None -> 0) in
   let nodes = ref (match restored with Some k -> k.t_nodes | None -> 0) in
   let best =
-    match Option.bind restored (fun k -> k.t_best) with
-    | Some (arch, rank) -> Slice_search.best ~initial:max_int ~rank (Some arch)
-    | None -> Slice_search.best ~initial:max_int None
+    let restored_best = Option.bind restored (fun k -> k.t_best) in
+    Slice_search.best ~table ~total_width ~max_tams:tams ~initial:max_int
+      ?rank:(Option.map snd restored_best)
+      (Option.map fst restored_best)
   in
   let deadline = Run_config.deadline cfg in
   let out_of_time () =

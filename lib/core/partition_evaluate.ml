@@ -333,7 +333,10 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
     restored;
   let work = Slice_search.work cfg in
   let best =
-    Slice_search.best ~initial (Option.bind restored (fun k -> k.k_best))
+    Slice_search.best ~table ~total_width ~max_tams:effective_max
+      ?tau:(Option.map (fun k -> k.k_tau) restored)
+      ~initial
+      (Option.bind restored (fun k -> k.k_best))
   in
   let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
   let done_rev =

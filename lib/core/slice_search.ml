@@ -11,8 +11,9 @@ type best = {
   mutable b_rank : int;
 }
 
-let best ~initial ?(rank = -1) = function
+let best ~table ~total_width ~max_tams ?tau ~initial ?(rank = -1) = function
   | Some (b : Checkpoint.best_arch) ->
+      Checkpoint.check_best ~table ~total_width ~max_tams ?tau b;
       {
         b_widths = b.Checkpoint.ba_widths;
         b_time = b.Checkpoint.ba_time;

@@ -12,9 +12,19 @@ type best = {
 }
 (** The run's incumbent architecture. *)
 
-val best : initial:int -> ?rank:int -> Checkpoint.best_arch option -> best
-(** Restored from a checkpoint (with its [rank], default [-1]), or
-    empty at time [initial]. *)
+val best :
+  table:Time_table.t ->
+  total_width:int ->
+  max_tams:int ->
+  ?tau:int ->
+  initial:int ->
+  ?rank:int ->
+  Checkpoint.best_arch option ->
+  best
+(** Restored from a checkpoint (with its [rank], default [-1]) once
+    {!Checkpoint.check_best} accepts it against the instance, its TAM
+    limit and the restored bound [tau]; or empty at time [initial].
+    @raise Invalid_argument when the check fails. *)
 
 val best_arch : best -> Checkpoint.best_arch option
 

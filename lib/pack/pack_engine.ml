@@ -343,7 +343,11 @@ let run_with (cfg : Rc.t) ~table ~total_width =
     restored;
   let work = Slice_search.work cfg in
   let best =
-    Slice_search.best ~initial (Option.bind restored (fun k -> k.k_best))
+    Slice_search.best ~table ~total_width
+      ~max_tams:(Option.value tams ~default:max_tams)
+      ?tau:(Option.map (fun k -> k.k_tau) restored)
+      ~initial
+      (Option.bind restored (fun k -> k.k_best))
   in
   let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
   let next = ref (match restored with Some k -> k.k_next_rank | None -> 0) in

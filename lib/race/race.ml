@@ -157,7 +157,10 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
   in
   let best =
     match restored with
-    | Some { Checkpoint.ra_best = Some b; ra_winner; _ } ->
+    | Some { Checkpoint.ra_best = Some b; ra_winner; ra_tau; _ } ->
+        Checkpoint.check_best ~table ~total_width
+          ~max_tams:(Option.value cfg.Rc.tams ~default:cfg.Rc.max_tams)
+          ~tau:ra_tau b;
         {
           b_widths = b.Checkpoint.ba_widths;
           b_time = b.Checkpoint.ba_time;

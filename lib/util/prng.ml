@@ -1,19 +1,26 @@
-type t = { mutable state : int64 }
+(* The state word lives in an 8-byte buffer rather than a mutable
+   [int64] field: ocamlopt loads and stores it unboxed, where every
+   update of a boxed field allocates a fresh [int64]. With [next_int64]
+   inlined, [int] and [bool] allocate nothing. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create = of_state
 
-let state t = t.state
+let copy = Bytes.copy
 
-let of_state state = { state }
+let state t = Bytes.get_int64_ne t 0
 
 (* splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators", OOPSLA 2014. *)
-let next_int64 t =
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)

@@ -906,6 +906,80 @@ let chained_resume_counters () =
     (fun (name, a) (_, b) -> Alcotest.(check int) ("counter " ^ name) a b)
     (counters_of straight_stats) (counters_of stats)
 
+(* -- restored incumbents ----------------------------------------------------- *)
+
+(* A checksum-valid token can still carry an incumbent that is not an
+   architecture of this instance, or whose time is not its test time.
+   Trusted, it would come back as the run's answer ("time 5, proven
+   optimal") or crash an engine with a bare index error; every restore
+   path must refuse it with a checkpoint error instead. *)
+let set_best f body =
+  set_field "best" (f (Cp.field "best" body)) body
+
+let pe_forged_incumbent () =
+  let table = Tt.build (Soctam_soc_data.Philips.soc_p21241 ()) ~max_width:64 in
+  let cfg = Rc.default |> Rc.with_soc_name "p21241" in
+  let doc =
+    token_of
+      (Pe.run_with (Rc.with_slice_limit 1 cfg) ~table ~total_width:64)
+        .Pe.outcome
+  in
+  let forged =
+    with_body doc (fun body ->
+        body
+        |> set_best (set_field "time" (Json.Int 5))
+        |> set_field "tau" (Json.Int 5))
+  in
+  rejected_with ~msg:"pe incumbent at time 5" ~mentions:"time 5 is not"
+    (fun () ->
+      Pe.run_with (Rc.with_resume forged cfg) ~table ~total_width:64);
+  (* A bound below the incumbent would prune every candidate and report
+     the incumbent as complete. *)
+  let lowered = with_body doc (set_field "tau" (Json.Int 5)) in
+  rejected_with ~msg:"pe bound 5 under a true incumbent"
+    ~mentions:"bound 5 is below"
+    (fun () ->
+      Pe.run_with (Rc.with_resume lowered cfg) ~table ~total_width:64)
+
+let anneal_cfg = Rc.default |> Rc.with_max_tams 4 |> Rc.with_soc_name "small"
+
+let anneal_resume doc () =
+  An.run_with ~params:anneal_params (Rc.with_resume doc anneal_cfg)
+    ~table:(Lazy.force table) ~total_width:12
+
+let anneal_forged_time () =
+  let forged =
+    with_body (Lazy.force an_doc) (set_best (set_field "time" (Json.Int 5)))
+  in
+  rejected_with ~msg:"anneal incumbent at time 5" ~mentions:"time 5 is not"
+    (anneal_resume forged)
+
+let anneal_too_many_widths () =
+  let widths = Json.List (List.map (fun w -> Json.Int w) [ 3; 3; 2; 2; 2 ]) in
+  let forged =
+    with_body (Lazy.force an_doc) (set_best (set_field "widths" widths))
+  in
+  rejected_with ~msg:"anneal incumbent with 5 TAMs under max_tams 4"
+    ~mentions:"5 TAMs; this run allows 1 to 4" (anneal_resume forged)
+
+let race_forged_incumbent () =
+  let doc = Lazy.force race_doc in
+  let forged =
+    match doc.Cp.state with
+    | Cp.Race ({ Cp.ra_best = Some b; _ } as r) ->
+        {
+          doc with
+          Cp.state =
+            Cp.Race { r with Cp.ra_best = Some { b with Cp.ba_time = 5 } };
+        }
+    | _ -> Alcotest.fail "race document without an incumbent"
+  in
+  rejected_with ~msg:"race incumbent at time 5" ~mentions:"time 5 is not"
+    (fun () ->
+      Runners.race_run ~max_tams:4 ~checkpoint_every:3 ~resume:forged
+        ~engines:(Runners.engines [ "pe"; "anneal" ])
+        ~table:(Lazy.force table) ~total_width:12 ())
+
 let suite =
   [
     test "checkpoint: partition_evaluate round-trip" (round_trip pe_doc);
@@ -944,4 +1018,13 @@ let suite =
     test "resume: sweep continues mid-width, counters exact"
       sweep_midwidth_resume_agrees;
     test "resume: chained resumes keep every counter" chained_resume_counters;
+    test "resume: pe incumbent with a forged time or bound rejected, p21241 \
+          W=64"
+      pe_forged_incumbent;
+    test "resume: anneal incumbent with a forged time rejected"
+      anneal_forged_time;
+    test "resume: anneal incumbent wider than max_tams rejected"
+      anneal_too_many_widths;
+    test "resume: race incumbent with a forged time rejected"
+      race_forged_incumbent;
   ]

@@ -239,6 +239,25 @@ let budget_rejected () =
         "count" );
     ]
 
+(* [--iterations] may be 0 (the walk stays at its starting point) but a
+   negative count is a usage error (exit 124), not the annealer's
+   [Invalid_argument]. *)
+let iterations_rejected () =
+  let anneal = [ "anneal"; "d695"; "-w"; "16" ] in
+  List.iter
+    (fun bad ->
+      let args = anneal @ [ "--iterations=" ^ bad ] in
+      let code, out = run args in
+      let shown = String.concat " " args in
+      Alcotest.(check int) (shown ^ ": usage error") 124 code;
+      Alcotest.(check bool)
+        (shown ^ ": names the count") true
+        (contains out "invalid count"))
+    [ "-1"; "-100000"; "x" ];
+  check_output
+    (anneal @ [ "--iterations=0" ])
+    [ "anneal: partition 16, time 51538 (complete)" ]
+
 let tables_markdown_and_csv () =
   check_output [ "tables"; "--id"; "t4"; "--markdown" ] [ "| :--- |"; "**t4" ];
   check_output [ "tables"; "--id"; "t4"; "--csv" ] [ "circuit,count"; "# t4" ]
@@ -452,4 +471,5 @@ let suite =
     test "--budget: negative, nan and inf rejected; -j, --checkpoint-every, \
           -w, -b and --max-tams: 0 rejected"
       budget_rejected;
+    test "--iterations: negative rejected, 0 accepted" iterations_rejected;
   ]
