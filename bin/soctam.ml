@@ -1,8 +1,10 @@
 (* soctam: command-line driver for wrapper/TAM co-optimization.
 
-   Subcommands: info, wrapper, optimize, exhaustive, tables, gen. An SOC
-   is named either by a built-in benchmark (d695, p21241, p31108, p93791)
-   or by a path to a .soc file. *)
+   Subcommands: info, wrapper; the solvers optimize, exhaustive, ilp,
+   pack, anneal and race, each of which certifies its answer; compare,
+   schedule, sweep, tables, gen; and verify, check, lint and analyze. An
+   SOC is named either by a built-in benchmark (d695, p21241, p31108,
+   p93791) or by a path to a .soc file. *)
 
 let load_soc spec =
   match Soctam_soc_data.Philips.by_name spec with
@@ -85,7 +87,6 @@ type run_opts = {
   ro_checkpoint : string option;
   ro_every : int;
   ro_resume : string option;
-  ro_front_cache : int option;
 }
 
 (* The embedded tokens are deliberately unused here: the solver already
@@ -135,7 +136,6 @@ let with_run_config opts soc f =
           prerr_endline
             ("soctam: resuming " ^ Soctam_core.Checkpoint.describe cp))
         resume;
-      Option.iter Soctam_wrapper.Front.set_capacity opts.ro_front_cache;
       with_stats opts.ro_stats (fun stats ->
           let open Soctam_core.Run_config in
           let cfg =
@@ -235,19 +235,6 @@ let engine_flag_error engine ~tams ~jobs =
     Some (Printf.sprintf "engine %s is sequential: drop -j" name)
   else None
 
-(* Certificate subjects stay what they were before the registry rework
-   so certification output remains recognizable (and pinned by tests). *)
-let certify_subject soc ~width engine_name =
-  match engine_name with
-  | "pe" ->
-      Printf.sprintf "%s co-optimization (W = %d)" soc.Soctam_model.Soc.name
-        width
-  | "anneal" -> "simulated annealing result"
-  | "exhaustive" | "ilp" -> "exhaustive baseline result"
-  | name ->
-      Printf.sprintf "%s %s result (W = %d)" soc.Soctam_model.Soc.name name
-        width
-
 (* Pure status word for the result banner; the token itself is handled
    (persisted and hinted at) by [outcome_status]. *)
 let[@soctam.allow "OUTCOME-DROP"] outcome_word = function
@@ -281,8 +268,19 @@ let save_architecture soc architecture = function
           prerr_endline ("soctam: " ^ msg);
           1)
 
-let certify_claim ~table ~check_exact ~subject soc ~width ~widths ~assignment
-    ~time =
+(* The tail of every solver run that found an architecture: print it,
+   then [details] (the engine's own lines), the lower bounds, honour
+   --save-arch, and certify the claim independently, re-deriving the
+   exact optimum of the chosen partition. A failed save or certificate
+   exits 1; an unfinished run keeps the higher status [outcome_status]
+   gives it. *)
+let finish_run ?(details = ignore) ~name ~table ~opts ~save_arch soc ~width
+    ~widths ~assignment ~time outcome =
+  let architecture = Soctam_tam.Architecture.make ~soc ~widths ~assignment in
+  Format.printf "%a@." Soctam_tam.Architecture.pp architecture;
+  details architecture;
+  print_bounds table ~width ~time;
+  let save_status = save_architecture soc architecture save_arch in
   let claim =
     {
       Soctam_check.Arch_check.total_width = Some width;
@@ -293,12 +291,21 @@ let certify_claim ~table ~check_exact ~subject soc ~width ~widths ~assignment
       time;
     }
   in
-  print_report (Soctam_check.Certify.claim ~table ~check_exact ~subject ~soc claim)
+  let subject =
+    Printf.sprintf "%s %s result (W = %d)" soc.Soctam_model.Soc.name name
+      width
+  in
+  let certify_status =
+    print_report
+      (Soctam_check.Certify.claim ~table ~check_exact:true ~subject ~soc claim)
+  in
+  let oc_status = outcome_status ?checkpoint:opts.ro_checkpoint outcome in
+  max oc_status (if save_status <> 0 then save_status else certify_status)
 
 (* The driver shared by every engine subcommand. [engine] is a registry
    lookup result so subcommands that parameterize their engine (anneal's
    --iterations/--seed) slot in the same way. *)
-let engine_cmd engine spec width tams max_tams opts save_arch certify =
+let engine_cmd engine spec width tams max_tams opts save_arch =
   with_soc spec (fun soc ->
       match engine with
       | Error msg ->
@@ -337,46 +344,22 @@ let engine_cmd engine spec width tams max_tams opts save_arch certify =
                     outcome_status ?checkpoint:opts.ro_checkpoint
                       report.Engine.r_outcome
                   end
-                  else begin
-                    let architecture =
-                      Soctam_tam.Architecture.make ~soc
-                        ~widths:report.Engine.r_widths
-                        ~assignment:report.Engine.r_assignment
-                    in
-                    Format.printf "%a@." Soctam_tam.Architecture.pp
-                      architecture;
-                    Format.printf "%s: partition %a, time %d (%s), %.2fs@."
-                      name Soctam_tam.Architecture.pp_partition
-                      report.Engine.r_widths report.Engine.r_time
-                      (outcome_word report.Engine.r_outcome)
-                      secs;
-                    List.iter
-                      (fun note -> Format.printf "  %s@." note)
-                      report.Engine.r_notes;
-                    Format.printf "%a@." Soctam_tam.Cost.pp
-                      (Soctam_tam.Cost.estimate soc architecture);
-                    print_bounds table ~width ~time:report.Engine.r_time;
-                    let save_status =
-                      save_architecture soc architecture save_arch
-                    in
-                    let certify_status =
-                      if certify then
-                        certify_claim ~table
-                          ~check_exact:(Engine.cert engine).Engine.cert_exact
-                          ~subject:(certify_subject soc ~width name)
-                          soc ~width ~widths:report.Engine.r_widths
-                          ~assignment:report.Engine.r_assignment
-                          ~time:report.Engine.r_time
-                      else 0
-                    in
-                    let oc_status =
-                      outcome_status ?checkpoint:opts.ro_checkpoint
-                        report.Engine.r_outcome
-                    in
-                    max oc_status
-                      (if save_status <> 0 then save_status
-                       else certify_status)
-                  end)))
+                  else
+                    finish_run ~name ~table ~opts ~save_arch soc ~width
+                      ~widths:report.Engine.r_widths
+                      ~assignment:report.Engine.r_assignment
+                      ~time:report.Engine.r_time report.Engine.r_outcome
+                      ~details:(fun architecture ->
+                        Format.printf "%s: partition %a, time %d (%s), %.2fs@."
+                          name Soctam_tam.Architecture.pp_partition
+                          report.Engine.r_widths report.Engine.r_time
+                          (outcome_word report.Engine.r_outcome)
+                          secs;
+                        List.iter
+                          (fun note -> Format.printf "  %s@." note)
+                          report.Engine.r_notes;
+                        Format.printf "%a@." Soctam_tam.Cost.pp
+                          (Soctam_tam.Cost.estimate soc architecture)))))
 
 (* -- race ----------------------------------------------------------------- *)
 
@@ -384,7 +367,7 @@ let engine_cmd engine spec width tams max_tams opts save_arch certify =
    in round-robin slices under one shared pruning bound. Wall time goes
    to stderr so stdout is byte-identical for every -j (the engines and
    the racer are deterministic; only the clock is not). *)
-let race_cmd spec width tams max_tams engines_spec opts save_arch certify =
+let race_cmd spec width tams max_tams engines_spec opts save_arch =
   with_soc spec (fun soc ->
       match Soctam_race.Registry.parse engines_spec with
       | Error msg ->
@@ -467,27 +450,8 @@ let race_cmd spec width tams max_tams engines_spec opts save_arch certify =
                     result.Soctam_race.Race.assignment,
                     result.Soctam_race.Race.time )
               in
-              let architecture =
-                Soctam_tam.Architecture.make ~soc ~widths ~assignment
-              in
-              Format.printf "%a@." Soctam_tam.Architecture.pp architecture;
-              print_bounds table ~width ~time;
-              let save_status = save_architecture soc architecture save_arch in
-              let certify_status =
-                if certify then
-                  certify_claim ~table ~check_exact:true
-                    ~subject:
-                      (Printf.sprintf "%s race winner (W = %d)"
-                         soc.Soctam_model.Soc.name width)
-                    soc ~width ~widths ~assignment ~time
-                else 0
-              in
-              let oc_status =
-                outcome_status ?checkpoint:opts.ro_checkpoint
-                  result.Soctam_race.Race.outcome
-              in
-              max oc_status
-                (if save_status <> 0 then save_status else certify_status)))
+              finish_run ~name:"race" ~table ~opts ~save_arch soc ~width
+                ~widths ~assignment ~time result.Soctam_race.Race.outcome))
 
 (* -- compare ------------------------------------------------------------- *)
 
@@ -513,7 +477,7 @@ let glyph core =
   let alphabet = "123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" in
   String.make 1 alphabet.[core mod String.length alphabet]
 
-let schedule_cmd spec width budget_pct certify =
+let schedule_cmd spec width budget_pct =
   with_soc spec (fun soc ->
       let result =
         Soctam_core.Co_optimize.run_with Soctam_core.Run_config.default soc
@@ -562,11 +526,9 @@ let schedule_cmd spec width budget_pct certify =
             (Soctam_report.Gantt.render
                ~lanes:(Array.length architecture.Soctam_tam.Architecture.widths)
                ~total:sched.Soctam_power.Power_schedule.makespan items);
-          if certify then
-            print_report
-              (Soctam_check.Certify.schedule ~soc ~arch:architecture ~power
-                 sched)
-          else 0)
+          print_report
+            (Soctam_check.Certify.schedule ~soc ~arch:architecture ~power
+               sched))
 
 (* -- sweep --------------------------------------------------------------- *)
 
@@ -931,16 +893,6 @@ let resume_arg =
            resumed run returns the same architecture and counter totals as \
            an uninterrupted one.")
 
-let front_cache_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "front-cache" ] ~docv:"N"
-        ~doc:
-          "Bound the per-core wrapper Pareto-front memo cache at $(docv) \
-           entries (0 disables caching). The cache only affects wall time: \
-           results are byte-identical at every setting. Default 256.")
-
 (* Seconds of wall-clock budget, shared by the solver subcommands and
    [tables]: a finite value >= 0, so a negative, NaN or infinite
    [--budget] is a usage error at parse time rather than an exception
@@ -971,29 +923,12 @@ let budget_arg =
 (* One shared spec for the solver subcommands: every flag above, parsed
    into a [run_opts]. *)
 let run_opts_term =
-  let make ro_jobs ro_stats ro_budget ro_checkpoint ro_every ro_resume
-      ro_front_cache =
-    {
-      ro_jobs;
-      ro_stats;
-      ro_budget;
-      ro_checkpoint;
-      ro_every;
-      ro_resume;
-      ro_front_cache;
-    }
+  let make ro_jobs ro_stats ro_budget ro_checkpoint ro_every ro_resume =
+    { ro_jobs; ro_stats; ro_budget; ro_checkpoint; ro_every; ro_resume }
   in
   Term.(
     const make $ jobs_arg $ stats_arg $ budget_arg $ checkpoint_arg
-    $ checkpoint_every_arg $ resume_arg $ front_cache_arg)
-
-let certify_flag =
-  Arg.(
-    value & flag
-    & info [ "certify" ]
-        ~doc:
-          "Run the independent certifier on the result and fail on any \
-           violation.")
+    $ checkpoint_every_arg $ resume_arg)
 
 let json_flag =
   Arg.(
@@ -1001,7 +936,7 @@ let json_flag =
     & info [ "json" ] ~doc:"Emit the diagnostic report as JSON.")
 
 (* The engine subcommands share one flag surface: the number-of-TAMs
-   plan, the run options, --save-arch and --certify. An engine's caps
+   plan, the run options and --save-arch. An engine's caps
    decide at runtime which combinations are valid. *)
 let tams_arg =
   Arg.(
@@ -1029,7 +964,7 @@ let engine_term engine =
   Term.(
     const (engine_cmd engine)
     $ soc_arg $ width_arg $ tams_arg $ max_tams_arg $ run_opts_term
-    $ save_arch_arg $ certify_flag)
+    $ save_arch_arg)
 
 let optimize_term = engine_term (Soctam_race.Registry.find "pe")
 let pack_term = engine_term (Soctam_race.Registry.find "pack")
@@ -1059,7 +994,7 @@ let anneal_term =
   Term.(
     const (fun iterations seed -> engine_cmd (anneal_engine iterations seed))
     $ iterations $ seed $ soc_arg $ width_arg $ tams_arg $ max_tams_arg
-    $ run_opts_term $ save_arch_arg $ certify_flag)
+    $ run_opts_term $ save_arch_arg)
 
 let race_term =
   let engines =
@@ -1073,7 +1008,7 @@ let race_term =
   in
   Term.(
     const race_cmd $ soc_arg $ width_arg $ tams_arg $ max_tams_arg $ engines
-    $ run_opts_term $ save_arch_arg $ certify_flag)
+    $ run_opts_term $ save_arch_arg)
 
 let compare_term = Term.(const compare_cmd $ soc_arg $ width_arg)
 
@@ -1084,7 +1019,7 @@ let schedule_term =
       & info [ "budget-pct" ] ~docv:"PCT"
           ~doc:"Power budget as a percentage of the unconstrained peak.")
   in
-  Term.(const schedule_cmd $ soc_arg $ width_arg $ budget_pct $ certify_flag)
+  Term.(const schedule_cmd $ soc_arg $ width_arg $ budget_pct)
 
 let sweep_term =
   let from_w =

@@ -97,8 +97,7 @@ let synopsis = function
        dropped binding)"
   | Engine_caps ->
       "Engine.S caps record contradicted by the implementation: run \
-       reaches the domain pool without caps.parallel, or caps.proves \
-       without a lib/check certificate spec"
+       reaches the domain pool without caps.parallel"
   | Tau_discipline ->
       "direct Shared_min.get inside a [@soctam.hot] scope (bypasses the \
        worker mirror), or Shared_min.improve from worker code (skips the \

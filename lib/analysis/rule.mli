@@ -67,9 +67,7 @@ type id =
       (** ENGINE-CAPS: an [Engine.S] implementation whose
           [caps] record contradicts its body — [run] reaches
           [Pool.map_chunks] / [Slice_search.round] / [Team.round] /
-          [Domain.spawn] while [caps.parallel] is [false], or
-          [caps.proves] is [true] with a [cert] spec requesting no
-          lib/check certificate. *)
+          [Domain.spawn] while [caps.parallel] is [false]. *)
   | Tau_discipline
       (** TAU-DISCIPLINE: a direct [Shared_min.get] inside
           a [\[@soctam.hot\]] scope (the mirror exists precisely so hot

@@ -168,13 +168,11 @@ let resume_constructor (cd : Types.constructor_description) =
      | Types.Tconstr (Path.Pident _, _, _) -> false
      | _ -> true
 
-(* ENGINE-CAPS: recognize [Engine.caps] / [Engine.cert] record literals
-   by their exact label set, and read off literally-written booleans
-   ([None] for a computed field, which the rule then trusts). *)
+(* ENGINE-CAPS: recognize [Engine.caps] record literals by their exact
+   label set, and read off literally-written booleans ([None] for a
+   computed field, which the rule then trusts). *)
 let caps_labels =
   [ "free_tams_only"; "imports_tau"; "needs_fixed_tams"; "parallel"; "proves" ]
-
-let cert_labels = [ "cert_exact"; "cert_packing" ]
 
 let record_labels fields =
   Array.to_list fields
@@ -222,7 +220,6 @@ type cmut = {
 type caps_decl = {
   e_owner : string;  (** node of the enclosing module/functor body *)
   e_parallel : bool option;
-  e_proves : bool option;
   e_path : string;
   e_line : int;
 }
@@ -249,8 +246,6 @@ type acc = {
   direct_effects : (string, Effect.t) Hashtbl.t;
       (** node -> effect of its own body, before propagation *)
   engine_caps : caps_decl list ref;
-  engine_certs : (string * bool) list ref;
-      (** (owner, requests at least one certificate) *)
   tau_exports : tau_export list ref;  (** [Shared_min.improve] sites *)
   findings : Finding.t list ref;  (** decided during the walk *)
   spans : (string * Allow.span) list ref;  (** (path, span) *)
@@ -270,7 +265,6 @@ let create_acc () =
     lock_pairs = ref [];
     direct_effects = Hashtbl.create 256;
     engine_caps = ref [];
-    engine_certs = ref [];
     tau_exports = ref [];
     findings = ref [];
     spans = ref [];
@@ -841,8 +835,8 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
              else self.expr self vb.vb_expr);
             node_stack := List.tl !node_stack
         | _ ->
-            (* ENGINE-CAPS: a [caps] / [cert] record literal with exactly
-               the Engine.S label set declares the enclosing module's
+            (* ENGINE-CAPS: a [caps] record literal with exactly the
+               Engine.S label set declares the enclosing module's
                contract; the post-pass checks it against the call graph. *)
             (match vb.vb_expr.exp_desc with
             | Texp_record { fields; _ }
@@ -851,22 +845,10 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
                   {
                     e_owner = cur_node ();
                     e_parallel = literal_bool_field fields "parallel";
-                    e_proves = literal_bool_field fields "proves";
                     e_path = path;
                     e_line = line;
                   }
                   :: !(acc.engine_caps)
-            | Texp_record { fields; _ }
-              when name = "cert" && record_labels fields = cert_labels ->
-                (* A computed field gets the benefit of the doubt: only a
-                   cert spec that is literally all-false requests nothing. *)
-                let requests =
-                  List.exists
-                    (fun l -> literal_bool_field fields l <> Some false)
-                    cert_labels
-                in
-                acc.engine_certs :=
-                  (cur_node (), requests) :: !(acc.engine_certs)
             | _ -> ());
             (match mutable_allocation vb.vb_expr with
             | Some (what, _) ->
@@ -1329,7 +1311,7 @@ let run ~root ~sources =
   List.iter
     (fun c ->
       let run_node = c.e_owner ^ ".run" in
-      (match c.e_parallel with
+      match c.e_parallel with
       | Some false when Hashtbl.mem acc.defs run_node && reaches_pool run_node
         ->
           acc.findings :=
@@ -1343,26 +1325,6 @@ let run ~root ~sources =
                    domain pool; set caps.parallel = true or drop the pool \
                    call"
                   c.e_owner run_node;
-            }
-            :: !(acc.findings)
-      | _ -> ());
-      match c.e_proves with
-      | Some true
-        when not
-               (List.exists
-                  (fun (owner, requests) -> owner = c.e_owner && requests)
-                  !(acc.engine_certs)) ->
-          acc.findings :=
-            {
-              Finding.rule = Rule.Engine_caps;
-              path = c.e_path;
-              line = c.e_line;
-              message =
-                Printf.sprintf
-                  "caps for %s declare proves = true but the cert spec \
-                   requests no lib/check certificate (cert_exact and \
-                   cert_packing both false or absent)"
-                  c.e_owner;
             }
             :: !(acc.findings)
       | _ -> ())

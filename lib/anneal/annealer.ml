@@ -547,8 +547,6 @@ end) : Soctam_core.Engine.S = struct
       proves = false;
     }
 
-  let cert = { Soctam_core.Engine.cert_exact = true; cert_packing = false }
-
   let check_body json = ignore (decode json)
 
   let run (cfg : Rc.t) (inst : Soctam_core.Engine.instance) =

@@ -1,6 +1,7 @@
 (** One-call certification entry points, returning structured
     {!Report.t}s. This is the API the CLI's [soctam check] / [soctam
-    lint] subcommands and the [--certify] flag are built on. *)
+    lint] subcommands and the certificate every solver subcommand and
+    [soctam schedule] print are built on. *)
 
 val architecture :
   ?table:Soctam_core.Time_table.t ->
@@ -73,9 +74,9 @@ val packing :
   Report.t
 (** Certify a rectangle schedule geometrically (see
     {!Schedule_check.certify_packing}); with [table] the schedule must
-    also be a complete, duration-exact test of the table's SOC. This is
-    what [soctam pack --certify] runs on the packing engine's emitted
-    schedule. *)
+    also be a complete, duration-exact test of the table's SOC. The
+    test suite runs it on the packing engine's emitted schedules
+    ([test/test_pack.ml], [test/golden_rows.ml]); the CLI does not. *)
 
 val soc : Soctam_model.Soc.t -> Report.t
 (** Semantic lint of a parsed SOC. *)

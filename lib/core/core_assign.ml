@@ -123,7 +123,7 @@ let finish stats ~cores ~assignment ~loads exceeded =
       }
   end
 
-let run_bounded ?stats ~best ~times ~widths () =
+let run ?stats ?(best = max_int) ~times ~widths () =
   let cores = Array.length times in
   if cores = 0 then invalid_arg "Core_assign.run: no cores";
   let tams = Array.length widths in
@@ -151,14 +151,8 @@ let run_bounded ?stats ~best ~times ~widths () =
   done;
   finish stats ~cores ~assignment ~loads !exceeded
 
-let run ?stats ?(best = max_int) ~times ~widths () =
-  run_bounded ?stats ~best ~times ~widths ()
-
 let run_table ?stats ?best ~table ~widths () =
   run ?stats ?best ~times:(Time_table.matrix table ~widths) ~widths ()
-
-let run_table_bounded ?stats ~best ~table ~widths () =
-  run_bounded ?stats ~best ~times:(Time_table.matrix table ~widths) ~widths ()
 
 (* -- allocation-free direct-table variant ---------------------------------- *)
 
@@ -191,11 +185,11 @@ let select_core_rows (rows : int array array) unassigned widths j =
   done;
   !best_i
 
-(* The same greedy loop as [run_bounded], reading testing times straight
+(* The same greedy loop as [run], reading testing times straight
    out of the table rows ([rows.(i).(widths.(j) - 1)]) instead of a
    per-partition [Time_table.matrix] copy, and reusing caller-owned
    scratch arrays instead of allocating three per call. The loop and
-   [select_core_rows] are kept as deliberate twins of [run_bounded]'s
+   [select_core_rows] are kept as deliberate twins of [run]'s
    rather than abstracted over the time lookup: an indirect lookup
    there costs on the order of the whole remaining loop body, and the
    equivalence is pinned by a qcheck property (test_core.ml) instead of
@@ -226,7 +220,7 @@ let greedy_direct ~stats ~scratch:s ~best ~rows ~widths =
     unassigned.(i) <- false;
     loads.(j) <- loads.(j) + rows.(i).(widths.(j) - 1);
     incr assigned;
-    (* Lines 18-20, as in [run_bounded]. *)
+    (* Lines 18-20, as in [run]. *)
     if loads.(j) >= best then exceeded := !assigned
   done;
   finish stats ~cores ~assignment ~loads !exceeded

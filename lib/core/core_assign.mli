@@ -68,18 +68,6 @@ val run :
     accumulates the work done by this call.
     @raise Invalid_argument on empty or ragged inputs. *)
 
-val run_bounded :
-  ?stats:stats ->
-  best:int ->
-  times:int array array ->
-  widths:int array ->
-  unit ->
-  outcome
-(** {!run} with the early-exit bound as a required label: the call site
-    passes a plain [int] instead of boxing [Some bound] per call, which
-    is what the per-partition hot loops need ([max_int] means no early
-    exit, exactly {!run}'s default). *)
-
 val run_table :
   ?stats:stats ->
   ?best:int ->
@@ -88,15 +76,6 @@ val run_table :
   unit ->
   outcome
 (** Convenience wrapper deriving [times] from a precomputed table. *)
-
-val run_table_bounded :
-  ?stats:stats ->
-  best:int ->
-  table:Time_table.t ->
-  widths:int array ->
-  unit ->
-  outcome
-(** {!run_bounded} over a precomputed table. *)
 
 val cut : table:Time_table.t -> best:int -> widest:int -> second:int -> int
 (** The first two assignment steps in closed form, for a partition
@@ -140,10 +119,10 @@ val run_table_direct :
   widths:int array ->
   unit ->
   outcome
-(** {!run_table_bounded} without the per-partition garbage: testing
+(** {!run_table} without the per-partition garbage: testing
     times are read straight from {!Time_table.rows} (no
     [Time_table.matrix] copy) and the working arrays come from
-    [scratch]. Outcome-identical to {!run_table_bounded} on every
+    [scratch]. Outcome-identical to {!run_table} on every
     input (pinned by a qcheck property), including tie-breaking.
 
     The first two steps come from {!cut} after an O(B) width check,

@@ -19,15 +19,9 @@ type report = {
   r_notes : string list;
 }
 
-type cert = {
-  cert_exact : bool;
-  cert_packing : bool;
-}
-
 module type S = sig
   val name : string
   val caps : caps
-  val cert : cert
   val check_body : Soctam_util.Json.t -> unit
   val run : Run_config.t -> instance -> report
 end
@@ -36,7 +30,6 @@ type t = (module S)
 
 let name (module E : S) = E.name
 let caps (module E : S) = E.caps
-let cert (module E : S) = E.cert
 let check_token (module E : S) token =
   Checkpoint.decode ~engine:E.name E.check_body token
 let run (module E : S) = E.run
@@ -60,8 +53,6 @@ module Pe : S = struct
       free_tams_only = false;
       proves = false;
     }
-
-  let cert = { cert_exact = true; cert_packing = false }
 
   let check_body = Partition_evaluate.check_body
 
@@ -133,8 +124,6 @@ module Ex : S = struct
       proves = true;
     }
 
-  let cert = { cert_exact = true; cert_packing = false }
-
   let check_body = Exhaustive.check_body
 
   let run (cfg : Run_config.t) inst =
@@ -157,8 +146,6 @@ module Ilp : S = struct
       free_tams_only = false;
       proves = true;
     }
-
-  let cert = { cert_exact = true; cert_packing = false }
 
   let check_body = Exhaustive.check_body
 

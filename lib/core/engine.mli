@@ -8,10 +8,10 @@
     plumbing. An {!S} packages one solver behind a uniform surface:
     a registry name, a {!caps} record the callers use to validate
     flag/engine combinations, a slice-aware [run] on the shared
-    {!Run_config.t} policy, the decoder of the resume-token body it
-    owns, and a {!cert} spec naming the [lib/check] certificates that
-    apply to its reports. The racing portfolio ([Soctam_race.Race]) and
-    the CLI subcommands both drive engines only through this interface.
+    {!Run_config.t} policy, and the decoder of the resume-token body it
+    owns. The racing portfolio ([Soctam_race.Race]) and the CLI
+    subcommands both drive engines only through this interface; the CLI
+    certifies every report it prints with [lib/check].
 
     The adapters for the solvers living in [lib/core] are defined here
     ({!pe}, {!exhaustive}, {!ilp}); [lib/pack] and [lib/anneal] export
@@ -54,22 +54,11 @@ type report = {
   r_notes : string list;  (** human-readable one-liners for the CLI *)
 }
 
-type cert = {
-  cert_exact : bool;
-      (** the architecture certificate may re-derive the exact optimum
-          of the chosen partition ([Certify.architecture
-          ~check_exact:true]) at reasonable cost *)
-  cert_packing : bool;
-      (** the engine's schedule admits the rectangle-packing
-          certificate ([Certify.packing]) *)
-}
-
 module type S = sig
   val name : string
   (** Registry name ([pe], [pack], [anneal], ...). *)
 
   val caps : caps
-  val cert : cert
 
   val check_body : Soctam_util.Json.t -> unit
   (** Decode and validate a resume-token body this engine wrote,
@@ -88,7 +77,6 @@ type t = (module S)
 
 val name : t -> string
 val caps : t -> caps
-val cert : t -> cert
 
 val check_token : t -> Checkpoint.t -> unit
 (** The token check the racer runs on every embedded slot token before

@@ -468,9 +468,6 @@ module E : Soctam_core.Engine.S = struct
       proves = false;
     }
 
-  let cert =
-    { Soctam_core.Engine.cert_exact = true; cert_packing = true }
-
   let check_body json = ignore (decode json)
 
   let run (cfg : Rc.t) (inst : Soctam_core.Engine.instance) =

@@ -675,8 +675,7 @@ let outcome_drop_typed_allow () =
   Alcotest.(check int) "and counts it" 1 t.Typed.suppressed
 
 let engine_caps_typed_positive () =
-  (* Two dishonest engines: serial caps over a run that spawns a
-     domain, and a proving engine that never declares a certificate. *)
+  (* A dishonest engine: serial caps over a run that spawns a domain. *)
   let t =
     typed_run
       [ ( "fixture.ml",
@@ -699,30 +698,17 @@ let engine_caps_typed_positive () =
           \  let run () =\n\
           \    let d = Domain.spawn (fun () -> 1) in\n\
           \    Domain.join d\n\
-           end\n\n\
-           module Prover = struct\n\
-          \  let caps =\n\
-          \    {\n\
-          \      free_tams_only = false;\n\
-          \      imports_tau = false;\n\
-          \      needs_fixed_tams = false;\n\
-          \      parallel = false;\n\
-          \      proves = true;\n\
-          \    }\n\n\
-          \  let run () = 0\n\
            end\n" ) ]
   in
   Alcotest.(check (list string))
-    "serial caps over a pooled run, proves without a cert"
-    [ "ENGINE-CAPS"; "ENGINE-CAPS" ]
-    (typed_rules t);
+    "serial caps over a pooled run" [ "ENGINE-CAPS" ] (typed_rules t);
   Alcotest.(check (list int))
-    "at the caps declarations" [ 10; 25 ]
+    "at the caps declaration" [ 10 ]
     (List.map (fun (f : Analyze.finding) -> f.Analyze.line) t.Typed.findings)
 
 let engine_caps_typed_negative () =
-  (* Honest declarations: parallel caps over a pooled run, and a
-     proving engine that carries its certificate record. *)
+  (* Honest declarations: parallel (and proving) caps over a pooled
+     run, and serial caps over a run that stays on its domain. *)
   let t =
     typed_run
       [ ( "fixture.ml",
@@ -733,7 +719,6 @@ let engine_caps_typed_negative () =
           \  parallel : bool;\n\
           \  proves : bool;\n\
            }\n\n\
-           type engine_cert = { cert_exact : bool; cert_packing : bool }\n\n\
            module Honest = struct\n\
           \  let caps =\n\
           \    {\n\
@@ -743,7 +728,6 @@ let engine_caps_typed_negative () =
           \      parallel = true;\n\
           \      proves = true;\n\
           \    }\n\n\
-          \  let cert = { cert_exact = true; cert_packing = false }\n\n\
           \  let run () =\n\
           \    let d = Domain.spawn (fun () -> 1) in\n\
           \    Domain.join d\n\

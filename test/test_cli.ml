@@ -267,16 +267,28 @@ let wrapper_layout_flag () =
     [ "wrapper"; "d695"; "-c"; "4"; "-w"; "6"; "--layout" ]
     [ "chain  1:"; "internal" ]
 
-let optimize_certify_flag () =
-  check_output
-    [ "optimize"; "d695"; "-w"; "16"; "-b"; "2"; "--certify" ]
-    [ "OK: d695 co-optimization (W = 16)" ];
-  check_output
-    [ "optimize"; "d695"; "-w"; "16"; "-b"; "2"; "-j"; "4"; "--certify" ]
-    [ "OK: d695 co-optimization (W = 16)" ];
-  check_output
-    [ "anneal"; "d695"; "-w"; "12"; "--iterations"; "5000"; "--certify" ]
-    [ "OK: simulated annealing result" ]
+(* Every solver subcommand certifies its answer without being asked:
+   exit 0 and the certificate's OK line. *)
+let solvers_certify () =
+  List.iter
+    (fun (args, needle) -> check_output args [ needle ])
+    [
+      ( [ "optimize"; "d695"; "-w"; "16"; "-b"; "2" ],
+        "OK: d695 pe result (W = 16)" );
+      ( [ "optimize"; "d695"; "-w"; "16"; "-b"; "2"; "-j"; "4" ],
+        "OK: d695 pe result (W = 16)" );
+      ( [ "pack"; "d695"; "-w"; "16"; "-b"; "2" ],
+        "OK: d695 pack result (W = 16)" );
+      ( [ "anneal"; "d695"; "-w"; "12"; "--iterations"; "5000" ],
+        "OK: d695 anneal result (W = 12)" );
+      ( [ "exhaustive"; "d695"; "-w"; "16"; "-b"; "2" ],
+        "OK: d695 exhaustive result (W = 16)" );
+      ( [ "ilp"; "d695"; "-w"; "16"; "-b"; "2" ],
+        "OK: d695 ilp result (W = 16)" );
+      ([ "race"; "d695"; "-w"; "16" ], "OK: d695 race result (W = 16)");
+      ( [ "schedule"; "d695"; "-w"; "16"; "--budget-pct"; "60" ],
+        "OK: d695 test schedule" );
+    ]
 
 let check_command_roundtrip () =
   let path = Filename.temp_file "cli_check" ".arch" in
@@ -377,10 +389,29 @@ let stats_leaves_stdout_untouched () =
   Alcotest.(check int) "stats exit" 0 code_stats;
   Alcotest.(check string) "stdout byte-identical" plain with_stats
 
+(* Certification is not optional and the front cache is not a knob:
+   both former options are now usage errors. *)
+let rejected_options =
+  List.iter (fun args -> check_output ~code:124 args [ "unknown option" ])
+
+let optimize_certify_flag () =
+  rejected_options
+    [
+      [ "optimize"; "d695"; "-w"; "16"; "-b"; "2"; "--certify" ];
+      [ "optimize"; "d695"; "-w"; "16"; "-b"; "2"; "-j"; "4"; "--certify" ];
+      [ "anneal"; "d695"; "-w"; "12"; "--iterations"; "5000"; "--certify" ];
+    ]
+
 let schedule_certify_flag () =
-  check_output
-    [ "schedule"; "d695"; "-w"; "16"; "--budget-pct"; "60"; "--certify" ]
-    [ "OK: d695 test schedule" ]
+  rejected_options
+    [ [ "schedule"; "d695"; "-w"; "16"; "--budget-pct"; "60"; "--certify" ] ]
+
+let removed_options_rejected () =
+  rejected_options
+    [
+      [ "race"; "d695"; "-w"; "16"; "--certify" ];
+      [ "optimize"; "d695"; "-w"; "16"; "--front-cache"; "8" ];
+    ]
 
 let version_flag () =
   check_output [ "--version" ] [ "1.1.0" ]
@@ -472,4 +503,6 @@ let suite =
           -w, -b and --max-tams: 0 rejected"
       budget_rejected;
     test "--iterations: negative rejected, 0 accepted" iterations_rejected;
+    test "solvers: certified without a flag" solvers_certify;
+    test "removed options: usage errors" removed_options_rejected;
   ]

@@ -294,7 +294,7 @@ let randomized_variant_is_sound =
       && time = Soctam_ilp.Exact.makespan ~times ~assignment)
 
 (* The direct-table variant is a deliberate code twin of
-   [run_table_bounded] (see core_assign.ml); this property is the pin
+   [run_table] (see core_assign.ml); this property is the pin
    that keeps the two loops behaviorally identical, including
    tie-breaking, early-exit step counts and stats accounting. *)
 let equal_outcome a b =
@@ -321,9 +321,9 @@ let step2_load table ~w1 ~w2 =
   done;
   !load
 
-let direct_matches_bounded =
+let direct_matches_table =
   QCheck.Test.make
-    ~name:"Core_assign: run_table_direct identical to run_table_bounded"
+    ~name:"Core_assign: run_table_direct identical to run_table"
     ~count:300
     QCheck.(quad (int_range 1 1000) (int_range 1 5) (int_range 0 4) bool)
     (fun (seed, tams, bound_kind, ties) ->
@@ -339,7 +339,7 @@ let direct_matches_bounded =
         Array.init tams (fun j ->
             1 + Prng.int rng (if bound_kind = 4 && j > 0 then 3 else 12))
       in
-      let reference = Ca.run_table_bounded ~best:max_int ~table ~widths () in
+      let reference = Ca.run_table ~table ~widths () in
       let top2 widths =
         let sorted = Array.copy widths in
         Array.sort Int.compare sorted;
@@ -369,9 +369,7 @@ let direct_matches_bounded =
       let scratch = Ca.scratch () in
       let check widths =
         let sb = Ca.stats () and sd = Ca.stats () in
-        let bounded =
-          Ca.run_table_bounded ~stats:sb ~best ~table ~widths ()
-        in
+        let looped = Ca.run_table ~stats:sb ~best ~table ~widths () in
         let direct =
           Ca.run_table_direct ~stats:sd ~scratch ~best ~table ~widths ()
         in
@@ -382,10 +380,10 @@ let direct_matches_bounded =
         let widest, second = top2 widths in
         let step = Ca.cut ~table ~best ~widest ~second in
         let exited =
-          match bounded with Ca.Exceeded ((1 | 2) as k) -> k | _ -> 0
+          match looped with Ca.Exceeded ((1 | 2) as k) -> k | _ -> 0
         in
         let declines = second > 0 && Tt.peak_core table ~width:widest < 0 in
-        equal_outcome bounded direct
+        equal_outcome looped direct
         && (step = exited || (declines && exited = 2 && step = 0))
         && ((not declines) || step <> 2)
         && sb.Ca.tried = sd.Ca.tried
@@ -1075,7 +1073,7 @@ let suite =
     qtest core_assign_complete_and_consistent;
     qtest core_assign_never_beats_exact;
     qtest core_assign_heuristic_quality;
-    qtest direct_matches_bounded;
+    qtest direct_matches_table;
     qtest tie_break_matches_reference;
     qtest randomized_variant_is_sound;
     qtest randomized_restarts_help;
