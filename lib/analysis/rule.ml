@@ -70,7 +70,7 @@ let synopsis = function
   | Det_poly ->
       "polymorphic =/</compare/Hashtbl.hash in a solver layer \
        (lib/core, lib/partition, lib/wrapper, lib/tam), or an \
-       ordering/compare/min/max at a type variable under lib/"
+       equality/ordering/compare/min/max at a type variable under lib/"
   | Det_entropy ->
       "Random / Sys.time / Unix.gettimeofday outside lib/util/prng and \
        lib/util/timer"
@@ -86,7 +86,8 @@ let synopsis = function
        inconsistent lock acquisition order"
   | Alloc_hot ->
       "allocation (closure, tuple, boxed float/option, list cons, array) \
-       inside a [@soctam.hot] function or loop"
+       or an array read at a type variable inside a [@soctam.hot] \
+       function or loop"
   | Effect_worker ->
       "inferred write effect on non-worker-local mutable state reachable \
        from a Pool / Domain.spawn worker closure without an atomic or \

@@ -93,21 +93,25 @@ let poly_ident p comps =
     | [ "Hashtbl"; ("hash" | "seeded_hash") ] -> Some "Hashtbl.hash"
     | _ -> None
 
-(* DET-POLY, type-variable form: an ordering, [compare], [min] or [max]
-   instantiated at a type variable. Without flambda nothing specializes
-   it, so every call is the C runtime's polymorphic compare even when
-   the callers only ever pass ints. *)
-let tvar_ordering p comps ty =
+let is_tvar ty =
+  match Types.get_desc ty with
+  | Types.Tvar _ | Types.Tunivar _ -> true
+  | _ -> false
+
+(* DET-POLY, type-variable form: an equality, an ordering, [compare],
+   [min] or [max] instantiated at a type variable. Without flambda
+   nothing specializes it, so every call is the C runtime's polymorphic
+   compare even when the callers only ever pass ints. *)
+let tvar_comparison p comps ty =
   (not (local_binding p))
   && (match comps with
-     | [ ("<" | ">" | "<=" | ">=" | "compare" | "min" | "max") ] -> true
+     | [ ("=" | "<>" | "<" | ">" | "<=" | ">=") ]
+     | [ ("compare" | "min" | "max") ] ->
+         true
      | _ -> false)
   &&
   match Types.get_desc ty with
-  | Types.Tarrow (_, operand, _, _) -> (
-      match Types.get_desc operand with
-      | Types.Tvar _ | Types.Tunivar _ -> true
-      | _ -> false)
+  | Types.Tarrow (_, operand, _, _) -> is_tvar operand
   | _ -> false
 
 (* DET-POLY, application form: [=], [<>], [<], [>], [<=] or [>=] where
@@ -551,14 +555,23 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
         found Rule.Alloc_hot line
           "array literal allocation in a [@soctam.hot] context"
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
-        match allocating_call (normalize (comps_of_path p)) with
+        let comps = normalize (comps_of_path p) in
+        match allocating_call comps with
         | Some what ->
             found Rule.Alloc_hot line
               "allocating call %s in a [@soctam.hot] context" what
-        | None ->
-            if is_float_ty e.exp_type then
-              found Rule.Alloc_hot line
-                "boxed float result in a [@soctam.hot] context")
+        | None -> (
+            match comps with
+            | [ "Array"; ("get" | "unsafe_get") ] when is_tvar e.exp_type ->
+                (* The runtime's generic read: a float-array tag check
+                   per element, and a boxed float when it is one. *)
+                found Rule.Alloc_hot line
+                  "array read at a type variable in a [@soctam.hot] \
+                   context; type the array"
+            | _ ->
+                if is_float_ty e.exp_type then
+                  found Rule.Alloc_hot line
+                    "boxed float result in a [@soctam.hot] context"))
     | _ -> ()
   in
   let check_ident p comps ty line =
@@ -569,7 +582,7 @@ let walk_file acc ~path ~modname ~domain_reachable (str : structure) =
            comparison"
           what
     | None ->
-        if in_lib && tvar_ordering p comps ty then
+        if in_lib && tvar_comparison p comps ty then
           found Rule.Det_poly line
             "polymorphic %s at a type variable: every call is the C \
              runtime's compare; fix the type (Int.compare, Int.min, an \

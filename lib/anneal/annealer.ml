@@ -547,7 +547,13 @@ end) : Soctam_core.Engine.S = struct
       proves = false;
     }
 
-  let check_body json = ignore (decode json)
+  let check_body (cfg : Rc.t) (inst : Soctam_core.Engine.instance) json =
+    Option.iter
+      (fun b ->
+        Checkpoint.check_best ~table:inst.Soctam_core.Engine.table
+          ~total_width:inst.Soctam_core.Engine.total_width
+          ~max_tams:cfg.Rc.max_tams b)
+      (decode json).k_best
 
   let run (cfg : Rc.t) (inst : Soctam_core.Engine.instance) =
     let r =

@@ -57,7 +57,7 @@ let climb ?(max_tams = 10) ~table ~widths () =
         loads.(tam) <-
           loads.(tam) + Tt.time table ~core ~width:widths.(tam))
       current.assignment;
-    let bottleneck = Soctam_util.Select.max_index_by (fun l -> l) loads in
+    let bottleneck = Soctam_util.Select.argmax loads in
     (* Candidate moves, most promising first. *)
     let shift_wire ~donor ~receiver =
       if donor = receiver || widths.(donor) <= 1 then None

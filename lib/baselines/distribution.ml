@@ -62,8 +62,7 @@ let optimize ~times ~width =
   let leftover = ref (width - Soctam_util.Intutil.sum allocation) in
   while !leftover > 0 do
     let i =
-      Soctam_util.Select.max_index_by
-        (fun w -> w)
+      Soctam_util.Select.argmax
         (Array.init cores (fun i -> times.(i).(min max_w allocation.(i) - 1)))
     in
     if allocation.(i) < max_w then allocation.(i) <- allocation.(i) + 1;

@@ -22,7 +22,7 @@ type report = {
 module type S = sig
   val name : string
   val caps : caps
-  val check_body : Soctam_util.Json.t -> unit
+  val check_body : Run_config.t -> instance -> Soctam_util.Json.t -> unit
   val run : Run_config.t -> instance -> report
 end
 
@@ -30,8 +30,8 @@ type t = (module S)
 
 let name (module E : S) = E.name
 let caps (module E : S) = E.caps
-let check_token (module E : S) token =
-  Checkpoint.decode ~engine:E.name E.check_body token
+let check_token (module E : S) cfg inst token =
+  Checkpoint.decode ~engine:E.name (E.check_body cfg inst) token
 let run (module E : S) = E.run
 
 let fixed_tams ~name (cfg : Run_config.t) =
@@ -54,7 +54,9 @@ module Pe : S = struct
       proves = false;
     }
 
-  let check_body = Partition_evaluate.check_body
+  let check_body cfg inst =
+    Partition_evaluate.check_body cfg ~table:inst.table
+      ~total_width:inst.total_width
 
   let run (cfg : Run_config.t) inst =
     let pe =
@@ -124,7 +126,9 @@ module Ex : S = struct
       proves = true;
     }
 
-  let check_body = Exhaustive.check_body
+  let check_body cfg inst =
+    Exhaustive.check_body ~table:inst.table ~total_width:inst.total_width
+      ~tams:(fixed_tams ~name cfg)
 
   let run (cfg : Run_config.t) inst =
     let tams = fixed_tams ~name cfg in
@@ -147,7 +151,9 @@ module Ilp : S = struct
       proves = true;
     }
 
-  let check_body = Exhaustive.check_body
+  let check_body cfg inst =
+    Exhaustive.check_body ~table:inst.table ~total_width:inst.total_width
+      ~tams:(fixed_tams ~name cfg)
 
   let run (cfg : Run_config.t) inst =
     let tams = fixed_tams ~name cfg in

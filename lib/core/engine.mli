@@ -60,10 +60,13 @@ module type S = sig
 
   val caps : caps
 
-  val check_body : Soctam_util.Json.t -> unit
-  (** Decode and validate a resume-token body this engine wrote,
-      raising [Invalid_argument] on one [run] would reject. The token
-      itself is tagged with {!name} (see {!check_token}). *)
+  val check_body : Run_config.t -> instance -> Soctam_util.Json.t -> unit
+  (** Decode and validate a resume-token body this engine wrote, and
+      check its incumbent against the instance with
+      {!Checkpoint.check_best} under the engine's own TAM-count and
+      bound rules for [cfg], raising [Invalid_argument] on a body [run]
+      would reject. The token itself is tagged with {!name} (see
+      {!check_token}). *)
 
   val run : Run_config.t -> instance -> report
   (** One (possibly sliced) run under the shared policy: respects
@@ -78,10 +81,11 @@ type t = (module S)
 val name : t -> string
 val caps : t -> caps
 
-val check_token : t -> Checkpoint.t -> unit
+val check_token : t -> Run_config.t -> instance -> Checkpoint.t -> unit
 (** The token check the racer runs on every embedded slot token before
-    its first grant: the tag must be the engine's {!S.name}, and the
-    body must pass the engine's {!S.check_body}.
+    the race's first grant: the tag must be the engine's {!S.name}, and
+    the body must pass the engine's {!S.check_body} for [cfg] and the
+    instance.
     @raise Invalid_argument otherwise. *)
 
 val run : t -> Run_config.t -> instance -> report

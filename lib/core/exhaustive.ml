@@ -104,7 +104,10 @@ let decode json =
     t_nodes = Checkpoint.count_field "nodes" json;
   }
 
-let check_body json = ignore (decode json)
+let check_body ~table ~total_width ~tams json =
+  Option.iter
+    (fun (b, _) -> Checkpoint.check_best ~table ~total_width ~max_tams:tams b)
+    (decode json).t_best
 
 let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   if total_width < tams then

@@ -77,7 +77,13 @@ val run_with :
     checkpoint does not match this run.
     @raise Failure when a checkpoint write to [checkpoint_path] fails. *)
 
-val check_body : Soctam_util.Json.t -> unit
+val check_body :
+  table:Time_table.t ->
+  total_width:int ->
+  tams:int ->
+  Soctam_util.Json.t ->
+  unit
 (** Decode and validate a resume-token body tagged ["exhaustive"] or
-    ["ilp"], discarding it.
+    ["ilp"] and check its incumbent against the instance with
+    {!Checkpoint.check_best} at [tams] TAMs, as {!run_with} would.
     @raise Invalid_argument on a body {!run_with} would reject. *)

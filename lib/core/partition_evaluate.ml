@@ -278,7 +278,18 @@ let decode json =
     k_pending = Array.to_list (Checkpoint.ints_field "pending" json);
   }
 
-let check_body json = ignore (decode json)
+(* The TAM ceiling a restored incumbent is checked under. *)
+let effective_max (cfg : Run_config.t) =
+  match cfg.Run_config.tams with
+  | Some b -> b
+  | None -> cfg.Run_config.max_tams
+
+let check_body cfg ~table ~total_width json =
+  let k = decode json in
+  Option.iter
+    (Checkpoint.check_best ~table ~total_width ~max_tams:(effective_max cfg)
+       ~tau:k.k_tau)
+    k.k_best
 
 let check_args ~table ~total_width ~max_tams =
   if total_width < 1 then
@@ -290,11 +301,7 @@ let check_args ~table ~total_width ~max_tams =
 exception Stopped of Outcome.t
 
 let run_with (cfg : Run_config.t) ~table ~total_width =
-  let effective_max =
-    match cfg.Run_config.tams with
-    | Some b -> b
-    | None -> cfg.Run_config.max_tams
-  in
+  let effective_max = effective_max cfg in
   check_args ~table ~total_width ~max_tams:effective_max;
   let b_values =
     match cfg.Run_config.tams with

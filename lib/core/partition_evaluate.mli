@@ -76,7 +76,14 @@ val run_with : Run_config.t -> table:Time_table.t -> total_width:int -> result
     match this run.
     @raise Failure when a checkpoint write to [checkpoint_path] fails. *)
 
-val check_body : Soctam_util.Json.t -> unit
+val check_body :
+  Run_config.t ->
+  table:Time_table.t ->
+  total_width:int ->
+  Soctam_util.Json.t ->
+  unit
 (** Decode and validate a resume-token body tagged ["pe"] (per-cursor
-    [enumerated = pruned + evaluated], field types), discarding it.
+    [enumerated = pruned + evaluated], field types) and check its
+    incumbent against the instance with {!Checkpoint.check_best}, under
+    [cfg]'s TAM ceiling and the body's bound, as {!run_with} would.
     @raise Invalid_argument on a body {!run_with} would reject. *)

@@ -63,13 +63,9 @@ let decode json =
             | Error msg -> Checkpoint.fail "sweep inner token: %s" msg));
     }
   in
-  Option.iter
-    (fun inner ->
-      Checkpoint.require (k.k_pending <> [])
-        "sweep inner token without a pending width";
-      (* The per-width search is always the [pe] pipeline. *)
-      Checkpoint.decode ~engine:"pe" Partition_evaluate.check_body inner)
-    k.k_inner;
+  Checkpoint.require
+    (Option.is_none k.k_inner || k.k_pending <> [])
+    "sweep inner token without a pending width";
   k
 
 let run_with (cfg : Run_config.t) soc ~widths =
@@ -95,7 +91,14 @@ let run_with (cfg : Run_config.t) soc ~widths =
         "Sweep: resume checkpoint was taken with a different max_tams";
       Checkpoint.require
         (List.map (fun p -> p.width) k.k_points @ k.k_pending = widths)
-        "Sweep: resume checkpoint does not match this width list")
+        "Sweep: resume checkpoint does not match this width list";
+      (* The per-width search is always the [pe] pipeline, resumed at the
+         head pending width. *)
+      Option.iter
+        (Checkpoint.decode ~engine:"pe"
+           (Partition_evaluate.check_body cfg ~table
+              ~total_width:(List.hd k.k_pending)))
+        k.k_inner)
     restored;
   let done_rev =
     ref (match restored with Some k -> List.rev k.k_points | None -> [])

@@ -74,8 +74,6 @@ let matrix t ~widths =
 
 let bottleneck_core t ~width =
   check_width "bottleneck_core" t width;
-  Soctam_util.Select.max_index_by
-    (fun row -> row.(width - 1))
-    t.times
+  Soctam_util.Select.argmax (Array.map (fun row -> row.(width - 1)) t.times)
 
 let bottleneck_bound t ~width = peak t ~width

@@ -244,7 +244,7 @@ let rec fill_row s row base j =
    same resulting load [v], so [p] walks down from the candidate's left
    neighbour only through the run of loads equal to [v]; there, equal
    time means equal load. *)
-let rec symmetric s row base j v p =
+let rec symmetric s (row : int array) base j v p =
   p >= base
   && s.cand_load.(p) = v
   && (let j' = s.cand_tam.(p) in
@@ -351,10 +351,7 @@ let solve_bb ?(node_limit = 2_000_000) ?initial ?widths ~times () =
   explore s 0 0 0;
   if s.incumbent_time = max_int then begin
     (* No incumbent under an exhausted budget: fall back to greedy. *)
-    let assignment =
-      Array.init cores (fun i ->
-          Soctam_util.Select.min_index_by (fun x -> x) times.(i))
-    in
+    let assignment = Array.map Soctam_util.Select.argmin times in
     {
       time = makespan ~times ~assignment;
       assignment;
@@ -419,10 +416,7 @@ let solve_milp ?(node_limit = 50_000) ~times () =
   | Soctam_lp.Milp.No_solution_found ->
       (* P_AW always has a feasible assignment; reaching here means the
          node budget ran out before any integral point. Fall back. *)
-      let assignment =
-        Array.init cores (fun i ->
-            Soctam_util.Select.min_index_by (fun v -> v) times.(i))
-      in
+      let assignment = Array.map Soctam_util.Select.argmin times in
       {
         time = makespan ~times ~assignment;
         assignment;

@@ -129,7 +129,7 @@ let distill_level ~total_width ~tams ~max_tams ~padding
   resort ();
   Array.of_list !lanes
 
-let arrays_equal a b =
+let arrays_equal (a : int array) (b : int array) =
   Array.length a = Array.length b
   &&
   let ok = ref true in
@@ -300,6 +300,10 @@ let decode json =
     "pack cursor is past the end of the rank space";
   k
 
+(* The TAM ceiling a restored incumbent is checked under. *)
+let best_max_tams (cfg : Rc.t) =
+  Option.value cfg.Rc.tams ~default:cfg.Rc.max_tams
+
 exception Stopped of Outcome.t
 
 let run_with (cfg : Rc.t) ~table ~total_width =
@@ -343,8 +347,7 @@ let run_with (cfg : Rc.t) ~table ~total_width =
     restored;
   let work = Slice_search.work cfg in
   let best =
-    Slice_search.best ~table ~total_width
-      ~max_tams:(Option.value tams ~default:max_tams)
+    Slice_search.best ~table ~total_width ~max_tams:(best_max_tams cfg)
       ?tau:(Option.map (fun k -> k.k_tau) restored)
       ~initial
       (Option.bind restored (fun k -> k.k_best))
@@ -468,7 +471,13 @@ module E : Soctam_core.Engine.S = struct
       proves = false;
     }
 
-  let check_body json = ignore (decode json)
+  let check_body cfg (inst : Soctam_core.Engine.instance) json =
+    let k = decode json in
+    Option.iter
+      (Checkpoint.check_best ~table:inst.Soctam_core.Engine.table
+         ~total_width:inst.Soctam_core.Engine.total_width
+         ~max_tams:(best_max_tams cfg) ~tau:k.k_tau)
+      k.k_best
 
   let run (cfg : Rc.t) (inst : Soctam_core.Engine.instance) =
     let r =

@@ -188,7 +188,7 @@ module Odometer = struct
 
   (* The trailing block starts at the smallest [j] with
      w_j = ... = w_(B-1) (loop variables only; w_B is derived). *)
-  let rec block_start widths j =
+  let rec block_start (widths : int array) j =
     if j > 0 && widths.(j - 1) = widths.(j) then block_start widths (j - 1)
     else j
   [@@soctam.hot]

@@ -115,7 +115,7 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
           Checkpoint.require
             (String.equal (Engine.name e) rs.Checkpoint.rs_engine)
             "Race: resume checkpoint is for a different portfolio";
-          Option.iter (Engine.check_token e) rs.Checkpoint.rs_token)
+          Option.iter (Engine.check_token e cfg inst) rs.Checkpoint.rs_token)
         engines s.Checkpoint.ra_slots)
     restored;
   let slots =

@@ -17,7 +17,7 @@ let lpt ~durations ~machines =
   let loads = Array.make machines 0 in
   Array.iter
     (fun job ->
-      let m = Soctam_util.Select.min_index_by (fun x -> x) loads in
+      let m = Soctam_util.Select.argmin loads in
       assignment.(job) <- m;
       loads.(m) <- loads.(m) + durations.(job))
     order;

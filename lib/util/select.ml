@@ -1,37 +1,26 @@
-let best_index better a =
+(* Monomorphic on purpose: at [int array] the reads are plain loads and
+   [<] / [>] compile to an inline compare; an ['a array] read checks the
+   float-array tag and a generic comparison is a C call, per element. *)
+let argmin (a : int array) =
   if Array.length a = 0 then invalid_arg "Select: empty array";
-  let best = ref 0 in
+  let best = ref 0 and best_v = ref a.(0) in
   for i = 1 to Array.length a - 1 do
-    if better a.(i) a.(!best) then best := i
-  done;
-  !best
-
-let min_index compare a = best_index (fun x y -> compare x y < 0) a
-let max_index compare a = best_index (fun x y -> compare x y > 0) a
-
-(* The keys are typed [int] so [<] / [>] compile to an inline compare:
-   at a type variable each would be a C call into the polymorphic
-   compare, once per element. *)
-let min_index_by (key : 'a -> int) a =
-  if Array.length a = 0 then invalid_arg "Select: empty array";
-  let best = ref 0 and best_key = ref (key a.(0)) in
-  for i = 1 to Array.length a - 1 do
-    let k = key a.(i) in
-    if k < !best_key then begin
+    let v = a.(i) in
+    if v < !best_v then begin
       best := i;
-      best_key := k
+      best_v := v
     end
   done;
   !best
 
-let max_index_by (key : 'a -> int) a =
+let argmax (a : int array) =
   if Array.length a = 0 then invalid_arg "Select: empty array";
-  let best = ref 0 and best_key = ref (key a.(0)) in
+  let best = ref 0 and best_v = ref a.(0) in
   for i = 1 to Array.length a - 1 do
-    let k = key a.(i) in
-    if k > !best_key then begin
+    let v = a.(i) in
+    if v > !best_v then begin
       best := i;
-      best_key := k
+      best_v := v
     end
   done;
   !best

@@ -3,26 +3,16 @@
     The paper's algorithms are specified in terms of "select the TAM with
     minimum load" / "the core with maximum time", with explicit
     tie-breaking rules layered on top; these helpers give the raw argmin /
-    argmax with the stable (lowest-index) tie-break. *)
+    argmax with the stable (lowest-index) tie-break. They take an [int
+    array] and no key function, so the scan is integer loads and inline
+    compares (a caller with a derived key passes the array of keys). *)
 
-val min_index : ('a -> 'a -> int) -> 'a array -> int
-(** [min_index compare a] is the least index of a minimal element.
+val argmin : int array -> int
+(** [argmin a] is the least index of a minimal element.
     @raise Invalid_argument on an empty array. *)
 
-val max_index : ('a -> 'a -> int) -> 'a array -> int
-(** [max_index compare a] is the least index of a maximal element.
-    @raise Invalid_argument on an empty array. *)
-
-val min_index_by : ('a -> int) -> 'a array -> int
-(** [min_index_by key a] is the least index minimizing [key a.(i)]:
-    keys compare as ints, ties go to the lowest index. [key] is called
-    once per element.
-    @raise Invalid_argument on an empty array. *)
-
-val max_index_by : ('a -> int) -> 'a array -> int
-(** [max_index_by key a] is the least index maximizing [key a.(i)]:
-    keys compare as ints, ties go to the lowest index. [key] is called
-    once per element.
+val argmax : int array -> int
+(** [argmax a] is the least index of a maximal element.
     @raise Invalid_argument on an empty array. *)
 
 val filter_indices : (int -> 'a -> bool) -> 'a array -> int list

@@ -64,12 +64,12 @@ let with_chain_count (core : Core_data.t) ~chains =
   done;
   (* Input cells lengthen scan-in only; output cells scan-out only. *)
   for _ = 1 to core.Core_data.inputs do
-    let j = Soctam_util.Select.min_index_by (fun x -> x) scan_in in
+    let j = Soctam_util.Select.argmin scan_in in
     scan_in.(j) <- scan_in.(j) + 1;
     input_cells.(j) <- input_cells.(j) + 1
   done;
   for _ = 1 to core.Core_data.outputs do
-    let j = Soctam_util.Select.min_index_by (fun x -> x) scan_out in
+    let j = Soctam_util.Select.argmin scan_out in
     scan_out.(j) <- scan_out.(j) + 1;
     output_cells.(j) <- output_cells.(j) + 1
   done;

@@ -197,6 +197,27 @@ let det_poly_tvar_negative () =
   clean "outside lib/"
     (in_module "bin/fixture" "let lt a b = a < b\nlet lo a b = min a b\n")
 
+(* [=] and [<>] join the type-variable form: an equality at a type
+   variable is [caml_equal], a C call per use. *)
+let det_poly_tvar_equality_positive () =
+  check_rules "= and <> at a type variable"
+    [ Rule.Det_poly; Rule.Det_poly; Rule.Det_poly ]
+    (plain
+       "let eq a b = a = b\n\
+        let ne a b = a <> b\n\
+        let count a x =\n\
+       \  Array.fold_left (fun n y -> if y = x then n + 1 else n) 0 a\n")
+
+let det_poly_tvar_equality_negative () =
+  clean "instantiated equality under lib/"
+    (plain
+       "let eq (a : int) b = a = b\n\
+        let ne a b = Int.max a b <> b\n\
+        let on (assignment : int array) core tam = assignment.(core) = tam\n\
+        let same eq a b = eq a b\n");
+  clean "equality at a type variable outside lib/"
+    (in_module "bin/fixture" "let eq a b = a = b\nlet ne a b = a <> b\n")
+
 let det_poly_resolved () =
   (* Judged by what the identifier binds: an alias of Hashtbl is
      Hashtbl, a local [compare] is not the stdlib one. *)
@@ -540,6 +561,44 @@ let alloc_hot_typed_positive () =
   Alcotest.(check (list string))
     "ref and option allocations in hot functions"
     [ "ALLOC-HOT"; "ALLOC-HOT" ]
+    (typed_rules t)
+
+(* A read of an element whose type is a type variable is the runtime's
+   generic array read: a float-array tag check per element, and a boxed
+   float when it is one. The shape is an annealer load whose assignment
+   array was inferred ['a array]. *)
+let alloc_hot_generic_read_positive () =
+  let t =
+    typed_run
+      [ ( "fixture.ml",
+          "let rec load_of times assignment tam core acc =\n\
+          \  if core >= Array.length assignment then acc\n\
+          \  else\n\
+          \    load_of times assignment tam (core + 1)\n\
+          \      (if assignment.(core) = tam then acc + times.(core) else acc)\n\
+           [@@soctam.hot]\n\n\
+           let first a = Array.unsafe_get a 0 [@@soctam.hot]\n" ) ]
+  in
+  Alcotest.(check (list string))
+    "generic reads in hot functions"
+    [ "ALLOC-HOT"; "ALLOC-HOT" ]
+    (typed_rules t)
+
+let alloc_hot_generic_read_negative () =
+  let t =
+    typed_run
+      [ ( "fixture.ml",
+          "let rec load_of times (assignment : int array) tam core acc =\n\
+          \  if core >= Array.length assignment then acc\n\
+          \  else\n\
+          \    load_of times assignment tam (core + 1)\n\
+          \      (if assignment.(core) = tam then acc + times.(core) else acc)\n\
+           [@@soctam.hot]\n\n\
+           let size a = Array.length a [@@soctam.hot]\n\n\
+           let cold_first a = a.(0)\n" ) ]
+  in
+  Alcotest.(check (list string))
+    "typed reads, lengths and cold generic reads are fine" []
     (typed_rules t)
 
 let alloc_hot_typed_negative () =
@@ -1264,4 +1323,12 @@ let suite =
       cli_prune_baseline_round_trip;
     test "cli: analyze --prune-baseline prunes to empty"
       cli_prune_baseline_to_empty;
+    test "DET-POLY flags equality at a type variable"
+      det_poly_tvar_equality_positive;
+    test "DET-POLY ignores instantiated equality"
+      det_poly_tvar_equality_negative;
+    test "ALLOC-HOT flags array reads at a type variable"
+      alloc_hot_generic_read_positive;
+    test "ALLOC-HOT ignores typed and cold array reads"
+      alloc_hot_generic_read_negative;
   ]

@@ -345,13 +345,15 @@ let cursor_invariant_rejected () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "envelope rejected: %s" msg);
   let mentions = "breaks enumerated = pruned + evaluated" in
+  let cfg = Rc.default |> Rc.with_soc_name "small" |> Rc.with_tams 2 in
   rejected_with ~msg:"broken cursor invariant" ~mentions (fun () ->
-      Pe.run_with
-        (Rc.default |> Rc.with_soc_name "small" |> Rc.with_tams 2
-       |> Rc.with_resume bad)
-        ~table:(Lazy.force table) ~total_width:12);
+      Pe.run_with (Rc.with_resume bad cfg) ~table:(Lazy.force table)
+        ~total_width:12);
   rejected_with ~msg:"broken cursor invariant in a slot token" ~mentions
-    (fun () -> Soctam_core.Engine.check_token Soctam_core.Engine.pe bad)
+    (fun () ->
+      Soctam_core.Engine.check_token Soctam_core.Engine.pe cfg
+        { Soctam_core.Engine.table = Lazy.force table; total_width = 12 }
+        bad)
 
 let truncation_rejected () =
   let doc = Cp.to_string (Lazy.force ex_doc) in

@@ -169,7 +169,7 @@ let visit_case seed =
         Some (assignment, Exact.makespan ~times ~assignment)
     | _ ->
         let assignment =
-          Array.map (Soctam_util.Select.min_index_by (fun t -> t)) times
+          Array.map Soctam_util.Select.argmin times
         in
         Some (assignment, Exact.makespan ~times ~assignment)
   in

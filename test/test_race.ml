@@ -256,52 +256,57 @@ let bad_portfolios_rejected () =
 
 (* -- slot tokens ----------------------------------------------------------- *)
 
-(* A slot body that breaks its engine's invariant, inside a race
-   document whose envelope is valid (re-checksummed on rendering), is
-   rejected when the race is restored: before the first grant polls
-   [cancel], and before anything rewrites the checkpoint file. *)
-let bad_slot_body_rejected () =
-  let total_width = 12 in
-  let table = Tt.build d695 ~max_width:total_width in
-  let engines = Runners.engines [ "pe"; "pack"; "anneal" ] in
-  let token =
-    match
-      (Runners.race_run ~max_tams:3 ~checkpoint_every:2 ~slice_limit:3
-         ~engines ~table ~total_width ())
-        .Race.outcome
-    with
-    | Oc.Budget_exhausted t -> t
-    | _ -> Alcotest.fail "a 3-grant limit did not truncate the race"
+let slot_engines () = Runners.engines [ "pe"; "pack"; "anneal" ]
+
+(* The checkpoint of a pe, pack, anneal race on d695 (W = 12) stopped
+   after its first round of three grants. *)
+let first_round_token table =
+  match
+    (Runners.race_run ~max_tams:3 ~checkpoint_every:2 ~slice_limit:3
+       ~engines:(slot_engines ()) ~table ~total_width:12 ())
+      .Race.outcome
+  with
+  | Oc.Budget_exhausted t -> t
+  | _ -> Alcotest.fail "a 3-grant limit did not truncate the race"
+
+(* [token] with [engine]'s slot body mapped by [f]. *)
+let patch_slot engine f token =
+  let patch (sl : Cp.race_slot) =
+    match sl.Cp.rs_token with
+    | Some ({ Cp.state = Cp.Token { engine = e; body }; _ } as t)
+      when sl.Cp.rs_engine = engine ->
+        let state = Cp.Token { engine = e; body = f body } in
+        { sl with Cp.rs_token = Some { t with Cp.state } }
+    | _ -> sl
   in
-  (* [token] with the [field] of [engine]'s slot body mapped by [f]. *)
-  let break_slot engine field f =
-    let patch_body = function
-      | Json.Obj members ->
-          Json.Obj
-            (List.map
-               (fun (k, v) ->
-                 match v with
-                 | Json.Int n when k = field -> (k, Json.Int (f n))
-                 | _ -> (k, v))
-               members)
-      | _ -> Alcotest.failf "%s slot body is not an object" engine
-    in
-    let patch (sl : Cp.race_slot) =
-      match sl.Cp.rs_token with
-      | Some ({ Cp.state = Cp.Token { engine = e; body }; _ } as t)
-        when sl.Cp.rs_engine = engine ->
-          let state = Cp.Token { engine = e; body = patch_body body } in
-          { sl with Cp.rs_token = Some { t with Cp.state } }
-      | _ -> sl
-    in
-    match token.Cp.state with
-    | Cp.Race r ->
-        let ra_slots = List.map patch r.Cp.ra_slots in
-        { token with Cp.state = Cp.Race { r with Cp.ra_slots } }
-    | Cp.Token _ -> Alcotest.fail "not a race token"
-  in
+  match token.Cp.state with
+  | Cp.Race r ->
+      let ra_slots = List.map patch r.Cp.ra_slots in
+      { token with Cp.state = Cp.Race { r with Cp.ra_slots } }
+  | Cp.Token _ -> Alcotest.fail "not a race token"
+
+(* An object with the integer [field] mapped by [f]; [what] names it. *)
+let patch_int what field f = function
+  | Json.Obj members ->
+      let is_field = function k, Json.Int _ -> k = field | _ -> false in
+      if not (List.exists is_field members) then
+        Alcotest.failf "%s has no integer %s" what field;
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match v with
+             | Json.Int n when k = field -> (k, Json.Int (f n))
+             | _ -> (k, v))
+           members)
+  | _ -> Alcotest.failf "%s is not an object" what
+
+(* Each [(what, mentions, bad)] race document, saved with a valid (re-checksummed)
+   envelope, is rejected with a message containing [mentions] when the
+   race is restored: before the first grant polls [cancel], and before
+   anything rewrites the checkpoint file. *)
+let rejected_before_first_grant table cases =
   List.iter
-    (fun (what, bad) ->
+    (fun (what, mentions, bad) ->
       let path = Filename.temp_file "race_ckpt" ".json" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -324,18 +329,59 @@ let bad_slot_body_rejected () =
                    polled := true;
                    false)
           in
-          (match Race.run cfg ~engines ~table ~total_width with
-          | exception Invalid_argument _ -> ()
+          (match
+             Race.run cfg ~engines:(slot_engines ()) ~table ~total_width:12
+           with
+          | exception Invalid_argument msg ->
+              if not (Test_cli.contains msg mentions) then
+                Alcotest.failf "%s: rejected with %S, expected %S" what msg
+                  mentions
           | (_ : Race.result) -> Alcotest.failf "%s: race resumed" what);
           Alcotest.(check bool) (what ^ ": no grant ran") false !polled;
           Alcotest.(check string)
             (what ^ ": checkpoint file untouched") before
             (In_channel.with_open_bin path In_channel.input_all)))
+    cases
+
+(* A slot body that breaks its engine's invariant. *)
+let bad_slot_body_rejected () =
+  let table = Tt.build d695 ~max_width:12 in
+  let token = first_round_token table in
+  rejected_before_first_grant table
     [
-      ("anneal accepted > proposed",
-       break_slot "anneal" "accepted" (fun n -> n + 1_000_000));
-      ("pack candidates <> pruned + evaluated",
-       break_slot "pack" "pruned" (fun n -> n + 1));
+      ( "anneal accepted > proposed",
+        "accepted exceeds proposed",
+        patch_slot "anneal"
+          (patch_int "anneal slot body" "accepted" (fun n -> n + 1_000_000))
+          token );
+      ( "pack candidates <> pruned + evaluated",
+        "candidates = pruned + evaluated",
+        patch_slot "pack"
+          (patch_int "pack slot body" "pruned" (fun n -> n + 1))
+          token );
+    ]
+
+(* A slot incumbent whose time is not its architecture's: the second
+   slot's is checked against the instance before the first slot is
+   granted. *)
+let forged_slot_incumbent_rejected () =
+  let table = Tt.build d695 ~max_width:12 in
+  let forge_best = function
+    | Json.Obj members ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "best" then
+                 (k, patch_int "pack slot incumbent" "time" (fun t -> t - 1) v)
+               else (k, v))
+             members)
+    | _ -> Alcotest.fail "pack slot body is not an object"
+  in
+  rejected_before_first_grant table
+    [
+      ( "pack incumbent time forged",
+        "checkpoint incumbent: time",
+        patch_slot "pack" forge_best (first_round_token table) );
     ]
 
 let suite =
@@ -350,4 +396,6 @@ let suite =
     test "race: invalid portfolios rejected" bad_portfolios_rejected;
     test "race: a bad slot body is rejected before the first grant"
       bad_slot_body_rejected;
+    test "race: a forged slot incumbent is rejected before the first grant"
+      forged_slot_incumbent_rejected;
   ]

@@ -88,52 +88,36 @@ let prng_choose_member () =
 
 let select_min_max () =
   let a = [| 4; 2; 9; 2; 7 |] in
-  Alcotest.(check int) "min" 1 (Select.min_index compare a);
-  Alcotest.(check int) "max" 2 (Select.max_index compare a);
-  Alcotest.(check int) "min_by" 1 (Select.min_index_by (fun x -> x) a);
-  Alcotest.(check int) "max_by" 2 (Select.max_index_by (fun x -> x) a)
+  Alcotest.(check int) "min" 1 (Select.argmin a);
+  Alcotest.(check int) "max" 2 (Select.argmax a);
+  Alcotest.(check int) "single element" 0 (Select.argmin [| max_int |]);
+  Alcotest.(check int) "single element, max" 0 (Select.argmax [| min_int |])
 
 let select_tie_lowest_index () =
   let a = [| 5; 1; 1; 5 |] in
-  Alcotest.(check int) "first minimal wins" 1 (Select.min_index compare a);
-  Alcotest.(check int) "first maximal wins" 0 (Select.max_index compare a);
-  Alcotest.(check int) "first minimal key wins" 1
-    (Select.min_index_by Fun.id a);
-  Alcotest.(check int) "first maximal key wins" 0
-    (Select.max_index_by Fun.id a);
-  (* Distinct elements, equal keys: the index decides, not the element. *)
-  let b = [| 3; -3; 1; -1 |] in
-  Alcotest.(check int) "first of the tied least keys" 2
-    (Select.min_index_by abs b);
-  Alcotest.(check int) "first of the tied greatest keys" 0
-    (Select.max_index_by abs b);
-  Alcotest.(check int) "all keys tied" 0
-    (Select.min_index_by (fun _ -> 7) b);
-  Alcotest.(check int) "all keys tied, max" 0
-    (Select.max_index_by (fun _ -> 7) b)
+  Alcotest.(check int) "first minimal wins" 1 (Select.argmin a);
+  Alcotest.(check int) "first maximal wins" 0 (Select.argmax a);
+  let b = [| 7; 7; 7 |] in
+  Alcotest.(check int) "all tied" 0 (Select.argmin b);
+  Alcotest.(check int) "all tied, max" 0 (Select.argmax b)
 
 let select_empty_raises () =
   List.iter
     (fun (name, f) ->
       Alcotest.check_raises name (Invalid_argument "Select: empty array")
         (fun () -> ignore (f [||])))
-    [
-      ("min_index", Select.min_index compare);
-      ("max_index", Select.max_index compare);
-      ("min_index_by", Select.min_index_by Fun.id);
-      ("max_index_by", Select.max_index_by Fun.id);
-    ]
+    [ ("argmin", Select.argmin); ("argmax", Select.argmax) ]
 
-(* The keyed argmin / argmax against a reference fold that keeps the
-   first index whose key is strictly better, on arrays with duplicates,
-   negatives and both ends of the int range. Keys: the element itself
-   and its low three bits (ties on nearly every element). *)
-let select_by_matches_fold =
-  let first_best better key a =
+(* argmin / argmax against a reference fold that keeps the first index
+   whose element is strictly better, on arrays with duplicates, negatives
+   and both ends of the int range, plus the same arrays cut to their low
+   three bits (ties on nearly every element). *)
+let select_matches_fold =
+  let first_best better a =
     snd
       (Array.fold_left
          (fun (i, best) x ->
-           (i + 1, if better (Int.compare (key x) (key a.(best))) then i else best))
+           (i + 1, if better (Int.compare x a.(best)) then i else best))
          (0, 0) a)
   in
   let element =
@@ -148,7 +132,7 @@ let select_by_matches_fold =
           (2, int);
         ])
   in
-  QCheck.Test.make ~name:"Select.*_index_by match a first-wins fold"
+  QCheck.Test.make ~name:"Select.argmin/argmax: first-wins fold"
     ~count:500
     QCheck.(
       make
@@ -156,15 +140,20 @@ let select_by_matches_fold =
         Gen.(array_size (int_range 1 24) element))
     (fun a ->
       List.for_all
-        (fun key ->
-          Select.min_index_by key a = first_best (fun c -> c < 0) key a
-          && Select.max_index_by key a = first_best (fun c -> c > 0) key a)
-        [ Fun.id; (fun x -> x land 7) ])
+        (fun a ->
+          Select.argmin a = first_best (fun c -> c < 0) a
+          && Select.argmax a = first_best (fun c -> c > 0) a)
+        [ a; Array.map (fun x -> x land 7) a ])
 
+(* A derived key is an [int array] of keys: distinct elements with equal
+   keys tie, and the index decides. *)
 let select_key_transform () =
   let a = [| 1; -5; 3 |] in
-  Alcotest.(check int) "abs key" 0 (Select.min_index_by abs a);
-  Alcotest.(check int) "abs max" 1 (Select.max_index_by abs a)
+  Alcotest.(check int) "abs key" 0 (Select.argmin (Array.map abs a));
+  Alcotest.(check int) "abs max" 1 (Select.argmax (Array.map abs a));
+  let b = Array.map abs [| 3; -3; 1; -1 |] in
+  Alcotest.(check int) "first of the tied least keys" 2 (Select.argmin b);
+  Alcotest.(check int) "first of the tied greatest keys" 0 (Select.argmax b)
 
 let select_filter_indices () =
   let a = [| 10; 11; 12; 13 |] in
@@ -267,7 +256,7 @@ let suite =
     test "select: min/max" select_min_max;
     test "select: tie lowest index" select_tie_lowest_index;
     test "select: empty raises" select_empty_raises;
-    qtest select_by_matches_fold;
+    qtest select_matches_fold;
     test "select: key transform" select_key_transform;
     test "select: filter_indices" select_filter_indices;
     test "intutil: ceil_div cases" ceil_div_cases;

@@ -318,6 +318,122 @@ let oracle_arbitrary_core =
     arbitrary_core
     (fun c -> Wrapper_oracle.check c ~max_width:24 = Ok ())
 
+(* -- with_chain_count against a one-cell-at-a-time reference -------------- *)
+
+(* Each wrapper chain is a record in a list; every internal chain and
+   every cell goes to the first chain that its rule ranks least, found by
+   a fold over the list. Same rules as [with_chain_count], written
+   without arrays: internal chains in decreasing length (lower index
+   first) onto the least-loaded of the first min(chains, k) chains;
+   bidirs where max(scan-in, scan-out) and then scan-in is least; inputs
+   where scan-in is least; outputs where scan-out is least. A layout
+   lists its internal chains in index order. *)
+type ref_chain = {
+  idx : int;
+  si : int;
+  so : int;
+  internal : int list;
+  ins : int;
+  outs : int;
+  bis : int;
+}
+
+let reference_layout (c : Core_data.t) ~chains =
+  let first_least rank cs =
+    List.fold_left
+      (fun best ch -> if compare (rank ch) (rank best) < 0 then ch else best)
+      (List.hd cs) cs
+  in
+  let place rank update cs =
+    let target = (first_least rank cs).idx in
+    List.map (fun ch -> if ch.idx = target then update ch else ch) cs
+  in
+  let cs =
+    List.init chains (fun idx ->
+        { idx; si = 0; so = 0; internal = []; ins = 0; outs = 0; bis = 0 })
+  in
+  let groups = min chains (Core_data.scan_chain_count c) in
+  let jobs =
+    List.init (Core_data.scan_chain_count c) (fun i ->
+        (c.Core_data.scan_chains.(i), i))
+    |> List.sort (fun (la, a) (lb, b) -> compare (-la, a) (-lb, b))
+  in
+  let cs =
+    List.fold_left
+      (fun cs (len, i) ->
+        place
+          (fun ch -> if ch.idx < groups then ch.si else max_int)
+          (fun ch ->
+            {
+              ch with
+              si = ch.si + len;
+              so = ch.so + len;
+              internal = i :: ch.internal;
+            })
+          cs)
+      cs jobs
+  in
+  let repeat n f cs =
+    List.fold_left (fun cs () -> f cs) cs (List.init n ignore)
+  in
+  cs
+  |> repeat c.Core_data.bidirs
+       (place
+          (fun ch -> (max ch.si ch.so, ch.si))
+          (fun ch ->
+            { ch with si = ch.si + 1; so = ch.so + 1; bis = ch.bis + 1 }))
+  |> repeat c.Core_data.inputs
+       (place
+          (fun ch -> ch.si)
+          (fun ch -> { ch with si = ch.si + 1; ins = ch.ins + 1 }))
+  |> repeat c.Core_data.outputs
+       (place
+          (fun ch -> ch.so)
+          (fun ch -> { ch with so = ch.so + 1; outs = ch.outs + 1 }))
+
+(* Cores with no scan chains, with no I/O, with neither, and widths from
+   1 to past the core's cell count (more chains than cells). *)
+let core_and_width =
+  let gen =
+    QCheck.Gen.(
+      let count hi = frequency [ (1, return 0); (3, int_range 0 hi) ] in
+      let* inputs = count 30 in
+      let* outputs = count 30 in
+      let* bidirs = count 6 in
+      let* patterns = int_range 1 20 in
+      let* nchains = count 6 in
+      let* scan_chains = list_repeat nchains (int_range 1 25) in
+      let* inputs, outputs, bidirs =
+        frequency
+          [ (1, return (0, 0, 0)); (5, return (inputs, outputs, bidirs)) ]
+      in
+      let cells = inputs + outputs + bidirs + nchains in
+      let* chains =
+        frequency [ (1, return 1); (4, int_range 1 (cells + 4)) ]
+      in
+      return (core ~inputs ~outputs ~bidirs ~scan_chains ~patterns (), chains))
+  in
+  QCheck.make gen ~print:(fun (c, chains) ->
+      Format.asprintf "%a, chains %d" Core_data.pp c chains)
+
+let chain_count_matches_reference =
+  QCheck.Test.make ~name:"with_chain_count: placement matches a reference"
+    ~count:400 core_and_width
+    (fun (c, chains) ->
+      let d = Design.with_chain_count c ~chains in
+      let expected = reference_layout c ~chains in
+      List.for_all
+        (fun ch ->
+          let l = d.Design.layout.(ch.idx) in
+          d.Design.scan_in.(ch.idx) = ch.si
+          && d.Design.scan_out.(ch.idx) = ch.so
+          && l.Design.input_cells = ch.ins
+          && l.Design.output_cells = ch.outs
+          && l.Design.bidir_cells = ch.bis
+          && l.Design.internal_chains = List.sort compare ch.internal)
+        expected
+      && Array.length d.Design.layout = chains)
+
 (* -- Front: the per-core Pareto-front memo cache --------------------------- *)
 
 module Front = Soctam_wrapper.Front
@@ -484,4 +600,5 @@ let suite =
     test "front: hit accounting" front_hit_accounting;
     test "front: capacity zero disables" front_capacity_zero_disables;
     test "front: validation" front_validation;
+    qtest chain_count_matches_reference;
   ]
