@@ -38,6 +38,22 @@ let with_soc spec f =
       1
   | Ok soc -> f soc
 
+(* Write [contents] to [path]. A path that cannot be written is a user
+   error, not an internal one: report it and answer [false]. *)
+let write_file path contents =
+  match
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc contents;
+        flush oc)
+  with
+  | () -> true
+  | exception Sys_error msg ->
+      prerr_endline ("soctam: cannot write " ^ msg);
+      false
+
 (* -- observability --------------------------------------------------------- *)
 
 (* Run [f] under an observability collector when the user asked for one
@@ -58,19 +74,8 @@ let with_stats dest f =
       | "-" ->
           print_endline doc;
           status
-      | path -> (
-          match
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc doc;
-                output_char oc '\n')
-          with
-          | () -> status
-          | exception Sys_error msg ->
-              prerr_endline ("soctam: cannot write stats: " ^ msg);
-              if status = 0 then 1 else status))
+      | path ->
+          if write_file path (doc ^ "\n") || status <> 0 then status else 1)
 
 (* -- shared run options ---------------------------------------------------- *)
 
@@ -697,56 +702,55 @@ let analyze_cmd root baseline_path json sarif call_graph prune =
     | Ok baseline -> (
         let result = Soctam_analysis.Analyze.tree ~baseline ~root () in
         prerr_endline (Soctam_analysis.Analyze.summary result);
-        (match call_graph with
-        | Some path ->
-            let oc = open_out_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc
-                  (Soctam_util.Json.to_string
-                     (Soctam_analysis.Typed.graph_json
-                        result.Soctam_analysis.Analyze.graph));
-                output_char oc '\n')
-        | None -> ());
-        (match sarif with
-        | None -> ()
-        | Some path ->
-            let oc = open_out_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc (Soctam_analysis.Sarif.to_string result)));
-        match (prune, baseline_file) with
-        | false, _ ->
-            print_report ~json result.Soctam_analysis.Analyze.report
-        | true, None ->
-            prerr_endline "soctam: --prune-baseline: no baseline file to prune";
-            1
-        | true, Some path ->
-            let stale = result.Soctam_analysis.Analyze.stale in
-            let kept =
-              List.filter
-                (fun (e : Soctam_analysis.Baseline.entry) ->
-                  not
-                    (List.exists
-                       (fun (s : Soctam_analysis.Baseline.entry) ->
-                         s.rule = e.rule && s.path = e.path)
-                       stale))
-                (Soctam_analysis.Baseline.entries baseline)
-            in
-            let oc = open_out_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                output_string oc
-                  (Soctam_analysis.Baseline.to_string
-                     (Soctam_analysis.Baseline.of_entries kept)));
-            Printf.eprintf "soctam: pruned %d stale entr%s from %s\n"
-              (List.length stale)
-              (if List.length stale = 1 then "y" else "ies")
-              path;
-            print_report ~json result.Soctam_analysis.Analyze.report)
+        let written =
+          (match call_graph with
+          | None -> true
+          | Some path ->
+              write_file path
+                (Soctam_util.Json.to_string
+                   (Soctam_analysis.Typed.graph_json
+                      result.Soctam_analysis.Analyze.graph)
+                ^ "\n"))
+          &&
+          match sarif with
+          | None -> true
+          | Some path ->
+              write_file path (Soctam_analysis.Sarif.to_string result)
+        in
+        if not written then 1
+        else
+          match (prune, baseline_file) with
+          | false, _ ->
+              print_report ~json result.Soctam_analysis.Analyze.report
+          | true, None ->
+              prerr_endline
+                "soctam: --prune-baseline: no baseline file to prune";
+              1
+          | true, Some path ->
+              let stale = result.Soctam_analysis.Analyze.stale in
+              let kept =
+                List.filter
+                  (fun (e : Soctam_analysis.Baseline.entry) ->
+                    not
+                      (List.exists
+                         (fun (s : Soctam_analysis.Baseline.entry) ->
+                           s.rule = e.rule && s.path = e.path)
+                         stale))
+                  (Soctam_analysis.Baseline.entries baseline)
+              in
+              if
+                not
+                  (write_file path
+                     (Soctam_analysis.Baseline.to_string
+                        (Soctam_analysis.Baseline.of_entries kept)))
+              then 1
+              else begin
+                Printf.eprintf "soctam: pruned %d stale entr%s from %s\n"
+                  (List.length stale)
+                  (if List.length stale = 1 then "y" else "ies")
+                  path;
+                print_report ~json result.Soctam_analysis.Analyze.report
+              end)
 
 (* -- gen ----------------------------------------------------------------- *)
 

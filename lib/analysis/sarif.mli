@@ -14,7 +14,5 @@
     it, so the output is byte-deterministic — the test suite pins a
     golden file for the seeded violation tree. *)
 
-val of_result : Analyze.result -> Soctam_util.Json.t
-
 val to_string : Analyze.result -> string
 (** Compact one-line JSON plus a trailing newline. *)

@@ -311,8 +311,6 @@ type temperature = { mutable temperature : float }
 
 let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-exception Stopped of Outcome.t
-
 let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
   if Tt.max_width table < total_width then
     invalid_arg "Annealer: table narrower than total width";
@@ -421,7 +419,7 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
     flushed_proposed := w.proposed;
     flushed_accepted := w.accepted
   in
-  let checkpoint_now () =
+  let resume_state () =
     let body =
       Json.Obj
         [
@@ -451,17 +449,11 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
           ("proposed", Json.Int w.proposed);
         ]
     in
-    {
-      Checkpoint.soc = cfg.Rc.soc_name;
-      counters =
-        List.filter
-          (fun (_, n) -> n > 0)
-          [ ("anneal/proposed", w.proposed); ("anneal/accepted", w.accepted) ];
-      state = Checkpoint.Token { engine = tag; body };
-    }
+    ( List.filter
+        (fun (_, n) -> n > 0)
+        [ ("anneal/proposed", w.proposed); ("anneal/accepted", w.accepted) ],
+      Checkpoint.Token { engine = tag; body } )
   in
-  let deadline = Rc.deadline cfg in
-  let slices_done = ref 0 in
   let undo_record =
     { core = -1; src = 0; dst = 0; src_load = 0; dst_load = 0 }
   in
@@ -500,27 +492,19 @@ let run_with ?(params = default_params) (cfg : Rc.t) ~table ~total_width =
     temp.temperature <- temp.temperature *. params.cooling
   in
   let slice_len = Rc.slice_size cfg ~length:params.iterations in
+  (* Every slice flushes its counters as it ends, so a stop at the next
+     boundary leaves nothing unflushed. *)
   let outcome =
-    try
-      while !next < params.iterations do
-        (match
-           Rc.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
-         with
-        | Some o -> raise (Stopped o)
-        | None -> ());
-        let hi = min (!next + slice_len) params.iterations in
-        for _ = !next + 1 to hi do
-          step ()
-        done;
-        next := hi;
-        incr slices_done;
-        flush ()
-      done;
-      Rc.retire cfg;
-      Outcome.Complete
-    with Stopped o ->
-      flush ();
-      o
+    Rc.slices cfg ~snapshot:resume_state (fun c ->
+        while !next < params.iterations do
+          c.Rc.before_slice ();
+          let hi = min (!next + slice_len) params.iterations in
+          for _ = !next + 1 to hi do
+            step ()
+          done;
+          next := hi;
+          flush ()
+        done)
   in
   {
     widths = Array.sub best_state.widths 0 best_state.tams;

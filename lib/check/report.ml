@@ -17,23 +17,12 @@ let errors t = with_severity Violation.Error t
 let warnings t = with_severity Violation.Warning t
 let infos t = with_severity Violation.Info t
 let ok t = errors t = []
-let clean t = t.violations = []
 
 let has_kind t kind =
   List.exists (fun (v : Violation.t) -> v.Violation.kind = kind) t.violations
 
-let kinds t =
-  List.fold_left
-    (fun acc (v : Violation.t) ->
-      if List.mem v.Violation.kind acc then acc else v.Violation.kind :: acc)
-    [] t.violations
-  |> List.rev
-
-let merge ~subject reports =
-  make ~subject (List.concat_map (fun t -> t.violations) reports)
-
 let pp ppf t =
-  if clean t then Format.fprintf ppf "OK: %s" t.subject
+  if t.violations = [] then Format.fprintf ppf "OK: %s" t.subject
   else if ok t then
     Format.fprintf ppf "@[<v>OK: %s (%d warning(s))@,%a@]" t.subject
       (List.length (warnings t) + List.length (infos t))

@@ -16,20 +16,11 @@ val make : subject:string -> Violation.t list -> t
 val ok : t -> bool
 (** No [Error]-severity violations. *)
 
-val clean : t -> bool
-(** No violations at all. *)
-
 val errors : t -> Violation.t list
 val warnings : t -> Violation.t list
 val infos : t -> Violation.t list
 
 val has_kind : t -> Violation.kind -> bool
-
-val kinds : t -> Violation.kind list
-(** Distinct kinds present, in report order. *)
-
-val merge : subject:string -> t list -> t
-(** Concatenate the violations of several reports under one subject. *)
 
 val pp : Format.formatter -> t -> unit
 (** ["OK: subject"] / ["OK: subject (n warnings)"] on success, otherwise

@@ -129,6 +129,5 @@ val kind_name : kind -> string
 val compare_severity : severity -> severity -> int
 (** [Error] orders before [Warning] orders before [Info]. *)
 
-val pp_location : Format.formatter -> location -> unit
 val pp : Format.formatter -> t -> unit
 (** One line: ["error[width-sum-mismatch] at TAM 2: ..."]. *)

@@ -116,9 +116,7 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   let total =
     Soctam_partition.Count.exact ~total:total_width ~parts:tams
   in
-  let cap =
-    match cfg.Run_config.tau_import with Some b -> b | None -> max_int
-  in
+  let cap = Run_config.import_cap cfg in
   (* A fresh run records the instance size once; a resumed run replays
      the interrupted run's counters instead (they already include it),
      so the resumed collector converges to an uninterrupted run's
@@ -140,13 +138,7 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
       ?rank:(Option.map snd restored_best)
       (Option.map fst restored_best)
   in
-  let deadline = Run_config.deadline cfg in
-  let out_of_time () =
-    match deadline with
-    | None -> false
-    | Some d -> Soctam_util.Timer.now_s () > d
-  in
-  let checkpoint_now () =
+  let snapshot () =
     let body =
       Json.Obj
         [
@@ -168,71 +160,64 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
           ("nodes", Json.Int !nodes);
         ]
     in
-    {
-      Checkpoint.soc = cfg.Run_config.soc_name;
-      counters =
-        List.filter
-          (fun (_, n) -> n > 0)
-          [
-            ("exhaustive/partitions_total", total);
-            ("exhaustive/partitions_solved", !solved);
-            ("exhaustive/nodes", !nodes);
-          ];
-      state = Checkpoint.Token { engine = tag solver; body };
-    }
+    ( List.filter
+        (fun (_, n) -> n > 0)
+        [
+          ("exhaustive/partitions_total", total);
+          ("exhaustive/partitions_solved", !solved);
+          ("exhaustive/nodes", !nodes);
+        ],
+      Checkpoint.Token { engine = tag solver; body } )
   in
   let slice_len = Run_config.slice_size cfg ~length:total in
-  let stop = ref None in
-  let slices_done = ref 0 in
-  Soctam_util.Pool.Team.with_team ~oversubscribe:cfg.Run_config.oversubscribe
-    ~jobs:(max 1 cfg.Run_config.jobs) (fun team ->
-      while !next < total && !stop = None do
-        (* The safe state to resume a truncated slice from: which
-           partitions inside the slice got solved before a budget stop
-           is timing-dependent, so the checkpoint rewinds to the slice
-           start and the resumed run re-solves the whole slice. *)
-        let cp_pre = checkpoint_now () in
-        let lo = !next in
-        let hi = min (lo + slice_len) total in
-        (* Each partition is a whole exact solve, so chunks shrink to
-           single ranks. The B&B keeps its [cap] warm start; the slice
-           incumbent only collects the winner. *)
-        let halt = Atomic.make false in
-        let chunks =
-          Slice_search.round ~stats ~span:"exhaustive/solve" ~min_chunk:1
-            team ~local:ignore
-            ~tau:(ref (min best.Slice_search.b_time cap))
-            best ~lo ~hi
-            ~chunk:
-              (solve_chunk ~stats ~solver ~cap
-                 ~node_limit:cfg.Run_config.node_limit ~out_of_time
-                 ~stop:halt ~table ~total_width ~tams)
-        in
-        let slice_solved =
-          Array.fold_left (fun acc (s, _) -> acc + s) 0 chunks
-        in
-        solved := !solved + slice_solved;
-        nodes := Array.fold_left (fun acc (_, n) -> acc + n) !nodes chunks;
-        next := hi;
-        incr slices_done;
-        if slice_solved < hi - lo then begin
-          (* A deadline or per-partition node budget stopped the slice
-             mid-way: the incumbent keeps the partial work, the resume
-             token rewinds to the slice start. *)
-          Run_config.publish cfg cp_pre;
-          stop := Some (Outcome.Budget_exhausted cp_pre)
-        end
-        else if !next < total then
-          stop :=
-            Run_config.boundary cfg ~deadline ~slices:!slices_done
-              checkpoint_now
-      done);
   let outcome =
-    match !stop with
-    | Some o -> o
-    | None ->
-        Run_config.retire cfg;
-        Outcome.Complete
+    Soctam_util.Pool.Team.with_team ~oversubscribe:cfg.Run_config.oversubscribe
+      ~jobs:(max 1 cfg.Run_config.jobs) (fun team ->
+        (* The first slice always runs and a boundary follows each
+           slice, so even a zero budget returns a solved incumbent. *)
+        Run_config.slices cfg ~grant_first:true ~snapshot (fun c ->
+            let out_of_time () =
+              match c.Run_config.deadline with
+              | None -> false
+              | Some d -> Soctam_util.Timer.now_s () > d
+            in
+            while !next < total do
+              c.Run_config.before_slice ();
+              (* The safe state to resume a truncated slice from: which
+                 partitions inside the slice got solved before a budget
+                 stop is timing-dependent, so the checkpoint rewinds to
+                 the slice start and the resumed run re-solves the whole
+                 slice. *)
+              let cp_pre = c.Run_config.checkpoint () in
+              let lo = !next in
+              let hi = min (lo + slice_len) total in
+              (* Each partition is a whole exact solve, so chunks shrink
+                 to single ranks. The B&B keeps its [cap] warm start;
+                 the slice incumbent only collects the winner. *)
+              let halt = Atomic.make false in
+              let chunks =
+                Slice_search.round ~stats ~span:"exhaustive/solve"
+                  ~min_chunk:1 team ~local:ignore
+                  ~tau:(ref (min best.Slice_search.b_time cap))
+                  best ~lo ~hi
+                  ~chunk:
+                    (solve_chunk ~stats ~solver ~cap
+                       ~node_limit:cfg.Run_config.node_limit ~out_of_time
+                       ~stop:halt ~table ~total_width ~tams)
+              in
+              let slice_solved =
+                Array.fold_left (fun acc (s, _) -> acc + s) 0 chunks
+              in
+              solved := !solved + slice_solved;
+              nodes :=
+                Array.fold_left (fun acc (_, n) -> acc + n) !nodes chunks;
+              next := hi;
+              (* A deadline or per-partition node budget stopped the
+                 slice mid-way: the incumbent keeps the partial work,
+                 the resume token rewinds to the slice start. *)
+              if slice_solved < hi - lo then
+                c.Run_config.stop (Outcome.Budget_exhausted cp_pre)
+            done))
   in
   let result widths time assignment =
     {

@@ -117,8 +117,8 @@ let evaluate_chunk ~stats ~cap ~table ~total_width ~tams
            if c < t then c else t
          in
          (* The odometer keeps the widths sorted, so the last two are
-            the widest and the second-widest. [check_args] has already
-            bounded every width by the table's, so unlike
+            the widest and the second-widest. [Run_config.tam_plan] has
+            already bounded every width by the table's, so unlike
             [run_table_direct] the cut needs no per-call width check. *)
          let step =
            Core_assign.cut ~table ~best:threshold ~widest:widths.(tams - 1)
@@ -278,48 +278,18 @@ let decode json =
     k_pending = Array.to_list (Checkpoint.ints_field "pending" json);
   }
 
-(* The TAM ceiling a restored incumbent is checked under. *)
-let effective_max (cfg : Run_config.t) =
-  match cfg.Run_config.tams with
-  | Some b -> b
-  | None -> cfg.Run_config.max_tams
-
 let check_body cfg ~table ~total_width json =
   let k = decode json in
   Option.iter
-    (Checkpoint.check_best ~table ~total_width ~max_tams:(effective_max cfg)
-       ~tau:k.k_tau)
+    (Checkpoint.check_best ~table ~total_width
+       ~max_tams:(Run_config.tam_ceiling cfg) ~tau:k.k_tau)
     k.k_best
 
-let check_args ~table ~total_width ~max_tams =
-  if total_width < 1 then
-    invalid_arg "Partition_evaluate: total_width must be >= 1";
-  if max_tams < 1 then invalid_arg "Partition_evaluate: max_tams must be >= 1";
-  if Time_table.max_width table < total_width then
-    invalid_arg "Partition_evaluate: time table narrower than total width"
-
-exception Stopped of Outcome.t
-
 let run_with (cfg : Run_config.t) ~table ~total_width =
-  let effective_max = effective_max cfg in
-  check_args ~table ~total_width ~max_tams:effective_max;
-  let b_values =
-    match cfg.Run_config.tams with
-    | Some b ->
-        if b > total_width then
-          invalid_arg "Partition_evaluate: more TAMs than width";
-        [ b ]
-    | None ->
-        Soctam_util.Intutil.range 1 (min cfg.Run_config.max_tams total_width)
-  in
+  let b_values = Run_config.tam_plan cfg ~table ~total_width in
   let stats = cfg.Run_config.stats in
-  let jobs = cfg.Run_config.jobs in
-  let initial =
-    match cfg.Run_config.initial_best with Some t -> t | None -> max_int
-  in
-  let cap =
-    match cfg.Run_config.tau_import with Some b -> b | None -> max_int
-  in
+  let initial = Run_config.initial_tau cfg in
+  let cap = Run_config.import_cap cfg in
   let restored = Run_config.resumed cfg ~engine:tag decode in
   Option.iter
     (fun k ->
@@ -340,7 +310,8 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
     restored;
   let work = Slice_search.work cfg in
   let best =
-    Slice_search.best ~table ~total_width ~max_tams:effective_max
+    Slice_search.best ~table ~total_width
+      ~max_tams:(Run_config.tam_ceiling cfg)
       ?tau:(Option.map (fun k -> k.k_tau) restored)
       ~initial
       (Option.bind restored (fun k -> k.k_best))
@@ -349,25 +320,21 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
   let done_rev =
     ref (match restored with Some k -> List.rev k.k_done | None -> [])
   in
-  (* The plan still to run: the restored cursor (mid-B) first, then the
-     pending TAM counts; on a fresh run, every B with a fresh cursor. *)
+  (* The plan still to run, its head the TAM count in progress: the
+     restored cursor (mid-B) first, then the pending TAM counts; on a
+     fresh run, every B with a fresh cursor. *)
   let todo =
-    match restored with
-    | None -> List.map fresh_b b_values
-    | Some k -> Option.to_list k.k_cursor @ List.map fresh_b k.k_pending
+    ref
+      (match restored with
+      | None -> List.map fresh_b b_values
+      | Some k -> Option.to_list k.k_cursor @ List.map fresh_b k.k_pending)
   in
-  let deadline = Run_config.deadline cfg in
-  let counters_now ~cursor =
+  let snapshot () =
+    let cursor, pending =
+      match !todo with [] -> (None, []) | g :: rest -> (Some g, rest)
+    in
     let live = List.rev_append !done_rev (Option.to_list cursor) in
     let sum f = List.fold_left (fun acc g -> acc + f g) 0 live in
-    Slice_search.counters work
-      [
-        ("partition/enumerated", sum (fun g -> g.g_enumerated));
-        ("partition/evaluated", sum (fun g -> g.g_completed));
-        ("partition/pruned", sum (fun g -> g.g_pruned));
-      ]
-  in
-  let checkpoint_now ~cursor ~pending () =
     let body =
       Json.Obj
         [
@@ -383,20 +350,13 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
             Json.List (List.map (fun g -> Json.Int g.g_tams) pending) );
         ]
     in
-    {
-      Checkpoint.soc = cfg.Run_config.soc_name;
-      counters = counters_now ~cursor;
-      state = Checkpoint.Token { engine = tag; body };
-    }
-  in
-  let slices_done = ref 0 in
-  let boundary ~cursor ~pending =
-    match
-      Run_config.boundary cfg ~deadline ~slices:!slices_done
-        (checkpoint_now ~cursor ~pending)
-    with
-    | Some o -> raise (Stopped o)
-    | None -> ()
+    ( Slice_search.counters work
+        [
+          ("partition/enumerated", sum (fun g -> g.g_enumerated));
+          ("partition/evaluated", sum (fun g -> g.g_completed));
+          ("partition/pruned", sum (fun g -> g.g_pruned));
+        ],
+      Checkpoint.Token { engine = tag; body } )
   in
   let accumulate g c =
     g.g_enumerated <- g.g_enumerated + c.ch_enumerated;
@@ -410,38 +370,32 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
        condition-variable broadcast rather than a [Domain.spawn] — the
        dominant cost of the previous spawn-per-slice design. *)
     Pool.Team.with_team ~oversubscribe:cfg.Run_config.oversubscribe
-      ~jobs:(max 1 jobs) (fun team ->
-        try
-          let rec over_plan = function
-            | [] -> Outcome.Complete
-            | g :: pending ->
-                (* A fresh TAM count resets the bound when tau is not
-                   carried; a restored mid-B cursor keeps the
-                   checkpointed bound either way. *)
-                if (not cfg.Run_config.carry_tau) && g.g_next = 0 then
-                  tau := initial;
-                let unique = unique ~total_width g in
-                let slice_len = Run_config.slice_size cfg ~length:unique in
-                while g.g_next < unique do
-                  boundary ~cursor:(Some g) ~pending;
-                  let lo = g.g_next in
-                  let hi = min (lo + slice_len) unique in
-                  Slice_search.round ~stats ~span:"partition/evaluate_b"
-                    team ~local:odo ~tau best ~work ~lo ~hi
-                    ~chunk:
-                      (evaluate_chunk ~stats ~cap ~table ~total_width
-                         ~tams:g.g_tams)
-                  |> Array.iter (accumulate g);
-                  g.g_next <- hi;
-                  incr slices_done
-                done;
-                done_rev := g :: !done_rev;
-                over_plan pending
-          in
-          let outcome = over_plan todo in
-          Run_config.retire cfg;
-          outcome
-        with Stopped o -> o)
+      ~jobs:(max 1 cfg.Run_config.jobs) (fun team ->
+        Run_config.slices cfg ~snapshot (fun c ->
+            while !todo <> [] do
+              let g = List.hd !todo in
+              (* A fresh TAM count resets the bound when tau is not
+                 carried; a restored mid-B cursor keeps the
+                 checkpointed bound either way. *)
+              if (not cfg.Run_config.carry_tau) && g.g_next = 0 then
+                tau := initial;
+              let unique = unique ~total_width g in
+              let slice_len = Run_config.slice_size cfg ~length:unique in
+              while g.g_next < unique do
+                c.Run_config.before_slice ();
+                let lo = g.g_next in
+                let hi = min (lo + slice_len) unique in
+                Slice_search.round ~stats ~span:"partition/evaluate_b" team
+                  ~local:odo ~tau best ~work ~lo ~hi
+                  ~chunk:
+                    (evaluate_chunk ~stats ~cap ~table ~total_width
+                       ~tams:g.g_tams)
+                |> Array.iter (accumulate g);
+                g.g_next <- hi
+              done;
+              done_rev := g :: !done_rev;
+              todo := List.tl !todo
+            done))
   in
   let per_b =
     List.rev_map (b_stats_of_eng ~total_width) !done_rev |> Array.of_list

@@ -70,10 +70,8 @@ val run_with : Run_config.t -> table:Time_table.t -> total_width:int -> result
     replayed into the collector first, so a resumed run's final totals
     equal an uninterrupted run's.
 
-    @raise Invalid_argument when [total_width < 1], the effective TAM
-    ceiling is [< 1], [cfg.tams] exceeds [total_width], the time table
-    is narrower than [total_width], or a resume checkpoint does not
-    match this run.
+    @raise Invalid_argument when {!Run_config.tam_plan} rejects the
+    instance, or a resume checkpoint does not match this run.
     @raise Failure when a checkpoint write to [checkpoint_path] fails. *)
 
 val check_body :

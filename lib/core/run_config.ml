@@ -51,7 +51,6 @@ let with_oversubscribe oversubscribe t = { t with oversubscribe }
 let with_stats stats t = { t with stats }
 let with_soc_name name t = { t with soc_name = Some name }
 let with_table table t = { t with table = Some table }
-let without_table t = { t with table = None }
 
 let with_node_limit node_limit t =
   if node_limit < 1 then
@@ -67,7 +66,6 @@ let with_tams tams t =
   if tams < 1 then invalid_arg "Run_config.with_tams: tams must be >= 1";
   { t with tams = Some tams }
 
-let with_any_tams t = { t with tams = None }
 let with_initial_best best t = { t with initial_best = Some best }
 let with_carry_tau carry_tau t = { t with carry_tau }
 
@@ -84,7 +82,6 @@ let with_checkpoint_every every t =
   { t with checkpoint_every = every }
 
 let with_resume resume t = { t with resume = Some resume }
-let with_resume_replay resume_replay t = { t with resume_replay }
 let with_cancel cancel t = { t with cancel }
 
 let with_slice_limit limit t =
@@ -111,6 +108,24 @@ let slice_size t ~length =
   if length < 1 then 1
   else if checkpointing t then min t.checkpoint_every length
   else length
+
+let tam_ceiling t = Option.value t.tams ~default:t.max_tams
+
+let tam_plan t ~table ~total_width =
+  let fail what = invalid_arg ("Run_config.tam_plan: " ^ what) in
+  if total_width < 1 then fail "total_width must be >= 1";
+  if t.max_tams < 1 then fail "max_tams must be >= 1";
+  if Time_table.max_width table < total_width then
+    fail "time table narrower than total width";
+  match t.tams with
+  | Some b ->
+      if b < 1 then fail "tams must be >= 1";
+      if b > total_width then fail "more TAMs than width";
+      [ b ]
+  | None -> Soctam_util.Intutil.range 1 (min t.max_tams total_width)
+
+let initial_tau t = Option.value t.initial_best ~default:max_int
+let import_cap t = Option.value t.tau_import ~default:max_int
 
 (* -- checkpoint lifecycle -------------------------------------------------- *)
 
@@ -144,9 +159,6 @@ let resumed_race t =
           Checkpoint.fail
             "race: resume checkpoint is for a different solver (%s)" engine)
 
-let deadline t =
-  Option.map (fun budget -> Soctam_util.Timer.now_s () +. budget) t.time_budget
-
 let publish t cp =
   match t.checkpoint_path with
   | None -> ()
@@ -155,27 +167,53 @@ let publish t cp =
       | Ok () -> ()
       | Error msg -> failwith ("checkpoint write failed: " ^ msg))
 
-let boundary t ~deadline ~slices now =
-  let stop outcome =
-    let cp = now () in
-    publish t cp;
-    Some (outcome cp)
-  in
-  match t.slice_limit with
-  | Some limit when slices >= limit ->
-      stop (fun cp -> Outcome.Budget_exhausted cp)
-  | Some _ | None -> (
-      if t.cancel () then stop (fun cp -> Outcome.Interrupted cp)
-      else
-        match deadline with
-        | Some d when Soctam_util.Timer.now_s () > d ->
-            stop (fun cp -> Outcome.Budget_exhausted cp)
-        | Some _ | None ->
-            if t.checkpoint_path <> None then publish t (now ());
-            None)
+type control = {
+  before_slice : unit -> unit;
+  checkpoint : unit -> Checkpoint.t;
+  stop : 'a. Outcome.t -> 'a;
+  deadline : float option;
+}
 
-let retire t =
-  match t.checkpoint_path with
-  | Some path when Sys.file_exists path -> (
-      try Sys.remove path with Sys_error _ -> ())
-  | Some _ | None -> ()
+(* The one slice loop of every engine. The exception is local to the
+   call, so a racer's stop can never be caught by the engine slice it
+   grants (or the reverse). *)
+let slices t ?(grant_first = false) ~snapshot body =
+  let exception Halt of Outcome.t in
+  let deadline =
+    Option.map
+      (fun budget -> Soctam_util.Timer.now_s () +. budget)
+      t.time_budget
+  in
+  let checkpoint () =
+    let counters, state = snapshot () in
+    { Checkpoint.soc = t.soc_name; counters; state }
+  in
+  let stop outcome =
+    Option.iter (publish t) (Outcome.resume_token outcome);
+    raise (Halt outcome)
+  in
+  let calls = ref 0 in
+  let before_slice () =
+    let slices = !calls in
+    incr calls;
+    if not (grant_first && slices = 0) then
+      match t.slice_limit with
+      | Some limit when slices >= limit ->
+          stop (Outcome.Budget_exhausted (checkpoint ()))
+      | Some _ | None -> (
+          if t.cancel () then stop (Outcome.Interrupted (checkpoint ()))
+          else
+            match deadline with
+            | Some d when Soctam_util.Timer.now_s () > d ->
+                stop (Outcome.Budget_exhausted (checkpoint ()))
+            | Some _ | None ->
+                if t.checkpoint_path <> None then publish t (checkpoint ()))
+  in
+  match body { before_slice; checkpoint; stop; deadline } with
+  | () ->
+      (match t.checkpoint_path with
+      | Some path when Sys.file_exists path -> (
+          try Sys.remove path with Sys_error _ -> ())
+      | Some _ | None -> ());
+      Outcome.Complete
+  | exception Halt outcome -> outcome

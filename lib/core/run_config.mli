@@ -9,8 +9,10 @@
     [Exhaustive.run_with] or [Sweep.run_with], and every run policy —
     parallelism, observability, budgets, checkpointing, resume,
     cancellation — travels together. The checkpoint lifecycle every
-    engine shares (resume, publish at boundaries, retire on completion)
-    lives here too, next to the fields it reads.
+    engine shares lives here too, next to the fields it reads: {!resumed}
+    restores a run, and {!slices} drives its slice loop — the stop
+    policy at every boundary, the checkpoint writes, and the removal of
+    the file once the run completes.
 
     Instance data (which SOC, which time table width, which fixed TAM
     count for the exhaustive baseline) stays an explicit argument of
@@ -92,15 +94,11 @@ val with_oversubscribe : bool -> t -> t
 val with_stats : Soctam_obs.Obs.t -> t -> t
 val with_soc_name : string -> t -> t
 val with_table : Time_table.t -> t -> t
-val without_table : t -> t
 val with_node_limit : int -> t -> t
 val with_max_tams : int -> t -> t
 
 val with_tams : int -> t -> t
 (** Fix the TAM count (P_PAW). *)
-
-val with_any_tams : t -> t
-(** Back to P_NPAW (clear {!with_tams}). *)
 
 val with_initial_best : int -> t -> t
 val with_carry_tau : bool -> t -> t
@@ -108,7 +106,6 @@ val with_time_budget : float -> t -> t
 val with_checkpoint : string -> t -> t
 val with_checkpoint_every : int -> t -> t
 val with_resume : Checkpoint.t -> t -> t
-val with_resume_replay : bool -> t -> t
 val with_cancel : (unit -> bool) -> t -> t
 
 val with_slice_limit : int -> t -> t
@@ -130,10 +127,20 @@ val slice_size : t -> length:int -> int
     when {!checkpointing}, else the whole range (single slice — the
     non-checkpointed run takes the same code path with one boundary). *)
 
-(** {1 Checkpoint lifecycle}
+val tam_ceiling : t -> int
+(** The most TAMs a run may use: the fixed [tams], else [max_tams]. *)
 
-    The resume, publish and retire steps every engine shares. Engines
-    own their token bodies; these helpers own everything around them. *)
+val tam_plan : t -> table:Time_table.t -> total_width:int -> int list
+(** The TAM counts a partition-space engine enumerates: [[b]] for
+    [tams = Some b], else [1 .. min max_tams total_width].
+    @raise Invalid_argument on a count below 1, a table narrower than
+    [total_width], or a fixed count above it. *)
+
+val initial_tau : t -> int
+val import_cap : t -> int
+(** [initial_best] and [tau_import], with [max_int] for none. *)
+
+(** {1 Checkpoint lifecycle} *)
 
 val resumed : t -> engine:string -> (Soctam_util.Json.t -> 'a) -> 'a option
 (** [resumed cfg ~engine decode] is [None] without a resume token.
@@ -147,23 +154,32 @@ val resumed : t -> engine:string -> (Soctam_util.Json.t -> 'a) -> 'a option
 val resumed_race : t -> Checkpoint.race_state option
 (** {!resumed} for the race state, which the envelope itself decodes. *)
 
-val deadline : t -> float option
-(** [time_budget] seconds from now, on the monotonic clock. *)
-
 val publish : t -> Checkpoint.t -> unit
 (** Write the checkpoint to [checkpoint_path], when one is set.
     @raise Failure when the write fails. *)
 
-val boundary :
-  t -> deadline:float option -> slices:int -> (unit -> Checkpoint.t) ->
-  Outcome.t option
-(** The slice-boundary policy: after [slices] completed slices, stop
-    with [Budget_exhausted] at the slice limit, with [Interrupted] when
-    [cancel] fires, or with [Budget_exhausted] past [deadline] — in that
-    order — carrying (and publishing) the checkpoint [now ()]. [None]
-    means continue, after publishing the checkpoint when a path is set.
-    @raise Failure when the write fails. *)
+(** What {!slices} hands the engine's loop. *)
+type control = {
+  before_slice : unit -> unit;
+      (** The slice boundary. After [n] earlier calls, stop at the slice
+          limit ([n] slices done), on [cancel] or past the deadline, in
+          that order; otherwise publish the checkpoint when a path is
+          set. *)
+  checkpoint : unit -> Checkpoint.t;  (** the run's checkpoint now *)
+  stop : 'a. Outcome.t -> 'a;
+      (** End the run with a truncated outcome, publishing its token. *)
+  deadline : float option;  (** [time_budget] from the start, monotonic *)
+}
 
-val retire : t -> unit
-(** Remove the checkpoint file: a finished run leaves no stale resume
-    bait behind. *)
+val slices :
+  t ->
+  ?grant_first:bool ->
+  snapshot:(unit -> (string * int) list * Checkpoint.state) ->
+  (control -> unit) ->
+  Outcome.t
+(** [slices cfg ~snapshot body] runs an engine's slice loop. A
+    checkpoint wraps [snapshot ()] (counters, state) with [cfg]'s SOC
+    name. [body] returning completes the run and removes the checkpoint
+    file; a stop keeps it. With [grant_first] the first [before_slice] does
+    nothing, so a zero budget still returns a solved incumbent.
+    @raise Failure when a checkpoint write fails. *)

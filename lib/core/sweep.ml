@@ -106,8 +106,10 @@ let run_with (cfg : Run_config.t) soc ~widths =
   let pending =
     ref (match restored with Some k -> k.k_pending | None -> widths)
   in
-  let deadline = Run_config.deadline cfg in
-  let checkpoint_now ?inner () =
+  (* The truncated width's own token, embedded when the sweep stops
+     inside that width. *)
+  let stopped_inner = ref None in
+  let snapshot () =
     let body =
       Json.Obj
         [
@@ -115,19 +117,16 @@ let run_with (cfg : Run_config.t) soc ~widths =
           ("points", Json.List (List.rev_map point_json !done_rev));
           ("pending", Json.List (List.map (fun w -> Json.Int w) !pending));
           ( "inner",
-            match inner with None -> Json.Null | Some t -> Checkpoint.to_json t
-          );
+            match !stopped_inner with
+            | None -> Json.Null
+            | Some t -> Checkpoint.to_json t );
         ]
     in
-    {
-      Checkpoint.soc = cfg.Run_config.soc_name;
-      (* A sweep checkpoint carries no counters of its own: the
-         completed widths' observability totals live in the interrupted
-         process, and the interrupted width's partial counters travel
-         inside its embedded token. *)
-      counters = [];
-      state = Checkpoint.Token { engine = tag; body };
-    }
+    (* A sweep checkpoint carries no counters of its own: the completed
+       widths' observability totals live in the interrupted process, and
+       the interrupted width's partial counters travel inside its
+       embedded token. *)
+    ([], Checkpoint.Token { engine = tag; body })
   in
   (* The per-width run inherits the sweep's policy but never writes its
      own checkpoints: the sweep is the checkpointed unit. A width
@@ -151,67 +150,67 @@ let run_with (cfg : Run_config.t) soc ~widths =
   let inner_resume =
     ref (match restored with Some k -> k.k_inner | None -> None)
   in
-  let stop = ref None in
-  let halt ?inner outcome =
-    let cp = checkpoint_now ?inner () in
-    Run_config.publish cfg cp;
-    stop := Some (outcome cp)
-  in
-  while !pending <> [] && !stop = None do
-    let width = List.hd !pending in
-    let remaining =
-      Option.map
-        (fun d -> Float.max 0. (d -. Soctam_util.Timer.now_s ()))
-        deadline
-    in
-    if cfg.Run_config.cancel () then halt (fun cp -> Outcome.Interrupted cp)
-    else if match remaining with Some r -> r <= 0. | None -> false then
-      halt (fun cp -> Outcome.Budget_exhausted cp)
-    else begin
-      let resume = !inner_resume in
-      inner_resume := None;
-      (* The [pe] engine runs the exact finish only on a completed
-         search, so a width truncated mid-search pays for none. *)
-      let report =
-        Soctam_obs.Obs.span stats
-          (Printf.sprintf "sweep/width%d" width)
-          (fun () ->
-            Engine.run Engine.pe (inner_cfg ~resume remaining)
-              { Engine.table; total_width = width })
-      in
-      (* On truncation the width's own token (partial incumbent,
-         cursor, counters) is embedded in the sweep checkpoint, so a
-         resume picks the width up mid-search. *)
-      match report.Engine.r_outcome with
-      | Outcome.Interrupted inner ->
-          halt ~inner (fun cp -> Outcome.Interrupted cp)
-      | Outcome.Budget_exhausted inner ->
-          halt ~inner (fun cp -> Outcome.Budget_exhausted cp)
-      | Outcome.Complete ->
-          let bounds = Bounds.compute table ~total_width:width in
-          let partition = report.Engine.r_widths in
-          let time = report.Engine.r_time in
-          done_rev :=
-            {
-              width;
-              tams = Array.length partition;
-              widths = partition;
-              time;
-              lower_bound = bounds.Bounds.combined;
-              gap_pct = Bounds.gap_pct bounds ~time;
-              saturated = Bounds.saturated bounds ~time;
-            }
-            :: !done_rev;
-          pending := List.tl !pending;
-          if !pending <> [] then Run_config.publish cfg (checkpoint_now ())
-    end
-  done;
+  (* The sweep checks cancellation and its budget before every width
+     (the first one too) and writes a checkpoint after every completed
+     width but the last, so it drives its loop with [stop] rather than
+     [before_slice]. *)
   let outcome =
-    match !stop with
-    | Some o -> o
-    | None ->
-        Run_config.retire cfg;
-        Outcome.Complete
+    Run_config.slices cfg ~snapshot (fun c ->
+        let halt ?inner outcome =
+          stopped_inner := inner;
+          c.Run_config.stop (outcome (c.Run_config.checkpoint ()))
+        in
+        while !pending <> [] do
+          let width = List.hd !pending in
+          let remaining =
+            Option.map
+              (fun d -> Float.max 0. (d -. Soctam_util.Timer.now_s ()))
+              c.Run_config.deadline
+          in
+          if cfg.Run_config.cancel () then
+            halt (fun cp -> Outcome.Interrupted cp)
+          else if match remaining with Some r -> r <= 0. | None -> false
+          then halt (fun cp -> Outcome.Budget_exhausted cp)
+          else begin
+            let resume = !inner_resume in
+            inner_resume := None;
+            (* The [pe] engine runs the exact finish only on a completed
+               search, so a width truncated mid-search pays for none. *)
+            let report =
+              Soctam_obs.Obs.span stats
+                (Printf.sprintf "sweep/width%d" width)
+                (fun () ->
+                  Engine.run Engine.pe (inner_cfg ~resume remaining)
+                    { Engine.table; total_width = width })
+            in
+            (* On truncation the width's own token (partial incumbent,
+               cursor, counters) is embedded in the sweep checkpoint, so
+               a resume picks the width up mid-search. *)
+            match report.Engine.r_outcome with
+            | Outcome.Interrupted inner ->
+                halt ~inner (fun cp -> Outcome.Interrupted cp)
+            | Outcome.Budget_exhausted inner ->
+                halt ~inner (fun cp -> Outcome.Budget_exhausted cp)
+            | Outcome.Complete ->
+                let bounds = Bounds.compute table ~total_width:width in
+                let partition = report.Engine.r_widths in
+                let time = report.Engine.r_time in
+                done_rev :=
+                  {
+                    width;
+                    tams = Array.length partition;
+                    widths = partition;
+                    time;
+                    lower_bound = bounds.Bounds.combined;
+                    gap_pct = Bounds.gap_pct bounds ~time;
+                    saturated = Bounds.saturated bounds ~time;
+                  }
+                  :: !done_rev;
+                pending := List.tl !pending;
+                if !pending <> [] then
+                  Run_config.publish cfg (c.Run_config.checkpoint ())
+          end
+        done)
   in
   { points = List.rev !done_rev; outcome }
 

@@ -6,11 +6,6 @@ type order = Ffdh | Nfdh | Diagonal
 
 let orders = [ Ffdh; Nfdh; Diagonal ]
 
-let order_name = function
-  | Ffdh -> "ffdh"
-  | Nfdh -> "nfdh"
-  | Diagonal -> "diagonal"
-
 let check_input ~width rects =
   if width < 1 then invalid_arg "Level_pack: width must be >= 1";
   List.iter

@@ -53,9 +53,6 @@ type order = Ffdh | Nfdh | Diagonal
 val orders : order list
 (** [[Ffdh; Nfdh; Diagonal]], the engine's fixed heuristic portfolio. *)
 
-val order_name : order -> string
-(** ["ffdh"], ["nfdh"], ["diagonal"]. *)
-
 val pack : order -> width:int -> rect list -> packing
 (** Pack every rectangle into a strip of the given width. Total: every
     input rectangle appears in exactly one level, levels never exceed

@@ -300,34 +300,15 @@ let decode json =
     "pack cursor is past the end of the rank space";
   k
 
-(* The TAM ceiling a restored incumbent is checked under. *)
-let best_max_tams (cfg : Rc.t) =
-  Option.value cfg.Rc.tams ~default:cfg.Rc.max_tams
-
-exception Stopped of Outcome.t
-
 let run_with (cfg : Rc.t) ~table ~total_width =
-  if total_width < 1 then invalid_arg "Pack_engine: total_width must be >= 1";
-  if cfg.Rc.max_tams < 1 then invalid_arg "Pack_engine: max_tams must be >= 1";
-  if Tt.max_width table < total_width then
-    invalid_arg "Pack_engine: time table narrower than total width";
+  let b_values = Rc.tam_plan cfg ~table ~total_width in
   let tams = cfg.Rc.tams in
-  let b_values =
-    match tams with
-    | Some b ->
-        if b > total_width then invalid_arg "Pack_engine: more TAMs than width";
-        if b < 1 then invalid_arg "Pack_engine: tams must be >= 1";
-        [ b ]
-    | None -> Soctam_util.Intutil.range 1 (min cfg.Rc.max_tams total_width)
-  in
   let max_tams = cfg.Rc.max_tams in
   let sp = space ~total_width ~b_values in
   let ranks = rank_count sp in
   let stats = cfg.Rc.stats in
-  let initial =
-    match cfg.Rc.initial_best with Some t -> t | None -> max_int
-  in
-  let cap = match cfg.Rc.tau_import with Some b -> b | None -> max_int in
+  let initial = Rc.initial_tau cfg in
+  let cap = Rc.import_cap cfg in
   let restored = Rc.resumed cfg ~engine:tag decode in
   Option.iter
     (fun k ->
@@ -347,7 +328,7 @@ let run_with (cfg : Rc.t) ~table ~total_width =
     restored;
   let work = Slice_search.work cfg in
   let best =
-    Slice_search.best ~table ~total_width ~max_tams:(best_max_tams cfg)
+    Slice_search.best ~table ~total_width ~max_tams:(Rc.tam_ceiling cfg)
       ?tau:(Option.map (fun k -> k.k_tau) restored)
       ~initial
       (Option.bind restored (fun k -> k.k_best))
@@ -363,17 +344,7 @@ let run_with (cfg : Rc.t) ~table ~total_width =
   let makespan =
     ref (match restored with Some k -> k.k_best_makespan | None -> None)
   in
-  let deadline = Rc.deadline cfg in
-  let counters_now () =
-    Slice_search.counters work
-      [
-        ("pack/packings", !packings);
-        ("pack/candidates", !cands);
-        ("pack/evaluated", !completed);
-        ("pack/pruned", !pruned);
-      ]
-  in
-  let checkpoint_now () =
+  let snapshot () =
     let body =
       Json.Obj
         [
@@ -392,47 +363,42 @@ let run_with (cfg : Rc.t) ~table ~total_width =
           ("best_makespan", Checkpoint.json_int_opt !makespan);
         ]
     in
-    {
-      Checkpoint.soc = cfg.Rc.soc_name;
-      counters = counters_now ();
-      state = Checkpoint.Token { engine = tag; body };
-    }
+    ( Slice_search.counters work
+        [
+          ("pack/packings", !packings);
+          ("pack/candidates", !cands);
+          ("pack/evaluated", !completed);
+          ("pack/pruned", !pruned);
+        ],
+      Checkpoint.Token { engine = tag; body } )
   in
-  let slices_done = ref 0 in
   let slice_len = Rc.slice_size cfg ~length:ranks in
   let outcome =
     Pool.Team.with_team ~oversubscribe:cfg.Rc.oversubscribe
       ~jobs:(max 1 cfg.Rc.jobs) (fun team ->
-        try
-          while !next < ranks do
-            (match
-               Rc.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
-             with
-            | Some o -> raise (Stopped o)
-            | None -> ());
-            let lo = !next in
-            let hi = min (lo + slice_len) ranks in
-            (* Ranks are coarse units (a whole packing plus its
-               candidate evaluations), so chunks shrink to single ranks;
-               the default granularity would serialize the space. *)
-            Slice_search.round ~stats ~span:"pack/evaluate_slice" ~min_chunk:1
-              team ~local:ignore ~tau best ~work ~lo ~hi
-              ~chunk:
-                (evaluate_chunk ~stats ~cap ~table ~total_width ~tams
-                   ~max_tams ~sp)
-            |> Array.iter (fun c ->
-                   packings := !packings + c.ch_packings;
-                   cands := !cands + c.ch_candidates;
-                   completed := !completed + c.ch_completed;
-                   pruned := !pruned + c.ch_pruned;
-                   makespan :=
-                     Slice_search.merge_min !makespan c.ch_best_makespan);
-            next := hi;
-            incr slices_done
-          done;
-          Rc.retire cfg;
-          Outcome.Complete
-        with Stopped o -> o)
+        Rc.slices cfg ~snapshot (fun c ->
+            while !next < ranks do
+              c.Rc.before_slice ();
+              let lo = !next in
+              let hi = min (lo + slice_len) ranks in
+              (* Ranks are coarse units (a whole packing plus its
+                 candidate evaluations), so chunks shrink to single
+                 ranks; the default granularity would serialize the
+                 space. *)
+              Slice_search.round ~stats ~span:"pack/evaluate_slice"
+                ~min_chunk:1 team ~local:ignore ~tau best ~work ~lo ~hi
+                ~chunk:
+                  (evaluate_chunk ~stats ~cap ~table ~total_width ~tams
+                     ~max_tams ~sp)
+              |> Array.iter (fun c ->
+                     packings := !packings + c.ch_packings;
+                     cands := !cands + c.ch_candidates;
+                     completed := !completed + c.ch_completed;
+                     pruned := !pruned + c.ch_pruned;
+                     makespan :=
+                       Slice_search.merge_min !makespan c.ch_best_makespan);
+              next := hi
+            done))
   in
   (* Nothing beat the seed (or the budget expired before the first
      slice): the even split over the first permitted TAM count. *)
@@ -476,7 +442,7 @@ module E : Soctam_core.Engine.S = struct
     Option.iter
       (Checkpoint.check_best ~table:inst.Soctam_core.Engine.table
          ~total_width:inst.Soctam_core.Engine.total_width
-         ~max_tams:(best_max_tams cfg) ~tau:k.k_tau)
+         ~max_tams:(Rc.tam_ceiling cfg) ~tau:k.k_tau)
       k.k_best
 
   let run (cfg : Rc.t) (inst : Soctam_core.Engine.instance) =

@@ -82,9 +82,8 @@ val run_with :
     split (whose time then fails the racer's strict-improvement
     check). [slice_limit] stops the run resumably
     ([Outcome.Budget_exhausted]) after that many rank slices.
-    @raise Invalid_argument when [total_width < 1], the table is
-    narrower than [total_width], [tams] exceeds [total_width], or a
-    resume checkpoint does not match this instance. *)
+    @raise Invalid_argument when [Run_config.tam_plan] rejects the
+    instance, or a resume checkpoint does not match it. *)
 
 val architecture :
   table:Soctam_core.Time_table.t -> result -> Soctam_tam.Architecture.t

@@ -53,8 +53,6 @@ type best = {
 
 let never () = false
 
-exception Stopped of Outcome.t
-
 let run (cfg : Rc.t) ~engines ~table ~total_width =
   if engines = [] then invalid_arg "Race: empty portfolio";
   let rec check_dup = function
@@ -149,9 +147,7 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
             })
           engines
   in
-  let initial =
-    match cfg.Rc.initial_best with Some t -> t | None -> max_int
-  in
+  let initial = Rc.initial_tau cfg in
   let tau =
     ref (match restored with Some s -> s.Checkpoint.ra_tau | None -> initial)
   in
@@ -159,7 +155,7 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
     match restored with
     | Some { Checkpoint.ra_best = Some b; ra_winner; ra_tau; _ } ->
         Checkpoint.check_best ~table ~total_width
-          ~max_tams:(Option.value cfg.Rc.tams ~default:cfg.Rc.max_tams)
+          ~max_tams:(Rc.tam_ceiling cfg)
           ~tau:ra_tau b;
         {
           b_widths = b.Checkpoint.ba_widths;
@@ -188,61 +184,52 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
       | Some s -> Some s.s_name
       | None -> None)
   in
-  let deadline = Rc.deadline cfg in
-  let counters_now () =
-    List.filter
-      (fun (_, n) -> n > 0)
-      ([
-         ("race/slices", !slices);
-         ("race/tau_imports", !imports);
-         ("race/tau_exports", !exports);
-       ]
-      @ List.map
-          (fun s -> ("race/improvements/" ^ s.s_name, s.s_improvements))
-          slots)
+  let snapshot () =
+    ( List.filter
+        (fun (_, n) -> n > 0)
+        ([
+           ("race/slices", !slices);
+           ("race/tau_imports", !imports);
+           ("race/tau_exports", !exports);
+         ]
+        @ List.map
+            (fun s -> ("race/improvements/" ^ s.s_name, s.s_improvements))
+            slots),
+      Checkpoint.Race
+        {
+          Checkpoint.ra_total_width = total_width;
+          ra_tams = cfg.Rc.tams;
+          ra_max_tams = cfg.Rc.max_tams;
+          ra_initial = cfg.Rc.initial_best;
+          ra_tau = !tau;
+          ra_best =
+            (if Array.length best.b_widths = 0 then None
+             else
+               Some
+                 {
+                   Checkpoint.ba_widths = best.b_widths;
+                   ba_time = best.b_time;
+                   ba_assignment = best.b_assignment;
+                 });
+          ra_winner = best.b_winner;
+          ra_rounds = !rounds;
+          ra_slices = !slices;
+          ra_imports = !imports;
+          ra_exports = !exports;
+          ra_slots =
+            List.map
+              (fun s ->
+                {
+                  Checkpoint.rs_engine = s.s_name;
+                  rs_done = s.s_done;
+                  rs_proved = s.s_proved;
+                  rs_improvements = s.s_improvements;
+                  rs_slices = s.s_slices;
+                  rs_token = s.s_token;
+                })
+              slots;
+        } )
   in
-  let checkpoint_now () =
-    {
-      Checkpoint.soc = cfg.Rc.soc_name;
-      counters = counters_now ();
-      state =
-        Checkpoint.Race
-          {
-            Checkpoint.ra_total_width = total_width;
-            ra_tams = cfg.Rc.tams;
-            ra_max_tams = cfg.Rc.max_tams;
-            ra_initial = cfg.Rc.initial_best;
-            ra_tau = !tau;
-            ra_best =
-              (if Array.length best.b_widths = 0 then None
-               else
-                 Some
-                   {
-                     Checkpoint.ba_widths = best.b_widths;
-                     ba_time = best.b_time;
-                     ba_assignment = best.b_assignment;
-                   });
-            ra_winner = best.b_winner;
-            ra_rounds = !rounds;
-            ra_slices = !slices;
-            ra_imports = !imports;
-            ra_exports = !exports;
-            ra_slots =
-              List.map
-                (fun s ->
-                  {
-                    Checkpoint.rs_engine = s.s_name;
-                    rs_done = s.s_done;
-                    rs_proved = s.s_proved;
-                    rs_improvements = s.s_improvements;
-                    rs_slices = s.s_slices;
-                    rs_token = s.s_token;
-                  })
-                slots;
-          };
-    }
-  in
-  let slices_done = ref 0 in
   (* The next grant in the fixed round-robin schedule, derived from the
      slot slice counts alone: within a round every live slot earlier in
      portfolio order has one more slice than the ones still waiting, so
@@ -324,27 +311,18 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
         s.s_token <- Some cp
   in
   let outcome =
-    try
-      let rec loop () =
-        if !proof <> None then ()
-        else
-          match next_slot () with
-          | None -> ()
-          | Some (s, fresh_round) ->
-              (match
-                 Rc.boundary cfg ~deadline ~slices:!slices_done checkpoint_now
-               with
-              | Some o -> raise (Stopped o)
-              | None -> ());
-              if fresh_round then incr rounds;
-              run_slice s;
-              incr slices_done;
-              loop ()
-      in
-      loop ();
-      Rc.retire cfg;
-      Outcome.Complete
-    with Stopped o -> o
+    Rc.slices cfg ~snapshot (fun c ->
+        let rec loop () =
+          if !proof = None then
+            match next_slot () with
+            | None -> ()
+            | Some (s, fresh_round) ->
+                c.Rc.before_slice ();
+                if fresh_round then incr rounds;
+                run_slice s;
+                loop ()
+        in
+        loop ())
   in
   (match (outcome, !proof, Obs.enabled stats, best.b_winner) with
   | Outcome.Complete, _, true, Some w -> Obs.event stats ("race/winner " ^ w)
@@ -365,12 +343,9 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
     (* Nothing beat the seed (or the budget expired before the first
        improvement): fall back to the even split over the first
        permitted TAM count, like the solo engines. *)
-    let parts =
-      match cfg.Rc.tams with Some b -> min b total_width | None -> 1
-    in
-    let base = total_width / parts and extra = total_width mod parts in
     let widths =
-      Array.init parts (fun i -> if i < extra then base + 1 else base)
+      Soctam_core.Slice_search.even_widths ~total_width
+        (match cfg.Rc.tams with Some b -> min b total_width | None -> 1)
     in
     match Core_assign.run_table ~table ~widths () with
     | Core_assign.Assigned { assignment; time; _ } ->

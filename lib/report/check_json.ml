@@ -47,11 +47,6 @@ let violation_to buf (v : Violation.t) =
   string_to buf v.Violation.message;
   Buffer.add_char buf '}'
 
-let render_violation v =
-  let buf = Buffer.create 128 in
-  violation_to buf v;
-  Buffer.contents buf
-
 let render (report : Report.t) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf {|{"subject": |};

@@ -16,6 +16,3 @@
 val render : Soctam_check.Report.t -> string
 (** Single-line JSON, UTF-8 passed through, control characters and
     quotes escaped. *)
-
-val render_violation : Soctam_check.Violation.t -> string
-(** One violation as a standalone JSON object. *)

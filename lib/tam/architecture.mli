@@ -30,7 +30,6 @@ val of_times :
 (** Like {!make} but with externally supplied core-time lookup (e.g. a
     precomputed time table), avoiding repeated wrapper design. *)
 
-val tam_count : t -> int
 val cores_on : t -> int -> int list
 (** [cores_on t j] lists the (0-based) cores assigned to TAM [j]. *)
 

@@ -663,44 +663,98 @@ let mismatched_resume_rejected () =
         (Rc.default |> Rc.with_resume token)
         ~table ~total_width:10 ~tams:3)
 
+(* The checkpoint file through [Run_config.slices], at every caller:
+   each registered engine and the racer. A cancel after two polls leaves
+   the stop's checkpoint on disk, loadable; resuming it completes with
+   the straight run's architecture; the completed run removes the
+   file. *)
 let checkpoint_file_lifecycle () =
+  let module Engine = Soctam_core.Engine in
   let soc = small_soc 13L ~cores:4 in
   let total_width = 10 in
   let table = Tt.build soc ~max_width:total_width in
-  let path = Filename.temp_file "soctam_ckpt" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let calls = ref 0 in
-      let cancel () =
-        incr calls;
-        !calls > 2
-      in
-      let interrupted =
-        Pe.run_with
-          (Rc.default |> Rc.with_max_tams 3 |> Rc.with_checkpoint path
-          |> Rc.with_checkpoint_every 3 |> Rc.with_cancel cancel)
-          ~table ~total_width
-      in
-      Alcotest.(check bool)
-        "interrupted" false
-        (Oc.is_complete interrupted.Pe.outcome);
-      let on_disk =
-        match Cp.load path with
-        | Ok t -> t
-        | Error msg -> Alcotest.failf "no checkpoint on disk: %s" msg
-      in
-      let resumed =
-        Pe.run_with
-          (Rc.default |> Rc.with_max_tams 3 |> Rc.with_checkpoint path
-          |> Rc.with_resume on_disk)
-          ~table ~total_width
-      in
-      Alcotest.(check bool)
-        "resumed to completion" true
-        (Oc.is_complete resumed.Pe.outcome);
-      Alcotest.(check bool)
-        "completed run removed the checkpoint" false (Sys.file_exists path))
+  let inst = { Engine.table; total_width } in
+  let base = Rc.default |> Rc.with_max_tams 3 in
+  let solo e cfg =
+    let r = Engine.run e cfg inst in
+    ( r.Engine.r_widths,
+      r.Engine.r_assignment,
+      r.Engine.r_time,
+      r.Engine.r_outcome )
+  in
+  let race cfg =
+    let r =
+      Soctam_race.Race.run cfg
+        ~engines:
+          [
+            Engine.pe;
+            Soctam_pack.Pack_engine.engine;
+            An.engine ~params:{ An.default_params with An.iterations = 60 } ();
+          ]
+        ~table ~total_width
+    in
+    Soctam_race.Race.(r.widths, r.assignment, r.time, r.outcome)
+  in
+  let runs =
+    List.map
+      (fun e ->
+        let caps = Engine.caps e in
+        let cfg =
+          if caps.Engine.needs_fixed_tams then base |> Rc.with_tams 3 else base
+        in
+        (* Annealer slices count iterations (100 000 by default), the
+           others ranks or partitions. *)
+        let every =
+          if String.equal (Engine.name e) "anneal" then 25_000 else 2
+        in
+        (Engine.name e, Rc.with_checkpoint_every every cfg, solo e))
+      (Soctam_race.Registry.all ())
+    @ [ ("race", base |> Rc.with_checkpoint_every 3, race) ]
+  in
+  List.iter
+    (fun (name, cfg, run) ->
+      let path = Filename.temp_file "soctam_ckpt" ".json" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let calls = ref 0 in
+          let cancel () =
+            incr calls;
+            !calls > 2
+          in
+          let _, _, _, interrupted =
+            run (cfg |> Rc.with_checkpoint path |> Rc.with_cancel cancel)
+          in
+          let token =
+            match interrupted with
+            | Oc.Interrupted t -> t
+            | Oc.Complete | Oc.Budget_exhausted _ ->
+                Alcotest.failf "%s: not interrupted by the third poll" name
+          in
+          let on_disk =
+            match Cp.load path with
+            | Ok t -> t
+            | Error msg ->
+                Alcotest.failf "%s: no checkpoint on disk: %s" name msg
+          in
+          Alcotest.(check string)
+            (name ^ ": the file holds the stop's checkpoint")
+            (Cp.to_string token) (Cp.to_string on_disk);
+          let widths, assignment, time, outcome =
+            run (cfg |> Rc.with_checkpoint path |> Rc.with_resume on_disk)
+          in
+          Alcotest.(check bool)
+            (name ^ ": resumed to completion")
+            true (Oc.is_complete outcome);
+          let s_widths, s_assignment, s_time, _ = run cfg in
+          Alcotest.(check (array int)) (name ^ ": widths") s_widths widths;
+          Alcotest.(check (array int))
+            (name ^ ": assignment") s_assignment assignment;
+          Alcotest.(check int) (name ^ ": time") s_time time;
+          Alcotest.(check bool)
+            (name ^ ": completed run removed the checkpoint")
+            false (Sys.file_exists path)))
+    runs
 
 (* -- exhaustive and sweep resume ------------------------------------------ *)
 

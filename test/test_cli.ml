@@ -466,6 +466,35 @@ let resume_v1_rejected () =
   Alcotest.(check bool) "cannot resume" true (contains out "cannot resume");
   Alcotest.(check bool) "names the version" true (contains out "version 1")
 
+(* An output file that cannot be written is a user error (exit 1 with
+   a message), not an uncaught exception. The root holds only a
+   dune-project, so the analysis itself is empty and instant. *)
+let analyze_unwritable_output () =
+  let root = Filename.temp_dir "cli_analyze" "" in
+  let project = Filename.concat root "dune-project" in
+  let oc = open_out project in
+  output_string oc "(lang dune 3.0)\n";
+  close_out oc;
+  let missing = Filename.concat (Filename.concat root "missing") "out" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove project;
+      Sys.rmdir root)
+    (fun () ->
+      List.iter
+        (fun flag ->
+          let code, out = run [ "analyze"; "--root"; root; flag; missing ] in
+          Alcotest.(check int) (flag ^ ": exit 1") 1 code;
+          Alcotest.(check bool)
+            (flag ^ ": names the failure")
+            true
+            (contains out "soctam: cannot write");
+          Alcotest.(check bool)
+            (flag ^ ": no internal error")
+            false
+            (contains out "internal error"))
+        [ "--sarif"; "--call-graph" ])
+
 let suite =
   [
     test "info" info;
@@ -505,4 +534,5 @@ let suite =
     test "--iterations: negative rejected, 0 accepted" iterations_rejected;
     test "solvers: certified without a flag" solvers_certify;
     test "removed options: usage errors" removed_options_rejected;
+    test "analyze: unwritable output files" analyze_unwritable_output;
   ]
