@@ -114,54 +114,36 @@ let exhaustive_report (r : Exhaustive.result) =
        else []);
   }
 
-module Ex : S = struct
-  let name = "exhaustive"
+(* The exhaustive machinery as an engine, one per per-partition
+   solver: the two differ only in name, solver and whether they import
+   a foreign bound. *)
+let exact ~name ~imports_tau solver : t =
+  (module struct
+    let name = name
 
-  let caps =
-    {
-      parallel = true;
-      imports_tau = true;
-      needs_fixed_tams = true;
-      free_tams_only = false;
-      proves = true;
-    }
+    let caps =
+      {
+        parallel = true;
+        imports_tau;
+        needs_fixed_tams = true;
+        free_tams_only = false;
+        proves = true;
+      }
 
-  let check_body cfg inst =
-    Exhaustive.check_body ~table:inst.table ~total_width:inst.total_width
-      ~tams:(fixed_tams ~name cfg)
+    let check_body cfg inst =
+      Exhaustive.check_body ~table:inst.table ~total_width:inst.total_width
+        ~tams:(fixed_tams ~name cfg)
 
-  let run (cfg : Run_config.t) inst =
-    let tams = fixed_tams ~name cfg in
-    exhaustive_report
-      (Exhaustive.run_with ~solver:Exhaustive.Bb cfg ~table:inst.table
-         ~total_width:inst.total_width ~tams)
-end
-
-module Ilp : S = struct
-  let name = "ilp"
-
-  let caps =
-    {
-      parallel = true;
-      (* The MILP path has no warm start to thread a foreign bound
-         into, so an import would be dead weight. *)
-      imports_tau = false;
-      needs_fixed_tams = true;
-      free_tams_only = false;
-      proves = true;
-    }
-
-  let check_body cfg inst =
-    Exhaustive.check_body ~table:inst.table ~total_width:inst.total_width
-      ~tams:(fixed_tams ~name cfg)
-
-  let run (cfg : Run_config.t) inst =
-    let tams = fixed_tams ~name cfg in
-    exhaustive_report
-      (Exhaustive.run_with ~solver:Exhaustive.Milp cfg ~table:inst.table
-         ~total_width:inst.total_width ~tams)
-end
+    let run (cfg : Run_config.t) inst =
+      let tams = fixed_tams ~name cfg in
+      exhaustive_report
+        (Exhaustive.run_with ~solver cfg ~table:inst.table
+           ~total_width:inst.total_width ~tams)
+  end)
 
 let pe : t = (module Pe)
-let exhaustive : t = (module Ex)
-let ilp : t = (module Ilp)
+let exhaustive = exact ~name:"exhaustive" ~imports_tau:true Exhaustive.Bb
+
+(* The MILP path has no warm start to thread a foreign bound into, so an
+   import would be dead weight. *)
+let ilp = exact ~name:"ilp" ~imports_tau:false Exhaustive.Milp

@@ -167,10 +167,13 @@ let run_with (cfg : Run_config.t) soc ~widths =
               (fun d -> Float.max 0. (d -. Soctam_util.Timer.now_s ()))
               c.Run_config.deadline
           in
+          (* A stop before the head width starts keeps that width's
+             restored token, so its progress survives another resume. *)
           if cfg.Run_config.cancel () then
-            halt (fun cp -> Outcome.Interrupted cp)
+            halt ?inner:!inner_resume (fun cp -> Outcome.Interrupted cp)
           else if match remaining with Some r -> r <= 0. | None -> false
-          then halt (fun cp -> Outcome.Budget_exhausted cp)
+          then
+            halt ?inner:!inner_resume (fun cp -> Outcome.Budget_exhausted cp)
           else begin
             let resume = !inner_resume in
             inner_resume := None;

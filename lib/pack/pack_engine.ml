@@ -33,7 +33,7 @@ type result = {
    distillation of a degenerate two-column packing — a full-height
    column of width [e] beside an evenly split remainder — the
    one-bottleneck-core shape the level packers rarely reach. *)
-type gen = Even of int | Pack of int * Level_pack.order | Express of int
+type gen = Even of int | Pack of int * int | Express of int
 
 type space = {
   sp_even : int array;
@@ -53,6 +53,7 @@ let rank_count sp =
   + (Array.length sp.sp_orders * sp.sp_width)
   + max 0 (sp.sp_width - 1)
 
+(* [Pack (cap, o)]: heuristic [sp.sp_orders.(o)] at width cap [cap]. *)
 let gen_of_rank sp r =
   let n_even = Array.length sp.sp_even in
   let n_pack = Array.length sp.sp_orders * sp.sp_width in
@@ -60,12 +61,10 @@ let gen_of_rank sp r =
   else if r < n_even + n_pack then
     let k = r - n_even in
     let n_orders = Array.length sp.sp_orders in
-    Pack ((k / n_orders) + 1, sp.sp_orders.(k mod n_orders))
+    Pack ((k / n_orders) + 1, k mod n_orders)
   else Express (r - n_even - n_pack + 1)
 
 (* -- level distillation ---------------------------------------------------- *)
-
-let desc a b = Int.compare b a
 
 (* How a level's unused wires are spread before the lane widths become
    a partition: round-robin over all lanes, everything to the widest
@@ -74,60 +73,75 @@ let desc a b = Int.compare b a
    bottleneck core, or a rescued narrow straggler. *)
 type padding = Spread | To_widest | To_narrowest
 
-let paddings = [ Spread; To_widest; To_narrowest ]
+let paddings = [| Spread; To_widest; To_narrowest |]
+
+(* Insertion sort of [buf.(0 .. n - 1)], widest first. Every caller
+   changes at most two entries of a sorted prefix, so this is O(n). *)
+let sort_desc (buf : int array) n =
+  for i = 1 to n - 1 do
+    let x = buf.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && buf.(!j) < x do
+      buf.(!j + 1) <- buf.(!j);
+      decr j
+    done;
+    buf.(!j + 1) <- x
+  done
 
 (* Turn one packing level's lane widths into a full-width partition:
    pad the strip's unused wires by [padding], then adjust the lane
-   count — merge the two narrowest while over the TAM limit, split the
-   widest in half while under a fixed B. Splitting is always possible:
-   the lane sum stays [total_width >= B], so while fewer than B lanes
-   exist some lane has width >= 2. *)
-let distill_level ~total_width ~tams ~max_tams ~padding
+   count — merge the two last lanes while over the TAM limit, split the
+   first in half while under a fixed B, re-sorting after each step.
+   The first step acts on the padded order, where [To_narrowest] may
+   have made the last lane the widest; after it the lanes are sorted,
+   so the steps merge the two narrowest and split the widest.
+   Splitting is always possible: the lane sum stays
+   [total_width >= B], so while fewer than B lanes exist some lane has
+   width >= 2. [buf] holds [total_width] entries, enough for every
+   lane (each is >= 1 wide) and for B. Returns a fresh array. *)
+let distill_level ~total_width ~tams ~max_tams ~padding (buf : int array)
     (slots : Level_pack.placed list) =
-  let lanes =
-    List.map (fun (p : Level_pack.placed) -> p.Level_pack.p_w) slots
-  in
-  let arr = Array.of_list lanes in
-  Array.sort desc arr;
-  let k = Array.length arr in
-  let leftover = total_width - Array.fold_left ( + ) 0 arr in
+  let k = ref 0 and used = ref 0 in
+  List.iter
+    (fun (p : Level_pack.placed) ->
+      buf.(!k) <- p.Level_pack.p_w;
+      used := !used + p.Level_pack.p_w;
+      incr k)
+    slots;
+  let k = !k in
+  sort_desc buf k;
+  let leftover = total_width - !used in
   (match padding with
   | Spread ->
       for i = 0 to leftover - 1 do
-        arr.(i mod k) <- arr.(i mod k) + 1
+        buf.(i mod k) <- buf.(i mod k) + 1
       done
-  | To_widest -> arr.(0) <- arr.(0) + leftover
-  | To_narrowest -> arr.(k - 1) <- arr.(k - 1) + leftover);
-  let lanes = ref (Array.to_list arr) in
-  let count = ref k in
-  let resort () = lanes := List.sort desc !lanes in
-  let merge_smallest () =
-    match List.rev !lanes with
-    | a :: b :: rest ->
-        lanes := List.rev ((a + b) :: rest);
-        decr count;
-        resort ()
-    | _ -> assert false
+  | To_widest -> buf.(0) <- buf.(0) + leftover
+  | To_narrowest -> buf.(k - 1) <- buf.(k - 1) + leftover);
+  let n = ref k in
+  let merge_last () =
+    buf.(!n - 2) <- buf.(!n - 2) + buf.(!n - 1);
+    decr n;
+    sort_desc buf !n
   in
   (match tams with
   | None ->
-      while !count > max_tams do
-        merge_smallest ()
+      while !n > max_tams do
+        merge_last ()
       done
   | Some b ->
-      while !count > b do
-        merge_smallest ()
+      while !n > b do
+        merge_last ()
       done;
-      while !count < b do
-        (match !lanes with
-        | widest :: rest ->
-            lanes := ((widest + 1) / 2) :: (widest / 2) :: rest;
-            incr count
-        | [] -> assert false);
-        resort ()
+      while !n < b do
+        let first = buf.(0) in
+        buf.(0) <- (first + 1) / 2;
+        buf.(!n) <- first / 2;
+        incr n;
+        sort_desc buf !n
       done);
-  resort ();
-  Array.of_list !lanes
+  sort_desc buf !n;
+  Array.sub buf 0 !n
 
 let arrays_equal (a : int array) (b : int array) =
   Array.length a = Array.length b
@@ -136,51 +150,64 @@ let arrays_equal (a : int array) (b : int array) =
   Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
   !ok
 
-(* The candidate partitions of one rank, in deterministic order with
-   within-rank duplicates removed (consecutive levels of a packing
-   often distill to the same partition; first occurrence wins). *)
-let candidates_of_rank ~table ~total_width ~tams ~max_tams sp r =
-  match gen_of_rank sp r with
-  | Even b -> ([ Slice_search.even_widths ~total_width b ], 0, None)
-  | Express e ->
-      (* One full-height lane of width [e], the remaining [W - e] wires
-         split evenly over k further lanes; every permitted k (P_NPAW)
-         or exactly B - 1 (P_PAW). Lanes stay >= 1 by the k cap. *)
-      let rest = total_width - e in
-      let ks =
-        match tams with
-        | Some b -> if b >= 2 && rest >= b - 1 then [ b - 1 ] else []
-        | None -> Soctam_util.Intutil.range 1 (min (max_tams - 1) rest)
-      in
-      let cands =
-        List.map
-          (fun k ->
-            let arr =
-              Array.append [| e |]
-                (Slice_search.even_widths ~total_width:rest k)
-            in
-            Array.sort desc arr;
-            arr)
-          ks
-      in
-      (cands, 0, None)
-  | Pack (cap, order) ->
-      let rects = Rect_build.rects table ~cap in
-      let packing = Level_pack.pack order ~width:total_width rects in
-      let seen = ref [] in
-      List.iter
-        (fun (l : Level_pack.level) ->
-          List.iter
-            (fun padding ->
-              let cand =
-                distill_level ~total_width ~tams ~max_tams ~padding
-                  l.Level_pack.l_slots
-              in
-              if not (List.exists (fun c -> arrays_equal c cand) !seen) then
-                seen := cand :: !seen)
-            paddings)
-        packing.Level_pack.pk_levels;
-      (List.rev !seen, 1, Some packing.Level_pack.pk_height)
+(* -- the per-slice candidate memo ------------------------------------------ *)
+
+(* Width vectors are compared element-wise and hashed with integer
+   arithmetic, never with the polymorphic primitives (DET-POLY). *)
+module Memo = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = arrays_equal
+
+  let hash (a : int array) =
+    Array.fold_left (fun h x -> (h * 31) + x) (Array.length a) a land max_int
+end)
+
+(* Where a worker has met one sorted width vector during this slice:
+   the lowest rank, and the last rank, so that a second occurrence
+   within one rank is recognised as such. *)
+type seen = { mutable low : int; mutable last : int }
+
+(* Worker-local state for one slice. [replay_*] hold, per heuristic,
+   the base cap of this worker's last packing ([0] = none yet), its
+   distinct candidate count and its height. *)
+type local = {
+  memo : seen Memo.t;
+  buf : int array;
+  replay_base : int array;
+  replay_count : int array;
+  replay_height : int array;
+}
+
+let local ~total_width ~orders () =
+  {
+    memo = Memo.create 64;
+    buf = Array.make total_width 0;
+    replay_base = Array.make orders 0;
+    replay_count = Array.make orders 0;
+    replay_height = Array.make orders 0;
+  }
+
+type verdict = Duplicate | Fresh | Repeat
+
+(* One lookup per candidate serves both purposes: a vector already met
+   at this rank is a within-rank duplicate (the first occurrence wins
+   and the later one is not counted), one met at a lower rank is a
+   repeat. [repeat] marks a candidate known to repeat a lower rank's
+   without the memo's help. *)
+let classify memo cand ~rank ~repeat =
+  match Memo.find_opt memo cand with
+  | Some s when s.last = rank -> Duplicate
+  | Some s when s.low < rank ->
+      s.last <- rank;
+      Repeat
+  | Some s ->
+      s.low <- rank;
+      s.last <- rank;
+      if repeat then Repeat else Fresh
+  | None ->
+      Memo.add memo cand { low = rank; last = rank };
+      if repeat then Repeat else Fresh
 
 (* -- slice evaluation ------------------------------------------------------ *)
 
@@ -205,23 +232,35 @@ type chunk_result = {
    order, where a later tie at the same rank gets threshold [tau] and
    is pruned. The minimum key is therefore the sequential
    first-strict-improvement winner at any job count — the same argument
-   as [Partition_evaluate]'s. *)
-let evaluate_chunk ~stats ~cap ~table ~total_width ~tams ~max_tams ~sp
-    (w : unit Slice_search.worker) ~lo ~hi =
+   as [Partition_evaluate]'s.
+
+   A candidate already met at a lower rank r0 never reaches the greedy
+   loop: its evaluation there either published (t, r0) or was pruned
+   at a threshold at most t, so the incumbent key is already at most
+   (t, r0), below its (t, r) here. It can never win at any job count,
+   and at -j 1, where the threshold never rises, the greedy loop
+   would have pruned it too; it is counted as pruned. The same holds
+   for a whole packing rank whose cap repeats a lower cap's rectangles
+   ([Rect_build.base_cap]): its candidates are exactly those of rank
+   (base, heuristic). It replays the count and height of this
+   worker's packing of those rectangles, or, when this worker has
+   none in the slice, packs and distills but prunes every candidate
+   the cut does not. *)
+let evaluate_chunk ~stats ~cap ~table ~rb ~total_width ~tams ~max_tams ~sp
+    (w : local Slice_search.worker) ~lo ~hi =
   let packings = ref 0 in
   let cands = ref 0 in
   let completed = ref 0 in
   let pruned = ref 0 in
   let makespan = ref None in
   let mir = w.Slice_search.mirror in
-  for rank = lo to hi - 1 do
-    let rank_cands, rank_packings, rank_makespan =
-      candidates_of_rank ~table ~total_width ~tams ~max_tams sp rank
-    in
-    packings := !packings + rank_packings;
-    makespan := Slice_search.merge_min !makespan rank_makespan;
-    List.iter
-      (fun widths ->
+  let st = w.Slice_search.local in
+  let cores = Tt.core_count table in
+  (* [widths] is a fresh array, sorted widest first. *)
+  let consider ~rank ~repeat widths =
+    match classify st.memo widths ~rank ~repeat with
+    | Duplicate -> ()
+    | (Fresh | Repeat) as verdict -> (
         incr cands;
         (* An imported bound caps the threshold at every job count, so
            foreign times never enter the incumbent. *)
@@ -229,21 +268,84 @@ let evaluate_chunk ~stats ~cap ~table ~total_width ~tams ~max_tams ~sp
           let t = Shared_min.mirror_threshold mir ~rank in
           if cap < t then cap else t
         in
+        let second = if Array.length widths > 1 then widths.(1) else 0 in
         match
-          Core_assign.run_table_direct ?stats:w.Slice_search.ca
-            ~scratch:w.Slice_search.scratch
-            ~best:threshold ~table ~widths ()
+          ( Core_assign.cut ~table ~best:threshold ~widest:widths.(0) ~second,
+            verdict )
         with
-        | Core_assign.Exceeded _ -> incr pruned
-        | Core_assign.Assigned { assignment; time; _ } ->
-            incr completed;
-            if time < Shared_min.mirror_get mir then
-              Obs.event_v stats time "tau";
-            (* [widths] is freshly built per rank, but [assignment]
-               aliases the worker scratch and must be copied. *)
-            Shared_min.mirror_improve mir ~time ~rank
-              (widths, Array.copy assignment))
-      rank_cands
+        | 0, Fresh -> (
+            match
+              Core_assign.run_table_direct ?stats:w.Slice_search.ca
+                ~scratch:w.Slice_search.scratch ~best:threshold ~table
+                ~widths ()
+            with
+            | Core_assign.Exceeded _ -> incr pruned
+            | Core_assign.Assigned { assignment; time; _ } ->
+                incr completed;
+                if time < Shared_min.mirror_get mir then
+                  Obs.event_v stats time "tau";
+                (* [assignment] aliases the worker scratch and must be
+                   copied. *)
+                Shared_min.mirror_improve mir ~time ~rank
+                  (widths, Array.copy assignment))
+        | 0, (Repeat | Duplicate) -> incr pruned
+        | step, _ ->
+            Core_assign.record_cuts ?stats:w.Slice_search.ca ~cores ~step 1;
+            incr pruned)
+  in
+  for rank = lo to hi - 1 do
+    match gen_of_rank sp rank with
+    | Even b ->
+        consider ~rank ~repeat:false (Slice_search.even_widths ~total_width b)
+    | Express e ->
+        (* One full-height lane of width [e], the remaining [W - e] wires
+           split evenly over k further lanes; every permitted k (P_NPAW)
+           or exactly B - 1 (P_PAW). Lanes stay >= 1 by the k cap. *)
+        let rest = total_width - e in
+        let ks =
+          match tams with
+          | Some b -> if b >= 2 && rest >= b - 1 then [ b - 1 ] else []
+          | None -> Soctam_util.Intutil.range 1 (min (max_tams - 1) rest)
+        in
+        List.iter
+          (fun k ->
+            let arr =
+              Array.append [| e |]
+                (Slice_search.even_widths ~total_width:rest k)
+            in
+            sort_desc arr (Array.length arr);
+            consider ~rank ~repeat:false arr)
+          ks
+    | Pack (pcap, o) ->
+        let base = Rect_build.base_cap rb ~cap:pcap in
+        incr packings;
+        if base < pcap && st.replay_base.(o) = base then begin
+          cands := !cands + st.replay_count.(o);
+          pruned := !pruned + st.replay_count.(o);
+          makespan :=
+            Slice_search.merge_min !makespan (Some st.replay_height.(o))
+        end
+        else begin
+          let packing =
+            Level_pack.pack sp.sp_orders.(o) ~width:total_width
+              (Rect_build.rects rb ~cap:pcap)
+          in
+          let before = !cands in
+          List.iter
+            (fun (l : Level_pack.level) ->
+              Array.iter
+                (fun padding ->
+                  consider ~rank ~repeat:(base < pcap)
+                    (distill_level ~total_width ~tams ~max_tams ~padding
+                       st.buf l.Level_pack.l_slots))
+                paddings)
+            packing.Level_pack.pk_levels;
+          let height = packing.Level_pack.pk_height in
+          makespan := Slice_search.merge_min !makespan (Some height);
+          st.replay_base.(o) <- base;
+          st.replay_count.(o) <- !cands - before;
+          st.replay_height.(o) <- height
+        end
   done;
   flush_counters stats ~packings:!packings ~cands:!cands ~pruned:!pruned
     ~evaluated:!completed;
@@ -373,6 +475,8 @@ let run_with (cfg : Rc.t) ~table ~total_width =
       Checkpoint.Token { engine = tag; body } )
   in
   let slice_len = Rc.slice_size cfg ~length:ranks in
+  let rb = Rect_build.make table in
+  let local = local ~total_width ~orders:(Array.length sp.sp_orders) in
   let outcome =
     Pool.Team.with_team ~oversubscribe:cfg.Rc.oversubscribe
       ~jobs:(max 1 cfg.Rc.jobs) (fun team ->
@@ -386,9 +490,9 @@ let run_with (cfg : Rc.t) ~table ~total_width =
                  ranks; the default granularity would serialize the
                  space. *)
               Slice_search.round ~stats ~span:"pack/evaluate_slice"
-                ~min_chunk:1 team ~local:ignore ~tau best ~work ~lo ~hi
+                ~min_chunk:1 team ~local ~tau best ~work ~lo ~hi
                 ~chunk:
-                  (evaluate_chunk ~stats ~cap ~table ~total_width ~tams
+                  (evaluate_chunk ~stats ~cap ~table ~rb ~total_width ~tams
                      ~max_tams ~sp)
               |> Array.iter (fun c ->
                      packings := !packings + c.ch_packings;

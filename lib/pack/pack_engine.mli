@@ -42,7 +42,19 @@
     ["pack"]), [-j] parallel rank evaluation with the jobs-independent
     (time, rank) incumbent, and
     [?stats] counters ([pack/packings], [pack/candidates],
-    [pack/evaluated], [pack/pruned]) via [lib/obs]. *)
+    [pack/evaluated], [pack/pruned]) via [lib/obs].
+
+    Work already done is skipped (DESIGN.md §14). The rectangles come
+    from a step table built once per run ({!Rect_build.make}). Each
+    worker remembers, for one slice, the lowest rank at which it met
+    each distilled partition: a repeat is counted as a candidate and
+    as pruned but never reaches [Core_assign]'s greedy loop, since its
+    (time, rank) key cannot beat the lower rank's. A packing rank whose
+    cap repeats a lower cap's rectangles replays the worker's earlier
+    packing of them (count and height) without packing again. The
+    [pack/*] counters, [pool/tau_publications] and the answer are the
+    ones an evaluation of every candidate gives at [-j 1], whatever the
+    slicing; the [core_assign/*] counters are lower. *)
 
 type result = {
   widths : int array;  (** chosen partition, sorted widest first *)

@@ -927,6 +927,50 @@ let sweep_midwidth_resume_agrees () =
         (counters_of straight_stats)
         (counters_of resumed_stats)
 
+(* A resumed sweep stopped by the cancel check before its head width
+   starts must keep that width's restored token: with [inner: null] the
+   next resume would re-run the half-searched width from rank 0. *)
+let sweep_stop_before_head_keeps_inner () =
+  let soc = Soctam_soc_data.D695.soc in
+  let widths = [ 16; 24 ] in
+  let cfg = Rc.default |> Rc.with_time_budget 3600. in
+  let straight = Sw.run_with Rc.default soc ~widths in
+  let inner_of (token : Cp.t) =
+    match token.Cp.state with
+    | Cp.Token { engine = "sweep"; body } -> (
+        match Json.member "inner" body with
+        | None | Some Json.Null -> None
+        | Some inner -> Some (Json.to_string inner))
+    | _ -> Alcotest.fail "not a sweep token"
+  in
+  let stopped cfg =
+    match (Sw.run_with cfg soc ~widths).Sw.outcome with
+    | Oc.Interrupted token -> (
+        match Cp.of_string (Cp.to_string token) with
+        | Ok t -> t
+        | Error msg -> Alcotest.failf "sweep token did not round-trip: %s" msg)
+    | Oc.Complete | Oc.Budget_exhausted _ ->
+        Alcotest.fail "the cancel did not interrupt the sweep"
+  in
+  let first = stopped (cfg |> Rc.with_cancel (cancel_after 1)) in
+  let inner = inner_of first in
+  Alcotest.(check bool) "stopped inside width 16" true (Option.is_some inner);
+  let again =
+    stopped (cfg |> Rc.with_resume first |> Rc.with_cancel (fun () -> true))
+  in
+  Alcotest.(check (option string))
+    "the width-16 token survives the second stop" inner (inner_of again);
+  let resumed = Sw.run_with (Rc.default |> Rc.with_resume again) soc ~widths in
+  Alcotest.(check bool)
+    "resumed sweep completes" true
+    (Oc.is_complete resumed.Sw.outcome);
+  List.iter2
+    (fun (a : Sw.point) (b : Sw.point) ->
+      Alcotest.(check int) "width" a.Sw.width b.Sw.width;
+      Alcotest.(check int) "time" a.Sw.time b.Sw.time;
+      Alcotest.(check (array int)) "partition" a.Sw.widths b.Sw.widths)
+    straight.Sw.points resumed.Sw.points
+
 (* Interrupted after every slice and resumed each time in a fresh
    collector that replays the token, as a new process would: the last
    run's counters equal an uninterrupted run's only if every token
@@ -1073,6 +1117,8 @@ let suite =
     test "resume: sweep agrees at every width" sweep_resume_agrees;
     test "resume: sweep continues mid-width, counters exact"
       sweep_midwidth_resume_agrees;
+    test "resume: sweep stopped before its head width keeps its token"
+      sweep_stop_before_head_keeps_inner;
     test "resume: chained resumes keep every counter" chained_resume_counters;
     test "resume: pe incumbent with a forged time or bound rejected, p21241 \
           W=64"

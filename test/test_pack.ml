@@ -14,6 +14,7 @@
 
 module Pk = Soctam_pack.Pack_engine
 module Lp = Soctam_pack.Level_pack
+module Rb = Soctam_pack.Rect_build
 module Ps = Soctam_pack.Pack_schedule
 module Sc = Soctam_check.Schedule_check
 module Cp = Soctam_core.Checkpoint
@@ -77,6 +78,64 @@ let packing_geometry_sound =
           && packing.Lp.pk_height >= lb
           && List.length (Lp.slots packing) = List.length rects)
         Lp.orders)
+
+(* -- rectangles from the Pareto-step table --------------------------------- *)
+
+(* The definition the step table replaced: scan each row for the first
+   width whose time equals [T_i(cap)]. *)
+let scanned_rects table ~cap =
+  let rows = Tt.rows table in
+  List.init (Tt.core_count table) (fun i ->
+      let row = rows.(i) in
+      let h = row.(cap - 1) in
+      let w = ref 1 in
+      while row.(!w - 1) <> h do
+        incr w
+      done;
+      { Lp.r_id = i; r_w = !w; r_h = h })
+
+(* Every cap from 1 to W, on random SOCs and on SOCs of memory cores
+   with one terminal each, whose rows are constant: there every cap
+   repeats cap 1. [base_cap] must name the smallest cap with equal
+   rectangles. *)
+let rects_match_scan =
+  QCheck.Test.make ~name:"rect build: step table matches the row scan"
+    ~count:200
+    QCheck.(triple (int_range 1 100_000) (int_range 1 40) bool)
+    (fun (seed, width, constant) ->
+      let params =
+        if constant then
+          {
+            Soctam_soc_data.Random_soc.default_params with
+            Soctam_soc_data.Random_soc.cores = 4;
+            memory_fraction = 1.0;
+            max_ios = 1;
+          }
+        else
+          {
+            Soctam_soc_data.Random_soc.default_params with
+            Soctam_soc_data.Random_soc.cores = 6;
+            max_ios = 40;
+            max_chains = 4;
+            max_chain_length = 30;
+          }
+      in
+      let soc =
+        Soctam_soc_data.Random_soc.generate
+          (Prng.create (Int64.of_int seed))
+          params
+      in
+      let table = Tt.build soc ~max_width:width in
+      let rb = Rb.make table in
+      List.for_all
+        (fun cap ->
+          let rects = Rb.rects rb ~cap in
+          let base = Rb.base_cap rb ~cap in
+          rects = scanned_rects table ~cap
+          && rects = scanned_rects table ~cap:base
+          && (base = 1 || scanned_rects table ~cap:(base - 1) <> rects)
+          && ((not constant) || base = 1))
+        (Soctam_util.Intutil.range 1 width))
 
 (* -- differential suite ---------------------------------------------------- *)
 
@@ -346,6 +405,57 @@ let validation () =
   invalid (fun () -> Runners.pack_run ~table ~total_width:8 ());
   invalid (fun () -> Runners.pack_run ~tams:7 ~table ~total_width:6 ())
 
+(* The engine skips work it has already done: a candidate its worker
+   met at a lower rank of the slice, and a whole packing rank whose cap
+   repeats a lower cap's rectangles, are counted as pruned without
+   [Core_assign]. At -j 1 the old code pruned exactly those too, so the
+   pack counters and the answer must not depend on how the rank space
+   is sliced. The literals were recorded before the memo existed. The
+   core_assign/* counters are not pinned: the memo lives for one slice,
+   so they fall by different amounts under different slicings. *)
+let counters_independent_of_slicing () =
+  let case label soc ~total_width ~expect:(packings, candidates, evaluated,
+                                           pruned, widths, time) =
+    let table = Tt.build soc ~max_width:total_width in
+    List.iter
+      (fun every ->
+        let stats = Obs.create () in
+        let cfg = Rc.default |> Rc.with_stats stats in
+        let cfg =
+          match every with
+          | None -> cfg
+          | Some k ->
+              cfg |> Rc.with_checkpoint_every k |> Rc.with_time_budget 3600.
+        in
+        let r = Pk.run_with cfg ~table ~total_width in
+        let msg =
+          Printf.sprintf "%s W=%d every=%s" label total_width
+            (match every with None -> "unset" | Some k -> string_of_int k)
+        in
+        let got = counters_of stats in
+        List.iter
+          (fun (name, want) ->
+            Alcotest.(check int) (msg ^ ": " ^ name) want
+              (List.assoc name got))
+          [
+            ("pack/packings", packings);
+            ("pack/candidates", candidates);
+            ("pack/evaluated", evaluated);
+            ("pack/pruned", pruned);
+          ];
+        Alcotest.(check (array int)) (msg ^ ": widths") widths r.Pk.widths;
+        Alcotest.(check int) (msg ^ ": time") time r.Pk.time)
+      [ Some 1; Some 3; None ]
+  in
+  case "d695" d695 ~total_width:16
+    ~expect:(48, 310, 3, 307, [| 6; 5; 5 |], 43681);
+  case "d695" d695 ~total_width:32
+    ~expect:(96, 823, 6, 817, [| 9; 9; 6; 5; 3 |], 22561);
+  case "random 11" (small_soc 11L ~cores:8) ~total_width:24
+    ~expect:(72, 384, 3, 381, [| 8; 8; 8 |], 2491);
+  case "random 29" (small_soc 29L ~cores:12) ~total_width:40
+    ~expect:(120, 880, 6, 874, [| 7; 7; 7; 7; 6; 6 |], 3130)
+
 (* -- the committed golden -------------------------------------------------- *)
 
 let golden_table () =
@@ -391,4 +501,7 @@ let suite =
     test "pack: foreign checkpoint rejected" foreign_resume_rejected;
     test "pack: validation" validation;
     test "pack: engine-comparison golden is byte-exact" golden_table;
+    qtest rects_match_scan;
+    test "pack: counters independent of slicing (jobs=1)"
+      counters_independent_of_slicing;
   ]

@@ -24,6 +24,7 @@ module Ex = Soctam_core.Exhaustive
 module Co = Soctam_core.Co_optimize
 module Sweep = Soctam_core.Sweep
 module Tt = Soctam_core.Time_table
+module Pk = Soctam_pack.Pack_engine
 
 let test case f = Alcotest.test_case case `Quick f
 let qtest prop = QCheck_alcotest.to_alcotest prop
@@ -417,6 +418,43 @@ let co_optimize_matches_sequential =
       && seq.Co.architecture.Soctam_tam.Architecture.assignment
          = par.Co.architecture.Soctam_tam.Architecture.assignment)
 
+(* The pack engine skips candidates its worker met at a lower rank and
+   replays caps whose rectangles repeat a lower cap's; under work
+   stealing a worker meets ranks out of order, and neither skip may
+   change the answer or the candidate count. A [flat] SOC (few
+   terminals, at most two short chains per core) saturates every core
+   at a narrow width, so most caps repeat. *)
+let pack_matches_sequential =
+  QCheck.Test.make ~name:"Pack_engine: jobs=4 identical to jobs=1"
+    ~count:(scaled 100)
+    QCheck.(triple (int_range 1 1000) (int_range 6 24) bool)
+    (fun (seed, total_width, flat) ->
+      let soc =
+        if flat then
+          Soctam_soc_data.Random_soc.generate
+            (Soctam_util.Prng.create (Int64.of_int seed))
+            {
+              Soctam_soc_data.Random_soc.default_params with
+              Soctam_soc_data.Random_soc.cores = 6;
+              max_ios = 4;
+              max_patterns = 200;
+              max_chains = 2;
+              max_chain_length = 8;
+            }
+        else small_soc (Int64.of_int seed) ~cores:6
+      in
+      let table = Tt.build soc ~max_width:total_width in
+      let signature (r : Pk.result) =
+        ( r.Pk.time,
+          Array.to_list r.Pk.widths,
+          Array.to_list r.Pk.assignment,
+          r.Pk.candidates )
+      in
+      let run jobs =
+        Runners.pack_run ~jobs ~max_tams:4 ~table ~total_width ()
+      in
+      signature (run 1) = signature (run 4))
+
 let sweep_matches_sequential () =
   let soc = small_soc 42L ~cores:6 in
   let widths = [ 6; 10; 14 ] in
@@ -457,6 +495,7 @@ let suite =
     qtest exhaustive_starved_resumes;
     qtest heuristic_bounded_by_exhaustive;
     qtest co_optimize_matches_sequential;
+    qtest pack_matches_sequential;
     test "sweep: jobs=8 identical to jobs=1" sweep_matches_sequential;
     test "d695 W=24 reference architecture at jobs=8"
       d695_reference_architecture;
