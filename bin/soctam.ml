@@ -374,7 +374,16 @@ let engine_cmd engine spec width tams max_tams opts save_arch =
    the racer are deterministic; only the clock is not). *)
 let race_cmd spec width tams max_tams engines_spec opts save_arch =
   with_soc spec (fun soc ->
-      match Soctam_race.Registry.parse engines_spec with
+      (* The racer runs sequential engines at -j 1 itself, so only the
+         TAM-count checks apply to its members. *)
+      let checked engines =
+        match
+          List.find_map (fun e -> engine_flag_error e ~tams ~jobs:1) engines
+        with
+        | Some msg -> Error msg
+        | None -> Ok engines
+      in
+      match Result.bind (Soctam_race.Registry.parse engines_spec) checked with
       | Error msg ->
           prerr_endline ("soctam: " ^ msg);
           1
@@ -485,7 +494,8 @@ let glyph core =
 let schedule_cmd spec width budget_pct =
   with_soc spec (fun soc ->
       let result =
-        Soctam_core.Co_optimize.run_with Soctam_core.Run_config.default soc
+        Soctam_core.Co_optimize.run Soctam_core.Run_config.default
+          ~table:(Soctam_core.Time_table.build soc ~max_width:width)
           ~total_width:width
       in
       let architecture = result.Soctam_core.Co_optimize.architecture in

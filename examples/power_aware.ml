@@ -29,7 +29,8 @@ let print_gantt architecture (sched : Ps.t) =
 let () =
   let soc = Soctam_soc_data.D695.soc in
   let result =
-    Soctam_core.Co_optimize.run_with Soctam_core.Run_config.default soc
+    Soctam_core.Co_optimize.run Soctam_core.Run_config.default
+      ~table:(Soctam_core.Time_table.build soc ~max_width:32)
       ~total_width:32
   in
   let architecture = result.Soctam_core.Co_optimize.architecture in

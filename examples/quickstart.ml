@@ -7,10 +7,12 @@ let () =
   let soc = Soctam_soc_data.D695.soc in
   Format.printf "%a@.@." Soctam_model.Soc.pp_summary soc;
 
-  (* P_NPAW: pick the number of TAMs, the width partition, the core
-     assignment and every wrapper, minimizing the SOC testing time. *)
+  (* P_W for every core at widths 1..32: the wrapper designs' times. *)
+  let table = Soctam_core.Time_table.build soc ~max_width:32 in
+  (* P_NPAW: pick the number of TAMs, the width partition and the core
+     assignment, minimizing the SOC testing time. *)
   let result =
-    Soctam_core.Co_optimize.run_with Soctam_core.Run_config.default soc
+    Soctam_core.Co_optimize.run Soctam_core.Run_config.default ~table
       ~total_width:32
   in
   let architecture = result.Soctam_core.Co_optimize.architecture in

@@ -40,7 +40,8 @@ let () =
       (Soctam_model.Soc.cores reloaded));
   Format.printf "reloaded %a@.@." Soctam_model.Soc.pp_summary reloaded;
   let result =
-    Soctam_core.Co_optimize.run_with Soctam_core.Run_config.default reloaded
+    Soctam_core.Co_optimize.run Soctam_core.Run_config.default
+      ~table:(Soctam_core.Time_table.build reloaded ~max_width:24)
       ~total_width:24
   in
   Format.printf "%a@." Soctam_tam.Architecture.pp

@@ -12,7 +12,8 @@ let () =
   List.iter
     (fun width ->
       let r =
-        Soctam_core.Co_optimize.run_with Soctam_core.Run_config.default soc
+        Soctam_core.Co_optimize.run Soctam_core.Run_config.default
+          ~table:(Soctam_core.Time_table.build soc ~max_width:width)
           ~total_width:width
       in
       let arch = r.Soctam_core.Co_optimize.architecture in

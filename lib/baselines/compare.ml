@@ -5,10 +5,9 @@ let run ?(max_tams = 10) soc ~width =
   let mux = Multiplexing.design_from_table table ~width in
   let daisy = Daisychain.design_from_table table ~soc ~width in
   let bus =
-    Soctam_core.Co_optimize.run_with
-      Soctam_core.Run_config.(
-        default |> with_max_tams max_tams |> with_table table)
-      soc ~total_width:width
+    Soctam_core.Co_optimize.run
+      Soctam_core.Run_config.(default |> with_max_tams max_tams)
+      ~table ~total_width:width
   in
   let entries =
     [

@@ -5,10 +5,14 @@ type t = {
   heuristic_time : int;
   final_time : int;
   final_proven_optimal : bool;
-  partition_stats : Partition_evaluate.b_stats array;
-  exact_nodes : int;
   outcome : Outcome.t;
 }
+
+let architecture table ~widths ~assignment =
+  Soctam_tam.Architecture.of_times
+    ~times:(fun ~core ~width -> Time_table.time table ~core ~width)
+    ~cores:(Time_table.core_count table)
+    ~widths ~assignment
 
 let finish ?(stats = Obs.null) ~table ~node_limit
     (pe : Partition_evaluate.result) =
@@ -22,38 +26,30 @@ let finish ?(stats = Obs.null) ~table ~node_limit
           ~widths ~times ())
   in
   Obs.add stats ~n:exact.Soctam_ilp.Exact.nodes "co_optimize/exact_nodes";
-  let architecture =
-    Soctam_tam.Architecture.of_times
-      ~times:(fun ~core ~width -> Time_table.time table ~core ~width)
-      ~cores:(Time_table.core_count table)
-      ~widths
-      ~assignment:exact.Soctam_ilp.Exact.assignment
-  in
   {
-    architecture;
+    architecture =
+      architecture table ~widths
+        ~assignment:exact.Soctam_ilp.Exact.assignment;
     heuristic_time = pe.Partition_evaluate.time;
     final_time = exact.Soctam_ilp.Exact.time;
     final_proven_optimal = exact.Soctam_ilp.Exact.optimal;
-    partition_stats = pe.Partition_evaluate.per_b;
-    exact_nodes = exact.Soctam_ilp.Exact.nodes;
     outcome = pe.Partition_evaluate.outcome;
   }
 
-let table_for ?(stats = Obs.null) ?table soc ~total_width =
-  match table with
-  | Some t ->
-      if Time_table.max_width t < total_width then
-        invalid_arg "Co_optimize: supplied table narrower than total width";
-      t
-  | None -> Time_table.build ~stats soc ~max_width:total_width
-
-let run_with (cfg : Run_config.t) soc ~total_width =
-  let stats = cfg.Run_config.stats in
-  let table =
-    table_for ~stats ?table:cfg.Run_config.table soc ~total_width
-  in
-  let pe =
-    Obs.span stats "co_optimize/partition_evaluate" (fun () ->
-        Partition_evaluate.run_with cfg ~table ~total_width)
-  in
-  finish ~stats ~table ~node_limit:cfg.Run_config.node_limit pe
+let run (cfg : Run_config.t) ~table ~total_width =
+  let pe = Partition_evaluate.run_with cfg ~table ~total_width in
+  if Outcome.is_complete pe.Partition_evaluate.outcome then
+    finish ~stats:cfg.Run_config.stats ~table
+      ~node_limit:cfg.Run_config.node_limit pe
+  else
+    (* A truncated search will be resumed (or dropped): polishing an
+       incumbent the next slice may replace is wasted B&B work. *)
+    {
+      architecture =
+        architecture table ~widths:pe.Partition_evaluate.widths
+          ~assignment:pe.Partition_evaluate.assignment;
+      heuristic_time = pe.Partition_evaluate.time;
+      final_time = pe.Partition_evaluate.time;
+      final_proven_optimal = false;
+      outcome = pe.Partition_evaluate.outcome;
+    }

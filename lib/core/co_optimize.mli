@@ -1,6 +1,6 @@
-(** The paper's end-to-end wrapper/TAM co-optimization methodology:
+(** The paper's end-to-end wrapper/TAM co-optimization methodology on a
+    caller-built per-core time table (wrapper designs, P_W):
 
-    + build the per-core time table (wrapper designs, P_W);
     + run {!Partition_evaluate} to pick the TAM count and width partition
       (P_PAW / P_NPAW, heuristic);
     + run one exact P_AW optimization on the winning partition (the
@@ -14,14 +14,11 @@ type t = {
   heuristic_time : int;  (** SOC time before the final exact step *)
   final_time : int;  (** SOC time after it (= [architecture.time]) *)
   final_proven_optimal : bool;
-      (** the exact step finished within its node budget, so [final_time]
-          is optimal for the chosen partition *)
-  partition_stats : Partition_evaluate.b_stats array;
-  exact_nodes : int;  (** nodes used by the final exact step *)
+      (** the exact step ran and finished within its node budget, so
+          [final_time] is optimal for the chosen partition *)
   outcome : Outcome.t;
-      (** how the partition search ended; a truncated search still
-          yields a usable (exactly polished) architecture, and the
-          carried checkpoint resumes the search stage *)
+      (** how the partition search ended; a truncated outcome carries
+          the checkpoint that resumes it *)
 }
 
 val finish :
@@ -31,20 +28,19 @@ val finish :
   Partition_evaluate.result ->
   t
 (** The final exact step alone: polish a partition search's incumbent
-    with one warm-started B&B on its chosen partition. Exposed so the
-    engine adapters ({!Engine.pe}, the racer's winner polish) can run
-    the paper's pipeline without re-deriving the time table. *)
+    with one warm-started B&B on its chosen partition. Exposed so a
+    caller holding a search result (the benchmark harness, which times
+    the step apart from the search) can run it alone. *)
 
-val run_with : Run_config.t -> Soctam_model.Soc.t -> total_width:int -> t
-(** [run_with cfg soc ~total_width] runs the whole pipeline under one
-    configuration: P_NPAW up to [cfg.max_tams], or P_PAW when
-    [cfg.tams] is set. [cfg.table] is reused when present (it must
-    cover [total_width]); otherwise the table is built here.
-    [cfg.node_limit] bounds the final exact step. Budgets,
-    checkpointing, resume and cancellation apply to the partition
-    search stage exactly as in {!Partition_evaluate.run_with}; the
-    final exact step always runs on the search's incumbent, so a
-    truncated run still returns a well-formed architecture.
+val run : Run_config.t -> table:Time_table.t -> total_width:int -> t
+(** [run cfg ~table ~total_width] runs the whole pipeline under one
+    configuration: {!Partition_evaluate.run_with} (P_NPAW up to
+    [cfg.max_tams], or P_PAW when [cfg.tams] is set), then {!finish}
+    with [cfg.node_limit] — but only when the search ran to
+    [Outcome.Complete]. A truncated search reports its raw incumbent
+    ([final_time = heuristic_time], not proven) with the resume token
+    in [outcome], so a resumed slice never pays a B&B polish it may
+    immediately discard.
 
-    @raise Invalid_argument when the supplied table is narrower than
-    [total_width], or for the {!Partition_evaluate.run_with} cases. *)
+    @raise Invalid_argument for the {!Partition_evaluate.run_with}
+    cases, a table narrower than [total_width] among them. *)

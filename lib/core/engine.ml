@@ -59,43 +59,26 @@ module Pe : S = struct
       ~total_width:inst.total_width
 
   let run (cfg : Run_config.t) inst =
-    let pe =
-      Partition_evaluate.run_with cfg ~table:inst.table
-        ~total_width:inst.total_width
+    let co =
+      Co_optimize.run cfg ~table:inst.table ~total_width:inst.total_width
     in
-    match pe.Partition_evaluate.outcome with
-    | Outcome.Complete when Array.length pe.Partition_evaluate.widths > 0 ->
-        (* The paper's final exact step, but only once the search is
-           complete: a racing slice that will be resumed reports the
-           raw heuristic incumbent instead of paying a B&B polish per
-           slice. *)
-        let co =
-          Co_optimize.finish ~stats:cfg.Run_config.stats ~table:inst.table
-            ~node_limit:cfg.Run_config.node_limit pe
-        in
-        let arch = co.Co_optimize.architecture in
-        {
-          r_widths = arch.Soctam_tam.Architecture.widths;
-          r_time = co.Co_optimize.final_time;
-          r_assignment = arch.Soctam_tam.Architecture.assignment;
-          r_outcome = Outcome.Complete;
-          r_notes =
-            [
-              Printf.sprintf "heuristic time %d, final time %d (%s)"
-                co.Co_optimize.heuristic_time co.Co_optimize.final_time
-                (if co.Co_optimize.final_proven_optimal then
-                   "exact step proven optimal for the chosen partition"
-                 else "exact step hit its node budget");
-            ];
-        }
-    | outcome ->
-        {
-          r_widths = pe.Partition_evaluate.widths;
-          r_time = pe.Partition_evaluate.time;
-          r_assignment = pe.Partition_evaluate.assignment;
-          r_outcome = outcome;
-          r_notes = [];
-        }
+    let arch = co.Co_optimize.architecture in
+    {
+      r_widths = arch.Soctam_tam.Architecture.widths;
+      r_time = co.Co_optimize.final_time;
+      r_assignment = arch.Soctam_tam.Architecture.assignment;
+      r_outcome = co.Co_optimize.outcome;
+      r_notes =
+        (if Outcome.is_complete co.Co_optimize.outcome then
+           [
+             Printf.sprintf "heuristic time %d, final time %d (%s)"
+               co.Co_optimize.heuristic_time co.Co_optimize.final_time
+               (if co.Co_optimize.final_proven_optimal then
+                  "exact step proven optimal for the chosen partition"
+                else "exact step hit its node budget");
+           ]
+         else []);
+    }
 end
 
 let exhaustive_report (r : Exhaustive.result) =

@@ -93,11 +93,10 @@ val run : t -> Run_config.t -> instance -> report
 (** {1 Adapters for the solvers in this library} *)
 
 val pe : t
-(** The paper's pipeline: {!Partition_evaluate} over the configured
-    TAM-count plan, plus the final exact step ({!Co_optimize.finish})
-    when — and only when — the search ran to [Outcome.Complete]; a
-    truncated slice reports the raw heuristic incumbent, so a racing
-    slice never pays a B&B polish it may immediately discard. *)
+(** The paper's pipeline, {!Co_optimize.run}: {!Partition_evaluate}
+    over the configured TAM-count plan, plus the final exact step once
+    the search ran to [Outcome.Complete]. A truncated slice reports the
+    raw heuristic incumbent and no notes. *)
 
 val exhaustive : t
 (** The exhaustive baseline (fixed TAM count, B&B per partition).

@@ -3,7 +3,6 @@ type t = {
   oversubscribe : bool;
   stats : Soctam_obs.Obs.t;
   soc_name : string option;
-  table : Time_table.t option;
   node_limit : int;
   max_tams : int;
   tams : int option;
@@ -27,7 +26,6 @@ let default =
     oversubscribe = false;
     stats = Soctam_obs.Obs.null;
     soc_name = None;
-    table = None;
     node_limit = 2_000_000;
     max_tams = 10;
     tams = None;
@@ -50,7 +48,6 @@ let with_jobs jobs t =
 let with_oversubscribe oversubscribe t = { t with oversubscribe }
 let with_stats stats t = { t with stats }
 let with_soc_name name t = { t with soc_name = Some name }
-let with_table table t = { t with table = Some table }
 
 let with_node_limit node_limit t =
   if node_limit < 1 then

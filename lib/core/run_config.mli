@@ -1,11 +1,8 @@
 (** One configuration value for the whole search core.
 
-    The solver entry points used to accumulate optional labelled
-    arguments ([?stats] [?jobs] [?table] [?node_limit] [?max_tams] ...)
-    with per-module defaults and inconsistent exit behavior. A
-    {!t} is the single surface that replaces them: build one with
-    {!default} and the [with_*] setters, hand the same value to
-    [Co_optimize.run_with], [Partition_evaluate.run_with],
+    A {!t} is the single policy surface of every solver entry point:
+    build one with {!default} and the [with_*] setters, hand the same
+    value to [Co_optimize.run], [Partition_evaluate.run_with],
     [Exhaustive.run_with] or [Sweep.run_with], and every run policy —
     parallelism, observability, budgets, checkpointing, resume,
     cancellation — travels together. The checkpoint lifecycle every
@@ -14,9 +11,9 @@
     policy at every boundary, the checkpoint writes, and the removal of
     the file once the run completes.
 
-    Instance data (which SOC, which time table width, which fixed TAM
-    count for the exhaustive baseline) stays an explicit argument of
-    each solver; {!t} carries run policy only. *)
+    Instance data (which SOC, which time table, which fixed TAM count
+    for the exhaustive baseline) stays an explicit argument of each
+    solver; {!t} carries run policy only. *)
 
 type t = {
   jobs : int;  (** parallel domains for partition evaluation (>= 1) *)
@@ -29,9 +26,6 @@ type t = {
   soc_name : string option;
       (** stamped into checkpoint documents; resuming a checkpoint whose
           SOC name differs is rejected *)
-  table : Time_table.t option;
-      (** precomputed time table for the pipeline entry points; built on
-          demand when absent *)
   node_limit : int;  (** branch & bound node budget for exact solves *)
   max_tams : int;  (** TAM count ceiling for P_NPAW *)
   tams : int option;  (** fix the TAM count (P_PAW); [None] = P_NPAW *)
@@ -74,7 +68,7 @@ type t = {
 }
 
 val default : t
-(** [jobs = 1], stats off, no table, [node_limit = 2_000_000],
+(** [jobs = 1], stats off, [node_limit = 2_000_000],
     [max_tams = 10], free TAM count, no seed, [carry_tau = true], no
     budget, no checkpointing, [checkpoint_every = 50_000], no resume,
     never cancelled — the historical defaults of every entry point. *)
@@ -93,7 +87,6 @@ val with_oversubscribe : bool -> t -> t
 
 val with_stats : Soctam_obs.Obs.t -> t -> t
 val with_soc_name : string -> t -> t
-val with_table : Time_table.t -> t -> t
 val with_node_limit : int -> t -> t
 val with_max_tams : int -> t -> t
 

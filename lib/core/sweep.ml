@@ -75,13 +75,7 @@ let run_with (cfg : Run_config.t) soc ~widths =
     widths;
   let stats = cfg.Run_config.stats in
   let table =
-    match cfg.Run_config.table with
-    | Some t ->
-        if Time_table.max_width t < List.fold_left max 1 widths then
-          invalid_arg "Sweep: supplied table narrower than the widest sweep \
-                       point";
-        t
-    | None -> Time_table.build ~stats soc ~max_width:(List.fold_left max 1 widths)
+    Time_table.build ~stats soc ~max_width:(List.fold_left max 1 widths)
   in
   let restored = Run_config.resumed cfg ~engine:tag decode in
   Option.iter
@@ -136,16 +130,12 @@ let run_with (cfg : Run_config.t) soc ~widths =
      budget is handed down so an expiry inside a width stops that
      width's search promptly. *)
   let inner_cfg ~resume remaining =
-    let c = Run_config.with_table table cfg in
-    let c =
-      {
-        c with
-        Run_config.checkpoint_path = None;
-        resume;
-        time_budget = remaining;
-      }
-    in
-    c
+    {
+      cfg with
+      Run_config.checkpoint_path = None;
+      resume;
+      time_budget = remaining;
+    }
   in
   let inner_resume =
     ref (match restored with Some k -> k.k_inner | None -> None)

@@ -26,9 +26,8 @@ type result = {
 val run_with : Run_config.t -> Soctam_model.Soc.t -> widths:int list -> result
 (** [run_with cfg soc ~widths] runs the [pe] engine ({!Engine.pe}: the
     partition search, then the exact finish once the search completes)
-    per width, in the given order, each under [cfg]. The time
-    table is [cfg.table] when present (it must cover the widest point),
-    else built once at the largest width and shared.
+    per width, in the given order, each under [cfg], on one time table
+    built once at the largest width and shared.
 
     The sweep is the checkpointed unit: the per-width runs never write
     checkpoints of their own, and a budget expiry or cancellation
@@ -40,9 +39,9 @@ val run_with : Run_config.t -> Soctam_model.Soc.t -> widths:int list -> result
     counters of its own; the interrupted width's partial counters
     travel inside its embedded token.
 
-    @raise Invalid_argument on an empty or non-positive width list, a
-    too-narrow supplied table, or a resume checkpoint that does not
-    match this sweep's [max_tams], width list or SOC name.
+    @raise Invalid_argument on an empty or non-positive width list, or
+    a resume checkpoint that does not match this sweep's [max_tams],
+    width list or SOC name.
     @raise Failure when a checkpoint write fails. *)
 
 val knee : ?tolerance_pct:float -> point list -> point option

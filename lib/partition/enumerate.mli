@@ -62,16 +62,6 @@ val unrank : total:int -> parts:int -> rank:int -> int array option
     and start a domain at each chunk boundary. [None] when no such
     partition exists ([rank] out of range or the instance is empty). *)
 
-val unrank_into : total:int -> parts:int -> rank:int -> int array -> bool
-(** Allocation-free {!unrank}: write the partition into the first
-    [parts] slots of the caller-provided array and return [true], or
-    return [false] (array untouched) when no such partition exists.
-    This is the form the chunked evaluation layer can call per chunk
-    boundary without garbage; {!unrank} is the allocating convenience
-    wrapper over it.
-
-    @raise Invalid_argument if the array is shorter than [parts]. *)
-
 module Odometer : sig
   type t
 
@@ -91,11 +81,11 @@ module Odometer : sig
   val reposition : t -> rank:int -> bool
   (** [reposition t ~rank] re-aims [t] at the partition of 0-based
       lexicographic position [rank], reusing its widths array
-      (allocation-free, {!unrank_into} underneath). [false] — with the
-      odometer left at its previous position — when [rank] is out of
-      range. This is what lets a work-stealing worker carry one
-      odometer across non-contiguous chunks instead of allocating one
-      per chunk boundary. *)
+      (allocation-free: {!unrank}'s descent, written into that array).
+      [false] — with the odometer left at its previous position — when
+      [rank] is out of range. This is what lets a work-stealing worker
+      carry one odometer across non-contiguous chunks instead of
+      allocating one per chunk boundary. *)
 
   val advance : t -> bool
   (** Move to the next partition; [false] when exhausted (the paper's
@@ -116,6 +106,6 @@ module Odometer : sig
       [Partition_evaluate] settle a whole block from its first member.
       The block's size comes from {!Count.exact}, which takes a global
       lock above two parts. O(parts) when the block fits in [limit],
-      plus an {!unrank_into} descent below position [j] when it does
-      not; allocation-free. 0 for one part or [limit <= 0]. *)
+      plus an in-place {!unrank} descent below position [j] when it
+      does not; allocation-free. 0 for one part or [limit <= 0]. *)
 end

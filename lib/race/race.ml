@@ -2,7 +2,7 @@ module Engine = Soctam_core.Engine
 module Rc = Soctam_core.Run_config
 module Outcome = Soctam_core.Outcome
 module Checkpoint = Soctam_core.Checkpoint
-module Core_assign = Soctam_core.Core_assign
+module Slice_search = Soctam_core.Slice_search
 module Tt = Soctam_core.Time_table
 module Obs = Soctam_obs.Obs
 
@@ -42,13 +42,6 @@ type slot = {
   mutable s_proved : bool;
   mutable s_improvements : int;
   mutable s_slices : int;
-}
-
-type best = {
-  mutable b_widths : int array;
-  mutable b_time : int;
-  mutable b_assignment : int array;
-  mutable b_winner : string option;
 }
 
 let never () = false
@@ -152,19 +145,17 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
     ref (match restored with Some s -> s.Checkpoint.ra_tau | None -> initial)
   in
   let best =
-    match restored with
-    | Some { Checkpoint.ra_best = Some b; ra_winner; ra_tau; _ } ->
-        Checkpoint.check_best ~table ~total_width
-          ~max_tams:(Rc.tam_ceiling cfg)
-          ~tau:ra_tau b;
-        {
-          b_widths = b.Checkpoint.ba_widths;
-          b_time = b.Checkpoint.ba_time;
-          b_assignment = b.Checkpoint.ba_assignment;
-          b_winner = ra_winner;
-        }
-    | Some { Checkpoint.ra_best = None; _ } | None ->
-        { b_widths = [||]; b_time = initial; b_assignment = [||]; b_winner = None }
+    Slice_search.best ~table ~total_width ~max_tams:(Rc.tam_ceiling cfg)
+      ?tau:(Option.map (fun s -> s.Checkpoint.ra_tau) restored)
+      ~initial
+      (Option.bind restored (fun s -> s.Checkpoint.ra_best))
+  in
+  (* The engine that set [best]; none while [best] is empty. *)
+  let winner =
+    ref
+      (match restored with
+      | Some { Checkpoint.ra_best = Some _; ra_winner; _ } -> ra_winner
+      | Some { Checkpoint.ra_best = None; _ } | None -> None)
   in
   let rounds =
     ref (match restored with Some s -> s.Checkpoint.ra_rounds | None -> 0)
@@ -202,16 +193,8 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
           ra_max_tams = cfg.Rc.max_tams;
           ra_initial = cfg.Rc.initial_best;
           ra_tau = !tau;
-          ra_best =
-            (if Array.length best.b_widths = 0 then None
-             else
-               Some
-                 {
-                   Checkpoint.ba_widths = best.b_widths;
-                   ba_time = best.b_time;
-                   ba_assignment = best.b_assignment;
-                 });
-          ra_winner = best.b_winner;
+          ra_best = Slice_search.best_arch best;
+          ra_winner = !winner;
           ra_rounds = !rounds;
           ra_slices = !slices;
           ra_imports = !imports;
@@ -285,10 +268,10 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
       Array.length report.Engine.r_widths > 0
       && report.Engine.r_time < !tau
     then begin
-      best.b_widths <- report.Engine.r_widths;
-      best.b_time <- report.Engine.r_time;
-      best.b_assignment <- report.Engine.r_assignment;
-      best.b_winner <- Some s.s_name;
+      best.Slice_search.b_widths <- report.Engine.r_widths;
+      best.Slice_search.b_time <- report.Engine.r_time;
+      best.Slice_search.b_assignment <- report.Engine.r_assignment;
+      winner := Some s.s_name;
       tau := report.Engine.r_time;
       s.s_improvements <- s.s_improvements + 1;
       incr exports;
@@ -324,7 +307,7 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
         in
         loop ())
   in
-  (match (outcome, !proof, Obs.enabled stats, best.b_winner) with
+  (match (outcome, !proof, Obs.enabled stats, !winner) with
   | Outcome.Complete, _, true, Some w -> Obs.event stats ("race/winner " ^ w)
   | _ -> ());
   let engines_out =
@@ -339,42 +322,24 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
         })
       slots
   in
-  if Array.length best.b_widths = 0 then begin
-    (* Nothing beat the seed (or the budget expired before the first
-       improvement): fall back to the even split over the first
-       permitted TAM count, like the solo engines. *)
-    let widths =
-      Soctam_core.Slice_search.even_widths ~total_width
-        (match cfg.Rc.tams with Some b -> min b total_width | None -> 1)
-    in
-    match Core_assign.run_table ~table ~widths () with
-    | Core_assign.Assigned { assignment; time; _ } ->
-        {
-          widths;
-          time;
-          assignment;
-          winner = None;
-          proven_optimal = false;
-          rounds = !rounds;
-          slices = !slices;
-          tau_imports = !imports;
-          tau_exports = !exports;
-          engines = engines_out;
-          outcome;
-        }
-    | Core_assign.Exceeded _ -> assert false
-  end
-  else
-    {
-      widths = best.b_widths;
-      time = best.b_time;
-      assignment = best.b_assignment;
-      winner = best.b_winner;
-      proven_optimal = (match !proof with Some _ -> true | None -> false);
-      rounds = !rounds;
-      slices = !slices;
-      tau_imports = !imports;
-      tau_exports = !exports;
-      engines = engines_out;
-      outcome;
-    }
+  let widths, time, assignment =
+    Slice_search.answer ~table ~total_width
+      ~tams:(Option.value cfg.Rc.tams ~default:1)
+      best
+  in
+  {
+    widths;
+    time;
+    assignment;
+    winner = !winner;
+    (* A proof under the seed bound certifies no found architecture,
+       so the even-split fallback is never proven. *)
+    proven_optimal =
+      Option.is_some !proof && Array.length best.Slice_search.b_widths > 0;
+    rounds = !rounds;
+    slices = !slices;
+    tau_imports = !imports;
+    tau_exports = !exports;
+    engines = engines_out;
+    outcome;
+  }

@@ -88,10 +88,9 @@ let new_fixed_cell ctx ~soc:name ~tams ~w =
       let table = table_upto ctx name ~width:w in
       let result, cpu =
         Soctam_util.Timer.time (fun () ->
-            Co.run_with
-              Soctam_core.Run_config.(
-                default |> with_table table |> with_tams tams)
-              (soc ctx name) ~total_width:w)
+            Co.run
+              Soctam_core.Run_config.(default |> with_tams tams)
+              ~table ~total_width:w)
       in
       {
         partition = result.Co.architecture.Arch.widths;
@@ -108,10 +107,9 @@ let npaw_run ctx ~soc:name ~w =
       let table = table_upto ctx name ~width:w in
       let result, cpu =
         Soctam_util.Timer.time (fun () ->
-            Co.run_with
-              Soctam_core.Run_config.(
-                default |> with_max_tams 10 |> with_table table)
-              (soc ctx name) ~total_width:w)
+            Co.run
+              Soctam_core.Run_config.(default |> with_max_tams 10)
+              ~table ~total_width:w)
       in
       ( result,
         {

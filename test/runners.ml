@@ -17,13 +17,12 @@ let opt set v cfg = match v with None -> cfg | Some x -> set x cfg
    CI host would silently turn every jobs=4 determinism property into a
    sequential run. Forcing the requested size keeps real multi-worker
    interleavings under test everywhere. *)
-let cfg ?stats ?jobs ?table ?node_limit ?max_tams ?tams ?initial_best
-    ?carry_tau ?time_budget () =
+let cfg ?stats ?jobs ?node_limit ?max_tams ?tams ?initial_best ?carry_tau
+    ?time_budget () =
   Rc.default
   |> Rc.with_oversubscribe true
   |> opt Rc.with_stats stats
   |> opt Rc.with_jobs jobs
-  |> opt Rc.with_table table
   |> opt Rc.with_node_limit node_limit
   |> opt Rc.with_max_tams max_tams
   |> opt Rc.with_tams tams
@@ -31,11 +30,24 @@ let cfg ?stats ?jobs ?table ?node_limit ?max_tams ?tams ?initial_best
   |> opt Rc.with_carry_tau carry_tau
   |> opt Rc.with_time_budget time_budget
 
+(* The pipeline runners' table: [table], or one built here at
+   [total_width]. *)
+let co_table ?stats ?table soc ~total_width =
+  match table with
+  | Some t -> t
+  | None -> Soctam_core.Time_table.build ?stats soc ~max_width:total_width
+
 let co_run ?stats ?jobs ?table ?max_tams soc ~total_width =
-  Co.run_with (cfg ?stats ?jobs ?table ?max_tams ()) soc ~total_width
+  Co.run
+    (cfg ?stats ?jobs ?max_tams ())
+    ~table:(co_table ?stats ?table soc ~total_width)
+    ~total_width
 
 let co_run_fixed_tams ?stats ?jobs ?table soc ~total_width ~tams =
-  Co.run_with (cfg ?stats ?jobs ?table ~tams ()) soc ~total_width
+  Co.run
+    (cfg ?stats ?jobs ~tams ())
+    ~table:(co_table ?stats ?table soc ~total_width)
+    ~total_width
 
 let pe_run ?stats ?jobs ?initial_best ?carry_tau ~table ~total_width ~max_tams
     () =

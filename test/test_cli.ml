@@ -495,6 +495,37 @@ let analyze_unwritable_output () =
             (contains out "internal error"))
         [ "--sarif"; "--call-graph" ])
 
+(* A flag the engine's caps rule out is a user error naming the engine
+   and the fix, on the solo subcommands and on every portfolio member
+   of a race (whose sequential members only lose -j, silently). *)
+let engine_flag_errors () =
+  List.iter
+    (fun (args, engine, hint) ->
+      let what = String.concat " " args in
+      let code, out = run args in
+      Alcotest.(check int) (what ^ ": exit 1") 1 code;
+      Alcotest.(check bool)
+        (what ^ ": names the engine")
+        true
+        (contains out ("engine " ^ engine));
+      Alcotest.(check bool) (what ^ ": gives the fix") true (contains out hint);
+      Alcotest.(check bool)
+        (what ^ ": no internal error")
+        false
+        (contains out "internal error"))
+    [
+      ([ "exhaustive"; "d695"; "-w"; "16" ], "exhaustive", "pass -b B");
+      ([ "ilp"; "d695"; "-w"; "16" ], "ilp", "pass -b B");
+      ([ "anneal"; "d695"; "-w"; "16"; "-b"; "2" ], "anneal", "drop -b");
+      ([ "anneal"; "d695"; "-w"; "16"; "-j"; "2" ], "anneal", "drop -j");
+      ( [ "race"; "d695"; "-w"; "16"; "--engines"; "pe,exhaustive" ],
+        "exhaustive",
+        "pass -b B" );
+      ( [ "race"; "d695"; "-w"; "16"; "--engines"; "pe,anneal"; "-b"; "2" ],
+        "anneal",
+        "drop -b" );
+    ]
+
 let suite =
   [
     test "info" info;
@@ -535,4 +566,5 @@ let suite =
     test "solvers: certified without a flag" solvers_certify;
     test "removed options: usage errors" removed_options_rejected;
     test "analyze: unwritable output files" analyze_unwritable_output;
+    test "engine/flag mismatches: named user errors" engine_flag_errors;
   ]

@@ -988,7 +988,7 @@ let pipeline_rejects_narrow_table () =
   let soc = small_soc 45L ~cores:3 in
   let table = Tt.build soc ~max_width:8 in
   Alcotest.check_raises "table too narrow"
-    (Invalid_argument "Co_optimize: supplied table narrower than total width")
+    (Invalid_argument "Run_config.tam_plan: time table narrower than total width")
     (fun () -> ignore (Runners.co_run ~table soc ~total_width:16))
 
 let final_step_matches_exact =
@@ -1005,6 +1005,42 @@ let final_step_matches_exact =
       in
       r.Co.final_proven_optimal
       && r.Co.final_time = (Exact.solve_bb ~times ()).Exact.time)
+
+(* The pipeline's one truncation rule: a search stopped after its first
+   slice reports its raw incumbent and runs no exact step; a complete
+   search is the [pe] engine's report, field for field. *)
+let pipeline_truncation_rule () =
+  let module Rc = Soctam_core.Run_config in
+  let module E = Soctam_core.Engine in
+  let table = Tt.build Soctam_soc_data.D695.soc ~max_width:32 in
+  let stats = Obs.create () in
+  let cut =
+    Co.run
+      Rc.(default |> with_stats stats |> with_slice_limit 1
+          |> with_checkpoint_every 7)
+      ~table ~total_width:32
+  in
+  Alcotest.(check bool) "truncated" true
+    (match cut.Co.outcome with
+    | Soctam_core.Outcome.Budget_exhausted _ -> true
+    | Soctam_core.Outcome.Complete | Soctam_core.Outcome.Interrupted _ ->
+        false);
+  Alcotest.(check int) "raw incumbent" 37327 cut.Co.heuristic_time;
+  Alcotest.(check int) "final = heuristic" cut.Co.heuristic_time
+    cut.Co.final_time;
+  Alcotest.(check bool) "not proven" false cut.Co.final_proven_optimal;
+  Alcotest.(check bool) "no exact step" false
+    (List.mem_assoc "co_optimize/exact_step" (Obs.snapshot stats).Obs.spans);
+  let co = Co.run Rc.default ~table ~total_width:32 in
+  let pe = E.run E.pe Rc.default { E.table; total_width = 32 } in
+  let arch = co.Co.architecture in
+  Alcotest.(check bool) "complete" true
+    (Soctam_core.Outcome.is_complete co.Co.outcome);
+  Alcotest.(check (array int)) "widths" arch.Soctam_tam.Architecture.widths
+    pe.E.r_widths;
+  Alcotest.(check int) "time" co.Co.final_time pe.E.r_time;
+  Alcotest.(check (array int)) "assignment"
+    arch.Soctam_tam.Architecture.assignment pe.E.r_assignment
 
 (* -- Bounds ----------------------------------------------------------------- *)
 
@@ -1123,4 +1159,6 @@ let suite =
       exhaustive_tau_import;
     test "time table: bottleneck_core checks the width"
       bottleneck_checks_width;
+    test "Co_optimize: a truncated search reports its raw incumbent"
+      pipeline_truncation_rule;
   ]

@@ -384,6 +384,40 @@ let forged_slot_incumbent_rejected () =
         patch_slot "pack" forge_best (first_round_token table) );
     ]
 
+(* A budget spent before the first grant leaves nothing to report but
+   the even split over the first permitted TAM count, which proves
+   nothing and names no winner. *)
+let zero_budget_fallback () =
+  let table = Tt.build d695 ~max_width:32 in
+  let race cfg names =
+    Race.run
+      (Rc.with_time_budget 0. cfg)
+      ~engines:(Runners.engines names) ~table ~total_width:32
+  in
+  List.iter
+    (fun (what, (r : Race.result), widths, time) ->
+      Alcotest.(check (array int)) (what ^ ": widths") widths r.Race.widths;
+      Alcotest.(check int) (what ^ ": time") time r.Race.time;
+      Alcotest.(check (option string)) (what ^ ": winner") None r.Race.winner;
+      Alcotest.(check bool) (what ^ ": proven") false r.Race.proven_optimal;
+      Alcotest.(check bool)
+        (what ^ ": budget exhausted")
+        true
+        (match r.Race.outcome with
+        | Oc.Budget_exhausted _ -> true
+        | Oc.Complete | Oc.Interrupted _ -> false);
+      Alcotest.(check int) (what ^ ": slices") 0 r.Race.slices)
+    [
+      ( "pe,pack,anneal",
+        race Rc.default [ "pe"; "pack"; "anneal" ],
+        [| 32 |],
+        37327 );
+      ( "pe,pack at 3 TAMs",
+        race (Rc.with_tams 3 Rc.default) [ "pe"; "pack" ],
+        [| 11; 11; 10 |],
+        25854 );
+    ]
+
 let suite =
   [
     test "race: kill and resume at every slice boundary" resume_every_boundary;
@@ -398,4 +432,6 @@ let suite =
       bad_slot_body_rejected;
     test "race: a forged slot incumbent is rejected before the first grant"
       forged_slot_incumbent_rejected;
+    test "race: a zero budget falls back to the even split"
+      zero_budget_fallback;
   ]
