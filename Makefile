@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-par test-par-smoke test-resume test-race test-exact test-anneal bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
+.PHONY: all build test test-par test-par-smoke test-resume test-race test-exact test-anneal test-core bench-smoke ci lint static-analysis analyze-sarif fmt fmt-check coverage loc clean
 
 all: build
 
@@ -57,6 +57,13 @@ test-race: build
 # guard. Runs from the build tree, like test-race.
 test-exact: build
 	cd _build/default/test && ./test_main.exe test ilp
+
+# Search-core suite only (test/test_core.ml): the time table and its
+# per-width orders, Core_assign against its reference loop and tie-break,
+# Partition_evaluate, the exhaustive baseline and the pipeline. Runs
+# from the build tree, like test-exact.
+test-core: build
+	cd _build/default/test && ./test_main.exe test core
 
 # Annealer suite only (test/test_anneal.ml): the result invariants, the
 # exhaustive lower bound, and the trajectory pins (time, accept counts,

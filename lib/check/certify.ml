@@ -1,5 +1,4 @@
 module Soc = Soctam_model.Soc
-module Co = Soctam_core.Co_optimize
 module Arch = Soctam_tam.Architecture
 module V = Violation
 
@@ -17,31 +16,6 @@ let claim ?table ?check_bounds ?check_exact ?check_exhaustive ?check_simulation
   Report.make ~subject
     (Arch_check.certify_claim ?table ?check_bounds ?check_exact
        ?check_exhaustive ?check_simulation ~soc c)
-
-let co_optimize ?table ?check_exact ?check_simulation ~soc ~total_width
-    (result : Co.t) =
-  let arch = result.Co.architecture in
-  let violations =
-    Arch_check.certify ?table ?check_exact ?check_simulation ~total_width ~soc
-      arch
-  in
-  let pipeline = ref [] in
-  if result.Co.final_time <> arch.Arch.time then
-    pipeline :=
-      V.errorf V.Pipeline_inconsistent V.Soc
-        "final_time %d differs from the architecture's time %d"
-        result.Co.final_time arch.Arch.time
-      :: !pipeline;
-  if result.Co.final_time > result.Co.heuristic_time then
-    pipeline :=
-      V.errorf V.Pipeline_inconsistent V.Soc
-        "final exact step worsened the heuristic result (%d -> %d): it must \
-         only ever improve the chosen partition"
-        result.Co.heuristic_time result.Co.final_time
-      :: !pipeline;
-  Report.make
-    ~subject:(Printf.sprintf "%s co-optimization (W = %d)" soc.Soc.name total_width)
-    (violations @ List.rev !pipeline)
 
 let parsed_architecture ?table ?check_exact ?check_exhaustive ?check_simulation
     ?total_width ~soc (parsed : Soctam_tam.Arch_format.parsed) =

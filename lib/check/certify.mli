@@ -27,19 +27,6 @@ val claim :
   Report.t
 (** Certify an untrusted claim (parsed file, corrupted result, ...). *)
 
-val co_optimize :
-  ?table:Soctam_core.Time_table.t ->
-  ?check_exact:bool ->
-  ?check_simulation:bool ->
-  soc:Soctam_model.Soc.t ->
-  total_width:int ->
-  Soctam_core.Co_optimize.t ->
-  Report.t
-(** Certify a pipeline result: the embedded architecture (against the
-    requested [total_width]) plus the pipeline's own bookkeeping —
-    [final_time] must equal the architecture's time and must not exceed
-    [heuristic_time] (the final exact step only ever improves). *)
-
 val parsed_architecture :
   ?table:Soctam_core.Time_table.t ->
   ?check_exact:bool ->

@@ -19,7 +19,6 @@ type kind =
   | Lower_bound_violated
   | Beats_exhaustive_optimum
   | Simulation_mismatch
-  | Pipeline_inconsistent
   | Soc_name_mismatch
   | Schedule_core_missing
   | Schedule_core_duplicated
@@ -86,7 +85,6 @@ let kind_name = function
   | Lower_bound_violated -> "lower-bound-violated"
   | Beats_exhaustive_optimum -> "beats-exhaustive-optimum"
   | Simulation_mismatch -> "simulation-mismatch"
-  | Pipeline_inconsistent -> "pipeline-inconsistent"
   | Soc_name_mismatch -> "soc-name-mismatch"
   | Schedule_core_missing -> "schedule-core-missing"
   | Schedule_core_duplicated -> "schedule-core-duplicated"

@@ -36,7 +36,6 @@ type kind =
   | Lower_bound_violated  (** claimed time beats an admissible lower bound *)
   | Beats_exhaustive_optimum  (** claimed time beats the exact optimum *)
   | Simulation_mismatch  (** cycle-level simulation disagrees *)
-  | Pipeline_inconsistent  (** optimizer result fields disagree *)
   | Soc_name_mismatch  (** artifact recorded for a different SOC *)
   (* Schedule / power certifier. *)
   | Schedule_core_missing

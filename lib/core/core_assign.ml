@@ -165,36 +165,60 @@ type scratch = {
 let scratch () =
   { sc_loads = [||]; sc_assignment = [||]; sc_unassigned = [||] }
 
-(* [select_core] reading core [i] on TAM [j] as [rows.(i).(widths.(j) - 1)]. *)
-let select_core_rows (rows : int array array) unassigned widths j =
+(* The first position from [p] on whose core is still unassigned, or
+   the order's length when there is none. *)
+let rec next_unassigned (order : int array) (unassigned : bool array) p =
+  if p < Array.length order && not unassigned.(order.(p)) then
+    next_unassigned order unassigned (p + 1)
+  else p
+[@@soctam.hot]
+
+(* The tie-break over the run of cores from position [p] on whose time
+   at width index [wj] is [t]: the unassigned core with the largest time
+   at width index [wk], the one met first (the lowest index) among
+   equals. *)
+let rec tie_run (rows : int array array) (order : int array)
+    (unassigned : bool array) wj t wk best p =
+  if p = Array.length order || rows.(order.(p)).(wj) <> t then best
+  else
+    let c = order.(p) in
+    let best =
+      if unassigned.(c) && rows.(c).(wk) > rows.(best).(wk) then c else best
+    in
+    tie_run rows order unassigned wj t wk best (p + 1)
+[@@soctam.hot]
+
+(* [select_core] read from [order], TAM [j]'s width order (descending
+   time, ties by ascending index): the first unassigned core has the
+   largest time on [j] and, among equals, the lowest index. Only when the
+   next unassigned core has the same time does the tie-break look past
+   it, at that run of equal times on the widest TAM narrower than [j]. *)
+let select_core_walk (rows : int array array) (order : int array) unassigned
+    (widths : int array) j =
   let wj = widths.(j) - 1 in
-  let k = narrower widths j in
-  let wk = if k < 0 then -1 else widths.(k) - 1 in
-  let best_i = ref (-1) in
-  for i = 0 to Array.length rows - 1 do
-    if unassigned.(i) then begin
-      let b = !best_i in
-      if
-        b < 0
-        || rows.(i).(wj) > rows.(b).(wj)
-        || rows.(i).(wj) = rows.(b).(wj)
-           && wk >= 0
-           && rows.(i).(wk) > rows.(b).(wk)
-      then best_i := i
-    end
-  done;
-  !best_i
+  let p = next_unassigned order unassigned 0 in
+  let best = order.(p) in
+  let t = rows.(best).(wj) in
+  let q = next_unassigned order unassigned (p + 1) in
+  if q = Array.length order || rows.(order.(q)).(wj) <> t then best
+  else
+    let k = narrower widths j in
+    if k < 0 then best
+    else tie_run rows order unassigned wj t (widths.(k) - 1) best q
+[@@soctam.hot]
 
 (* The same greedy loop as [run], reading testing times straight
    out of the table rows ([rows.(i).(widths.(j) - 1)]) instead of a
-   per-partition [Time_table.matrix] copy, and reusing caller-owned
-   scratch arrays instead of allocating three per call. The loop and
-   [select_core_rows] are kept as deliberate twins of [run]'s
-   rather than abstracted over the time lookup: an indirect lookup
-   there costs on the order of the whole remaining loop body, and the
-   equivalence is pinned by a qcheck property (test_core.ml) instead of
-   by sharing code. Any behavioral edit must land in both. *)
-let greedy_direct ~stats ~scratch:s ~best ~rows ~widths =
+   per-partition [Time_table.matrix] copy, picking each core by
+   [select_core_walk] on the table's per-width order instead of
+   [select_core]'s scan of every core, and reusing caller-owned scratch
+   arrays instead of allocating three per call. The loop is kept as a
+   deliberate twin of [run]'s rather than abstracted over the time
+   lookup and the core pick: an indirect lookup there costs on the order
+   of the whole remaining loop body, and the equivalence is pinned by
+   qcheck properties (test_core.ml) instead of by sharing code. Any
+   behavioral edit must land in both. *)
+let greedy_direct ~stats ~scratch:s ~best ~rows ~orders ~widths =
   let cores = Array.length rows in
   let tams = Array.length widths in
   (* Scratch arrays are sized exactly (not merely grown): the
@@ -215,7 +239,9 @@ let greedy_direct ~stats ~scratch:s ~best ~rows ~widths =
   let assigned = ref 0 and exceeded = ref 0 in
   while !exceeded = 0 && !assigned < cores do
     let j = select_tam loads widths in
-    let i = select_core_rows rows unassigned widths j in
+    let i =
+      select_core_walk rows orders.(widths.(j) - 1) unassigned widths j
+    in
     assignment.(i) <- j;
     unassigned.(i) <- false;
     loads.(j) <- loads.(j) + rows.(i).(widths.(j) - 1);
@@ -246,7 +272,9 @@ let run_table_direct ?stats ~scratch:s ~best ~table ~widths () =
     else if w > !second then second := w
   done;
   match cut ~table ~best ~widest:!widest ~second:!second with
-  | 0 -> greedy_direct ~stats ~scratch:s ~best ~rows ~widths
+  | 0 ->
+      greedy_direct ~stats ~scratch:s ~best ~rows
+        ~orders:(Time_table.orders table) ~widths
   | step ->
       record_cuts ?stats ~cores ~step 1;
       Exceeded step

@@ -11,18 +11,20 @@
     is what lets [Partition_evaluate] discard most partitions cheaply.
 
     Complexity: the paper states O(mB + m log m) for [m] cores and [B]
-    TAMs, which assumes the per-TAM core orderings are pre-sorted and
-    consulted via priority queues. This implementation rescans instead:
-    each of the [m] steps is one O(B) pass for the TAM and one O(m + B)
-    pass for the core (the tie-break included), O(m^2 + mB) overall,
-    and {!run_table_direct} allocates nothing per step. What dominates
-    the partition search is not the full loop but its first two steps:
-    on wide TAMs almost every partition is abandoned after one or two
-    of them. Both have a closed form, {!cut}: at most four table
-    lookups, after which [Partition_evaluate] also skips the rest of
-    the odometer block a step-1 cut covers. On wide-npaw's pass that
-    leaves about 130 thousand of 15.4 million ranks for the loop; the
-    scans only matter for those, so sorted structures would not pay. *)
+    TAMs, because each TAM's core ordering is sorted once.
+    {!run_table_direct} does the same: {!Time_table.orders} holds, for
+    every width, the cores by descending time, built once per table.
+    Each step is one O(B) pass for the TAM, then a walk of that TAM's
+    width order past the cores already assigned; only when the next
+    unassigned core has the same time does the tie-break scan that run
+    of equal times, on the widest narrower TAM. A step costs O(B + skipped + tie run) and allocates
+    nothing. {!run}, the matrix version kept as the reference, rescans
+    every core at every step, O(m^2 + mB) overall. Most partitions never
+    reach the loop: the first two steps have a closed form, {!cut}, at
+    most four table lookups, after which [Partition_evaluate] also skips
+    the rest of the odometer block a step-1 cut covers. Of those that do
+    reach it on the paper's grid, most are abandoned within the first
+    few steps, where the walk skips only a handful of cores. *)
 
 type outcome =
   | Assigned of {
@@ -121,9 +123,10 @@ val run_table_direct :
   outcome
 (** {!run_table} without the per-partition garbage: testing
     times are read straight from {!Time_table.rows} (no
-    [Time_table.matrix] copy) and the working arrays come from
-    [scratch]. Outcome-identical to {!run_table} on every
-    input (pinned by a qcheck property), including tie-breaking.
+    [Time_table.matrix] copy), each core is picked by walking
+    {!Time_table.orders} at the chosen TAM's width, and the working
+    arrays come from [scratch]. Outcome-identical to {!run_table} on
+    every input (pinned by a qcheck property), including tie-breaking.
 
     The first two steps come from {!cut} after an O(B) width check,
     recorded in [stats] as the loop would record them.

@@ -2,12 +2,45 @@ type t = {
   soc : Soctam_model.Soc.t;
   max_width : int;
   times : int array array;  (* core -> width-1 -> time *)
+  order : int array array;  (* width-1 -> cores by descending time *)
   peak : int array;  (* width-1 -> max over cores of the time *)
   peak_core : int array;  (* width-1 -> the core holding [peak], -1 on a tie *)
   runner_up : int array;  (* width-1 -> max over every other core, 0 alone *)
 }
 
 module Obs = Soctam_obs.Obs
+
+(* [c] goes before [d] at width [w]: a longer time, or an equal time and
+   a lower index. *)
+let precedes (times : int array array) w c d =
+  let tc = times.(c).(w) and td = times.(d).(w) in
+  tc > td || (tc = td && c < d)
+
+(* Each width's cores by descending time, ties by ascending index. The
+   first width is sorted outright; every later one by insertion from the
+   width before it. The rows are running minima over chain counts, so
+   the order barely changes from one width to the next and each
+   insertion pass is close to linear. *)
+let sort_orders times ~max_width =
+  let first = Array.init (Array.length times) Fun.id in
+  Array.sort
+    (fun c d -> if precedes times 0 c d then -1 else if c = d then 0 else 1)
+    first;
+  let order = Array.make max_width first in
+  for w = 1 to max_width - 1 do
+    let o = Array.copy order.(w - 1) in
+    for p = 1 to Array.length o - 1 do
+      let c = o.(p) in
+      let q = ref p in
+      while !q > 0 && precedes times w c o.(!q - 1) do
+        o.(!q) <- o.(!q - 1);
+        decr q
+      done;
+      o.(!q) <- c
+    done;
+    order.(w) <- o
+  done;
+  order
 
 let build ?(stats = Obs.null) soc ~max_width =
   if max_width < 1 then invalid_arg "Time_table.build: max_width must be >= 1";
@@ -18,33 +51,25 @@ let build ?(stats = Obs.null) soc ~max_width =
           (Soctam_model.Soc.cores soc))
   in
   Obs.add stats ~n:(Array.length times * max_width) "time_table/entries";
-  (* One pass per core keeps, per width, the largest time, its core and
-     the largest time of every other core: a second core reaching the
-     peak makes the peak tied (-1) and becomes its own runner-up. *)
-  let peak = Array.make max_width 0 in
-  let peak_core = Array.make max_width (-1) in
-  let runner_up = Array.make max_width 0 in
-  Array.iteri
-    (fun i row ->
-      for w = 0 to max_width - 1 do
-        let x = row.(w) in
-        if i = 0 || x > peak.(w) then begin
-          if i > 0 then runner_up.(w) <- peak.(w);
-          peak.(w) <- x;
-          peak_core.(w) <- i
-        end
-        else begin
-          if x = peak.(w) then peak_core.(w) <- -1;
-          if x > runner_up.(w) then runner_up.(w) <- x
-        end
-      done)
-    times;
-  { soc; max_width; times; peak; peak_core; runner_up }
+  let order = sort_orders times ~max_width in
+  (* The peak is the first core of each order and the runner-up the
+     second: equal times there mean the peak is tied (-1). *)
+  let cores = Array.length times in
+  let first w = times.(order.(w).(0)).(w) in
+  let second w = if cores > 1 then times.(order.(w).(1)).(w) else 0 in
+  let peak = Array.init max_width first in
+  let runner_up = Array.init max_width second in
+  let peak_core =
+    Array.init max_width (fun w ->
+        if cores > 1 && runner_up.(w) = peak.(w) then -1 else order.(w).(0))
+  in
+  { soc; max_width; times; order; peak; peak_core; runner_up }
 
 let core_count t = Array.length t.times
 let max_width t = t.max_width
 let soc t = t.soc
 let rows t = t.times
+let orders t = t.order
 
 let check_width name t width =
   if width < 1 || width > t.max_width then
@@ -74,6 +99,6 @@ let matrix t ~widths =
 
 let bottleneck_core t ~width =
   check_width "bottleneck_core" t width;
-  Soctam_util.Select.argmax (Array.map (fun row -> row.(width - 1)) t.times)
+  t.order.(width - 1).(0)
 
 let bottleneck_bound t ~width = peak t ~width

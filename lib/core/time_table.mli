@@ -14,10 +14,13 @@ type t
 val build :
   ?stats:Soctam_obs.Obs.t -> Soctam_model.Soc.t -> max_width:int -> t
 (** [build soc ~max_width] computes [T_i(w)] for all cores and
-    [w = 1 .. max_width], and the {!peak}, {!peak_core} and {!runner_up}
-    rows over them in O(cores * max_width). [stats] (default disabled)
-    times the build into a [time_table/build] span and counts the table
-    size into the [time_table/entries] counter.
+    [w = 1 .. max_width], each width's core {!orders}, and the {!peak},
+    {!peak_core} and {!runner_up} rows, read from the first two cores of
+    each order. Past the first width, which is sorted outright, each
+    order is an insertion pass over the previous width's, close to
+    O(cores) because the orders barely change between widths. [stats]
+    (default disabled) times the build into a [time_table/build] span
+    and counts the table size into the [time_table/entries] counter.
     @raise Invalid_argument when [max_width < 1]. *)
 
 val core_count : t -> int
@@ -55,6 +58,13 @@ val rows : t -> int array array
     ([Core_assign.run_table_direct]); rows may alias the {!
     Soctam_wrapper.Front} cache and other tables — callers must treat
     them as immutable. *)
+
+val orders : t -> int array array
+(** [orders t].(w - 1) lists every 0-based core once, by descending
+    [time t ~core ~width:w], equal times by ascending core index: the
+    per-width core ordering that Figure 1's core pick walks
+    ([Core_assign.run_table_direct]). Like {!rows}, the arrays are the
+    table's own: callers must treat them as immutable. *)
 
 val matrix : t -> widths:int array -> int array array
 (** [matrix t ~widths] is the core-by-TAM time matrix for a concrete

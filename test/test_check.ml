@@ -29,14 +29,30 @@ let expect_kind msg report kind =
     (Report.has_kind report kind);
   Alcotest.(check bool) (msg ^ ": not ok") false (Report.ok report)
 
+(* A pipeline result certifies: its architecture against [total_width],
+   and its own bookkeeping — [final_time] is the architecture's time and
+   no worse than [heuristic_time], since the exact step only ever
+   improves the chosen partition. *)
+let check_co_optimize ?table ?check_exact ?check_simulation ~soc ~total_width
+    msg (result : Co.t) =
+  check_ok msg
+    (Certify.architecture ?table ?check_exact ?check_simulation ~total_width
+       ~soc result.Co.architecture);
+  Alcotest.(check int)
+    (msg ^ ": final time is the architecture's")
+    result.Co.architecture.Arch.time result.Co.final_time;
+  Alcotest.(check bool)
+    (msg ^ ": final time <= heuristic time")
+    true
+    (result.Co.final_time <= result.Co.heuristic_time)
+
 (* -- positive: optimizer results certify ---------------------------------- *)
 
 let co_optimize_certifies () =
   let table = Tt.build d695 ~max_width:16 in
   let result = Runners.co_run ~max_tams:6 ~table d695 ~total_width:16 in
-  check_ok "npaw result"
-    (Certify.co_optimize ~table ~check_exact:true ~check_simulation:true
-       ~soc:d695 ~total_width:16 result)
+  check_co_optimize ~table ~check_exact:true ~check_simulation:true ~soc:d695
+    ~total_width:16 "npaw result" result
 
 let parallel_co_optimize_certifies () =
   (* The multicore path must produce architectures that the independent
@@ -44,9 +60,8 @@ let parallel_co_optimize_certifies () =
   let table = Tt.build d695 ~max_width:16 in
   let seq = Runners.co_run ~max_tams:6 ~jobs:1 ~table d695 ~total_width:16 in
   let par = Runners.co_run ~max_tams:6 ~jobs:4 ~table d695 ~total_width:16 in
-  check_ok "npaw result (jobs=4)"
-    (Certify.co_optimize ~table ~check_exact:true ~check_simulation:true
-       ~soc:d695 ~total_width:16 par);
+  check_co_optimize ~table ~check_exact:true ~check_simulation:true ~soc:d695
+    ~total_width:16 "npaw result (jobs=4)" par;
   Alcotest.(check (array int))
     "same widths as sequential" seq.Co.architecture.Arch.widths
     par.Co.architecture.Arch.widths;
@@ -187,10 +202,10 @@ let d695_published_times_reproduced () =
               Runners.co_run_fixed_tams ~table d695
                 ~total_width:row.Soctam_report.Paper_ref.w ~tams
             in
-            check_ok
+            check_co_optimize ~table ~soc:d695
+              ~total_width:row.Soctam_report.Paper_ref.w
               (Printf.sprintf "B=%d W=%d" tams row.Soctam_report.Paper_ref.w)
-              (Certify.co_optimize ~table ~soc:d695
-                 ~total_width:row.Soctam_report.Paper_ref.w result);
+              result;
             let published = row.Soctam_report.Paper_ref.time in
             let deviation_pct =
               100.
@@ -225,17 +240,15 @@ let d695_experiment_cells_certify () =
            cell.Soctam_report.Experiments.partition)
         (Format.asprintf "%a" Arch.pp_partition
            result.Co.architecture.Arch.widths);
-      check_ok
+      check_co_optimize ~table ~check_exact:true ~soc:d695 ~total_width:w
         (Printf.sprintf "cell B=%d W=%d" tams w)
-        (Certify.co_optimize ~table ~check_exact:true ~soc:d695 ~total_width:w
-           result))
+        result)
     [ (2, 16); (3, 16); (2, 24) ];
   let npaw = Soctam_report.Experiments.npaw_cell ctx ~soc:"d695" ~w:16 in
   let result = Runners.co_run ~max_tams:10 ~table d695 ~total_width:16 in
   Alcotest.(check int) "npaw cell reproduces"
     npaw.Soctam_report.Experiments.time result.Co.final_time;
-  check_ok "npaw cell"
-    (Certify.co_optimize ~table ~soc:d695 ~total_width:16 result)
+  check_co_optimize ~table ~soc:d695 ~total_width:16 "npaw cell" result
 
 (* -- negative: corrupted architectures ------------------------------------ *)
 
@@ -613,10 +626,9 @@ let property_random_socs () =
     let width = 6 + Prng.int rng 7 in
     let table = Tt.build soc ~max_width:width in
     let result = Runners.co_run ~max_tams:3 ~table soc ~total_width:width in
-    let report = Certify.co_optimize ~table ~soc ~total_width:width result in
-    if not (Report.ok report) then
-      Alcotest.failf "trial %d (%d cores, W=%d): %a" trial cores width
-        Report.pp report;
+    check_co_optimize ~table ~soc ~total_width:width
+      (Printf.sprintf "trial %d (%d cores, W=%d)" trial cores width)
+      result;
     check_ok
       (Printf.sprintf "trial %d multiplexing" trial)
       (Certify.claim ~table ~subject:"multiplexing" ~soc

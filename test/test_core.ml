@@ -1096,6 +1096,89 @@ let bounds_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "narrow table accepted"
 
+let order_row =
+  QCheck.Test.make ~name:"time table: per-width order" ~count:30
+    QCheck.(triple (int_range 1 1000) (int_range 1 8) bool)
+    (fun (seed, cores, ties) ->
+      let soc =
+        if ties then tie_heavy_soc (Int64.of_int seed) ~cores
+        else small_soc (Int64.of_int seed) ~cores
+      in
+      let table = Tt.build soc ~max_width:16 in
+      let all = List.init cores Fun.id in
+      let ok = ref true in
+      for width = 1 to 16 do
+        let time core = Tt.time table ~core ~width in
+        let order = (Tt.orders table).(width - 1) in
+        if List.sort Int.compare (Array.to_list order) <> all then ok := false;
+        for p = 1 to Array.length order - 1 do
+          let c = order.(p - 1) and d = order.(p) in
+          if time c < time d || (time c = time d && c > d) then ok := false
+        done;
+        let top = List.fold_left (fun acc c -> max acc (time c)) 0 all in
+        let holders = List.filter (fun c -> time c = top) all in
+        let first = List.hd holders in
+        let others = List.filter (fun c -> c <> first) all in
+        if Tt.peak table ~width <> top then ok := false;
+        let expected_core = if List.length holders = 1 then first else -1 in
+        if Tt.peak_core table ~width <> expected_core then ok := false;
+        if
+          Tt.runner_up table ~width
+          <> List.fold_left (fun acc c -> max acc (time c)) 0 others
+        then ok := false
+      done;
+      !ok)
+
+(* Four combinational cores, hand-built so their rows are known. Cores
+   0, 1 and 2 all take 20 cycles at width 8 but 50, 30 and 40 at width
+   2; core 3 takes 40 at width 8 and 100 at width 2. *)
+let tie_run_soc =
+  Soctam_model.Soc.make ~name:"tie-run"
+    ~cores:
+      (List.mapi
+         (fun i (inputs, patterns) ->
+           Soctam_model.Core_data.make ~id:(i + 1)
+             ~name:(Printf.sprintf "c%d" (i + 1))
+             ~inputs ~outputs:0 ~patterns ())
+         [ (8, 10); (4, 10); (6, 10); (8, 20) ])
+
+let tie_run_in_order_walk () =
+  let table = Tt.build tie_run_soc ~max_width:8 in
+  let row width = List.init 4 (fun core -> Tt.time table ~core ~width) in
+  Alcotest.(check (list int)) "rows at width 8" [ 20; 20; 20; 40 ] (row 8);
+  Alcotest.(check (list int)) "rows at width 2" [ 50; 30; 40; 100 ] (row 2);
+  let both widths =
+    let ref_stats = Ca.stats () and direct_stats = Ca.stats () in
+    let reference = Ca.run_table ~stats:ref_stats ~table ~widths () in
+    let direct =
+      Ca.run_table_direct ~stats:direct_stats ~scratch:(Ca.scratch ())
+        ~best:max_int ~table ~widths ()
+    in
+    Alcotest.(check bool) "run_table_direct = run: outcome" true
+      (direct = reference);
+    Alcotest.(check bool) "run_table_direct = run: stats" true
+      (direct_stats = ref_stats);
+    direct
+  in
+  (* Widths 8 and 2: core 3 goes to the wide TAM, core 0 to the narrow
+     one, and then the wide TAM meets cores 0, 1 and 2 tied at 20 with
+     core 0 taken. The narrow TAM's times, 30 and 40, pick core 2. *)
+  (match both [| 8; 2 |] with
+  | Ca.Assigned { assignment; tam_times; time } ->
+      Alcotest.(check (list int)) "two TAMs: assignment" [ 1; 1; 0; 0 ]
+        (Array.to_list assignment);
+      Alcotest.(check (list int)) "two TAMs: loads" [ 60; 80 ]
+        (Array.to_list tam_times);
+      Alcotest.(check int) "two TAMs: time" 80 time
+  | Ca.Exceeded _ -> Alcotest.fail "no bound: must complete");
+  (* One TAM: no narrower TAM, so the tie goes to the lowest index. *)
+  match both [| 8 |] with
+  | Ca.Assigned { assignment; time; _ } ->
+      Alcotest.(check (list int)) "one TAM: assignment" [ 0; 0; 0; 0 ]
+        (Array.to_list assignment);
+      Alcotest.(check int) "one TAM: time" 100 time
+  | Ca.Exceeded _ -> Alcotest.fail "no bound: must complete"
+
 let suite =
   [
     qtest table_matches_wrapper;
@@ -1161,4 +1244,6 @@ let suite =
       bottleneck_checks_width;
     test "Co_optimize: a truncated search reports its raw incumbent"
       pipeline_truncation_rule;
+    qtest order_row;
+    test "Core_assign: tie runs in the order walk" tie_run_in_order_walk;
   ]
