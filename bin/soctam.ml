@@ -418,13 +418,11 @@ let race_cmd spec width tams max_tams engines_spec opts save_arch =
                 result.Soctam_race.Race.tau_imports
                 result.Soctam_race.Race.tau_exports;
               List.iter
-                (fun er ->
+                (fun (sl : Soctam_core.Checkpoint.race_slot) ->
                   Format.printf "  %-10s %d slices, %d improvements%s@."
-                    er.Soctam_race.Race.er_name
-                    er.Soctam_race.Race.er_slices
-                    er.Soctam_race.Race.er_improvements
-                    (if er.Soctam_race.Race.er_proved then ", proved"
-                     else if er.Soctam_race.Race.er_done then ", done"
+                    sl.rs_engine sl.rs_slices sl.rs_improvements
+                    (if sl.rs_proved then ", proved"
+                     else if sl.rs_done then ", done"
                      else ""))
                 result.Soctam_race.Race.engines;
               (* Seed TR-Architect from the race winner: a free-TAM-count

@@ -58,10 +58,9 @@ val run_with :
     {!Soctam_core.Partition_evaluate.run_with}; a resume checkpoint
     must match this instance, [params] schedule and SOC name, and the
     resumed walk replays the checkpointed counters into [cfg.stats]
-    unless [resume_replay] is off. [jobs], [initial_best],
-    [tau_import], [node_limit] and [carry_tau] are ignored: the walk
-    is sequential and its energy landscape has no pruning bound to
-    import.
+    unless [resume_replay] is off. [jobs], [tau_import], [node_limit]
+    and [carry_tau] are ignored: the walk is sequential and its energy
+    landscape has no pruning bound to import.
 
     @raise Invalid_argument on a table narrower than [total_width],
     [max_tams < 1], [iterations < 0], [cfg.tams] set, or a resume

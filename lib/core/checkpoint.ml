@@ -25,7 +25,6 @@ and race_state = {
   ra_total_width : int;
   ra_tams : int option;
   ra_max_tams : int;
-  ra_initial : int option;
   ra_tau : int;
   ra_best : best_arch option;
   ra_winner : string option;
@@ -190,7 +189,6 @@ let rec json_state = function
             ("total_width", Json.Int s.ra_total_width);
             ("tams", json_int_opt s.ra_tams);
             ("max_tams", Json.Int s.ra_max_tams);
-            ("initial", json_int_opt s.ra_initial);
             ("tau", Json.Int s.ra_tau);
             ("best", best_to_json s.ra_best);
             ( "winner",
@@ -285,7 +283,6 @@ and parse_race json =
       ra_total_width = count_field "total_width" json;
       ra_tams = int_opt_field "tams" json;
       ra_max_tams = count_field "max_tams" json;
-      ra_initial = int_opt_field "initial" json;
       ra_tau = int_field "tau" json;
       ra_best = best_of_json (field "best" json);
       ra_winner =
@@ -300,10 +297,31 @@ and parse_race json =
     }
   in
   if s.ra_slots = [] then fail "race checkpoint has no engine slots";
-  if
-    s.ra_slices
-    <> List.fold_left (fun n sl -> n + sl.rs_slices) 0 s.ra_slots
-  then fail "race slice total disagrees with the per-engine slices";
+  let sum f = List.fold_left (fun n sl -> n + f sl) 0 s.ra_slots in
+  if s.ra_slices <> sum (fun sl -> sl.rs_slices) then
+    fail "race slice total disagrees with the per-engine slices";
+  if s.ra_exports <> sum (fun sl -> sl.rs_improvements) then
+    fail "race export total disagrees with the per-engine improvements";
+  if s.ra_imports > s.ra_slices then
+    fail "race imports %d exceed its %d slices" s.ra_imports s.ra_slices;
+  (match (s.ra_winner, s.ra_best) with
+  | Some _, None | None, Some _ ->
+      fail "race winner and incumbent disagree: one is set without the other"
+  | Some w, Some _
+    when not (List.exists (fun sl -> String.equal sl.rs_engine w) s.ra_slots)
+    ->
+      fail "race winner %S is not in the portfolio" w
+  | Some _, Some _ | None, None -> ());
+  let bound = match s.ra_best with None -> max_int | Some b -> b.ba_time in
+  if s.ra_tau <> bound then
+    fail "race bound %d is not its incumbent's time %d" s.ra_tau bound;
+  List.iter
+    (fun sl ->
+      if sl.rs_proved && not sl.rs_done then
+        fail "race slot %S is proved but not done" sl.rs_engine;
+      if sl.rs_done && Option.is_some sl.rs_token then
+        fail "race slot %S is done but carries a token" sl.rs_engine)
+    s.ra_slots;
   Race s
 
 and parse_race_slot json =

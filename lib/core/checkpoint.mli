@@ -57,20 +57,24 @@ and race_state = {
   ra_total_width : int;
   ra_tams : int option;
   ra_max_tams : int;
-  ra_initial : int option;
-  ra_tau : int;  (** cross-engine bound ([max_int] = none yet) *)
+  ra_tau : int;
+      (** cross-engine bound: the incumbent's time, [max_int] without
+          one *)
   ra_best : best_arch option;  (** incumbent across all engines *)
-  ra_winner : string option;  (** engine that set the incumbent *)
+  ra_winner : string option;
+      (** engine that set the incumbent; set exactly when [ra_best] is *)
   ra_rounds : int;
   ra_slices : int;  (** total slices granted; equals the slot sum *)
   ra_imports : int;  (** slices entered with a foreign bound *)
-  ra_exports : int;  (** strict improvements published to the bound *)
+  ra_exports : int;
+      (** strict improvements published to the bound; equals the slot
+          sum *)
   ra_slots : race_slot list;  (** portfolio in configured order *)
 }
 (** Progress of a portfolio race ([Soctam_race.Race]): the shared
     incumbent plus one slot per engine, each embedding that engine's
     own resume token. Restoring a race is therefore restoring every
-    engine at once. *)
+    engine at once. The racer keeps its whole state in this record. *)
 
 and t = {
   soc : string option;
@@ -94,7 +98,10 @@ val to_string : t -> string
 
 val of_json : Soctam_util.Json.t -> (t, string) result
 (** Strict envelope validation: version, checksum, SOC, counters, and
-    the race state with its slice total. Never raises. *)
+    the race state — its slice and export totals against the slots,
+    imports at most its slices, a winner set exactly with the incumbent
+    and naming a slot's engine, the bound at the incumbent's time, a
+    proved slot done, a done slot without a token. Never raises. *)
 
 val of_string : string -> (t, string) result
 

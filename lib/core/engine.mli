@@ -70,9 +70,9 @@ module type S = sig
 
   val run : Run_config.t -> instance -> report
   (** One (possibly sliced) run under the shared policy: respects
-      [jobs], [stats], [tams]/[max_tams], [initial_best], budgets,
-      [slice_limit], [tau_import], [resume]/[resume_replay] and
-      [cancel] exactly as the underlying [run_with] documents them.
+      [jobs], [stats], [tams]/[max_tams], budgets, [slice_limit],
+      [tau_import], [resume]/[resume_replay] and [cancel] exactly as
+      the underlying [run_with] documents them.
       Reports are byte-identical at every job count. *)
 end
 

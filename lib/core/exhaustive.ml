@@ -134,7 +134,7 @@ let run_with ?(solver = Bb) (cfg : Run_config.t) ~table ~total_width ~tams =
   let nodes = ref (match restored with Some k -> k.t_nodes | None -> 0) in
   let best =
     let restored_best = Option.bind restored (fun k -> k.t_best) in
-    Slice_search.best ~table ~total_width ~max_tams:tams ~initial:max_int
+    Slice_search.best ~table ~total_width ~max_tams:tams
       ?rank:(Option.map snd restored_best)
       (Option.map fst restored_best)
   in

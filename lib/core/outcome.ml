@@ -10,10 +10,3 @@ let is_complete = function
 let resume_token = function
   | Complete -> None
   | Budget_exhausted cp | Interrupted cp -> Some cp
-
-let to_string = function
-  | Complete -> "complete"
-  | Budget_exhausted _ -> "budget exhausted (resumable)"
-  | Interrupted _ -> "interrupted (resumable)"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -19,6 +19,3 @@ val is_complete : t -> bool
 
 val resume_token : t -> Checkpoint.t option
 (** The carried checkpoint, when there is one. *)
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

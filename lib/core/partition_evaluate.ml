@@ -228,7 +228,6 @@ let tag = "pe"
 type token = {
   k_total_width : int;
   k_carry_tau : bool;
-  k_initial : int option;
   k_tau : int;
   k_best : Checkpoint.best_arch option;
   k_done : eng_b list;
@@ -267,7 +266,6 @@ let decode json =
   {
     k_total_width = Checkpoint.count_field "total_width" json;
     k_carry_tau = Checkpoint.bool_field "carry_tau" json;
-    k_initial = Checkpoint.int_opt_field "initial" json;
     k_tau = Checkpoint.int_field "tau" json;
     k_best = Checkpoint.best_of_json (Checkpoint.field "best" json);
     k_done = List.map cursor_of_json (Checkpoint.list_field "done" json);
@@ -288,7 +286,6 @@ let check_body cfg ~table ~total_width json =
 let run_with (cfg : Run_config.t) ~table ~total_width =
   let b_values = Run_config.tam_plan cfg ~table ~total_width in
   let stats = cfg.Run_config.stats in
-  let initial = Run_config.initial_tau cfg in
   let cap = Run_config.import_cap cfg in
   let restored = Run_config.resumed cfg ~engine:tag decode in
   Option.iter
@@ -297,8 +294,7 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
         (k.k_total_width = total_width)
         "Partition_evaluate: resume checkpoint is for a different total width";
       Checkpoint.require
-        (k.k_carry_tau = cfg.Run_config.carry_tau
-        && k.k_initial = cfg.Run_config.initial_best)
+        (k.k_carry_tau = cfg.Run_config.carry_tau)
         "Partition_evaluate: resume checkpoint was taken under a different \
          pruning configuration";
       Checkpoint.require
@@ -313,10 +309,9 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
     Slice_search.best ~table ~total_width
       ~max_tams:(Run_config.tam_ceiling cfg)
       ?tau:(Option.map (fun k -> k.k_tau) restored)
-      ~initial
       (Option.bind restored (fun k -> k.k_best))
   in
-  let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
+  let tau = ref (match restored with Some k -> k.k_tau | None -> max_int) in
   let done_rev =
     ref (match restored with Some k -> List.rev k.k_done | None -> [])
   in
@@ -340,7 +335,6 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
         [
           ("total_width", Json.Int total_width);
           ("carry_tau", Json.Bool cfg.Run_config.carry_tau);
-          ("initial", Checkpoint.json_int_opt cfg.Run_config.initial_best);
           ("tau", Json.Int !tau);
           ("best", Checkpoint.best_to_json (Slice_search.best_arch best));
           ("done", Json.List (List.rev_map cursor_json !done_rev));
@@ -378,7 +372,7 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
                  carried; a restored mid-B cursor keeps the
                  checkpointed bound either way. *)
               if (not cfg.Run_config.carry_tau) && g.g_next = 0 then
-                tau := initial;
+                tau := max_int;
               let unique = unique ~total_width g in
               let slice_len = Run_config.slice_size cfg ~length:unique in
               while g.g_next < unique do
@@ -400,9 +394,10 @@ let run_with (cfg : Run_config.t) ~table ~total_width =
   let per_b =
     List.rev_map (b_stats_of_eng ~total_width) !done_rev |> Array.of_list
   in
-  (* Nothing beat the seed: the even split over the first permitted TAM
-     count (1 for P_NPAW, the fixed B for P_PAW). *)
+  (* Nothing beat the imported bound: the even split over the first
+     permitted TAM count (1 for P_NPAW, the fixed B for P_PAW). *)
   let widths, time, assignment =
-    Slice_search.answer ~table ~total_width ~tams:(List.hd b_values) best
+    Slice_search.answer ~table ~total_width ~tams:(List.hd b_values)
+      (Slice_search.best_arch best)
   in
   { widths; time; assignment; per_b; outcome }

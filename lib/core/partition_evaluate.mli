@@ -56,9 +56,10 @@ val run_with : Run_config.t -> table:Time_table.t -> total_width:int -> result
     Policy read from [cfg]: [jobs] evaluates each slice on a team of
     domains pruning against a shared (time, rank) incumbent
     ({!Slice_search.round}) — [widths], [time] and
-    [assignment] are identical for every job count. [initial_best] seeds
-    the pruning threshold; [carry_tau] (default true) keeps it monotone
-    across TAM counts. [time_budget] stops the run at the next slice
+    [assignment] are identical for every job count. The pruning
+    threshold starts at [max_int], capped by [tau_import] when one is
+    set; [carry_tau] (default true) keeps it monotone across TAM
+    counts. [time_budget] stops the run at the next slice
     boundary with [Outcome.Budget_exhausted]; [cancel] (polled at
     boundaries) stops it with [Outcome.Interrupted]; both outcomes carry
     a resume token, also written to [checkpoint_path] when one is set

@@ -6,7 +6,6 @@ type t = {
   node_limit : int;
   max_tams : int;
   tams : int option;
-  initial_best : int option;
   carry_tau : bool;
   time_budget : float option;
   checkpoint_path : string option;
@@ -29,7 +28,6 @@ let default =
     node_limit = 2_000_000;
     max_tams = 10;
     tams = None;
-    initial_best = None;
     carry_tau = true;
     time_budget = None;
     checkpoint_path = None;
@@ -63,7 +61,6 @@ let with_tams tams t =
   if tams < 1 then invalid_arg "Run_config.with_tams: tams must be >= 1";
   { t with tams = Some tams }
 
-let with_initial_best best t = { t with initial_best = Some best }
 let with_carry_tau carry_tau t = { t with carry_tau }
 
 let with_time_budget budget t =
@@ -121,7 +118,6 @@ let tam_plan t ~table ~total_width =
       [ b ]
   | None -> Soctam_util.Intutil.range 1 (min t.max_tams total_width)
 
-let initial_tau t = Option.value t.initial_best ~default:max_int
 let import_cap t = Option.value t.tau_import ~default:max_int
 
 (* -- checkpoint lifecycle -------------------------------------------------- *)

@@ -29,7 +29,6 @@ type t = {
   node_limit : int;  (** branch & bound node budget for exact solves *)
   max_tams : int;  (** TAM count ceiling for P_NPAW *)
   tams : int option;  (** fix the TAM count (P_PAW); [None] = P_NPAW *)
-  initial_best : int option;  (** seed for the pruning threshold *)
   carry_tau : bool;  (** keep tau monotone across TAM counts *)
   time_budget : float option;
       (** elapsed-seconds budget on the monotonic clock; on expiry the
@@ -56,20 +55,21 @@ type t = {
           {!checkpointing} on (boundaries must exist to stop at). *)
   tau_import : int option;
       (** a foreign upper bound (some other engine's architecture time)
-          folded into the pruning threshold, at every job count. The
-          bound itself is never reported as the engine's own result —
+          folded into the pruning threshold, at every job count: the
+          only outside bound a search takes (without it every
+          rank-space engine starts at tau = [max_int]). The bound
+          itself is never reported as the engine's own result —
           anything the engine claims it found in its own space, though
           {!Partition_evaluate} deliberately completes candidates that
           {e tie} the import so its final exact polish has an incumbent
           to improve (the never-worse-than-solo rule of the racer needs
-          exactly that tie). Excluded from resume-compatibility checks —
-          unlike [initial_best], it may differ on every resumed
-          slice. *)
+          exactly that tie). Excluded from resume-compatibility checks: it
+          may differ on every resumed slice. *)
 }
 
 val default : t
 (** [jobs = 1], stats off, [node_limit = 2_000_000],
-    [max_tams = 10], free TAM count, no seed, [carry_tau = true], no
+    [max_tams = 10], free TAM count, [carry_tau = true], no
     budget, no checkpointing, [checkpoint_every = 50_000], no resume,
     never cancelled — the historical defaults of every entry point. *)
 
@@ -93,7 +93,6 @@ val with_max_tams : int -> t -> t
 val with_tams : int -> t -> t
 (** Fix the TAM count (P_PAW). *)
 
-val with_initial_best : int -> t -> t
 val with_carry_tau : bool -> t -> t
 val with_time_budget : float -> t -> t
 val with_checkpoint : string -> t -> t
@@ -129,9 +128,8 @@ val tam_plan : t -> table:Time_table.t -> total_width:int -> int list
     @raise Invalid_argument on a count below 1, a table narrower than
     [total_width], or a fixed count above it. *)
 
-val initial_tau : t -> int
 val import_cap : t -> int
-(** [initial_best] and [tau_import], with [max_int] for none. *)
+(** [tau_import], with [max_int] for none. *)
 
 (** {1 Checkpoint lifecycle} *)
 

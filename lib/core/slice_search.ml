@@ -11,7 +11,7 @@ type best = {
   mutable b_rank : int;
 }
 
-let best ~table ~total_width ~max_tams ?tau ~initial ?(rank = -1) = function
+let best ~table ~total_width ~max_tams ?tau ?(rank = -1) = function
   | Some (b : Checkpoint.best_arch) ->
       Checkpoint.check_best ~table ~total_width ~max_tams ?tau b;
       {
@@ -21,7 +21,7 @@ let best ~table ~total_width ~max_tams ?tau ~initial ?(rank = -1) = function
         b_rank = rank;
       }
   | None ->
-      { b_widths = [||]; b_time = initial; b_assignment = [||]; b_rank = -1 }
+      { b_widths = [||]; b_time = max_int; b_assignment = [||]; b_rank = -1 }
 
 let best_arch b =
   if Array.length b.b_widths = 0 then None
@@ -150,11 +150,12 @@ let even_widths ~total_width parts =
   let base = total_width / parts and extra = total_width mod parts in
   Array.init parts (fun i -> if i < extra then base + 1 else base)
 
-let answer ~table ~total_width ~tams best =
-  if Array.length best.b_widths > 0 then
-    (best.b_widths, best.b_time, best.b_assignment)
-  else
-    let widths = even_widths ~total_width (min tams total_width) in
-    match Core_assign.run_table ~table ~widths () with
-    | Core_assign.Assigned { assignment; time; _ } -> (widths, time, assignment)
-    | Core_assign.Exceeded _ -> assert false
+let answer ~table ~total_width ~tams = function
+  | Some (b : Checkpoint.best_arch) ->
+      (b.Checkpoint.ba_widths, b.Checkpoint.ba_time, b.Checkpoint.ba_assignment)
+  | None -> (
+      let widths = even_widths ~total_width (min tams total_width) in
+      match Core_assign.run_table ~table ~widths () with
+      | Core_assign.Assigned { assignment; time; _ } ->
+          (widths, time, assignment)
+      | Core_assign.Exceeded _ -> assert false)

@@ -17,13 +17,12 @@ val best :
   total_width:int ->
   max_tams:int ->
   ?tau:int ->
-  initial:int ->
   ?rank:int ->
   Checkpoint.best_arch option ->
   best
 (** Restored from a checkpoint (with its [rank], default [-1]) once
     {!Checkpoint.check_best} accepts it against the instance, its TAM
-    limit and the restored bound [tau]; or empty at time [initial].
+    limit and the restored bound [tau]; or empty at time [max_int].
     @raise Invalid_argument when the check fails. *)
 
 val best_arch : best -> Checkpoint.best_arch option
@@ -81,7 +80,7 @@ val even_widths : total_width:int -> int -> int array
     widest first. *)
 
 val answer :
-  table:Time_table.t -> total_width:int -> tams:int -> best ->
-  int array * int * int array
-(** The incumbent's [(widths, time, assignment)], or, when nothing beat
-    the seed, the even split over [min tams total_width] TAMs. *)
+  table:Time_table.t -> total_width:int -> tams:int ->
+  Checkpoint.best_arch option -> int array * int * int array
+(** The incumbent's [(widths, time, assignment)], or, without one, the
+    even split over [min tams total_width] TAMs. *)

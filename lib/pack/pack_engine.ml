@@ -365,7 +365,6 @@ type token = {
   k_total_width : int;
   k_tams : int option;  (* fixed TAM count (P_PAW); [None] = P_NPAW *)
   k_max_tams : int;
-  k_initial : int option;
   k_tau : int;
   k_best : Checkpoint.best_arch option;
   k_next_rank : int;
@@ -383,7 +382,6 @@ let decode json =
       k_total_width = Checkpoint.count_field "total_width" json;
       k_tams = Checkpoint.int_opt_field "tams" json;
       k_max_tams = Checkpoint.count_field "max_tams" json;
-      k_initial = Checkpoint.int_opt_field "initial" json;
       k_tau = Checkpoint.int_field "tau" json;
       k_best = Checkpoint.best_of_json (Checkpoint.field "best" json);
       k_next_rank = Checkpoint.count_field "next_rank" json;
@@ -409,7 +407,6 @@ let run_with (cfg : Rc.t) ~table ~total_width =
   let sp = space ~total_width ~b_values in
   let ranks = rank_count sp in
   let stats = cfg.Rc.stats in
-  let initial = Rc.initial_tau cfg in
   let cap = Rc.import_cap cfg in
   let restored = Rc.resumed cfg ~engine:tag decode in
   Option.iter
@@ -421,10 +418,6 @@ let run_with (cfg : Rc.t) ~table ~total_width =
         (k.k_tams = cfg.Rc.tams && k.k_max_tams = cfg.Rc.max_tams)
         "Pack_engine: resume checkpoint was taken under a different TAM \
          configuration";
-      Checkpoint.require
-        (k.k_initial = cfg.Rc.initial_best)
-        "Pack_engine: resume checkpoint was taken under a different pruning \
-         configuration";
       Checkpoint.require (k.k_ranks = ranks)
         "Pack_engine: resume checkpoint does not match this rank space")
     restored;
@@ -432,10 +425,9 @@ let run_with (cfg : Rc.t) ~table ~total_width =
   let best =
     Slice_search.best ~table ~total_width ~max_tams:(Rc.tam_ceiling cfg)
       ?tau:(Option.map (fun k -> k.k_tau) restored)
-      ~initial
       (Option.bind restored (fun k -> k.k_best))
   in
-  let tau = ref (match restored with Some k -> k.k_tau | None -> initial) in
+  let tau = ref (match restored with Some k -> k.k_tau | None -> max_int) in
   let next = ref (match restored with Some k -> k.k_next_rank | None -> 0) in
   let packings = ref (match restored with Some k -> k.k_packings | None -> 0) in
   let cands = ref (match restored with Some k -> k.k_candidates | None -> 0) in
@@ -453,7 +445,6 @@ let run_with (cfg : Rc.t) ~table ~total_width =
           ("total_width", Json.Int total_width);
           ("tams", Checkpoint.json_int_opt tams);
           ("max_tams", Json.Int max_tams);
-          ("initial", Checkpoint.json_int_opt cfg.Rc.initial_best);
           ("tau", Json.Int !tau);
           ("best", Checkpoint.best_to_json (Slice_search.best_arch best));
           ("next_rank", Json.Int !next);
@@ -504,10 +495,11 @@ let run_with (cfg : Rc.t) ~table ~total_width =
               next := hi
             done))
   in
-  (* Nothing beat the seed (or the budget expired before the first
-     slice): the even split over the first permitted TAM count. *)
+  (* Nothing beat the imported bound (or the budget expired before the
+     first slice): the even split over the first permitted TAM count. *)
   let widths, time, assignment =
-    Slice_search.answer ~table ~total_width ~tams:(List.hd b_values) best
+    Slice_search.answer ~table ~total_width ~tams:(List.hd b_values)
+      (Slice_search.best_arch best)
   in
   {
     widths;

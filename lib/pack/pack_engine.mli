@@ -80,7 +80,7 @@ val run_with :
   result
 (** Run the engine. [Run_config.tams] fixes the TAM count (P_PAW);
     otherwise TAM counts up to [max_tams] are permitted (P_NPAW).
-    Respects [jobs], [stats], [initial_best], [time_budget],
+    Respects [jobs], [stats], [time_budget],
     [checkpoint_path]/[checkpoint_every], [resume] and [cancel]; the
     reported architecture is byte-identical at every job count, and a
     run resumed from any slice boundary agrees with an uninterrupted

@@ -6,14 +6,6 @@ module Slice_search = Soctam_core.Slice_search
 module Tt = Soctam_core.Time_table
 module Obs = Soctam_obs.Obs
 
-type engine_report = {
-  er_name : string;
-  er_done : bool;
-  er_proved : bool;
-  er_improvements : int;
-  er_slices : int;
-}
-
 type result = {
   widths : int array;
   time : int;
@@ -24,27 +16,33 @@ type result = {
   slices : int;
   tau_imports : int;
   tau_exports : int;
-  engines : engine_report list;
+  engines : Checkpoint.race_slot list;
   outcome : Outcome.t;
 }
 
-(* One portfolio member. [s_replay] is true only while the slot still
-   holds a token loaded from a race checkpoint: the first slice after a
-   process restart replays the token's counters into the collector,
-   every later slice resumes a token minted in this process whose
-   counters were already recorded live. *)
-type slot = {
-  s_engine : Engine.t;
-  s_name : string;
-  mutable s_token : Checkpoint.t option;
-  mutable s_replay : bool;
-  mutable s_done : bool;
-  mutable s_proved : bool;
-  mutable s_improvements : int;
-  mutable s_slices : int;
-}
-
 let never () = false
+
+let proved (st : Checkpoint.race_state) =
+  List.exists (fun sl -> sl.Checkpoint.rs_proved) st.Checkpoint.ra_slots
+
+(* The next grant in the fixed round-robin schedule, derived from the
+   slot slice counts alone: within a round every live slot earlier in
+   portfolio order has one more slice than the ones still waiting, so a
+   race resumed from any boundary continues exactly where the killed
+   one stopped. Returns the slot's index and whether it opens a fresh
+   round. *)
+let next_slot (st : Checkpoint.race_state) =
+  let live sl = not sl.Checkpoint.rs_done in
+  match List.filter live st.Checkpoint.ra_slots with
+  | [] -> None
+  | live_slots ->
+      let counts = List.map (fun sl -> sl.Checkpoint.rs_slices) live_slots in
+      let mx = List.fold_left Int.max 0 counts in
+      let fresh = mx = List.fold_left Int.min max_int counts in
+      List.find_index
+        (fun sl -> live sl && (fresh || sl.Checkpoint.rs_slices < mx))
+        st.Checkpoint.ra_slots
+      |> Option.map (fun i -> (i, fresh))
 
 let run (cfg : Rc.t) ~engines ~table ~total_width =
   if engines = [] then invalid_arg "Race: empty portfolio";
@@ -95,10 +93,6 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
         "Race: resume checkpoint was taken under a different TAM \
          configuration";
       Checkpoint.require
-        (s.Checkpoint.ra_initial = cfg.Rc.initial_best)
-        "Race: resume checkpoint was taken under a different pruning \
-         configuration";
-      Checkpoint.require
         (List.length s.Checkpoint.ra_slots = List.length engines)
         "Race: resume checkpoint is for a different portfolio";
       List.iter2
@@ -107,138 +101,77 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
             (String.equal (Engine.name e) rs.Checkpoint.rs_engine)
             "Race: resume checkpoint is for a different portfolio";
           Option.iter (Engine.check_token e cfg inst) rs.Checkpoint.rs_token)
-        engines s.Checkpoint.ra_slots)
+        engines s.Checkpoint.ra_slots;
+      Option.iter
+        (Checkpoint.check_best ~table ~total_width
+           ~max_tams:(Rc.tam_ceiling cfg) ~tau:s.Checkpoint.ra_tau)
+        s.Checkpoint.ra_best)
     restored;
-  let slots =
-    match restored with
-    | Some s ->
-        List.map2
-          (fun e (rs : Checkpoint.race_slot) ->
-            {
-              s_engine = e;
-              s_name = rs.Checkpoint.rs_engine;
-              s_token = rs.Checkpoint.rs_token;
-              s_replay = rs.Checkpoint.rs_token <> None;
-              s_done = rs.Checkpoint.rs_done;
-              s_proved = rs.Checkpoint.rs_proved;
-              s_improvements = rs.Checkpoint.rs_improvements;
-              s_slices = rs.Checkpoint.rs_slices;
-            })
-          engines s.Checkpoint.ra_slots
-    | None ->
-        List.map
-          (fun e ->
-            {
-              s_engine = e;
-              s_name = Engine.name e;
-              s_token = None;
-              s_replay = false;
-              s_done = false;
-              s_proved = false;
-              s_improvements = 0;
-              s_slices = 0;
-            })
-          engines
-  in
-  let initial = Rc.initial_tau cfg in
-  let tau =
-    ref (match restored with Some s -> s.Checkpoint.ra_tau | None -> initial)
-  in
-  let best =
-    Slice_search.best ~table ~total_width ~max_tams:(Rc.tam_ceiling cfg)
-      ?tau:(Option.map (fun s -> s.Checkpoint.ra_tau) restored)
-      ~initial
-      (Option.bind restored (fun s -> s.Checkpoint.ra_best))
-  in
-  (* The engine that set [best]; none while [best] is empty. *)
-  let winner =
+  let engines = Array.of_list engines in
+  let state =
     ref
       (match restored with
-      | Some { Checkpoint.ra_best = Some _; ra_winner; _ } -> ra_winner
-      | Some { Checkpoint.ra_best = None; _ } | None -> None)
+      | Some s -> s
+      | None ->
+          {
+            Checkpoint.ra_total_width = total_width;
+            ra_tams = cfg.Rc.tams;
+            ra_max_tams = cfg.Rc.max_tams;
+            ra_tau = max_int;
+            ra_best = None;
+            ra_winner = None;
+            ra_rounds = 0;
+            ra_slices = 0;
+            ra_imports = 0;
+            ra_exports = 0;
+            ra_slots =
+              Array.to_list engines
+              |> List.map (fun e ->
+                     {
+                       Checkpoint.rs_engine = Engine.name e;
+                       rs_done = false;
+                       rs_proved = false;
+                       rs_improvements = 0;
+                       rs_slices = 0;
+                       rs_token = None;
+                     });
+          })
   in
-  let rounds =
-    ref (match restored with Some s -> s.Checkpoint.ra_rounds | None -> 0)
-  in
-  let slices =
-    ref (match restored with Some s -> s.Checkpoint.ra_slices | None -> 0)
-  in
-  let imports =
-    ref (match restored with Some s -> s.Checkpoint.ra_imports | None -> 0)
-  in
-  let exports =
-    ref (match restored with Some s -> s.Checkpoint.ra_exports | None -> 0)
-  in
-  let proof =
-    ref
-      (match List.find_opt (fun s -> s.s_proved) slots with
-      | Some s -> Some s.s_name
-      | None -> None)
+  (* Which slots still hold a token loaded from a race checkpoint: the
+     first slice after a process restart replays the token's counters
+     into the collector, every later slice resumes a token minted in
+     this process whose counters were already recorded live. *)
+  let replay =
+    Array.of_list
+      (List.map
+         (fun sl -> Option.is_some sl.Checkpoint.rs_token)
+         !state.Checkpoint.ra_slots)
   in
   let snapshot () =
+    let st = !state in
     ( List.filter
         (fun (_, n) -> n > 0)
         ([
-           ("race/slices", !slices);
-           ("race/tau_imports", !imports);
-           ("race/tau_exports", !exports);
+           ("race/slices", st.Checkpoint.ra_slices);
+           ("race/tau_imports", st.Checkpoint.ra_imports);
+           ("race/tau_exports", st.Checkpoint.ra_exports);
          ]
         @ List.map
-            (fun s -> ("race/improvements/" ^ s.s_name, s.s_improvements))
-            slots),
-      Checkpoint.Race
-        {
-          Checkpoint.ra_total_width = total_width;
-          ra_tams = cfg.Rc.tams;
-          ra_max_tams = cfg.Rc.max_tams;
-          ra_initial = cfg.Rc.initial_best;
-          ra_tau = !tau;
-          ra_best = Slice_search.best_arch best;
-          ra_winner = !winner;
-          ra_rounds = !rounds;
-          ra_slices = !slices;
-          ra_imports = !imports;
-          ra_exports = !exports;
-          ra_slots =
-            List.map
-              (fun s ->
-                {
-                  Checkpoint.rs_engine = s.s_name;
-                  rs_done = s.s_done;
-                  rs_proved = s.s_proved;
-                  rs_improvements = s.s_improvements;
-                  rs_slices = s.s_slices;
-                  rs_token = s.s_token;
-                })
-              slots;
-        } )
+            (fun sl ->
+              ( "race/improvements/" ^ sl.Checkpoint.rs_engine,
+                sl.Checkpoint.rs_improvements ))
+            st.Checkpoint.ra_slots),
+      Checkpoint.Race st )
   in
-  (* The next grant in the fixed round-robin schedule, derived from the
-     slot slice counts alone: within a round every live slot earlier in
-     portfolio order has one more slice than the ones still waiting, so
-     a race resumed from any boundary continues exactly where the
-     killed one stopped. Returns the slot and whether it opens a fresh
-     round. *)
-  let next_slot () =
-    let live = List.filter (fun s -> not s.s_done) slots in
-    match live with
-    | [] -> None
-    | _ ->
-        let mx = List.fold_left (fun a s -> max a s.s_slices) 0 live in
-        let mn =
-          List.fold_left (fun a s -> min a s.s_slices) max_int live
-        in
-        if mx = mn then
-          Some (List.find (fun s -> not s.s_done) slots, true)
-        else
-          Some
-            ( List.find (fun s -> (not s.s_done) && s.s_slices < mx) slots,
-              false )
-  in
-  let run_slice s =
-    let caps = Engine.caps s.s_engine in
+  (* One grant to slot [i]: the engine's next slice under the shared
+     bound, and the race state after it. *)
+  let grant (st : Checkpoint.race_state) i =
+    let e = engines.(i) and sl = List.nth st.Checkpoint.ra_slots i in
+    let caps = Engine.caps e in
     let import =
-      if caps.Engine.imports_tau && !tau < max_int then Some !tau else None
+      if caps.Engine.imports_tau && st.Checkpoint.ra_tau < max_int then
+        Some st.Checkpoint.ra_tau
+      else None
     in
     let cfg_e =
       {
@@ -248,98 +181,105 @@ let run (cfg : Rc.t) ~engines ~table ~total_width =
         time_budget = None;
         cancel = never;
         slice_limit = Some 1;
-        resume = s.s_token;
-        resume_replay = s.s_replay;
+        resume = sl.Checkpoint.rs_token;
+        resume_replay = replay.(i);
         tau_import = import;
       }
     in
-    s.s_replay <- false;
+    replay.(i) <- false;
     if Obs.enabled stats then begin
       Obs.add stats "race/slices";
-      match import with
-      | Some _ -> Obs.add stats "race/tau_imports"
-      | None -> ()
+      if Option.is_some import then Obs.add stats "race/tau_imports"
     end;
-    (match import with Some _ -> incr imports | None -> ());
-    let report = Engine.run s.s_engine cfg_e inst in
-    s.s_slices <- s.s_slices + 1;
-    incr slices;
-    if
-      Array.length report.Engine.r_widths > 0
-      && report.Engine.r_time < !tau
-    then begin
-      best.Slice_search.b_widths <- report.Engine.r_widths;
-      best.Slice_search.b_time <- report.Engine.r_time;
-      best.Slice_search.b_assignment <- report.Engine.r_assignment;
-      winner := Some s.s_name;
-      tau := report.Engine.r_time;
-      s.s_improvements <- s.s_improvements + 1;
-      incr exports;
-      if Obs.enabled stats then begin
-        Obs.add stats "race/tau_exports";
-        Obs.add stats ("race/improvements/" ^ s.s_name);
-        Obs.event_v stats report.Engine.r_time "race/tau"
-      end
+    let report = Engine.run e cfg_e inst in
+    let time = report.Engine.r_time in
+    let improved =
+      Array.length report.Engine.r_widths > 0 && time < st.Checkpoint.ra_tau
+    in
+    if improved && Obs.enabled stats then begin
+      Obs.add stats "race/tau_exports";
+      Obs.add stats ("race/improvements/" ^ sl.Checkpoint.rs_engine);
+      Obs.event_v stats time "race/tau"
     end;
-    match report.Engine.r_outcome with
-    | Outcome.Complete ->
-        s.s_done <- true;
-        s.s_token <- None;
-        if caps.Engine.proves then begin
-          s.s_proved <- true;
-          proof := Some s.s_name;
-          if Obs.enabled stats then Obs.event stats ("race/proof " ^ s.s_name)
-        end
-    | Outcome.Budget_exhausted cp | Outcome.Interrupted cp ->
-        s.s_token <- Some cp
+    let complete = Outcome.is_complete report.Engine.r_outcome in
+    let proves = complete && caps.Engine.proves in
+    if proves && Obs.enabled stats then
+      Obs.event stats ("race/proof " ^ sl.Checkpoint.rs_engine);
+    let sl =
+      {
+        sl with
+        Checkpoint.rs_done = complete;
+        rs_proved = proves;
+        rs_improvements = sl.Checkpoint.rs_improvements + Bool.to_int improved;
+        rs_slices = sl.Checkpoint.rs_slices + 1;
+        rs_token = Outcome.resume_token report.Engine.r_outcome;
+      }
+    in
+    let st =
+      {
+        st with
+        Checkpoint.ra_slices = st.Checkpoint.ra_slices + 1;
+        ra_imports = st.Checkpoint.ra_imports + Bool.to_int (Option.is_some import);
+        ra_exports = st.Checkpoint.ra_exports + Bool.to_int improved;
+        ra_slots =
+          List.mapi (fun j s -> if j = i then sl else s) st.Checkpoint.ra_slots;
+      }
+    in
+    if improved then
+      {
+        st with
+        Checkpoint.ra_tau = time;
+        ra_best =
+          Some
+            {
+              Checkpoint.ba_widths = report.Engine.r_widths;
+              ba_time = time;
+              ba_assignment = report.Engine.r_assignment;
+            };
+        ra_winner = Some sl.Checkpoint.rs_engine;
+      }
+    else st
   in
   let outcome =
     Rc.slices cfg ~snapshot (fun c ->
         let rec loop () =
-          if !proof = None then
-            match next_slot () with
+          if not (proved !state) then
+            match next_slot !state with
             | None -> ()
-            | Some (s, fresh_round) ->
+            | Some (i, fresh_round) ->
                 c.Rc.before_slice ();
-                if fresh_round then incr rounds;
-                run_slice s;
+                if fresh_round then
+                  state :=
+                    {
+                      !state with
+                      Checkpoint.ra_rounds = !state.Checkpoint.ra_rounds + 1;
+                    };
+                state := grant !state i;
                 loop ()
         in
         loop ())
   in
-  (match (outcome, !proof, Obs.enabled stats, !winner) with
-  | Outcome.Complete, _, true, Some w -> Obs.event stats ("race/winner " ^ w)
+  let st = !state in
+  (match (outcome, Obs.enabled stats, st.Checkpoint.ra_winner) with
+  | Outcome.Complete, true, Some w -> Obs.event stats ("race/winner " ^ w)
   | _ -> ());
-  let engines_out =
-    List.map
-      (fun s ->
-        {
-          er_name = s.s_name;
-          er_done = s.s_done;
-          er_proved = s.s_proved;
-          er_improvements = s.s_improvements;
-          er_slices = s.s_slices;
-        })
-      slots
-  in
   let widths, time, assignment =
     Slice_search.answer ~table ~total_width
       ~tams:(Option.value cfg.Rc.tams ~default:1)
-      best
+      st.Checkpoint.ra_best
   in
   {
     widths;
     time;
     assignment;
-    winner = !winner;
-    (* A proof under the seed bound certifies no found architecture,
-       so the even-split fallback is never proven. *)
-    proven_optimal =
-      Option.is_some !proof && Array.length best.Slice_search.b_widths > 0;
-    rounds = !rounds;
-    slices = !slices;
-    tau_imports = !imports;
-    tau_exports = !exports;
-    engines = engines_out;
+    winner = st.Checkpoint.ra_winner;
+    (* A proof with no incumbent certifies no architecture, so the
+       even-split fallback is never proven. *)
+    proven_optimal = proved st && Option.is_some st.Checkpoint.ra_best;
+    rounds = st.Checkpoint.ra_rounds;
+    slices = st.Checkpoint.ra_slices;
+    tau_imports = st.Checkpoint.ra_imports;
+    tau_exports = st.Checkpoint.ra_exports;
+    engines = st.Checkpoint.ra_slots;
     outcome;
   }

@@ -20,21 +20,14 @@
     counts, every engine's slice is byte-identical at every job count,
     and the bound only moves between slices — so the race result is
     byte-identical for every [-j], and a race killed at any slice
-    boundary and resumed from its checkpoint (which embeds the
-    per-engine tokens) finishes with the same architecture, winner and
+    boundary and resumed from its checkpoint (the race's whole state,
+    one {!Soctam_core.Checkpoint.race_state} replaced after every grant,
+    embedding the per-engine tokens) finishes with the same architecture, winner and
     counters as an uninterrupted one. With a complete portfolio run the
     final time is never worse than the best engine run solo at the same
     width, because each engine's own search space is still fully
     enumerated (candidates cut by an imported bound could not have
     beaten it). *)
-
-type engine_report = {
-  er_name : string;
-  er_done : bool;  (** engine finished its search space *)
-  er_proved : bool;  (** engine finished and proves optimality *)
-  er_improvements : int;  (** strict improvements it exported *)
-  er_slices : int;  (** slices it was granted *)
-}
 
 type result = {
   widths : int array;
@@ -48,7 +41,8 @@ type result = {
   slices : int;
   tau_imports : int;  (** slices entered with a foreign bound *)
   tau_exports : int;  (** strict improvements published to the bound *)
-  engines : engine_report list;  (** portfolio order *)
+  engines : Soctam_core.Checkpoint.race_slot list;
+      (** the race state's slots, in portfolio order *)
   outcome : Soctam_core.Outcome.t;
 }
 
@@ -65,8 +59,8 @@ val run :
     rather than errors); [tams]/[max_tams] define the problem exactly
     as for the solo engines, and are validated against every member's
     caps up front ([needs_fixed_tams] without [tams], or
-    [free_tams_only] with it, is an error); [initial_best] seeds the
-    shared bound; [time_budget], [cancel] and [slice_limit] (counting
+    [free_tams_only] with it, is an error); the shared bound starts at
+    [max_int]; [time_budget], [cancel] and [slice_limit] (counting
     race grants) stop the race resumably between slices;
     [checkpoint_path]/[resume] checkpoint the race itself, with every
     live engine's resume token embedded in the race document. [stats]

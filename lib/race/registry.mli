@@ -9,9 +9,6 @@ val all : unit -> Soctam_core.Engine.t list
     annealing, default schedule), [exhaustive] (per-partition B&B) and
     [ilp] (per-partition MILP cross-check). *)
 
-val names : unit -> string list
-(** The registry names, in the {!all} order. *)
-
 val find : string -> (Soctam_core.Engine.t, string) result
 (** Look one engine up by registry name. *)
 

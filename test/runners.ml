@@ -17,7 +17,7 @@ let opt set v cfg = match v with None -> cfg | Some x -> set x cfg
    CI host would silently turn every jobs=4 determinism property into a
    sequential run. Forcing the requested size keeps real multi-worker
    interleavings under test everywhere. *)
-let cfg ?stats ?jobs ?node_limit ?max_tams ?tams ?initial_best ?carry_tau
+let cfg ?stats ?jobs ?node_limit ?max_tams ?tams ?tau_import ?carry_tau
     ?time_budget () =
   Rc.default
   |> Rc.with_oversubscribe true
@@ -26,7 +26,7 @@ let cfg ?stats ?jobs ?node_limit ?max_tams ?tams ?initial_best ?carry_tau
   |> opt Rc.with_node_limit node_limit
   |> opt Rc.with_max_tams max_tams
   |> opt Rc.with_tams tams
-  |> opt Rc.with_initial_best initial_best
+  |> opt Rc.with_tau_import tau_import
   |> opt Rc.with_carry_tau carry_tau
   |> opt Rc.with_time_budget time_budget
 
@@ -49,14 +49,14 @@ let co_run_fixed_tams ?stats ?jobs ?table soc ~total_width ~tams =
     ~table:(co_table ?stats ?table soc ~total_width)
     ~total_width
 
-let pe_run ?stats ?jobs ?initial_best ?carry_tau ~table ~total_width ~max_tams
+let pe_run ?stats ?jobs ?tau_import ?carry_tau ~table ~total_width ~max_tams
     () =
   Pe.run_with
-    (cfg ?stats ?jobs ?initial_best ?carry_tau ~max_tams ())
+    (cfg ?stats ?jobs ?tau_import ?carry_tau ~max_tams ())
     ~table ~total_width
 
-let pe_run_fixed ?stats ?jobs ?initial_best ~table ~total_width ~tams () =
-  Pe.run_with (cfg ?stats ?jobs ?initial_best ~tams ()) ~table ~total_width
+let pe_run_fixed ?stats ?jobs ?tau_import ~table ~total_width ~tams () =
+  Pe.run_with (cfg ?stats ?jobs ?tau_import ~tams ()) ~table ~total_width
 
 let ex_run ?stats ?jobs ?node_limit_per_partition ?time_budget ~table
     ~total_width ~tams () =
@@ -67,10 +67,10 @@ let ex_run ?stats ?jobs ?node_limit_per_partition ?time_budget ~table
 let sweep_run ?stats ?jobs ?max_tams soc ~widths =
   (Sw.run_with (cfg ?stats ?jobs ?max_tams ()) soc ~widths).Sw.points
 
-let pack_run ?stats ?jobs ?max_tams ?tams ?initial_best ?time_budget ~table
-    ~total_width () =
+let pack_run ?stats ?jobs ?max_tams ?tams ?time_budget ~table ~total_width
+    () =
   Pk.run_with
-    (cfg ?stats ?jobs ?max_tams ?tams ?initial_best ?time_budget ())
+    (cfg ?stats ?jobs ?max_tams ?tams ?time_budget ())
     ~table ~total_width
 
 let anneal_run ?stats ?params ~table ~total_width ~max_tams () =

@@ -233,6 +233,92 @@ let race_slice_total_rejected () =
   | Ok _ -> Alcotest.fail "broken race slice total accepted"
   | Error _ -> ()
 
+(* Every other rule the race reader enforces, broken one at a time on a
+   document the racer wrote: the envelope refuses it with an [Error], so
+   a resumed race never runs from a state the racer could not have
+   written. *)
+let race_tampered ~mentions f () =
+  let doc = Lazy.force race_doc in
+  let bad =
+    match doc.Cp.state with
+    | Cp.Race s -> { doc with Cp.state = Cp.Race (f s) }
+    | Cp.Token _ -> Alcotest.fail "not a race token"
+  in
+  match Cp.of_string (Cp.to_string bad) with
+  | Ok _ -> Alcotest.failf "tampered race accepted (expected %S)" mentions
+  | Error msg ->
+      if not (has_sub msg mentions) then
+        Alcotest.failf "rejected for the wrong reason: %s" msg
+
+let first_slot f s =
+  match s.Cp.ra_slots with
+  | sl :: rest -> { s with Cp.ra_slots = f sl :: rest }
+  | [] -> Alcotest.fail "race without slots"
+
+let race_winner_without_incumbent () =
+  let mentions = "winner and incumbent disagree" in
+  race_tampered ~mentions (fun s -> { s with Cp.ra_best = None }) ();
+  race_tampered ~mentions (fun s -> { s with Cp.ra_winner = None }) ()
+
+(* The bound is the incumbent's time, or [max_int] without one: a
+   bound alone would prune every candidate and complete on the
+   even-split fallback. *)
+let race_bound_off_incumbent () =
+  let mentions = "is not its incumbent's time" in
+  race_tampered ~mentions (fun s -> { s with Cp.ra_tau = max_int }) ();
+  race_tampered ~mentions
+    (fun s -> { s with Cp.ra_tau = 1; ra_best = None; ra_winner = None })
+    ()
+
+(* Documents in the format written before the ["initial"] seed field
+   was dropped: a pe, a pack and a pe,pack race checkpoint of d695 at
+   W = 24, P_NPAW up to 4 TAMs, each taken mid-run (slice limits 5, 3
+   and 3) by that build. Their bodies carry ["initial": null]; the
+   decoders read fields by name, so the documents still load and resume
+   to the uninterrupted answer. *)
+let previous_format_resumes () =
+  let table = Tt.build Soctam_soc_data.D695.soc ~max_width:24 in
+  let pe cfg =
+    let r = Pe.run_with cfg ~table ~total_width:24 in
+    (r.Pe.widths, r.Pe.time, r.Pe.assignment, r.Pe.outcome)
+  in
+  let pack cfg =
+    let module Pk = Soctam_pack.Pack_engine in
+    let r = Pk.run_with cfg ~table ~total_width:24 in
+    (r.Pk.widths, r.Pk.time, r.Pk.assignment, r.Pk.outcome)
+  in
+  let race cfg =
+    let module Race = Soctam_race.Race in
+    let r =
+      Race.run cfg ~engines:(Runners.engines [ "pe"; "pack" ]) ~table
+        ~total_width:24
+    in
+    (r.Race.widths, r.Race.time, r.Race.assignment, r.Race.outcome)
+  in
+  List.iter
+    (fun (name, every, run) ->
+      let doc =
+        match
+          Cp.load (Filename.concat "data" ("checkpoint_initial_" ^ name ^ ".json"))
+        with
+        | Ok doc -> doc
+        | Error msg -> Alcotest.failf "%s: %s" name msg
+      in
+      let cfg =
+        Rc.default |> Rc.with_soc_name "d695" |> Rc.with_max_tams 4
+        |> Rc.with_checkpoint_every every
+      in
+      let widths, time, assignment, outcome = run (Rc.with_resume doc cfg) in
+      let s_widths, s_time, s_assignment, _ = run cfg in
+      Alcotest.(check bool)
+        (name ^ ": resumed to completion")
+        true (Oc.is_complete outcome);
+      Alcotest.(check (array int)) (name ^ ": widths") s_widths widths;
+      Alcotest.(check int) (name ^ ": time") s_time time;
+      Alcotest.(check (array int))
+        (name ^ ": assignment") s_assignment assignment)
+    [ ("pe", 40, pe); ("pack", 5, pack); ("race", 40, race) ]
+
 let inner_token doc =
   match (Lazy.force doc).Cp.state with
   | Cp.Token { body; _ } -> Json.member "inner" body
@@ -329,6 +415,9 @@ let cursor_invariant_rejected () =
   in
   let bad =
     with_body (Lazy.force pe_doc) (fun _ ->
+        (* The body keeps the ["initial"] field of the previous format
+           on purpose: the decoder reads fields by name, so an old body
+           still decodes and the cursor check is what rejects it. *)
         Json.Obj
           [
             ("total_width", Json.Int 12);
@@ -1129,4 +1218,25 @@ let suite =
       anneal_too_many_widths;
     test "resume: race incumbent with a forged time rejected"
       race_forged_incumbent;
+    test "resume: documents in the previous format resume"
+      previous_format_resumes;
+    test "checkpoint: race winner without an incumbent rejected"
+      race_winner_without_incumbent;
+    test "checkpoint: race winner outside the portfolio rejected"
+      (race_tampered ~mentions:"not in the portfolio" (fun s ->
+           { s with Cp.ra_winner = Some "pack" }));
+    test "checkpoint: race export total rejected"
+      (race_tampered ~mentions:"export total" (fun s ->
+           { s with Cp.ra_exports = s.Cp.ra_exports + 1 }));
+    test "checkpoint: race bound off its incumbent's time rejected"
+      race_bound_off_incumbent;
+    test "checkpoint: race imports above its slices rejected"
+      (race_tampered ~mentions:"exceed its" (fun s ->
+           { s with Cp.ra_imports = s.Cp.ra_slices + 1 }));
+    test "checkpoint: race slot proved but not done rejected"
+      (race_tampered ~mentions:"proved but not done"
+         (first_slot (fun sl -> { sl with Cp.rs_proved = true })));
+    test "checkpoint: race done slot with a token rejected"
+      (race_tampered ~mentions:"done but carries a token"
+         (first_slot (fun sl -> { sl with Cp.rs_done = true })));
   ]

@@ -745,36 +745,27 @@ let pinned_block_skip_instance () =
   Alcotest.(check (array int))
     "jobs=2 assignment" r.Pe.assignment par.Pe.assignment
 
-let initial_best_seeding () =
-  (* Seeding tau with the known optimum means nothing completes and the
-     fallback single-TAM architecture is returned; seeding with a looser
-     value reproduces the unseeded result. *)
-  let soc = small_soc 61L ~cores:5 in
-  let table = Tt.build soc ~max_width:10 in
-  let unseeded = Runners.pe_run ~table ~total_width:10 ~max_tams:3 () in
-  let loose =
-    Runners.pe_run ~initial_best:(unseeded.Pe.time + 1) ~table ~total_width:10
-      ~max_tams:3 ()
+let tau_import_fallback () =
+  (* An imported bound below every achievable time cuts every
+     partition, so the run falls back to the even split, which must
+     still honour the fixed TAM count; a bound above the optimum
+     reproduces the plain run. *)
+  let table = Tt.build Soctam_soc_data.D695.soc ~max_width:10 in
+  let run ?tau_import () =
+    Runners.pe_run_fixed ?tau_import ~table ~total_width:10 ~tams:3 ()
   in
-  Alcotest.(check int) "loose seed reproduces" unseeded.Pe.time loose.Pe.time;
-  let tight =
-    Runners.pe_run ~initial_best:unseeded.Pe.time ~table ~total_width:10 ~max_tams:3 ()
-  in
-  Alcotest.(check bool) "tight seed cannot improve" true
-    (tight.Pe.time >= unseeded.Pe.time);
-  (* No partition can finish strictly below the optimum, so everything is
-     tau-terminated under the tight seed. *)
+  let plain = run () in
+  let loose = run ~tau_import:(plain.Pe.time + 1) () in
+  Alcotest.(check int) "loose import reproduces" plain.Pe.time loose.Pe.time;
+  Alcotest.(check (array int))
+    "loose import: same widths" plain.Pe.widths loose.Pe.widths;
+  let cut = run ~tau_import:1 () in
   Array.iter
     (fun s -> Alcotest.(check int) "nothing completes" 0 s.Pe.completed)
-    tight.Pe.per_b;
-  (* The fixed-B variant's fallback must still honour the TAM count. *)
-  let tight_fixed =
-    Runners.pe_run_fixed ~initial_best:1 ~table ~total_width:10 ~tams:3 ()
-  in
-  Alcotest.(check int) "fallback keeps B" 3
-    (Array.length tight_fixed.Pe.widths);
+    cut.Pe.per_b;
+  Alcotest.(check (array int)) "fallback keeps B" [| 4; 3; 3 |] cut.Pe.widths;
   Alcotest.(check int) "fallback widths sum" 10
-    (Soctam_util.Intutil.sum tight_fixed.Pe.widths)
+    (Soctam_util.Intutil.sum cut.Pe.widths)
 
 (* -- Exhaustive baseline --------------------------------------------------- *)
 
@@ -916,7 +907,7 @@ let exhaustive_tau_import () =
   let plain = Runners.ex_run ~table ~total_width:14 ~tams:3 () in
   let run cap =
     Ex.run_with
-      (Runners.cfg ~tams:3 () |> Soctam_core.Run_config.with_tau_import cap)
+      (Runners.cfg ~tams:3 ~tau_import:cap ())
       ~table ~total_width:14 ~tams:3
   in
   let tied = run plain.Ex.time in
@@ -1208,7 +1199,8 @@ let suite =
     test "Partition_evaluate: fixed B" run_fixed_restricts_b;
     test "Partition_evaluate: validation" partition_evaluate_validation;
     test "Partition_evaluate: B capped by width" fewer_tams_than_requested_is_fine;
-    test "Partition_evaluate: initial_best seeding" initial_best_seeding;
+    test "Partition_evaluate: an import below every time falls back"
+      tau_import_fallback;
     test "Partition_evaluate: pinned d695 W=40 run-skip instance"
       pinned_run_skip_instance;
     qtest exhaustive_is_optimal;

@@ -109,10 +109,10 @@ let worker_attribution () =
 
 (* -- search-core contract -------------------------------------------------- *)
 
-let run_stats ?initial_best ~jobs () =
+let run_stats ?tau_import ~jobs () =
   let stats = Obs.create () in
   let r =
-    Runners.pe_run ?initial_best ~stats ~jobs ~table:(Lazy.force table) ~total_width:20
+    Runners.pe_run ?tau_import ~stats ~jobs ~table:(Lazy.force table) ~total_width:20
       ~max_tams:6 ()
   in
   (r, Obs.snapshot stats)
@@ -157,10 +157,11 @@ let counters_reproducible_sequential () =
     (List.length s2.Obs.events)
 
 let pruning_monotone_in_tau_quality () =
-  (* Seeding the threshold with the best known time can only prune more:
-     the pruned counter is monotone in the quality of the initial tau. *)
+  (* Importing the best known time as the bound can only prune more:
+     the pruned counter is monotone in the quality of the starting
+     tau. *)
   let r, s_cold = run_stats ~jobs:1 () in
-  let _, s_warm = run_stats ~initial_best:r.Pe.time ~jobs:1 () in
+  let _, s_warm = run_stats ~tau_import:r.Pe.time ~jobs:1 () in
   let pruned s = Obs.counter_value s "partition/pruned" in
   Alcotest.(check bool) "warm tau prunes at least as much" true
     (pruned s_warm >= pruned s_cold);

@@ -30,16 +30,16 @@ let check_same_result ~msg (a : Race.result) (b : Race.result) =
   Alcotest.(check int) (msg ^ ": imports") a.Race.tau_imports b.Race.tau_imports;
   Alcotest.(check int) (msg ^ ": exports") a.Race.tau_exports b.Race.tau_exports;
   List.iter2
-    (fun (x : Race.engine_report) (y : Race.engine_report) ->
-      Alcotest.(check string) (msg ^ ": engine name") x.Race.er_name y.Race.er_name;
-      Alcotest.(check bool) (msg ^ ": engine done") x.Race.er_done y.Race.er_done;
+    (fun (x : Cp.race_slot) (y : Cp.race_slot) ->
+      Alcotest.(check string) (msg ^ ": engine name") x.Cp.rs_engine y.Cp.rs_engine;
+      Alcotest.(check bool) (msg ^ ": engine done") x.Cp.rs_done y.Cp.rs_done;
       Alcotest.(check bool)
-        (msg ^ ": engine proved") x.Race.er_proved y.Race.er_proved;
+        (msg ^ ": engine proved") x.Cp.rs_proved y.Cp.rs_proved;
       Alcotest.(check int)
-        (msg ^ ": engine improvements") x.Race.er_improvements
-        y.Race.er_improvements;
+        (msg ^ ": engine improvements") x.Cp.rs_improvements
+        y.Cp.rs_improvements;
       Alcotest.(check int)
-        (msg ^ ": engine slices") x.Race.er_slices y.Race.er_slices)
+        (msg ^ ": engine slices") x.Cp.rs_slices y.Cp.rs_slices)
     a.Race.engines b.Race.engines
 
 (* -- kill-and-resume determinism ------------------------------------------ *)
@@ -185,12 +185,12 @@ let proof_terminates_early () =
   Alcotest.(check bool) "complete" true (Oc.is_complete race.Race.outcome);
   Alcotest.(check bool) "proven optimal" true race.Race.proven_optimal;
   let slot name =
-    List.find (fun er -> er.Race.er_name = name) race.Race.engines
+    List.find (fun sl -> sl.Cp.rs_engine = name) race.Race.engines
   in
-  Alcotest.(check bool) "exhaustive proved" true (slot "exhaustive").Race.er_proved;
+  Alcotest.(check bool) "exhaustive proved" true (slot "exhaustive").Cp.rs_proved;
   Alcotest.(check bool)
     "pack was still racing when the proof landed" false
-    (slot "pack").Race.er_done;
+    (slot "pack").Cp.rs_done;
   (* The proven time is the solo exhaustive optimum. *)
   let solo = Runners.ex_run ~table ~total_width ~tams:2 () in
   Alcotest.(check int) "race time = exhaustive optimum"
